@@ -86,7 +86,6 @@ from .model import (
     model_to_dict,
     save_model_file,
     skeleton_to_dict,
-    topological_link_order,
     validate_skeleton,
 )
 from .selection import (

@@ -4,27 +4,28 @@ Each subcommand is a thin shell over one library operation. Exit codes:
 
 * 0 — success (a run manifest is written next to the output),
 * 2 — usage errors (bad flags, missing required combinations),
-* 3 — schema errors while loading shared inputs,
+* 3 — schema errors while loading shared inputs, and failures to write
+  an output (no partial file is left behind),
 * 4 — data errors while processing samples (first failure aborts the
   run; the diagnostic names the sample).
 
 Data outputs go to ``--out``; diagnostics go to stderr; the run
-manifest goes to ``<out>.manifest.json`` (and ``cmd_simulate``
-additionally writes the per-selection log to
-``<out>.selections.jsonl``). ``POSELIK_THREADS`` caps batch
-parallelism (default 1); output lines always follow input-manifest
-order.
+manifest goes to ``<out>.manifest.json`` and is written last (``simulate``
+additionally writes the per-selection log to ``<out>.selections.jsonl``).
+Output lines always follow input-manifest order.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable
 
 from . import __version__
 from .calibration import (
@@ -48,18 +49,14 @@ from .likelihood import (
     point_log_likelihood,
     refine_pose,
 )
-from .model import load_model_file, load_skeleton_file
+from .model import PoseModelParams, load_model_file, load_skeleton_file
 from .selection import _random_score, select_batch
 from .simulation import SimulationConfig, run_simulation
 
 TOOL_NAME = "poselik"
 
 
-class _SampleFailure(Exception):
-    """A per-sample error, already annotated with the sample id."""
-
-
-# --- run manifest ----------------------------------------------------------------
+# --- outputs ---------------------------------------------------------------------
 
 def _sha256_file(path: str) -> str:
     digest = hashlib.sha256()
@@ -67,35 +64,6 @@ def _sha256_file(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _write_run_manifest(
-    out_path: str,
-    command: str,
-    config: dict,
-    input_paths: dict[str, str],
-    seed: int | None,
-    io_ms: float,
-    compute_ms: float,
-    total_ms: float,
-    samples: int,
-) -> None:
-    manifest = {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "inputs": {
-            name: {"path": str(path), "sha256": _sha256_file(path)}
-            for name, path in input_paths.items()
-        },
-        "seed": seed,
-        "timings_ms": {"io": io_ms, "compute": compute_ms, "total": total_ms},
-        "samples": samples,
-    }
-    with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_jsonl(path: str, records: list[dict]) -> None:
@@ -111,179 +79,116 @@ def _write_json(path: str, document: dict) -> None:
         fh.write("\n")
 
 
-# --- per-sample batch driver -------------------------------------------------------
-
-def _thread_count() -> int:
-    raw = os.environ.get("POSELIK_THREADS", "1")
+def _write_atomic(path: str, write: Callable[[str], None]) -> None:
+    """Run ``write`` on a temporary file beside ``path``, then rename it over
+    ``path``, so a failed write never leaves a partial file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        print(
-            f"{TOOL_NAME}: error: POSELIK_THREADS must be a positive integer, "
-            f"got {raw!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    return threads
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
-def _process_samples(entries, worker, threads: int):
-    """Run ``worker(id, path) -> (record, io_ms, compute_ms)`` over a batch.
+# --- commands ---------------------------------------------------------------------
 
-    Results keep manifest order regardless of completion order; the first
-    failure aborts with a :class:`_SampleFailure` naming the sample.
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand as data for :func:`_run`.
+
+    ``load(args)`` reads the shared inputs into a context dict (failures
+    exit 3). ``compute(args, ctx, timings)`` returns the output files as
+    ``(path, write)`` pairs plus the sample count (failures exit 4) and
+    adds the time of any file reads to ``timings["io"]``. ``config`` and
+    ``seed`` fill the run manifest; ``inputs`` names the arguments whose
+    files it hashes (unset ones are skipped).
     """
 
-    def run(entry):
-        sample_id, path = entry
-        try:
-            return worker(sample_id, path)
-        except (PoseLikError, OSError) as exc:
-            raise _SampleFailure(f"sample {sample_id!r}: {exc}") from exc
+    load: Callable[[argparse.Namespace], dict]
+    compute: Callable
+    config: Callable[[argparse.Namespace, dict], dict]
+    inputs: tuple[str, ...]
+    seed: Callable[[argparse.Namespace, dict], int | None] = lambda args, ctx: None
 
-    records: list[dict] = []
-    io_ms = compute_ms = 0.0
-    if threads == 1:
-        produced = map(run, entries)
-        for record, io_part, compute_part in produced:
-            records.append(record)
-            io_ms += io_part
-            compute_ms += compute_part
+
+def _per_sample(sample: Callable, reads_heatmap: Callable = lambda args: True) -> Callable:
+    """``compute`` for a command that maps ``sample(args, ctx, id, heatmap)``
+    over the heatmap manifest into one JSONL record per sample, in manifest
+    order. The first failure aborts the run, naming the sample."""
+
+    def compute(args, ctx, timings):
+        records = []
+        for sample_id, path in ctx["entries"]:
+            try:
+                t0 = time.perf_counter()
+                heatmap = read_heatmap_file(path) if reads_heatmap(args) else None
+                timings["io"] += (time.perf_counter() - t0) * 1000.0
+                records.append(sample(args, ctx, sample_id, heatmap))
+            except (PoseLikError, OSError) as exc:
+                raise PoseLikError(f"sample {sample_id!r}: {exc}") from exc
+        return [(args.out, lambda tmp: _write_jsonl(tmp, records))], len(records)
+
+    return compute
+
+
+def _load_model(args) -> PoseModelParams:
+    skeleton = load_skeleton_file(args.skeleton)
+    params = load_model_file(args.params)
+    if params.skeleton != skeleton:
+        raise PoseLikError(f"{args.params}: embedded skeleton does not match {args.skeleton}")
+    return params
+
+
+def _load_score(args) -> dict:
+    ctx = {"params_map": None, "params": None, "poses": None}
+    if args.per_image:
+        ctx["params_map"] = load_image_params(args.params, load_skeleton_file(args.skeleton))
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for record, io_part, compute_part in pool.map(run, entries):
-                records.append(record)
-                io_ms += io_part
-                compute_ms += compute_part
-    return records, io_ms, compute_ms
+        ctx["params"] = _load_model(args)
+    ctx["entries"] = read_manifest(args.heatmaps)
+    if args.mode == "point":
+        ctx["poses"] = dict(read_labeled_poses(args.poses))
+    return ctx
 
 
-# --- subcommands -----------------------------------------------------------------
-
-def cmd_score(args, threads: int) -> int:
-    started = time.perf_counter()
-    try:
-        skeleton = load_skeleton_file(args.skeleton)
-        if args.per_image:
-            params_map = load_image_params(args.params, skeleton)
-            shared_params = None
-        else:
-            shared_params = load_model_file(args.params)
-            if shared_params.skeleton != skeleton:
-                raise PoseLikError(
-                    f"{args.params}: embedded skeleton does not match {args.skeleton}"
-                )
-            params_map = None
-        entries = read_manifest(args.heatmaps)
-        poses_by_id = None
-        if args.mode == "point":
-            poses_by_id = dict(read_labeled_poses(args.poses))
-    except (PoseLikError, OSError) as exc:
-        print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
-        return 3
-
-    def params_for(sample_id: str):
-        if params_map is None:
-            return shared_params
-        found = params_map.get(sample_id)
-        if found is None:
-            raise MissingParams(f"no model parameters for sample {sample_id!r}")
-        return found
-
-    def worker(sample_id: str, path: str):
-        if args.mode == "point":
-            pose = poses_by_id.get(sample_id)
-            if pose is None:
-                raise MissingJoint(f"no pose provided for sample {sample_id!r}")
-            t0 = time.perf_counter()
-            report = point_log_likelihood(pose, params_for(sample_id))
-            t1 = time.perf_counter()
-            return report.to_json_dict(sample_id), 0.0, (t1 - t0) * 1000.0
-        t0 = time.perf_counter()
-        heatmap = read_heatmap_file(path)
-        t1 = time.perf_counter()
-        peaks = extract_peaks(heatmap)
-        report = expected_log_likelihood(peaks, params_for(sample_id))
-        t2 = time.perf_counter()
-        return report.to_json_dict(sample_id), (t1 - t0) * 1000.0, (t2 - t1) * 1000.0
-
-    try:
-        records, io_ms, compute_ms = _process_samples(entries, worker, threads)
-    except _SampleFailure as exc:
-        print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
-        return 4
-
-    _write_jsonl(args.out, records)
-    inputs = {"skeleton": args.skeleton, "params": args.params, "heatmaps": args.heatmaps}
-    if args.poses:
-        inputs["poses"] = args.poses
-    _write_run_manifest(
-        args.out,
-        "score",
-        {
-            "mode": args.mode,
-            "per_image": bool(args.per_image),
-            "out": args.out,
-        },
-        inputs,
-        None,
-        io_ms,
-        compute_ms,
-        (time.perf_counter() - started) * 1000.0,
-        len(records),
-    )
-    return 0
+def _params_for(ctx, sample_id: str) -> PoseModelParams:
+    if ctx["params_map"] is None:
+        return ctx["params"]
+    params = ctx["params_map"].get(sample_id)
+    if params is None:
+        raise MissingParams(f"no model parameters for sample {sample_id!r}")
+    return params
 
 
-def cmd_refine(args, threads: int) -> int:
-    started = time.perf_counter()
-    try:
-        skeleton = load_skeleton_file(args.skeleton)
-        params = load_model_file(args.params)
-        if params.skeleton != skeleton:
-            raise PoseLikError(
-                f"{args.params}: embedded skeleton does not match {args.skeleton}"
-            )
-        entries = read_manifest(args.heatmaps)
-    except (PoseLikError, OSError) as exc:
-        print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
-        return 3
+def _score_sample(args, ctx, sample_id, heatmap) -> dict:
+    if args.mode == "point":
+        pose = ctx["poses"].get(sample_id)
+        if pose is None:
+            raise MissingJoint(f"no pose provided for sample {sample_id!r}")
+        report = point_log_likelihood(pose, _params_for(ctx, sample_id))
+    else:
+        report = expected_log_likelihood(extract_peaks(heatmap), _params_for(ctx, sample_id))
+    return report.to_json_dict(sample_id)
 
-    def worker(sample_id: str, path: str):
-        t0 = time.perf_counter()
-        heatmap = read_heatmap_file(path)
-        t1 = time.perf_counter()
-        peaks = extract_peaks(heatmap)
-        refined = refine_pose(peaks, params)
-        report = point_log_likelihood(refined.pose, params)
-        t2 = time.perf_counter()
-        return (
-            refined.to_json_dict(sample_id, report),
-            (t1 - t0) * 1000.0,
-            (t2 - t1) * 1000.0,
-        )
 
-    try:
-        records, io_ms, compute_ms = _process_samples(entries, worker, threads)
-    except _SampleFailure as exc:
-        print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
-        return 4
+def _refine_sample(args, ctx, sample_id, heatmap) -> dict:
+    return refine_pose(extract_peaks(heatmap), ctx["params"]).to_json_dict(sample_id)
 
-    _write_jsonl(args.out, records)
-    _write_run_manifest(
-        args.out,
-        "refine",
-        {"out": args.out},
-        {"skeleton": args.skeleton, "params": args.params, "heatmaps": args.heatmaps},
-        None,
-        io_ms,
-        compute_ms,
-        (time.perf_counter() - started) * 1000.0,
-        len(records),
-    )
-    return 0
+
+def _maxima_sample(args, ctx, sample_id, heatmap) -> dict:
+    peaks = extract_peaks(heatmap, args.threshold, args.max_peaks)
+    return {
+        "id": sample_id,
+        "entropy": multi_peak_entropy(peaks),
+        "peaks": [
+            [
+                {"loc": [p.loc[0], p.loc[1]], "score": p.score, "prob": p.prob}
+                for p in joint_peaks
+            ]
+            for joint_peaks in peaks.peaks
+        ],
+    }
 
 
 def _score_from_record(record: dict, strategy: str, where: str) -> float:
@@ -299,185 +204,175 @@ def _score_from_record(record: dict, strategy: str, where: str) -> float:
     )
 
 
-def cmd_select(args, threads: int) -> int:
-    started = time.perf_counter()
-    io_start = time.perf_counter()
-    try:
-        scores: dict[str, float] = {}
-        with open(args.scores, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{args.scores}:{lineno}"
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    raise PoseLikError(f"{where}: invalid JSON") from None
-                if not isinstance(record, dict) or "id" not in record:
-                    raise PoseLikError(f"{where}: expected an object with an 'id'")
-                sample_id = str(record["id"])
-                if sample_id in scores:
-                    raise PoseLikError(f"{where}: duplicate sample id {sample_id!r}")
-                if args.strategy == "random":
-                    scores[sample_id] = _random_score(args.seed, sample_id)
-                else:
-                    scores[sample_id] = _score_from_record(record, args.strategy, where)
-    except (PoseLikError, OSError) as exc:
-        print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
-        return 3
-    io_ms = (time.perf_counter() - io_start) * 1000.0
-
-    compute_start = time.perf_counter()
-    try:
-        result = select_batch(scores, args.strategy, args.budget)
-    except PoseLikError as exc:
-        print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
-        return 4
-    compute_ms = (time.perf_counter() - compute_start) * 1000.0
-
-    _write_json(
-        args.out,
-        {
-            "strategy": result.strategy,
-            "budget": args.budget,
-            "selected": list(result.selected),
-            "scores": {k: result.scores[k] for k in sorted(result.scores)},
-        },
-    )
-    _write_run_manifest(
-        args.out,
-        "select",
-        {"strategy": args.strategy, "budget": args.budget, "out": args.out},
-        {"scores": args.scores},
-        args.seed,
-        io_ms,
-        compute_ms,
-        (time.perf_counter() - started) * 1000.0,
-        len(scores),
-    )
-    return 0
+def _load_select(args) -> dict:
+    scores: dict[str, float] = {}
+    with open(args.scores, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{args.scores}:{lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                raise PoseLikError(f"{where}: invalid JSON") from None
+            if not isinstance(record, dict) or "id" not in record:
+                raise PoseLikError(f"{where}: expected an object with an 'id'")
+            sample_id = str(record["id"])
+            if sample_id in scores:
+                raise PoseLikError(f"{where}: duplicate sample id {sample_id!r}")
+            if args.strategy == "random":
+                scores[sample_id] = _random_score(args.seed, sample_id)
+            else:
+                scores[sample_id] = _score_from_record(record, args.strategy, where)
+    return {"scores": scores}
 
 
-def cmd_calibrate(args, threads: int) -> int:
-    started = time.perf_counter()
-    io_start = time.perf_counter()
-    try:
-        skeleton = load_skeleton_file(args.skeleton)
-        labeled = read_labeled_poses(args.labeled)
-    except (PoseLikError, OSError) as exc:
-        print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
-        return 3
-    io_ms = (time.perf_counter() - io_start) * 1000.0
-
-    compute_start = time.perf_counter()
-    try:
-        data = LabeledPoseSet.of(skeleton, [pose for _, pose in labeled])
-        fitted = fit_model(data, args.model)
-    except PoseLikError as exc:
-        print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
-        return 4
-    compute_ms = (time.perf_counter() - compute_start) * 1000.0
-
-    save_model_with_meta(args.out, fitted, data.n_poses)
-    _write_run_manifest(
-        args.out,
-        "calibrate",
-        {"model": args.model, "out": args.out},
-        {"skeleton": args.skeleton, "labeled": args.labeled},
-        None,
-        io_ms,
-        compute_ms,
-        (time.perf_counter() - started) * 1000.0,
-        data.n_poses,
-    )
-    return 0
+def _compute_select(args, ctx, timings):
+    result = select_batch(ctx["scores"], args.strategy, args.budget)
+    document = {
+        "strategy": result.strategy,
+        "budget": args.budget,
+        "selected": list(result.selected),
+        "scores": {k: result.scores[k] for k in sorted(result.scores)},
+    }
+    return [(args.out, lambda tmp: _write_json(tmp, document))], len(ctx["scores"])
 
 
-def cmd_maxima(args, threads: int) -> int:
-    started = time.perf_counter()
-    try:
-        entries = read_manifest(args.heatmaps)
-    except (PoseLikError, OSError) as exc:
-        print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
-        return 3
-
-    def worker(sample_id: str, path: str):
-        t0 = time.perf_counter()
-        heatmap = read_heatmap_file(path)
-        t1 = time.perf_counter()
-        peaks = extract_peaks(heatmap, args.threshold, args.max_peaks)
-        record = {
-            "id": sample_id,
-            "entropy": multi_peak_entropy(peaks),
-            "peaks": [
-                [
-                    {"loc": [p.loc[0], p.loc[1]], "score": p.score, "prob": p.prob}
-                    for p in joint_peaks
-                ]
-                for joint_peaks in peaks.peaks
-            ],
-        }
-        t2 = time.perf_counter()
-        return record, (t1 - t0) * 1000.0, (t2 - t1) * 1000.0
-
-    try:
-        records, io_ms, compute_ms = _process_samples(entries, worker, threads)
-    except _SampleFailure as exc:
-        print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
-        return 4
-
-    _write_jsonl(args.out, records)
-    _write_run_manifest(
-        args.out,
-        "maxima",
-        {"threshold": args.threshold, "max_peaks": args.max_peaks, "out": args.out},
-        {"heatmaps": args.heatmaps},
-        None,
-        io_ms,
-        compute_ms,
-        (time.perf_counter() - started) * 1000.0,
-        len(records),
-    )
-    return 0
+def _compute_calibrate(args, ctx, timings):
+    data = LabeledPoseSet.of(ctx["skeleton"], [pose for _, pose in ctx["labeled"]])
+    fitted = fit_model(data, args.model)
+    return [(args.out, lambda tmp: save_model_with_meta(tmp, fitted, data.n_poses))], data.n_poses
 
 
-def cmd_simulate(args, threads: int) -> int:
-    started = time.perf_counter()
-    io_start = time.perf_counter()
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+def _load_simulate(args) -> dict:
+    with open(args.config, "r", encoding="utf-8") as fh:
+        try:
             raw = json.load(fh)
-        cfg = SimulationConfig.from_dict(raw)
-    except json.JSONDecodeError as exc:
-        print(f"{TOOL_NAME}: error: {args.config}: invalid JSON ({exc})", file=sys.stderr)
-        return 3
-    except (PoseLikError, OSError) as exc:
-        print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
-        return 3
-    io_ms = (time.perf_counter() - io_start) * 1000.0
+        except json.JSONDecodeError as exc:
+            raise PoseLikError(f"{args.config}: invalid JSON ({exc})") from None
+    return {"cfg": SimulationConfig.from_dict(raw)}
 
+
+def _compute_simulate(args, ctx, timings):
+    outcome = run_simulation(ctx["cfg"])
+    files = [
+        (args.out, lambda tmp: _write_json(tmp, outcome.report)),
+        (f"{args.out}.selections.jsonl", lambda tmp: _write_jsonl(tmp, outcome.selections)),
+    ]
+    return files, ctx["cfg"].unlabeled_size
+
+
+_COMMANDS = {
+    "score": _Command(
+        load=_load_score,
+        compute=_per_sample(_score_sample, reads_heatmap=lambda args: args.mode != "point"),
+        config=lambda args, ctx: {
+            "mode": args.mode, "per_image": bool(args.per_image), "out": args.out,
+        },
+        inputs=("skeleton", "params", "heatmaps", "poses"),
+    ),
+    "refine": _Command(
+        load=lambda args: {"params": _load_model(args), "entries": read_manifest(args.heatmaps)},
+        compute=_per_sample(_refine_sample),
+        config=lambda args, ctx: {"out": args.out},
+        inputs=("skeleton", "params", "heatmaps"),
+    ),
+    "select": _Command(
+        load=_load_select,
+        compute=_compute_select,
+        config=lambda args, ctx: {
+            "strategy": args.strategy, "budget": args.budget, "out": args.out,
+        },
+        inputs=("scores",),
+        seed=lambda args, ctx: args.seed,
+    ),
+    "calibrate": _Command(
+        load=lambda args: {
+            "skeleton": load_skeleton_file(args.skeleton),
+            "labeled": read_labeled_poses(args.labeled),
+        },
+        compute=_compute_calibrate,
+        config=lambda args, ctx: {"model": args.model, "out": args.out},
+        inputs=("skeleton", "labeled"),
+    ),
+    "maxima": _Command(
+        load=lambda args: {"entries": read_manifest(args.heatmaps)},
+        compute=_per_sample(_maxima_sample),
+        config=lambda args, ctx: {
+            "threshold": args.threshold, "max_peaks": args.max_peaks, "out": args.out,
+        },
+        inputs=("heatmaps",),
+    ),
+    "simulate": _Command(
+        load=_load_simulate,
+        compute=_compute_simulate,
+        config=lambda args, ctx: ctx["cfg"].to_json_dict(),
+        inputs=("config",),
+        seed=lambda args, ctx: ctx["cfg"].seed,
+    ),
+}
+
+
+def _error(message) -> None:
+    print(f"{TOOL_NAME}: error: {message}", file=sys.stderr)
+
+
+def _run(command: str, args: argparse.Namespace) -> int:
+    """Load, compute, write the outputs, then the run manifest last.
+
+    Each output is written to a temporary file and renamed into place, so
+    no failure leaves a partial file, and a manifest exists only for a run
+    that wrote every output.
+    """
+    spec = _COMMANDS[command]
+    started = time.perf_counter()
+    try:
+        ctx = spec.load(args)
+    except (PoseLikError, OSError) as exc:
+        _error(exc)
+        return 3
+    load_ms = (time.perf_counter() - started) * 1000.0
+
+    timings = {"io": load_ms}
     compute_start = time.perf_counter()
     try:
-        outcome = run_simulation(cfg)
+        files, samples = spec.compute(args, ctx, timings)
     except PoseLikError as exc:
-        print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
+        _error(exc)
         return 4
-    compute_ms = (time.perf_counter() - compute_start) * 1000.0
+    read_ms = timings["io"] - load_ms
+    timings["compute"] = (time.perf_counter() - compute_start) * 1000.0 - read_ms
 
-    _write_json(args.out, outcome.report)
-    _write_jsonl(f"{args.out}.selections.jsonl", outcome.selections)
-    _write_run_manifest(
-        args.out,
-        "simulate",
-        cfg.to_json_dict(),
-        {"config": args.config},
-        cfg.seed,
-        io_ms,
-        compute_ms,
-        (time.perf_counter() - started) * 1000.0,
-        cfg.unlabeled_size,
-    )
+    try:
+        inputs = {
+            name: {"path": str(given), "sha256": _sha256_file(given)}
+            for name in spec.inputs
+            if (given := getattr(args, name))
+        }
+    except OSError as exc:
+        _error(exc)
+        return 3
+
+    try:
+        for path, write in files:
+            _write_atomic(path, write)
+        timings["total"] = (time.perf_counter() - started) * 1000.0
+        manifest = {
+            "tool": TOOL_NAME,
+            "version": __version__,
+            "command": command,
+            "config": spec.config(args, ctx),
+            "inputs": inputs,
+            "seed": spec.seed(args, ctx),
+            "timings_ms": timings,
+            "samples": samples,
+        }
+        path = f"{args.out}.manifest.json"
+        _write_atomic(path, lambda tmp: _write_json(tmp, manifest))
+    except OSError as exc:
+        _error(f"cannot write {path}: {exc.strerror or exc}")
+        return 3
     return 0
 
 
@@ -499,14 +394,12 @@ def _build_parser() -> argparse.ArgumentParser:
     score.add_argument("--mode", choices=("expected", "point"), default="expected")
     score.add_argument("--poses", default=None)
     score.add_argument("--out", required=True)
-    score.set_defaults(func=cmd_score)
 
     refine = subs.add_parser("refine", help="max-likelihood peak selection")
     refine.add_argument("--skeleton", required=True)
     refine.add_argument("--params", required=True)
     refine.add_argument("--heatmaps", required=True)
     refine.add_argument("--out", required=True)
-    refine.set_defaults(func=cmd_refine)
 
     select = subs.add_parser("select", help="bottom-budget sample selection")
     select.add_argument("--scores", required=True)
@@ -514,26 +407,22 @@ def _build_parser() -> argparse.ArgumentParser:
     select.add_argument("--budget", type=int, required=True)
     select.add_argument("--seed", type=int, default=0)
     select.add_argument("--out", required=True)
-    select.set_defaults(func=cmd_select)
 
     calibrate = subs.add_parser("calibrate", help="fit link parameters from poses")
     calibrate.add_argument("--skeleton", required=True)
     calibrate.add_argument("--labeled", required=True)
     calibrate.add_argument("--model", choices=("distance", "offset"), required=True)
     calibrate.add_argument("--out", required=True)
-    calibrate.set_defaults(func=cmd_calibrate)
 
     maxima = subs.add_parser("maxima", help="extract heatmap local maxima")
     maxima.add_argument("--heatmaps", required=True)
     maxima.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD_RATIO)
     maxima.add_argument("--max-peaks", type=int, default=DEFAULT_MAX_PEAKS, dest="max_peaks")
     maxima.add_argument("--out", required=True)
-    maxima.set_defaults(func=cmd_maxima)
 
     simulate = subs.add_parser("simulate", help="seeded active-learning simulation")
     simulate.add_argument("--config", required=True)
     simulate.add_argument("--out", required=True)
-    simulate.set_defaults(func=cmd_simulate)
 
     return parser
 
@@ -543,8 +432,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "score" and args.mode == "point" and not args.poses:
         parser.error("--mode point requires --poses")
-    threads = _thread_count()
-    return args.func(args, threads)
+    if args.command == "select" and args.budget < 0:
+        parser.error(f"--budget must be non-negative, got {args.budget}")
+    return _run(args.command, args)
 
 
 if __name__ == "__main__":

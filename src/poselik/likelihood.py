@@ -57,59 +57,92 @@ class LikelihoodReport:
 class RefinedPose:
     """Peak selection maximizing the joint peak-probability + link objective.
 
-    ``log_likelihood`` is the point log-likelihood of the chosen pose;
-    ``objective`` additionally includes the per-joint log peak
-    probabilities that drive the selection.
+    ``log_likelihood`` is the point log-likelihood of the chosen pose,
+    ``root_term + sum(per_link_terms)``; ``objective`` additionally
+    includes the per-joint log peak probabilities that drive the
+    selection. Every term is an entry of the density matrices the search
+    maximized over.
     """
 
     pose: Pose
     log_likelihood: float
     chosen_peak_index: tuple[int, ...]
     objective: float
+    per_link_terms: tuple[float, ...]
+    root_term: float
 
-    def to_json_dict(self, sample_id: str, report: LikelihoodReport | None = None) -> dict:
-        record = {
+    def to_json_dict(self, sample_id: str) -> dict:
+        return {
             "id": sample_id,
             "mode": "refined",
             "total": self.log_likelihood,
+            "root": self.root_term,
+            "per_link": list(self.per_link_terms),
             "pose": [[int(r), int(c)] for r, c in self.pose.coordinates],
             "peak_index": list(self.chosen_peak_index),
             "objective": self.objective,
         }
-        if report is not None:
-            record["root"] = report.root_term
-            record["per_link"] = list(report.per_link_terms)
-        return record
 
 
 # --- link densities ---------------------------------------------------------
 
+def _density_matrix(parent_locs: np.ndarray, child_locs: np.ndarray, params: LinkParams) -> np.ndarray:
+    """(a, b) matrix of link log-densities over candidate location pairs.
+
+    The one log-density formula per link family: the scalar, point,
+    expected, refined and exhaustive scores all read their link terms from
+    here. Every entry is computed from its own pair by elementwise
+    operations, so an entry does not depend on the shape of the batch it
+    is computed in and a 1x1 call matches the (a, b) call bit for bit.
+    """
+    diff = child_locs[None, :, :] - parent_locs[:, None, :]
+    if isinstance(params, DistanceParams):
+        dist = np.sqrt((diff * diff).sum(axis=-1))
+        z = (dist - params.mean_distance) / params.sigma
+        return -0.5 * z * z - math.log(params.sigma) - 0.5 * LOG_2PI
+    # Forward substitution through the Cholesky factor, one coordinate at a
+    # time (a multi-column LAPACK solve rounds by column position).
+    residual = diff - params.offset
+    chol = params.cholesky
+    whitened: list[np.ndarray] = []
+    maha = 0.0
+    for i in range(params.dimension):
+        acc = residual[..., i]
+        for k in range(i):
+            acc = acc - chol[i, k] * whitened[k]
+        whitened.append(acc / chol[i, i])
+        maha = maha + whitened[i] * whitened[i]
+    return -0.5 * maha - 0.5 * params.log_det - 0.5 * params.dimension * LOG_2PI
+
+
+def _root_density_vector(locs: np.ndarray, params: LinkParams | None) -> np.ndarray:
+    if params is None:
+        return np.zeros(locs.shape[0])
+    origin = np.zeros((1, locs.shape[1]))
+    return _density_matrix(origin, locs, params)[0]
+
+
+def link_log_density(parent_loc, child_loc, params: LinkParams) -> float:
+    """Log-density of one parent/child location pair under one link law."""
+    parent = np.asarray(parent_loc, dtype=np.float64)
+    child = np.asarray(child_loc, dtype=np.float64)
+    if isinstance(params, OffsetParams) and (
+        parent.shape != (params.dimension,) or child.shape != (params.dimension,)
+    ):
+        raise DimensionMismatch(
+            f"locations must be {params.dimension}-vectors for this offset model"
+        )
+    return float(_density_matrix(parent[None, :], child[None, :], params)[0, 0])
+
+
 def link_log_density_distance(parent_loc, child_loc, params: DistanceParams) -> float:
     """Log-density of the univariate normal over the parent-child distance."""
-    diff = np.asarray(child_loc, dtype=np.float64) - np.asarray(parent_loc, dtype=np.float64)
-    residual = math.sqrt(float(diff @ diff)) - params.mean_distance
-    z = residual / params.sigma
-    return -0.5 * z * z - math.log(params.sigma) - 0.5 * LOG_2PI
+    return link_log_density(parent_loc, child_loc, params)
 
 
 def link_log_density_offset(parent_loc, child_loc, params: OffsetParams) -> float:
     """Log-density of the multivariate normal over the child displacement."""
-    parent = np.asarray(parent_loc, dtype=np.float64)
-    child = np.asarray(child_loc, dtype=np.float64)
-    if parent.shape != (params.dimension,) or child.shape != (params.dimension,):
-        raise DimensionMismatch(
-            f"locations must be {params.dimension}-vectors for this offset model"
-        )
-    residual = child - (parent + params.offset)
-    y = np.linalg.solve(params.cholesky, residual)
-    maha = float(y @ y)
-    return -0.5 * maha - 0.5 * params.log_det - 0.5 * params.dimension * LOG_2PI
-
-
-def link_log_density(parent_loc, child_loc, params: LinkParams) -> float:
-    if isinstance(params, DistanceParams):
-        return link_log_density_distance(parent_loc, child_loc, params)
-    return link_log_density_offset(parent_loc, child_loc, params)
+    return link_log_density(parent_loc, child_loc, params)
 
 
 def root_log_density(loc, params: LinkParams | None) -> float:
@@ -121,32 +154,8 @@ def root_log_density(loc, params: LinkParams | None) -> float:
     """
     if params is None:
         return 0.0
-    if isinstance(params, DistanceParams):
-        return link_log_density_distance(np.zeros(len(loc)), loc, params)
-    return link_log_density_offset(np.zeros(params.dimension), loc, params)
-
-
-# Vectorized variants used by the expected-likelihood sums and the tree DP.
-
-def _density_matrix(parent_locs: np.ndarray, child_locs: np.ndarray, params: LinkParams) -> np.ndarray:
-    """(a, b) matrix of link log-densities over candidate location pairs."""
-    diff = child_locs[None, :, :] - parent_locs[:, None, :]
-    if isinstance(params, DistanceParams):
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-        z = (dist - params.mean_distance) / params.sigma
-        return -0.5 * z * z - math.log(params.sigma) - 0.5 * LOG_2PI
-    residual = diff - params.offset
-    flat = residual.reshape(-1, params.dimension)
-    y = np.linalg.solve(params.cholesky, flat.T)
-    maha = (y * y).sum(axis=0).reshape(diff.shape[:2])
-    return -0.5 * maha - 0.5 * params.log_det - 0.5 * params.dimension * LOG_2PI
-
-
-def _root_density_vector(locs: np.ndarray, params: LinkParams | None) -> np.ndarray:
-    if params is None:
-        return np.zeros(locs.shape[0])
-    origin = np.zeros((1, locs.shape[1]))
-    return _density_matrix(origin, locs, params)[0]
+    loc = np.asarray(loc, dtype=np.float64)
+    return link_log_density(np.zeros(loc.shape), loc, params)
 
 
 # --- whole-pose scoring -------------------------------------------------------
@@ -243,45 +252,62 @@ def _log_probs(probs: np.ndarray) -> np.ndarray:
         return np.log(probs)  # log(0) -> -inf: a zero-probability peak is never chosen
 
 
-def refinement_objective(
-    peaks: PeakSet, params: PoseModelParams, indices: tuple[int, ...] | list[int]
-) -> float:
-    """Score of one peak selection: log peak probabilities + link densities.
-
-    Canonical summation order (joints, root prior, links in declaration
-    order) so the tree DP and the exhaustive scorer report bit-identical
-    values for the same selection.
-    """
-    locs, probs = _peak_arrays(peaks, params)
-    skel = params.skeleton
+def _objective(probs: list[np.ndarray], indices, root_term: float, link_terms) -> float:
+    """Canonical sum of one selection's terms: joint log peak probabilities,
+    root prior, then links in declaration order. The tree DP, the
+    exhaustive scorer and :func:`refinement_objective` all add in this
+    order, so they report bit-identical values for the same selection."""
     total = 0.0
-    for j in range(skel.n_joints):
-        p = probs[j][indices[j]]
+    for j, i in enumerate(indices):
+        p = probs[j][i]
         total += math.log(p) if p > 0.0 else -math.inf
-    total += root_log_density(locs[skel.root][indices[skel.root]], params.root_params)
-    for idx, (parent, child) in enumerate(skel.links):
-        total += link_log_density(
-            locs[parent][indices[parent]],
-            locs[child][indices[child]],
-            params.link_params[idx],
-        )
+    total += root_term
+    for term in link_terms:
+        total += term
     return total
 
 
-def _finish_refinement(
-    peaks: PeakSet, params: PoseModelParams, indices: list[int]
-) -> RefinedPose:
+def refinement_objective(
+    peaks: PeakSet, params: PoseModelParams, indices: tuple[int, ...] | list[int]
+) -> float:
+    """Score of one peak selection: log peak probabilities + link densities."""
+    locs, probs = _peak_arrays(peaks, params)
     skel = params.skeleton
+    root_term = root_log_density(locs[skel.root][indices[skel.root]], params.root_params)
+    link_terms = [
+        link_log_density(
+            locs[parent][indices[parent]], locs[child][indices[child]], params.link_params[idx]
+        )
+        for idx, (parent, child) in enumerate(skel.links)
+    ]
+    return _objective(probs, indices, root_term, link_terms)
+
+
+def _finish(
+    peaks: PeakSet,
+    params: PoseModelParams,
+    probs: list[np.ndarray],
+    root_vector: np.ndarray,
+    link_matrices: list[np.ndarray],
+    indices: list[int],
+) -> RefinedPose:
+    """Gather the chosen entries from the densities the search already built."""
+    skel = params.skeleton
+    root_term = float(root_vector[indices[skel.root]])
+    link_terms = tuple(
+        float(link_matrices[idx][indices[parent], indices[child]])
+        for idx, (parent, child) in enumerate(skel.links)
+    )
     coords = np.array(
         [peaks.peaks[j][indices[j]].loc for j in range(skel.n_joints)], dtype=np.float64
     )
-    pose = Pose.of(coords)
-    report = point_log_likelihood(pose, params)
     return RefinedPose(
-        pose=pose,
-        log_likelihood=report.total,
+        pose=Pose.of(coords),
+        log_likelihood=root_term + sum(link_terms),
         chosen_peak_index=tuple(int(i) for i in indices),
-        objective=refinement_objective(peaks, params, indices),
+        objective=_objective(probs, indices, root_term, link_terms),
+        per_link_terms=link_terms,
+        root_term=root_term,
     )
 
 
@@ -298,6 +324,8 @@ def refine_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
     locs, probs = _peak_arrays(peaks, params)
     skel = params.skeleton
     n = skel.n_joints
+    root_vector = _root_density_vector(locs[skel.root], params.root_params)
+    link_matrices: list[np.ndarray] = [None] * skel.n_links
     subtree: list[np.ndarray | None] = [None] * n
     choice: dict[tuple[int, int], np.ndarray] = {}
 
@@ -305,12 +333,13 @@ def refine_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
         score = _log_probs(probs[j]).copy()
         for link_idx, child in skel.children_links[j]:
             m = _density_matrix(locs[j], locs[child], params.link_params[link_idx])
+            link_matrices[link_idx] = m
             combined = m + subtree[child][None, :]
             best = np.argmax(combined, axis=1)  # first max = lowest peak index
             score += combined[np.arange(combined.shape[0]), best]
             choice[(j, child)] = best
         if j == skel.root:
-            score += _root_density_vector(locs[j], params.root_params)
+            score += root_vector
         subtree[j] = score
 
     indices = [0] * n
@@ -318,7 +347,7 @@ def refine_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
     for j in skel.bfs_joints:
         for _, child in skel.children_links[j]:
             indices[child] = int(choice[(j, child)][indices[j]])
-    return _finish_refinement(peaks, params, indices)
+    return _finish(peaks, params, probs, root_vector, link_matrices, indices)
 
 
 def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
@@ -347,22 +376,16 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
             full[axis] = size
         return arr.reshape(full)
 
+    root_vector = _root_density_vector(locs[skel.root], params.root_params)
+    link_matrices = [
+        _density_matrix(locs[parent], locs[child], params.link_params[idx])
+        for idx, (parent, child) in enumerate(skel.links)
+    ]
     total = np.zeros(shape)
     for j in order:
         total = total + along(_log_probs(probs[j]), axis_of[j])
-    total = total + along(_root_density_vector(locs[skel.root], params.root_params), axis_of[skel.root])
-    for idx, (parent, child) in enumerate(skel.links):
-        diff = locs[child][None, :, :] - locs[parent][:, None, :]
-        p = params.link_params[idx]
-        if isinstance(p, DistanceParams):
-            dist = np.sqrt((diff * diff).sum(axis=-1))
-            z = (dist - p.mean_distance) / p.sigma
-            pairwise = -0.5 * z * z - math.log(p.sigma) - 0.5 * LOG_2PI
-        else:
-            residual = (diff - p.offset).reshape(-1, p.dimension)
-            y = np.linalg.solve(p.cholesky, residual.T)
-            maha = (y * y).sum(axis=0).reshape(diff.shape[:2])
-            pairwise = -0.5 * maha - 0.5 * p.log_det - 0.5 * p.dimension * LOG_2PI
+    total = total + along(root_vector, axis_of[skel.root])
+    for pairwise, (parent, child) in zip(link_matrices, skel.links):
         a, b = axis_of[parent], axis_of[child]
         total = total + (along(pairwise, a, b) if a < b else along(pairwise.T, b, a))
 
@@ -371,4 +394,4 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
     indices = [0] * skel.n_joints
     for a, j in enumerate(order):
         indices[j] = int(per_axis[a])
-    return _finish_refinement(peaks, params, indices)
+    return _finish(peaks, params, probs, root_vector, link_matrices, indices)

@@ -18,7 +18,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -64,14 +64,6 @@ class Skeleton:
         return len(self.links)
 
     @cached_property
-    def parents(self) -> tuple[int, ...]:
-        """Parent joint index per joint; -1 for the root."""
-        out = [-1] * self.n_joints
-        for parent, child in self.links:
-            out[child] = parent
-        return tuple(out)
-
-    @cached_property
     def children_links(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per joint, the (link_index, child_joint) pairs hanging off it."""
         out: list[list[tuple[int, int]]] = [[] for _ in self.joints]
@@ -81,56 +73,32 @@ class Skeleton:
 
     @cached_property
     def bfs_joints(self) -> tuple[int, ...]:
-        """Joint indices in breadth-first order from the root."""
-        order, _ = _breadth_first(self.n_joints, self.root, self.links)
-        return order
+        """Joint indices in breadth-first order from the root.
 
-    @cached_property
-    def link_order(self) -> tuple[int, ...]:
-        """Link indices ordered so every parent joint is introduced first."""
-        _, link_order = _breadth_first(self.n_joints, self.root, self.links)
-        return link_order
-
-
-def _breadth_first(
-    n_joints: int,
-    root: int,
-    links: Sequence[tuple[int, int]],
-    joint_names: Sequence[str] | None = None,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """BFS over the link structure, raising on revisits and unreachable joints.
-
-    Returns (joints in BFS order, link indices in parent-before-child order).
-    """
-
-    def name(j: int) -> str:
-        return joint_names[j] if joint_names is not None else f"#{j}"
-
-    by_parent: list[list[tuple[int, int]]] = [[] for _ in range(n_joints)]
-    for idx, (parent, child) in enumerate(links):
-        by_parent[parent].append((idx, child))
-
-    seen = [False] * n_joints
-    seen[root] = True
-    joint_order = [root]
-    link_order: list[int] = []
-    queue = deque([root])
-    while queue:
-        joint = queue.popleft()
-        for idx, child in by_parent[joint]:
-            if seen[child]:
-                raise CycleDetected(
-                    f"joint {name(child)!r} is reachable along more than one "
-                    f"path (second entry via link {idx})"
+        The walk proves the tree property: a joint reached twice closes a
+        cycle or has a second parent, and a joint never reached is
+        disconnected; both raise, naming the joint.
+        """
+        seen = [False] * self.n_joints
+        seen[self.root] = True
+        order = [self.root]
+        queue = deque([self.root])
+        while queue:
+            for idx, child in self.children_links[queue.popleft()]:
+                if seen[child]:
+                    raise CycleDetected(
+                        f"joint {self.joints[child]!r} is reachable along more than one "
+                        f"path (second entry via link {idx})"
+                    )
+                seen[child] = True
+                order.append(child)
+                queue.append(child)
+        for joint, visited in enumerate(seen):
+            if not visited:
+                raise DisconnectedJoint(
+                    f"joint {self.joints[joint]!r} is unreachable from the root"
                 )
-            seen[child] = True
-            joint_order.append(child)
-            link_order.append(idx)
-            queue.append(child)
-    for joint, visited in enumerate(seen):
-        if not visited:
-            raise DisconnectedJoint(f"joint {name(joint)!r} is unreachable from the root")
-    return tuple(joint_order), tuple(link_order)
+        return tuple(order)
 
 
 def validate_skeleton(candidate: dict) -> Skeleton:
@@ -206,20 +174,9 @@ def validate_skeleton(candidate: dict) -> Skeleton:
             raise CycleDetected(f"link #{pos} connects joint {joints[parent]!r} to itself")
         links.append((parent, child))
 
-    # One BFS proves the tree property: a revisit is a cycle or a second
-    # parent, an unvisited joint is disconnected. Run it here with joint
-    # names so errors read well.
-    _breadth_first(n, root, links, joints)
-    skeleton = Skeleton(
-        joints=tuple(joints), root=root, links=tuple(links), dimension=dimension
-    )
-    skeleton.link_order  # cache the parent-before-child ordering
+    skeleton = Skeleton(joints=tuple(joints), root=root, links=tuple(links), dimension=dimension)
+    skeleton.bfs_joints  # raises unless the links form a tree under the root
     return skeleton
-
-
-def topological_link_order(skeleton: Skeleton) -> list[int]:
-    """Link indices ordered so each link's parent joint appears first."""
-    return list(skeleton.link_order)
 
 
 @dataclass(frozen=True, eq=False)

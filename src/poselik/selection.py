@@ -25,13 +25,7 @@ from .errors import (
     MissingParams,
     SchemaError,
 )
-from .heatmaps import (
-    DEFAULT_MAX_PEAKS,
-    DEFAULT_THRESHOLD_RATIO,
-    Heatmap,
-    PeakSet,
-    extract_peaks,
-)
+from .heatmaps import Heatmap, PeakSet, extract_peaks
 from .likelihood import expected_log_likelihood, multi_peak_entropy, refine_pose
 from .model import Pose, PoseModelParams
 
@@ -40,28 +34,23 @@ STRATEGIES = ("vl4pose", "entropy", "random")
 _HIGHEST_FIRST = frozenset({"entropy"})
 
 
-def _canonical_strategy(strategy: str) -> str:
-    if strategy == "multi_peak_entropy":
-        return "entropy"
+def _check_strategy(strategy: str) -> None:
     if strategy not in STRATEGIES:
         raise SchemaError(
             f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
         )
-    return strategy
 
 
 @dataclass
 class SamplePool:
-    """Labeled poses plus unlabeled heatmaps, with optional hidden truth.
+    """Labeled poses plus unlabeled heatmaps.
 
-    ``truth`` and ``is_ood`` exist only for simulation bookkeeping; the
-    selection strategies never read them.
+    Peaks are extracted once per heatmap with the default extraction
+    settings and cached by sample id.
     """
 
     labeled: dict[str, Pose]
     unlabeled: dict[str, Heatmap]
-    truth: dict[str, Pose] = field(default_factory=dict)
-    is_ood: dict[str, bool] = field(default_factory=dict)
     _peak_cache: dict[str, PeakSet] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -75,26 +64,15 @@ class SamplePool:
         return SamplePool(
             labeled=dict(self.labeled),
             unlabeled=dict(self.unlabeled),
-            truth=dict(self.truth),
-            is_ood=dict(self.is_ood),
             _peak_cache=self._peak_cache,  # peaks depend only on the heatmap
         )
 
-    def peaks_for(
-        self,
-        sample_id: str,
-        threshold_ratio: float = DEFAULT_THRESHOLD_RATIO,
-        max_peaks: int = DEFAULT_MAX_PEAKS,
-    ) -> PeakSet:
+    def peaks_for(self, sample_id: str) -> PeakSet:
         if sample_id not in self.unlabeled:
             raise MissingHeatmap(f"no unlabeled heatmap for sample {sample_id!r}")
         cached = self._peak_cache.get(sample_id)
         if cached is None:
-            cached = extract_peaks(
-                self.unlabeled[sample_id],
-                threshold_ratio=threshold_ratio,
-                max_peaks=max_peaks,
-            )
+            cached = extract_peaks(self.unlabeled[sample_id])
             self._peak_cache[sample_id] = cached
         return cached
 
@@ -127,8 +105,6 @@ def score_pool(
     *,
     mode: str = "expected",
     seed: int = 0,
-    threshold_ratio: float = DEFAULT_THRESHOLD_RATIO,
-    max_peaks: int = DEFAULT_MAX_PEAKS,
 ) -> dict[str, float]:
     """Score every unlabeled sample under one strategy.
 
@@ -137,7 +113,7 @@ def score_pool(
     ``mode`` picks the vl4pose flavor: the expectation over peak
     distributions (default) or the refined maximum.
     """
-    strategy = _canonical_strategy(strategy)
+    _check_strategy(strategy)
     if mode not in ("expected", "max"):
         raise SchemaError(f"unknown vl4pose mode {mode!r}; expected 'expected' or 'max'")
     if strategy == "vl4pose" and params is None:
@@ -150,7 +126,7 @@ def score_pool(
         if strategy == "random":
             scores[sample_id] = _random_score(seed, sample_id)
             continue
-        peaks = pool.peaks_for(sample_id, threshold_ratio, max_peaks)
+        peaks = pool.peaks_for(sample_id)
         if strategy == "entropy":
             scores[sample_id] = multi_peak_entropy(peaks)
             continue
@@ -174,7 +150,7 @@ def select_batch(scores: dict[str, float], strategy: str, budget: int) -> Select
     highest-first. Ties always break on ascending sample id, so the
     result is invariant to the input's iteration order.
     """
-    strategy = _canonical_strategy(strategy)
+    _check_strategy(strategy)
     if budget < 0:
         raise SchemaError(f"budget must be non-negative, got {budget}")
     if budget > len(scores):

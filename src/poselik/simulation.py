@@ -318,7 +318,12 @@ def _render_sample(rng: np.random.Generator, pose: Pose, cfg: SimulationConfig):
 
 
 def build_pool(cfg: SimulationConfig):
-    """(pool, heldout poses) generated from the config seed."""
+    """(pool, heldout poses, truth, is_ood) generated from the config seed.
+
+    ``truth`` maps each unlabeled id to the pose its heatmap was rendered
+    from, and ``is_ood`` flags the planted out-of-distribution ids; only
+    the simulation reads them, never the selection strategies.
+    """
     seq = np.random.SeedSequence(cfg.seed)
     pose_rng, render_rng = (np.random.default_rng(s) for s in seq.spawn(2))
 
@@ -340,8 +345,7 @@ def build_pool(cfg: SimulationConfig):
         truth[sample_id] = pose
         is_ood[sample_id] = ood
         unlabeled[sample_id] = _render_sample(render_rng, pose, cfg)
-    pool = SamplePool(labeled=labeled, unlabeled=unlabeled, truth=truth, is_ood=is_ood)
-    return pool, heldout
+    return SamplePool(labeled=labeled, unlabeled=unlabeled), heldout, truth, is_ood
 
 
 # --- the simulation loop --------------------------------------------------------
@@ -396,7 +400,7 @@ def _select_round(
 def run_simulation(cfg: SimulationConfig) -> SimulationReport:
     """Run every configured strategy on clones of one generated pool."""
     skeleton = chain_skeleton(cfg.joints)
-    base_pool, heldout = build_pool(cfg)
+    base_pool, heldout, truth, is_ood = build_pool(cfg)
     heldout_order = sorted(heldout)
 
     metrics = {
@@ -420,12 +424,10 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
             )
             result = _select_round(cfg, scores, strategy)
 
-            remaining_ood = sum(
-                1 for s in pool.unlabeled if pool.is_ood.get(s, False)
-            )
-            hit = sum(1 for s in result.selected if pool.is_ood.get(s, False))
+            remaining_ood = sum(1 for s in pool.unlabeled if is_ood[s])
+            hit = sum(1 for s in result.selected if is_ood[s])
             recall = hit / remaining_ood if remaining_ood else None
-            auc = _round_auc(scores, pool.is_ood, strategy)
+            auc = _round_auc(scores, is_ood, strategy)
             heldout_ll = sum(
                 point_log_likelihood(heldout[h], params).total for h in heldout_order
             ) / len(heldout_order)
@@ -439,7 +441,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
                         "score": float(scores[sample_id]),
                     }
                 )
-                pool.move_to_labeled(sample_id, pool.truth[sample_id])
+                pool.move_to_labeled(sample_id, truth[sample_id])
 
             metrics[strategy]["ood_recall"].append(recall)
             metrics[strategy]["ood_auc"].append(auc)
@@ -449,7 +451,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
 
     report = {
         "config": cfg.to_json_dict(),
-        "planted_ood": sorted(s for s, flag in base_pool.is_ood.items() if flag),
+        "planted_ood": sorted(s for s, flag in is_ood.items() if flag),
         "metrics": metrics,
         "selected": selected_ids,
     }

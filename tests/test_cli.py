@@ -248,8 +248,9 @@ class TestRefineCommand:
         for i, line in enumerate(lines):
             hm = read_heatmap_file(tmp_path / f"sample-{i}.pshm")
             refined = refine_pose(extract_peaks(hm), model)
+            assert line == json.dumps(refined.to_json_dict(f"s{i}"), sort_keys=True)
             report = point_log_likelihood(refined.pose, model)
-            assert line == json.dumps(refined.to_json_dict(f"s{i}", report), sort_keys=True)
+            assert json.loads(line)["per_link"] == list(report.per_link_terms)
 
     def test_prefers_plausible_peak_over_global_max(self, tmp_path):
         """Joint 1 has a strong far peak and a weak peak at the modeled
@@ -344,6 +345,15 @@ class TestSelectCommand:
              "--budget", "5", "--out", str(tmp_path / "x.json")]
         ) == 4
         assert "exceeds" in capsys.readouterr().err
+
+    def test_negative_budget_is_a_usage_error(self, tmp_path, capsys):
+        scores_path = self.write_scores(tmp_path, [{"id": "a", "total": 1.0}])
+        assert run_cli(
+            ["select", "--scores", str(scores_path), "--strategy", "vl4pose",
+             "--budget", "-1", "--out", str(tmp_path / "x.json")]
+        ) == 2
+        assert "--budget" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_malformed_score_files_exit_3(self, tmp_path, capsys):
         bad_json = tmp_path / "bad.jsonl"
@@ -555,32 +565,46 @@ class TestSimulateCommand:
         ) == 3
 
 
+class TestOutputWrites:
+    def test_unwritable_out_exits_3_without_partial_files(self, tmp_path, capsys):
+        skeleton_path, model_path, manifest_path, _ = write_inputs(tmp_path, n_samples=2)
+        out = tmp_path / "missing-dir" / "scores.jsonl"
+        assert run_cli(
+            ["score", "--skeleton", str(skeleton_path), "--params", str(model_path),
+             "--heatmaps", str(manifest_path), "--out", str(out)]
+        ) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(out) in err[0]
+        assert not (tmp_path / "missing-dir").exists()
+
+    def test_failed_manifest_write_leaves_no_temp_file(self, tmp_path, capsys):
+        skeleton_path, model_path, manifest_path, _ = write_inputs(tmp_path, n_samples=2)
+        out = tmp_path / "scores.jsonl"
+        (tmp_path / "scores.jsonl.manifest.json").mkdir()  # os.replace onto a directory fails
+        assert run_cli(
+            ["score", "--skeleton", str(skeleton_path), "--params", str(model_path),
+             "--heatmaps", str(manifest_path), "--out", str(out)]
+        ) == 3
+        assert "scores.jsonl.manifest.json" in capsys.readouterr().err
+        assert len(read_jsonl(out)) == 2
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    def test_interrupted_write_keeps_the_previous_file(self, tmp_path):
+        target = tmp_path / "out.jsonl"
+        target.write_text("old\n", encoding="utf-8")
+
+        def write(tmp):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write("partial")
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError):
+            cli._write_atomic(str(target), write)
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
 class TestThreadsAndParser:
-    def test_thread_env_preserves_output(self, tmp_path, monkeypatch):
-        skeleton_path, model_path, manifest_path, _ = write_inputs(tmp_path, n_samples=6)
-        out_serial = tmp_path / "serial.jsonl"
-        assert run_cli(
-            ["score", "--skeleton", str(skeleton_path), "--params", str(model_path),
-             "--heatmaps", str(manifest_path), "--out", str(out_serial)]
-        ) == 0
-        monkeypatch.setenv("POSELIK_THREADS", "4")
-        out_parallel = tmp_path / "parallel.jsonl"
-        assert run_cli(
-            ["score", "--skeleton", str(skeleton_path), "--params", str(model_path),
-             "--heatmaps", str(manifest_path), "--out", str(out_parallel)]
-        ) == 0
-        assert out_serial.read_bytes() == out_parallel.read_bytes()
-
-    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
-    def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch, capsys, value):
-        skeleton_path, model_path, manifest_path, _ = write_inputs(tmp_path, n_samples=1)
-        monkeypatch.setenv("POSELIK_THREADS", value)
-        assert run_cli(
-            ["score", "--skeleton", str(skeleton_path), "--params", str(model_path),
-             "--heatmaps", str(manifest_path), "--out", str(tmp_path / "x.jsonl")]
-        ) == 2
-        assert "POSELIK_THREADS" in capsys.readouterr().err
-
     def test_version_flag(self, capsys):
         import poselik
 

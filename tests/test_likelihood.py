@@ -460,7 +460,7 @@ class TestSerialization:
         peaks = peakset_from([[((0, 0), 1.0)], [((0, 5), 1.0)]])
         refined = refine_pose(peaks, model)
         report = point_log_likelihood(refined.pose, model)
-        record = refined.to_json_dict("s1", report)
+        record = refined.to_json_dict("s1")
         assert record["id"] == "s1"
         assert record["mode"] == "refined"
         assert record["pose"] == [[0, 0], [0, 5]]

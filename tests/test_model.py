@@ -25,7 +25,6 @@ from poselik import (
     model_to_dict,
     save_model_file,
     skeleton_to_dict,
-    topological_link_order,
     validate_skeleton,
 )
 
@@ -49,7 +48,6 @@ class TestValidateSkeleton:
         assert skel.joints == ("hub", "n", "e", "s", "w")
         assert skel.root == 0
         assert skel.links == ((0, 1), (0, 2), (0, 3), (0, 4))
-        assert skel.parents == (-1, 0, 0, 0, 0)
 
     def test_indices_accepted_alongside_names(self):
         doc = star_doc()
@@ -126,7 +124,6 @@ class TestSkeletonOrderings:
              "links": [["b", "a"], ["c", "b"]]}
         )
         assert skel.bfs_joints == (2, 1, 0)
-        assert topological_link_order(skel) == [1, 0]
 
     def test_every_link_parent_precedes_child(self):
         rng = np.random.default_rng(42)

@@ -138,7 +138,8 @@ class TestScorePool:
         pool = make_pool({"a": render(vertical_pose(3))})
         expected = multi_peak_entropy(pool.peaks_for("a"))
         assert score_pool(pool, "entropy")["a"] == expected
-        assert score_pool(pool, "multi_peak_entropy")["a"] == expected
+        with pytest.raises(SchemaError, match="strategy"):
+            score_pool(pool, "multi_peak_entropy")  # the old alias is gone
 
     def test_unknown_strategy(self):
         pool = make_pool({"a": render(vertical_pose(3))})

@@ -101,20 +101,20 @@ class TestChainSkeleton:
 class TestBuildPool:
     def test_counts_ids_and_flags(self):
         cfg = SimulationConfig.from_dict(base_doc())
-        pool, heldout = build_pool(cfg)
+        pool, heldout, truth, is_ood = build_pool(cfg)
         assert len(pool.labeled) == 8
         assert len(pool.unlabeled) == 12
         assert len(heldout) == 4
         assert sorted(pool.labeled) == [f"lab-{i:04d}" for i in range(8)]
         assert sorted(heldout) == [f"held-{i:04d}" for i in range(4)]
-        flagged = sorted(s for s, f in pool.is_ood.items() if f)
+        flagged = sorted(s for s, f in is_ood.items() if f)
         assert flagged == ["unl-0009", "unl-0010", "unl-0011"]
-        assert set(pool.truth) == set(pool.unlabeled)
+        assert set(truth) == set(is_ood) == set(pool.unlabeled)
 
     def test_truth_poses_are_integer_cells_in_bounds(self):
         cfg = SimulationConfig.from_dict(base_doc())
-        pool, _ = build_pool(cfg)
-        for pose in pool.truth.values():
+        _, _, truth, _ = build_pool(cfg)
+        for pose in truth.values():
             coords = pose.coordinates
             np.testing.assert_array_equal(coords, np.rint(coords))
             assert np.all(coords >= 1)
@@ -123,11 +123,11 @@ class TestBuildPool:
 
     def test_seed_reproducibility(self):
         cfg = SimulationConfig.from_dict(base_doc())
-        pool_a, held_a = build_pool(cfg)
-        pool_b, held_b = build_pool(cfg)
-        for sample_id in pool_a.truth:
+        pool_a, held_a, truth_a, _ = build_pool(cfg)
+        pool_b, held_b, truth_b, _ = build_pool(cfg)
+        for sample_id in truth_a:
             np.testing.assert_array_equal(
-                pool_a.truth[sample_id].coordinates, pool_b.truth[sample_id].coordinates
+                truth_a[sample_id].coordinates, truth_b[sample_id].coordinates
             )
             np.testing.assert_array_equal(
                 pool_a.unlabeled[sample_id].values, pool_b.unlabeled[sample_id].values
@@ -140,7 +140,7 @@ class TestBuildPool:
     def test_distractors_add_extra_peaks(self):
         doc = base_doc()
         doc["heatmap"].update(distractors=2, distractor_amplitude=0.5)
-        pool, _ = build_pool(SimulationConfig.from_dict(doc))
+        pool, *_ = build_pool(SimulationConfig.from_dict(doc))
         counts = [
             sum(extract_peaks(hm).counts()) for hm in pool.unlabeled.values()
         ]
