@@ -47,11 +47,8 @@ from .heatmaps import (
     DEFAULT_MAX_PEAKS,
     DEFAULT_THRESHOLD_RATIO,
     Heatmap,
-    Peak,
     PeakSet,
     extract_peaks,
-    local_maxima,
-    normalize_peaks,
     read_heatmap_file,
     read_manifest,
     render_gaussian_heatmap,

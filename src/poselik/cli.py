@@ -178,16 +178,17 @@ def _refine_sample(args, ctx, sample_id, heatmap) -> dict:
 
 def _maxima_sample(args, ctx, sample_id, heatmap) -> dict:
     peaks = extract_peaks(heatmap, args.threshold, args.max_peaks)
+    rows = [
+        {"loc": loc, "score": score, "prob": prob}
+        for loc, score, prob in zip(
+            peaks.locs.tolist(), peaks.scores.tolist(), peaks.probs.tolist()
+        )
+    ]
+    bounds = peaks.offsets.tolist()
     return {
         "id": sample_id,
         "entropy": multi_peak_entropy(peaks),
-        "peaks": [
-            [
-                {"loc": [p.loc[0], p.loc[1]], "score": p.score, "prob": p.prob}
-                for p in joint_peaks
-            ]
-            for joint_peaks in peaks.peaks
-        ],
+        "peaks": [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])],
     }
 
 
@@ -434,6 +435,8 @@ def main(argv=None) -> int:
         parser.error("--mode point requires --poses")
     if args.command == "select" and args.budget < 0:
         parser.error(f"--budget must be non-negative, got {args.budget}")
+    if args.command == "maxima" and args.max_peaks < 1:
+        parser.error(f"--max-peaks must be >= 1, got {args.max_peaks}")
     return _run(args.command, args)
 
 

@@ -14,13 +14,12 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     BadMagic,
-    EmptyInput,
     JointOutOfRange,
     NonFiniteValue,
     OutOfBoundsCoordinate,
@@ -59,114 +58,32 @@ class Heatmap:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @property
-    def joints(self) -> int:
-        return self.values.shape[0]
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
-
-
-class Peak(NamedTuple):
-    """One candidate keypoint: grid cell, raw score, normalized probability."""
-
-    loc: tuple[int, int]  # (row, col)
-    score: float
-    prob: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeakSet:
-    """Per-joint candidate peaks, sorted by descending score."""
+    """Per-joint candidate peaks in flat arrays (compressed sparse rows).
 
-    peaks: tuple[tuple[Peak, ...], ...]
+    Joint ``j`` owns rows ``offsets[j]:offsets[j + 1]`` of ``locs`` (int
+    (row, col) grid cells), ``scores`` (raw heatmap scores) and ``probs``
+    (their per-joint softmax). Within a joint, rows are sorted by
+    descending score, ties by row-major cell.
+    """
+
+    locs: np.ndarray  # (K, 2) int64
+    scores: np.ndarray  # (K,) float64
+    probs: np.ndarray  # (K,) float64
+    offsets: np.ndarray  # (joints + 1,) int64, offsets[0] == 0, offsets[-1] == K
+
+    def __post_init__(self):
+        for array in (self.locs, self.scores, self.probs, self.offsets):
+            array.flags.writeable = False  # one peak set is shared by every scorer
 
     @property
     def joint_count(self) -> int:
-        return len(self.peaks)
+        return len(self.offsets) - 1
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.peaks)
-
-    def locations(self, joint: int) -> np.ndarray:
-        """(k, 2) float64 array of grid coordinates for one joint."""
-        return np.array([p.loc for p in self.peaks[joint]], dtype=np.float64)
-
-    def probs(self, joint: int) -> np.ndarray:
-        return np.array([p.prob for p in self.peaks[joint]], dtype=np.float64)
-
-    def argmax_locations(self) -> np.ndarray:
-        """(N, 2) array of each joint's highest-scoring peak location."""
-        return np.array([p[0].loc for p in self.peaks], dtype=np.float64)
-
-
-def normalize_peaks(scores: Sequence[float]) -> list[float]:
-    """Softmax of raw scores, computed with max subtraction for stability."""
-    if len(scores) == 0:
-        raise EmptyInput("cannot normalize an empty score list")
-    arr = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue("scores must be finite")
-    shifted = np.exp(arr - arr.max())
-    return list(shifted / shifted.sum())
-
-
-def local_maxima(
-    heatmap: Heatmap,
-    joint: int,
-    threshold_ratio: float = DEFAULT_THRESHOLD_RATIO,
-    max_peaks: int = DEFAULT_MAX_PEAKS,
-) -> tuple[Peak, ...]:
-    """Candidate peaks for one joint.
-
-    A peak is a cell strictly greater than its 8-connected neighbors
-    (border cells compare only existing neighbors) with score at least
-    ``threshold_ratio`` times the joint's global maximum. The global
-    maximum cell is always kept, so a constant grid yields the single
-    row-major-first cell with probability 1. Results are sorted by
-    descending score, ties by row-major location, and truncated to the
-    top ``max_peaks`` before softmax normalization.
-    """
-    if not 0 <= joint < heatmap.joints:
-        raise JointOutOfRange(f"joint {joint} outside [0, {heatmap.joints})")
-    if max_peaks < 1:
-        raise SchemaError(f"max_peaks must be >= 1, got {max_peaks}")
-    grid = heatmap.values[joint].astype(np.float64)
-    h, w = grid.shape
-
-    padded = np.full((h + 2, w + 2), -np.inf)
-    padded[1:-1, 1:-1] = grid
-    strict = np.ones((h, w), dtype=bool)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            strict &= grid > padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
-
-    # np.argmax scans in row-major order, so ties resolve to the first cell.
-    top_flat = int(np.argmax(grid))
-    top_cell = (top_flat // w, top_flat % w)
-    threshold = threshold_ratio * grid[top_cell]
-
-    cells = [tuple(rc) for rc in np.argwhere(strict & (grid >= threshold))]
-    if top_cell not in cells:
-        # Plateaued or negative-valued global maximum: no strict cell
-        # qualifies, or the threshold excluded it. Keep it regardless.
-        cells.append(top_cell)
-
-    cells.sort(key=lambda rc: (-grid[rc], rc[0], rc[1]))
-    cells = cells[:max_peaks]
-    scores = [float(grid[rc]) for rc in cells]
-    probs = normalize_peaks(scores)
-    return tuple(
-        Peak(loc=(int(r), int(c)), score=s, prob=p)
-        for (r, c), s, p in zip(cells, scores, probs)
-    )
+        return tuple(np.diff(self.offsets).tolist())
 
 
 def extract_peaks(
@@ -174,12 +91,61 @@ def extract_peaks(
     threshold_ratio: float = DEFAULT_THRESHOLD_RATIO,
     max_peaks: int = DEFAULT_MAX_PEAKS,
 ) -> PeakSet:
-    """Run :func:`local_maxima` on every joint of a heatmap."""
+    """Candidate peaks of every joint, found in one pass over all grids.
+
+    A peak is a cell strictly greater than its 8-connected neighbors
+    (border cells compare only existing neighbors) with score at least
+    ``threshold_ratio`` times its joint's global maximum. The global
+    maximum cell is always kept, so a constant grid yields the single
+    row-major-first cell with probability 1. Each joint's peaks are sorted
+    by descending score, ties by row-major location, and truncated to the
+    top ``max_peaks`` before softmax normalization.
+    """
+    if max_peaks < 1:
+        raise SchemaError(f"max_peaks must be >= 1, got {max_peaks}")
+    # Comparisons run on the stored float32 scores, where they are exact;
+    # only candidate scores are widened to float64 for threshold and softmax.
+    values = heatmap.values
+    n, h, w = values.shape
+    padded = np.full((n, h + 2, w + 2), -np.inf, dtype=values.dtype)
+    padded[:, 1:-1, 1:-1] = values
+    strict = np.ones(values.shape, dtype=bool)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr or dc:
+                strict &= values > padded[:, 1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
+    flat, strict = values.reshape(n, h * w), strict.reshape(n, h * w)
+
+    every = np.arange(n)
+    top = flat.argmax(axis=1)  # row-major scan: ties resolve to the first cell
+    threshold = threshold_ratio * flat[every, top].astype(np.float64)
+    # A plateaued or negative-valued global maximum may be no strict cell
+    # above threshold; keep it regardless.
+    strict[every, top] = True
+    index = np.flatnonzero(strict)  # much faster than a 2-D np.nonzero
+    joint, cell = np.divmod(index, h * w)
+    score = values.reshape(-1)[index].astype(np.float64)
+    keep = (score >= threshold[joint]) | (cell == top[joint])
+    joint, cell, score = joint[keep], cell[keep], score[keep]
+
+    order = np.lexsort((cell, -score, joint))
+    found = np.bincount(joint, minlength=n)
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(found) - found, found)
+    order = order[rank < max_peaks]
+    cell, score = cell[order], score[order]
+    counts = np.minimum(found, max_peaks)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+
+    # Softmax with each joint's maximum (its first row) subtracted. One
+    # ndarray.sum per joint: np.add.reduceat adds in another order.
+    shifted = np.exp(score - np.repeat(score[offsets[:-1]], counts))
+    bounds = offsets.tolist()
+    sums = np.array([shifted[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
     return PeakSet(
-        peaks=tuple(
-            local_maxima(heatmap, j, threshold_ratio, max_peaks)
-            for j in range(heatmap.joints)
-        )
+        locs=np.stack(np.divmod(cell, w), axis=1),
+        scores=score,
+        probs=shifted / np.repeat(sums, counts),
+        offsets=offsets,
     )
 
 

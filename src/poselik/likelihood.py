@@ -201,13 +201,12 @@ def _peak_arrays(peaks: PeakSet, params: PoseModelParams):
         )
     if skel.dimension != 2:
         raise DimensionMismatch("peak-based scoring operates on 2D grid locations")
-    locs, probs = [], []
-    for j in range(skel.n_joints):
-        if len(peaks.peaks[j]) == 0:
-            raise EmptyPeakSet(f"joint {skel.joints[j]!r} has no candidate peaks")
-        locs.append(peaks.locations(j))
-        probs.append(peaks.probs(j))
-    return locs, probs
+    counts = peaks.counts()
+    if 0 in counts:
+        raise EmptyPeakSet(f"joint {skel.joints[counts.index(0)]!r} has no candidate peaks")
+    bounds = peaks.offsets.tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    return [peaks.locs[a:b] for a, b in spans], [peaks.probs[a:b] for a, b in spans]
 
 
 def expected_log_likelihood(peaks: PeakSet, params: PoseModelParams) -> LikelihoodReport:
@@ -237,11 +236,13 @@ def multi_peak_entropy(peaks: PeakSet) -> float:
     """Sum over joints of the Shannon entropy of the peak probabilities."""
     if peaks.joint_count == 0:
         raise EmptyPeakSet("peak set has no joints")
+    counts = peaks.counts()
+    if 0 in counts:
+        raise EmptyPeakSet(f"joint #{counts.index(0)} has no candidate peaks")
+    bounds, probs = peaks.offsets.tolist(), peaks.probs.tolist()
     total = 0.0
-    for j, joint_peaks in enumerate(peaks.peaks):
-        if len(joint_peaks) == 0:
-            raise EmptyPeakSet(f"joint #{j} has no candidate peaks")
-        total += entropy_of_probs([p.prob for p in joint_peaks])
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        total += entropy_of_probs(probs[a:b])
     return total
 
 
@@ -298,11 +299,8 @@ def _finish(
         float(link_matrices[idx][indices[parent], indices[child]])
         for idx, (parent, child) in enumerate(skel.links)
     )
-    coords = np.array(
-        [peaks.peaks[j][indices[j]].loc for j in range(skel.n_joints)], dtype=np.float64
-    )
     return RefinedPose(
-        pose=Pose.of(coords),
+        pose=Pose.of(peaks.locs[peaks.offsets[:-1] + indices]),
         log_likelihood=root_term + sum(link_terms),
         chosen_peak_index=tuple(int(i) for i in indices),
         objective=_objective(probs, indices, root_term, link_terms),
@@ -360,7 +358,7 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
     """
     locs, probs = _peak_arrays(peaks, params)
     skel = params.skeleton
-    counts = [len(p) for p in peaks.peaks]
+    counts = peaks.counts()
     space = math.prod(counts)
     if space > BRUTE_FORCE_GUARD:
         raise SearchSpaceTooLarge(f"{space} configurations exceed guard {BRUTE_FORCE_GUARD}")

@@ -180,14 +180,9 @@ def ood_ranking_auc(id_scores, ood_scores) -> float:
             f"{len(ood_scores)} out-of-distribution"
         )
     pooled = np.array(id_scores + ood_scores)
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(len(pooled))
-    ranks[order] = np.arange(1, len(pooled) + 1)
-    # Average ranks within tied groups.
-    for value in np.unique(pooled):
-        mask = pooled == value
-        if mask.sum() > 1:
-            ranks[mask] = ranks[mask].mean()
+    _, value_of, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    # The c copies of a value hold ranks cumsum - c + 1 .. cumsum; each gets their mean.
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[value_of]
     ood_ranks = ranks[len(id_scores):]
     n_ood, n_id = len(ood_scores), len(id_scores)
     u_ood = ood_ranks.sum() - n_ood * (n_ood + 1) / 2.0  # pairs won (+ half-ties) by OOD

@@ -311,6 +311,11 @@ def _render_sample(rng: np.random.Generator, pose: Pose, cfg: SimulationConfig):
             )
             if max(abs(loc[0] - true_cell[0]), abs(loc[1] - true_cell[1])) >= min_sep:
                 break
+        else:
+            raise ConfigInvalid(
+                f"no cell of the {cfg.height}x{cfg.width} grid is {min_sep:g} cells from joint "
+                f"{joint} after {_MAX_POSE_ATTEMPTS} draws; peak_sigma is too large for the grid"
+            )
         distractors.append((joint, loc, cfg.distractor_amplitude))
     return render_gaussian_heatmap(
         pose, cfg.height, cfg.width, cfg.peak_sigma, distractors=distractors

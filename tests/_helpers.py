@@ -16,7 +16,6 @@ import numpy as np
 from poselik import (
     DistanceParams,
     OffsetParams,
-    Peak,
     PeakSet,
     PoseModelParams,
     Skeleton,
@@ -50,6 +49,26 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum()
 
 
+def peakset_of(joints) -> PeakSet:
+    """CSR PeakSet from per-joint lists of (loc, score, prob) triples."""
+    rows = [row for joint in joints for row in joint]
+    return PeakSet(
+        locs=np.array([loc for loc, _, _ in rows], dtype=np.int64).reshape(-1, 2),
+        scores=np.array([score for _, score, _ in rows], dtype=np.float64),
+        probs=np.array([prob for _, _, prob in rows], dtype=np.float64),
+        offsets=np.cumsum([0] + [len(joint) for joint in joints]),
+    )
+
+
+def joint_peaks(peaks: PeakSet, joint: int) -> list[tuple[tuple[int, int], float]]:
+    """(loc, prob) pairs of one joint, read row by row from the arrays."""
+    a, b = int(peaks.offsets[joint]), int(peaks.offsets[joint + 1])
+    return [
+        ((int(peaks.locs[i, 0]), int(peaks.locs[i, 1])), float(peaks.probs[i]))
+        for i in range(a, b)
+    ]
+
+
 def random_peakset(
     rng: np.random.Generator,
     n_joints: int,
@@ -68,13 +87,8 @@ def random_peakset(
         locs = [locs[i] for i in order]
         scores = scores[order]
         probs = _softmax(scores)
-        per_joint.append(
-            tuple(
-                Peak(loc=locs[i], score=float(scores[i]), prob=float(probs[i]))
-                for i in range(k)
-            )
-        )
-    return PeakSet(peaks=tuple(per_joint))
+        per_joint.append([(locs[i], float(scores[i]), float(probs[i])) for i in range(k)])
+    return peakset_of(per_joint)
 
 
 def random_distance_model(
@@ -181,16 +195,15 @@ def oracle_expected_ll(peaks: PeakSet, model: PoseModelParams) -> float:
     """Pairwise-marginal expectation, plain quadruple loop."""
     skel = model.skeleton
     total = 0.0
-    root_peaks = peaks.peaks[skel.root]
-    for peak in root_peaks:
-        total += peak.prob * oracle_root_logpdf(peak.loc, model.root_params)
+    for loc, prob in joint_peaks(peaks, skel.root):
+        total += prob * oracle_root_logpdf(loc, model.root_params)
     for idx, (parent, child) in enumerate(skel.links):
-        for p_peak in peaks.peaks[parent]:
-            for c_peak in peaks.peaks[child]:
+        for p_loc, p_prob in joint_peaks(peaks, parent):
+            for c_loc, c_prob in joint_peaks(peaks, child):
                 total += (
-                    p_peak.prob
-                    * c_peak.prob
-                    * oracle_link_logpdf(p_peak.loc, c_peak.loc, model.link_params[idx])
+                    p_prob
+                    * c_prob
+                    * oracle_link_logpdf(p_loc, c_loc, model.link_params[idx])
                 )
     return total
 
@@ -200,16 +213,17 @@ def oracle_expected_ll_by_enumeration(peaks: PeakSet, model: PoseModelParams) ->
     the product of peak probabilities times the summed log terms."""
     skel = model.skeleton
     n = skel.n_joints
+    per_joint = [joint_peaks(peaks, j) for j in range(n)]
     total = 0.0
-    for combo in itertools.product(*[range(len(peaks.peaks[j])) for j in range(n)]):
+    for combo in itertools.product(*[range(len(per_joint[j])) for j in range(n)]):
         weight = 1.0
         for j in range(n):
-            weight *= peaks.peaks[j][combo[j]].prob
-        score = oracle_root_logpdf(peaks.peaks[skel.root][combo[skel.root]].loc, model.root_params)
+            weight *= per_joint[j][combo[j]][1]
+        score = oracle_root_logpdf(per_joint[skel.root][combo[skel.root]][0], model.root_params)
         for idx, (parent, child) in enumerate(skel.links):
             score += oracle_link_logpdf(
-                peaks.peaks[parent][combo[parent]].loc,
-                peaks.peaks[child][combo[child]].loc,
+                per_joint[parent][combo[parent]][0],
+                per_joint[child][combo[child]][0],
                 model.link_params[idx],
             )
         total += weight * score
@@ -231,16 +245,13 @@ def oracle_bfs_order(skeleton: Skeleton) -> list[int]:
 
 def oracle_config_objective(peaks: PeakSet, model: PoseModelParams, indices) -> float:
     skel = model.skeleton
+    chosen = [joint_peaks(peaks, j)[indices[j]] for j in range(skel.n_joints)]
     total = 0.0
     for j in range(skel.n_joints):
-        total += math.log(peaks.peaks[j][indices[j]].prob)
-    total += oracle_root_logpdf(peaks.peaks[skel.root][indices[skel.root]].loc, model.root_params)
+        total += math.log(chosen[j][1])
+    total += oracle_root_logpdf(chosen[skel.root][0], model.root_params)
     for idx, (parent, child) in enumerate(skel.links):
-        total += oracle_link_logpdf(
-            peaks.peaks[parent][indices[parent]].loc,
-            peaks.peaks[child][indices[child]].loc,
-            model.link_params[idx],
-        )
+        total += oracle_link_logpdf(chosen[parent][0], chosen[child][0], model.link_params[idx])
     return total
 
 
@@ -250,7 +261,7 @@ def oracle_best_config(peaks: PeakSet, model: PoseModelParams):
     skel = model.skeleton
     bfs = oracle_bfs_order(skel)
     best_indices, best_score = None, -math.inf
-    for combo in itertools.product(*[range(len(peaks.peaks[j])) for j in bfs]):
+    for combo in itertools.product(*[range(len(joint_peaks(peaks, j))) for j in bfs]):
         indices = [0] * skel.n_joints
         for pos, j in enumerate(bfs):
             indices[j] = combo[pos]
@@ -260,12 +271,57 @@ def oracle_best_config(peaks: PeakSet, model: PoseModelParams):
     return best_indices, best_score
 
 
+def scan_strict_maxima(grid):
+    """Independent exhaustive scan for strictly-greater 8-neighborhoods."""
+    h, w = grid.shape
+    out = []
+    for r in range(h):
+        for c in range(w):
+            is_max = True
+            for dr in (-1, 0, 1):
+                for dc in (-1, 0, 1):
+                    if dr == 0 and dc == 0:
+                        continue
+                    rr, cc = r + dr, c + dc
+                    if 0 <= rr < h and 0 <= cc < w and not grid[r, c] > grid[rr, cc]:
+                        is_max = False
+            if is_max:
+                out.append((r, c))
+    return out
+
+
+def oracle_peaks(values, threshold_ratio: float, max_peaks: int):
+    """(locs, scores, probs, offsets) of every joint, one joint at a time:
+    strict maxima at or above the threshold plus the row-major-first global
+    maximum, sorted by (-score, row, col), cut to ``max_peaks`` and
+    softmax-normalized with one ``ndarray.sum`` per joint."""
+    locs, scores, probs, offsets = [], [], [], [0]
+    for grid32 in values:
+        grid = grid32.astype(np.float64)
+        top = max(np.ndindex(grid.shape), key=lambda rc: grid[rc])  # first maximum
+        threshold = threshold_ratio * grid[top]
+        cells = [rc for rc in scan_strict_maxima(grid) if grid[rc] >= threshold]
+        if top not in cells:
+            cells.append(top)
+        cells = sorted(cells, key=lambda rc: (-grid[rc], rc))[:max_peaks]
+        joint_scores = np.array([grid[rc] for rc in cells])
+        shifted = np.exp(joint_scores - joint_scores.max())
+        locs += [list(rc) for rc in cells]
+        scores += joint_scores.tolist()
+        probs += (shifted / shifted.sum()).tolist()
+        offsets.append(offsets[-1] + len(cells))
+    return locs, scores, probs, offsets
+
+
 def oracle_entropy(probs) -> float:
     return -sum(p * math.log(p) for p in probs if p > 0.0)
 
 
 def oracle_peakset_entropy(peaks: PeakSet) -> float:
-    return sum(oracle_entropy([p.prob for p in joint]) for joint in peaks.peaks)
+    return sum(
+        oracle_entropy([prob for _, prob in joint_peaks(peaks, j)])
+        for j in range(peaks.joint_count)
+    )
 
 
 def oracle_auc(id_scores, ood_scores) -> float:

@@ -468,7 +468,7 @@ class TestMaximaCommand:
         assert record["entropy"] == multi_peak_entropy(peaks)
         assert [p["loc"] for p in record["peaks"][0]] == [[10, 10], [20, 20]]
         assert record["peaks"][0][0]["score"] == 1.0
-        assert record["peaks"][0][0]["prob"] == peaks.peaks[0][0].prob
+        assert record["peaks"][0][0]["prob"] == peaks.probs[0]
 
     def test_flags_are_honored(self, tmp_path):
         manifest_path = self.two_bump_inputs(tmp_path)
@@ -487,6 +487,15 @@ class TestMaximaCommand:
         ) == 0
         (record,) = read_jsonl(out)
         assert [p["loc"] for p in record["peaks"][0]] == [[10, 10]]
+
+    def test_max_peaks_below_one_is_a_usage_error(self, tmp_path, capsys):
+        # The manifest does not exist: the flag is rejected before any input is read.
+        assert run_cli(
+            ["maxima", "--heatmaps", str(tmp_path / "none.jsonl"), "--max-peaks", "0",
+             "--out", str(tmp_path / "x.jsonl")]
+        ) == 2
+        assert "--max-peaks" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
 
     def test_truncated_heatmap_exits_4(self, tmp_path, capsys):
         manifest_path = self.two_bump_inputs(tmp_path)

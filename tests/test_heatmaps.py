@@ -9,9 +9,7 @@ import pytest
 
 from poselik import (
     BadMagic,
-    EmptyInput,
     Heatmap,
-    JointOutOfRange,
     NonFiniteValue,
     OutOfBoundsCoordinate,
     Pose,
@@ -19,8 +17,6 @@ from poselik import (
     TruncatedPayload,
     VersionUnsupported,
     extract_peaks,
-    local_maxima,
-    normalize_peaks,
     read_heatmap_file,
     read_manifest,
     render_gaussian_heatmap,
@@ -28,31 +24,12 @@ from poselik import (
 )
 from poselik.heatmaps import entropy_of_probs
 
-from _helpers import oracle_entropy
+from _helpers import oracle_entropy, scan_strict_maxima
 
 
 def heatmap_of(grid) -> Heatmap:
     arr = np.asarray(grid, dtype=np.float32)
     return Heatmap(values=arr[None, :, :])
-
-
-def scan_strict_maxima(grid):
-    """Independent exhaustive scan for strictly-greater 8-neighborhoods."""
-    h, w = grid.shape
-    out = []
-    for r in range(h):
-        for c in range(w):
-            is_max = True
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    if dr == 0 and dc == 0:
-                        continue
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < h and 0 <= cc < w and not grid[r, c] > grid[rr, cc]:
-                        is_max = False
-            if is_max:
-                out.append((r, c))
-    return out
 
 
 class TestHeatmapType:
@@ -72,11 +49,26 @@ class TestHeatmapType:
             hm.values[0, 0, 0] = 1.0
 
 
+def softmax(scores) -> np.ndarray:
+    shifted = np.exp(np.asarray(scores, dtype=np.float64) - max(scores))
+    return shifted / shifted.sum()
+
+
+def three_peaks(scores, background) -> Heatmap:
+    """One joint whose strict maxima hold ``scores``, on a flat background."""
+    grid = np.full((6, 6), background)
+    for (r, c), score in zip([(1, 1), (1, 4), (4, 1)], scores):
+        grid[r, c] = score
+    return heatmap_of(grid)
+
+
 class TestNormalizePeaks:
+    """The softmax that turns each joint's peak scores into probabilities."""
+
     def test_frozen_softmax_values(self):
-        probs = normalize_peaks([2.0, 1.0, 0.0])
+        peaks = extract_peaks(three_peaks([2.0, 1.0, 0.0], -1.0), threshold_ratio=0.0)
         np.testing.assert_allclose(
-            probs,
+            peaks.probs,
             [0.6652409557748219, 0.2447284710547977, 0.09003057317038046],
             atol=1e-15,
         )
@@ -84,34 +76,32 @@ class TestNormalizePeaks:
     def test_partition_of_unity_and_order(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
-            scores = rng.uniform(-5, 5, size=int(rng.integers(1, 12)))
-            probs = normalize_peaks(list(scores))
-            assert math.isclose(sum(probs), 1.0, abs_tol=1e-12)
-            order = np.argsort(scores)
-            assert all(
-                probs[order[i]] <= probs[order[i + 1]] + 1e-15
-                for i in range(len(order) - 1)
-            )
+            hm = Heatmap(values=rng.uniform(-5, 5, size=(3, 8, 8)).astype(np.float32))
+            peaks = extract_peaks(hm, threshold_ratio=-1.0)
+            for a, b in zip(peaks.offsets[:-1], peaks.offsets[1:]):
+                probs, scores = peaks.probs[a:b], peaks.scores[a:b]
+                assert math.isclose(probs.sum(), 1.0, abs_tol=1e-12)
+                assert np.all(np.diff(scores) <= 0.0)
+                assert np.all(np.diff(probs) <= 1e-15)
 
     def test_shift_invariance(self):
-        scores = [0.3, 1.7, -2.2]
-        base = normalize_peaks(scores)
-        shifted = normalize_peaks([s + 123.0 for s in scores])
-        np.testing.assert_allclose(shifted, base, atol=1e-12)
+        base = extract_peaks(three_peaks([0.25, 1.75, -2.25], -3.0), threshold_ratio=-2.0)
+        shifted = extract_peaks(
+            three_peaks([123.25, 124.75, 120.75], 120.0), threshold_ratio=0.0
+        )
+        np.testing.assert_array_equal(shifted.locs, base.locs)
+        np.testing.assert_allclose(shifted.probs, base.probs, atol=1e-12)
 
     def test_extreme_scores_stable(self):
-        probs = normalize_peaks([1000.0, -1000.0])
-        assert probs[0] == pytest.approx(1.0)
-        assert all(math.isfinite(p) for p in probs)
-
-    def test_errors(self):
-        with pytest.raises(EmptyInput):
-            normalize_peaks([])
-        with pytest.raises(NonFiniteValue):
-            normalize_peaks([1.0, np.inf])
+        peaks = extract_peaks(three_peaks([1000.0, -1000.0], -2000.0), threshold_ratio=-1.0)
+        assert peaks.counts() == (2,)
+        assert peaks.probs[0] == pytest.approx(1.0)
+        assert np.all(np.isfinite(peaks.probs))
 
 
 class TestLocalMaxima:
+    """Strict-local-maxima extraction, on one-joint heatmaps."""
+
     def test_matches_exhaustive_scan(self):
         """Every reported peak is a strict maximum above threshold, and no
         qualifying cell is dropped while capacity remains."""
@@ -119,7 +109,7 @@ class TestLocalMaxima:
         for _ in range(30):
             grid = rng.uniform(0.0, 1.0, size=(12, 12))
             hm = heatmap_of(grid)
-            peaks = local_maxima(hm, 0, threshold_ratio=0.05, max_peaks=10)
+            peaks = extract_peaks(hm, threshold_ratio=0.05, max_peaks=10)
             grid64 = np.asarray(hm.values[0], dtype=np.float64)
             strict = set(scan_strict_maxima(grid64))
             threshold = 0.05 * grid64.max()
@@ -127,55 +117,45 @@ class TestLocalMaxima:
                 ((r, c) for r, c in strict if grid64[r, c] >= threshold),
                 key=lambda rc: (-grid64[rc], rc[0], rc[1]),
             )
-            got = [p.loc for p in peaks]
-            assert got == qualifying[:10]
-            np.testing.assert_allclose(
-                [p.prob for p in peaks],
-                normalize_peaks([p.score for p in peaks]),
-                atol=1e-15,
-            )
+            assert [tuple(loc) for loc in peaks.locs.tolist()] == qualifying[:10]
+            np.testing.assert_allclose(peaks.probs, softmax(peaks.scores), atol=1e-15)
 
     def test_constant_grid_single_first_cell(self):
-        peaks = local_maxima(heatmap_of(np.full((5, 5), 0.7)), 0)
-        assert len(peaks) == 1
-        assert peaks[0].loc == (0, 0)
-        assert peaks[0].prob == 1.0
+        peaks = extract_peaks(heatmap_of(np.full((5, 5), 0.7)))
+        assert peaks.counts() == (1,)
+        assert peaks.locs.tolist() == [[0, 0]]
+        assert peaks.probs[0] == 1.0
 
     def test_plateau_keeps_first_max_cell(self):
         grid = np.zeros((5, 5))
         grid[2, 2] = grid[2, 3] = 0.9  # two-cell plateau: no strict max there
-        peaks = local_maxima(heatmap_of(grid), 0)
-        assert peaks[0].loc == (2, 2)
+        peaks = extract_peaks(heatmap_of(grid))
+        assert peaks.locs[0].tolist() == [2, 2]
 
     def test_two_separated_bumps(self):
         pose = Pose.of([[10.0, 10.0]])
         hm = render_gaussian_heatmap(pose, 64, 64, 2.0, distractors=[(0, (50.0, 50.0), 0.6)])
-        peaks = local_maxima(hm, 0)
-        assert len(peaks) == 2
-        assert peaks[0].loc == (10, 10)
-        assert peaks[1].loc == (50, 50)
+        peaks = extract_peaks(hm)
+        assert peaks.locs.tolist() == [[10, 10], [50, 50]]
 
     def test_threshold_drops_weak_peaks(self):
         pose = Pose.of([[10.0, 10.0]])
         hm = render_gaussian_heatmap(pose, 64, 64, 2.0, distractors=[(0, (50.0, 50.0), 0.02)])
-        assert len(local_maxima(hm, 0, threshold_ratio=0.05)) == 1
-        assert len(local_maxima(hm, 0, threshold_ratio=0.01)) == 2
+        assert extract_peaks(hm, threshold_ratio=0.05).counts() == (1,)
+        assert extract_peaks(hm, threshold_ratio=0.01).counts() == (2,)
 
     def test_max_peaks_prefix_property(self):
         rng = np.random.default_rng(42)
         grid = rng.uniform(0, 1, size=(16, 16))
         hm = heatmap_of(grid)
-        full = local_maxima(hm, 0, max_peaks=10)
-        for k in range(1, len(full) + 1):
-            head = local_maxima(hm, 0, max_peaks=k)
-            assert [p.loc for p in head] == [p.loc for p in full[:k]]
+        full = extract_peaks(hm, max_peaks=10)
+        for k in range(1, len(full.locs) + 1):
+            head = extract_peaks(hm, max_peaks=k)
+            np.testing.assert_array_equal(head.locs, full.locs[:k])
 
-    def test_joint_out_of_range(self):
-        hm = heatmap_of(np.zeros((4, 4)))
-        with pytest.raises(JointOutOfRange):
-            local_maxima(hm, 1)
+    def test_max_peaks_below_one_rejected(self):
         with pytest.raises(SchemaError):
-            local_maxima(hm, 0, max_peaks=0)
+            extract_peaks(heatmap_of(np.zeros((4, 4))), max_peaks=0)
 
     def test_extract_peaks_all_joints(self):
         pose = Pose.of([[5.0, 5.0], [20.0, 20.0]])
@@ -183,7 +163,8 @@ class TestLocalMaxima:
         peaks = extract_peaks(hm)
         assert peaks.joint_count == 2
         assert peaks.counts() == (1, 1)
-        np.testing.assert_array_equal(peaks.argmax_locations(), [[5, 5], [20, 20]])
+        np.testing.assert_array_equal(peaks.locs, [[5, 5], [20, 20]])
+        np.testing.assert_array_equal(peaks.offsets, [0, 1, 2])
 
 
 class TestHeatmapFileFormat:

@@ -11,8 +11,6 @@ from poselik import (
     EmptyPeakSet,
     MissingJoint,
     OffsetParams,
-    Peak,
-    PeakSet,
     Pose,
     PoseModelParams,
     SearchSpaceTooLarge,
@@ -38,6 +36,7 @@ from _helpers import (
     oracle_offset_logpdf,
     oracle_peakset_entropy,
     oracle_point_ll,
+    peakset_of,
     random_distance_model,
     random_offset_model,
     random_peakset,
@@ -60,12 +59,7 @@ def chain(n, dimension=2):
 
 def peakset_from(spec):
     """Build a PeakSet from [(loc, prob), ...] lists, one per joint."""
-    return PeakSet(
-        peaks=tuple(
-            tuple(Peak(loc=loc, score=prob, prob=prob) for loc, prob in joint)
-            for joint in spec
-        )
-    )
+    return peakset_of([[(loc, prob, prob) for loc, prob in joint] for joint in spec])
 
 
 class TestLinkDensities:
@@ -208,7 +202,7 @@ class TestExpectedLogLikelihood:
             model = random_distance_model(rng, skel, root_prior=True)
             peaks = random_peakset(rng, skel.n_joints, counts=[1] * skel.n_joints)
             expected = expected_log_likelihood(peaks, model)
-            point = point_log_likelihood(Pose.of(peaks.argmax_locations()), model)
+            point = point_log_likelihood(Pose.of(peaks.locs[peaks.offsets[:-1]]), model)
             assert expected.total == pytest.approx(point.total, abs=1e-12)
 
     def test_matches_pairwise_oracle(self):
@@ -431,9 +425,9 @@ class TestMultiPeakEntropy:
 
     def test_empty_errors(self):
         with pytest.raises(EmptyPeakSet):
-            multi_peak_entropy(PeakSet(peaks=()))
+            multi_peak_entropy(peakset_of([]))
         with pytest.raises(EmptyPeakSet):
-            multi_peak_entropy(PeakSet(peaks=((),)))
+            multi_peak_entropy(peakset_of([[]]))
 
 
 class TestSerialization:

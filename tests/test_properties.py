@@ -1,8 +1,11 @@
-"""Property tests over generated trees, peak sets and link models.
+"""Property tests over generated trees, peak sets, link models and heatmaps.
 
 The fixed-seed tests and criterion 1 cover distance models; these
 properties add offset models and root priors, and check that a refined
-pose reports the same terms as scoring that pose directly.
+pose reports the same terms as scoring that pose directly. Peak
+extraction is checked bit for bit against a per-joint loop on grids
+full of ties, plateaus and negative maxima, and the ranking AUC against
+its pairwise definition.
 """
 
 from __future__ import annotations
@@ -13,15 +16,19 @@ from hypothesis import strategies as st
 
 from poselik import (
     DistanceParams,
+    Heatmap,
     OffsetParams,
-    Peak,
     PeakSet,
     PoseModelParams,
     brute_force_best_pose,
+    extract_peaks,
+    ood_ranking_auc,
     point_log_likelihood,
     refine_pose,
     validate_skeleton,
 )
+
+from _helpers import oracle_auc, oracle_peaks, peakset_of
 
 GRID = 32
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -58,10 +65,8 @@ def peak_sets(draw, n_joints: int) -> PeakSet:
         )
         weights = np.exp(np.array(scores) - max(scores))
         probs = weights / weights.sum()
-        joints.append(
-            tuple(Peak(loc=cell, score=s, prob=float(p)) for cell, s, p in zip(cells, scores, probs))
-        )
-    return PeakSet(peaks=tuple(joints))
+        joints.append(list(zip(cells, scores, probs.tolist())))
+    return peakset_of(joints)
 
 
 @st.composite
@@ -108,3 +113,47 @@ def test_refined_terms_equal_point_scoring_of_the_pose(instance):
     assert refined.per_link_terms == report.per_link_terms
     assert refined.root_term == report.root_term
     assert refined.log_likelihood == report.total
+
+
+@st.composite
+def heatmaps(draw) -> Heatmap:
+    """Small grids of small integers (ties and plateaus everywhere), of
+    negative integers, of one constant, or of float32 scores."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(3, 7)), draw(st.integers(3, 7)))
+    size = int(np.prod(shape))
+    kind = draw(st.sampled_from(("small", "negative", "constant", "float")))
+    if kind == "constant":
+        values = [draw(st.integers(-3, 3))] * size
+    elif kind == "float":
+        values = draw(st.lists(st.floats(-50.0, 50.0, width=32), min_size=size, max_size=size))
+    else:
+        lo, hi = (-3, 3) if kind == "small" else (-9, -1)
+        values = draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size))
+    return Heatmap(values=np.array(values, dtype=np.float32).reshape(shape))
+
+
+@PROPERTY_SETTINGS
+@given(
+    heatmaps(),
+    st.sampled_from((-1.0, 0.0, 0.05, 0.5, 0.9, 1.0, 1.5)) | st.floats(-2.0, 2.0),
+    st.integers(1, 10),
+)
+def test_extract_peaks_matches_per_joint_reference(heatmap, threshold_ratio, max_peaks):
+    peaks = extract_peaks(heatmap, threshold_ratio, max_peaks)
+    locs, scores, probs, offsets = oracle_peaks(heatmap.values, threshold_ratio, max_peaks)
+    assert peaks.offsets.tolist() == offsets
+    assert peaks.locs.tolist() == locs
+    assert peaks.scores.tolist() == scores
+    assert peaks.probs.tolist() == probs
+
+
+ranking_score = st.integers(-3, 3).map(float) | st.floats(-1e6, 1e6)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(ranking_score, min_size=1, max_size=40),
+    st.lists(ranking_score, min_size=1, max_size=40),
+)
+def test_ood_ranking_auc_equals_pairwise_definition(id_scores, ood_scores):
+    assert abs(ood_ranking_auc(id_scores, ood_scores) - oracle_auc(id_scores, ood_scores)) <= 1e-12

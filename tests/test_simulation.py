@@ -152,6 +152,15 @@ class TestBuildPool:
         with pytest.raises(ConfigInvalid, match="attempts"):
             build_pool(SimulationConfig.from_dict(doc))
 
+    def test_unplaceable_distractor_is_rejected(self):
+        # An 8x8 grid cannot hold a cell 3 * 3.0 + 1 = 10 cells from any joint.
+        doc = base_doc()
+        doc["generator"]["link_means"] = [1.0, 1.0, 1.0]
+        doc["ood_generator"]["link_means"] = [2.0, 2.0, 2.0]
+        doc["heatmap"] = {"height": 8, "width": 8, "peak_sigma": 3.0, "distractors": 1}
+        with pytest.raises(ConfigInvalid, match="8x8 grid .* 10 cells"):
+            build_pool(SimulationConfig.from_dict(doc))
+
 
 class TestRunSimulation:
     def test_deterministic_replay(self):
