@@ -4,8 +4,9 @@ Each subcommand is a thin shell over one library operation. Exit codes:
 
 * 0 — success (a run manifest is written next to the output),
 * 2 — usage errors (bad flags, missing required combinations),
-* 3 — schema errors while loading shared inputs, and failures to write
-  an output (no partial file is left behind),
+* 3 — schema errors while loading shared inputs, a ``simulate`` config
+  found infeasible while generating its pool, and failures to write an
+  output (no partial file is left behind),
 * 4 — data errors while processing samples (first failure aborts the
   run; the diagnostic names the sample).
 
@@ -35,7 +36,7 @@ from .calibration import (
     read_labeled_poses,
     save_model_with_meta,
 )
-from .errors import MissingJoint, MissingParams, PoseLikError
+from .errors import ConfigInvalid, MissingJoint, MissingParams, PoseLikError
 from .heatmaps import (
     DEFAULT_MAX_PEAKS,
     DEFAULT_THRESHOLD_RATIO,
@@ -339,6 +340,9 @@ def _run(command: str, args: argparse.Namespace) -> int:
     compute_start = time.perf_counter()
     try:
         files, samples = spec.compute(args, ctx, timings)
+    except ConfigInvalid as exc:  # a config no sample can satisfy, not a sample's data
+        _error(exc)
+        return 3
     except PoseLikError as exc:
         _error(exc)
         return 4

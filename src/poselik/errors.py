@@ -103,7 +103,7 @@ class SearchSpaceTooLarge(PoseLikError):
 # --- pool scoring and selection ---------------------------------------------
 
 class MissingHeatmap(PoseLikError):
-    """An unlabeled sample has no heatmap."""
+    """The unlabeled pool holds no sample with this id."""
 
 
 class MissingParams(PoseLikError):

@@ -201,13 +201,20 @@ def render_gaussian_heatmap(
     rows = np.arange(height, dtype=np.float64)[:, None]
     cols = np.arange(width, dtype=np.float64)[None, :]
     inv = 1.0 / (2.0 * peak_sigma * peak_sigma)
+    # Every bump is built in this one grid, in the order of the operations
+    # in exp(-((rows - row)**2 + (cols - col)**2) * inv), so values match
+    # that formula bit for bit without a fresh (H, W) temporary per step.
+    scratch = np.empty((height, width), dtype=np.float64)
 
     def bump(row: float, col: float) -> np.ndarray:
         if not (0 <= row <= height - 1 and 0 <= col <= width - 1):
             raise OutOfBoundsCoordinate(
                 f"coordinate ({row}, {col}) outside {height}x{width} grid"
             )
-        return np.exp(-((rows - row) ** 2 + (cols - col) ** 2) * inv)
+        np.add((rows - row) ** 2, (cols - col) ** 2, out=scratch)
+        np.negative(scratch, out=scratch)
+        np.multiply(scratch, inv, out=scratch)
+        return np.exp(scratch, out=scratch)
 
     maps = np.zeros((pose.n_joints, height, width), dtype=np.float64)
     for j in range(pose.n_joints):
@@ -217,8 +224,8 @@ def render_gaussian_heatmap(
     for joint, (row, col), amplitude in distractors or ():
         if not 0 <= joint < pose.n_joints:
             raise JointOutOfRange(f"distractor joint {joint} outside [0, {pose.n_joints})")
-        maps[joint] += amplitude * bump(row, col)
-    return Heatmap(values=np.clip(maps, 0.0, 1.0).astype(np.float32))
+        maps[joint] += np.multiply(amplitude, bump(row, col), out=scratch)
+    return Heatmap(values=np.clip(maps, 0.0, 1.0, out=maps).astype(np.float32))
 
 
 # --- manifests ----------------------------------------------------------------

@@ -248,9 +248,12 @@ def multi_peak_entropy(peaks: PeakSet) -> float:
 
 # --- max-likelihood refinement --------------------------------------------------
 
-def _log_probs(probs: np.ndarray) -> np.ndarray:
+def _joint_log_probs(peaks: PeakSet) -> list[np.ndarray]:
+    """Per-joint views of the log peak probabilities, one ``np.log`` for all."""
     with np.errstate(divide="ignore"):
-        return np.log(probs)  # log(0) -> -inf: a zero-probability peak is never chosen
+        logs = np.log(peaks.probs)  # log(0) -> -inf: a zero-probability peak is never chosen
+    bounds = peaks.offsets.tolist()
+    return [logs[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _objective(probs: list[np.ndarray], indices, root_term: float, link_terms) -> float:
@@ -320,6 +323,7 @@ def refine_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
     the lexicographically smallest maximizer in breadth-first joint order.
     """
     locs, probs = _peak_arrays(peaks, params)
+    log_probs = _joint_log_probs(peaks)
     skel = params.skeleton
     n = skel.n_joints
     root_vector = _root_density_vector(locs[skel.root], params.root_params)
@@ -328,7 +332,7 @@ def refine_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
     choice: dict[tuple[int, int], np.ndarray] = {}
 
     for j in reversed(skel.bfs_joints):
-        score = _log_probs(probs[j]).copy()
+        score = log_probs[j].copy()
         for link_idx, child in skel.children_links[j]:
             m = _density_matrix(locs[j], locs[child], params.link_params[link_idx])
             link_matrices[link_idx] = m
@@ -379,9 +383,10 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
         _density_matrix(locs[parent], locs[child], params.link_params[idx])
         for idx, (parent, child) in enumerate(skel.links)
     ]
+    log_probs = _joint_log_probs(peaks)
     total = np.zeros(shape)
     for j in order:
-        total = total + along(_log_probs(probs[j]), axis_of[j])
+        total = total + along(log_probs[j], axis_of[j])
     total = total + along(root_vector, axis_of[skel.root])
     for pairwise, (parent, child) in zip(link_matrices, skel.links):
         a, b = axis_of[parent], axis_of[child]

@@ -263,6 +263,7 @@ class OffsetParams:
         object.__setattr__(self, "offset", _freeze(offset))
         object.__setattr__(self, "covariance", _freeze(cov))
         object.__setattr__(self, "_cholesky", _freeze(chol))
+        object.__setattr__(self, "_log_det", float(2.0 * np.log(np.diagonal(chol)).sum()))
 
     @property
     def dimension(self) -> int:
@@ -275,7 +276,8 @@ class OffsetParams:
 
     @property
     def log_det(self) -> float:
-        return float(2.0 * np.log(np.diagonal(self._cholesky)).sum())
+        """Log-determinant of the covariance, from the Cholesky diagonal."""
+        return self._log_det
 
 
 LinkParams = Union[DistanceParams, OffsetParams]

@@ -1,4 +1,4 @@
-"""Active-learning sample selection over a pool of unlabeled heatmaps.
+"""Active-learning sample selection over a pool of unlabeled peak sets.
 
 Each strategy scores every unlabeled sample, and the annotation budget
 goes to the extreme-B under the strategy's ordering:
@@ -13,7 +13,7 @@ goes to the extreme-B under the strategy's ordering:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,15 +43,15 @@ def _check_strategy(strategy: str) -> None:
 
 @dataclass
 class SamplePool:
-    """Labeled poses plus unlabeled heatmaps.
+    """Labeled poses plus the peak sets of unlabeled samples.
 
-    Peaks are extracted once per heatmap with the default extraction
-    settings and cached by sample id.
+    Every strategy reads only the peaks, so the pool keeps each unlabeled
+    sample's :class:`PeakSet` (default extraction settings) and never its
+    heatmap: memory grows with the peaks, not with the grids.
     """
 
     labeled: dict[str, Pose]
-    unlabeled: dict[str, Heatmap]
-    _peak_cache: dict[str, PeakSet] = field(default_factory=dict, repr=False)
+    unlabeled: dict[str, PeakSet]
 
     def __post_init__(self) -> None:
         overlap = set(self.labeled) & set(self.unlabeled)
@@ -61,20 +61,19 @@ class SamplePool:
             )
 
     def clone(self) -> "SamplePool":
-        return SamplePool(
-            labeled=dict(self.labeled),
-            unlabeled=dict(self.unlabeled),
-            _peak_cache=self._peak_cache,  # peaks depend only on the heatmap
-        )
+        return SamplePool(labeled=dict(self.labeled), unlabeled=dict(self.unlabeled))
+
+    def add_unlabeled(self, sample_id: str, heatmap: Heatmap) -> None:
+        """Store the peaks of ``heatmap`` under a new id; the heatmap is not kept."""
+        if sample_id in self.labeled or sample_id in self.unlabeled:
+            raise SchemaError(f"sample {sample_id!r} is already in the pool")
+        self.unlabeled[sample_id] = extract_peaks(heatmap)
 
     def peaks_for(self, sample_id: str) -> PeakSet:
-        if sample_id not in self.unlabeled:
-            raise MissingHeatmap(f"no unlabeled heatmap for sample {sample_id!r}")
-        cached = self._peak_cache.get(sample_id)
-        if cached is None:
-            cached = extract_peaks(self.unlabeled[sample_id])
-            self._peak_cache[sample_id] = cached
-        return cached
+        peaks = self.unlabeled.get(sample_id)
+        if peaks is None:
+            raise MissingHeatmap(f"no unlabeled sample {sample_id!r}")
+        return peaks
 
     def move_to_labeled(self, sample_id: str, pose: Pose) -> None:
         if sample_id not in self.unlabeled:

@@ -1,11 +1,12 @@
 """Seeded active-learning simulation with planted out-of-distribution poses.
 
 The harness generates chain-skeleton poses on a pixel grid, renders
-their heatmaps (optionally with distractor bumps), plants OOD poses
-drawn from a shifted generator, and then runs each selection strategy
-on its own clone of the pool: fit link parameters on the labeled set,
-score the unlabeled set, select the bottom-budget samples, move them to
-the labeled set, and record per-round detection metrics.
+their heatmaps (optionally with distractor bumps) and keeps only their
+peaks, plants OOD poses drawn from a shifted generator, and then runs
+each selection strategy on its own clone of the pool: fit link
+parameters on the labeled set, score the unlabeled set, select the
+bottom-budget samples, move them to the labeled set, and record
+per-round detection metrics.
 
 Everything downstream of the config is reproducible from its seed.
 """
@@ -325,9 +326,11 @@ def _render_sample(rng: np.random.Generator, pose: Pose, cfg: SimulationConfig):
 def build_pool(cfg: SimulationConfig):
     """(pool, heldout poses, truth, is_ood) generated from the config seed.
 
-    ``truth`` maps each unlabeled id to the pose its heatmap was rendered
-    from, and ``is_ood`` flags the planted out-of-distribution ids; only
-    the simulation reads them, never the selection strategies.
+    Each unlabeled heatmap is rendered, reduced to its peaks by
+    :meth:`SamplePool.add_unlabeled` and dropped. ``truth`` maps each
+    unlabeled id to the pose its heatmap was rendered from, and ``is_ood``
+    flags the planted out-of-distribution ids; only the simulation reads
+    them, never the selection strategies.
     """
     seq = np.random.SeedSequence(cfg.seed)
     pose_rng, render_rng = (np.random.default_rng(s) for s in seq.spawn(2))
@@ -340,7 +343,8 @@ def build_pool(cfg: SimulationConfig):
         f"held-{i:04d}": _sample_pose(pose_rng, cfg.generator, cfg)
         for i in range(cfg.heldout_size)
     }
-    unlabeled, truth, is_ood = {}, {}, {}
+    pool = SamplePool(labeled=labeled, unlabeled={})
+    truth, is_ood = {}, {}
     n_id = cfg.unlabeled_size - cfg.ood_count
     for i in range(cfg.unlabeled_size):
         ood = i >= n_id
@@ -349,8 +353,8 @@ def build_pool(cfg: SimulationConfig):
         pose = _sample_pose(pose_rng, gen, cfg)
         truth[sample_id] = pose
         is_ood[sample_id] = ood
-        unlabeled[sample_id] = _render_sample(render_rng, pose, cfg)
-    return SamplePool(labeled=labeled, unlabeled=unlabeled), heldout, truth, is_ood
+        pool.add_unlabeled(sample_id, _render_sample(render_rng, pose, cfg))
+    return pool, heldout, truth, is_ood
 
 
 # --- the simulation loop --------------------------------------------------------

@@ -69,6 +69,12 @@ def joint_peaks(peaks: PeakSet, joint: int) -> list[tuple[tuple[int, int], float
     ]
 
 
+def assert_same_peaks(a: PeakSet, b: PeakSet) -> None:
+    """All four arrays of two peak sets are equal."""
+    for name in ("locs", "scores", "probs", "offsets"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 def random_peakset(
     rng: np.random.Generator,
     n_joints: int,
@@ -311,6 +317,24 @@ def oracle_peaks(values, threshold_ratio: float, max_peaks: int):
         probs += (shifted / shifted.sum()).tolist()
         offsets.append(offsets[-1] + len(cells))
     return locs, scores, probs, offsets
+
+
+def render_reference(coords, height: int, width: int, peak_sigma: float, distractors):
+    """float32 grids of one out-of-place Gaussian bump per joint and per
+    (joint, (row, col), amplitude) distractor, summed then clipped to [0, 1]."""
+    rows = np.arange(height, dtype=np.float64)[:, None]
+    cols = np.arange(width, dtype=np.float64)[None, :]
+    inv = 1.0 / (2.0 * peak_sigma * peak_sigma)
+
+    def bump(row, col):
+        return np.exp(-((rows - row) ** 2 + (cols - col) ** 2) * inv)
+
+    maps = np.zeros((len(coords), height, width), dtype=np.float64)
+    for j, (row, col) in enumerate(coords):
+        maps[j] += bump(row, col)
+    for joint, (row, col), amplitude in distractors:
+        maps[joint] += amplitude * bump(row, col)
+    return np.clip(maps, 0.0, 1.0).astype(np.float32)
 
 
 def oracle_entropy(probs) -> float:

@@ -573,6 +573,24 @@ class TestSimulateCommand:
             ["simulate", "--config", str(config_path), "--out", str(tmp_path / "x.json")]
         ) == 3
 
+    @pytest.mark.parametrize("infeasible", ["distractor", "link_lengths"])
+    def test_infeasible_config_exits_3_without_outputs(self, tmp_path, capsys, infeasible):
+        # Both are found only while the pool is generated, after the config loaded.
+        doc = self.config_doc()
+        if infeasible == "distractor":  # no 8x8 cell is 3 * 3.0 + 1 cells from a joint
+            doc["generator"]["link_means"] = [1.0, 1.0]
+            doc["ood_generator"]["link_means"] = [2.0, 2.0]
+            doc["heatmap"] = {"height": 8, "width": 8, "peak_sigma": 3.0, "distractors": 1}
+        else:
+            doc["generator"]["link_means"] = [200.0, 200.0]
+        out = tmp_path / "x.json"
+        assert run_cli(
+            ["simulate", "--config", str(self.write_config(tmp_path, doc)), "--out", str(out)]
+        ) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "grid" in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
 
 class TestOutputWrites:
     def test_unwritable_out_exits_3_without_partial_files(self, tmp_path, capsys):

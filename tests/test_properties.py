@@ -4,8 +4,9 @@ The fixed-seed tests and criterion 1 cover distance models; these
 properties add offset models and root priors, and check that a refined
 pose reports the same terms as scoring that pose directly. Peak
 extraction is checked bit for bit against a per-joint loop on grids
-full of ties, plateaus and negative maxima, and the ranking AUC against
-its pairwise definition.
+full of ties, plateaus and negative maxima, the in-place heatmap renderer
+against its out-of-place formula, and the ranking AUC against its
+pairwise definition.
 """
 
 from __future__ import annotations
@@ -19,16 +20,18 @@ from poselik import (
     Heatmap,
     OffsetParams,
     PeakSet,
+    Pose,
     PoseModelParams,
     brute_force_best_pose,
     extract_peaks,
     ood_ranking_auc,
     point_log_likelihood,
     refine_pose,
+    render_gaussian_heatmap,
     validate_skeleton,
 )
 
-from _helpers import oracle_auc, oracle_peaks, peakset_of
+from _helpers import oracle_auc, oracle_peaks, peakset_of, render_reference
 
 GRID = 32
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -157,3 +160,32 @@ ranking_score = st.integers(-3, 3).map(float) | st.floats(-1e6, 1e6)
 )
 def test_ood_ranking_auc_equals_pairwise_definition(id_scores, ood_scores):
     assert abs(ood_ranking_auc(id_scores, ood_scores) - oracle_auc(id_scores, ood_scores)) <= 1e-12
+
+
+@st.composite
+def render_cases(draw):
+    """(coords, height, width, peak_sigma, distractors) with fractional
+    coordinates anywhere in the grid, including its edges."""
+    height, width = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    n = draw(st.integers(1, 4))
+    row = st.floats(0.0, height - 1.0, allow_nan=False)
+    col = st.floats(0.0, width - 1.0, allow_nan=False)
+    coords = [(draw(row), draw(col)) for _ in range(n)]
+    distractors = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.tuples(row, col), st.floats(0.01, 1.0)),
+            max_size=4,
+        )
+    )
+    return coords, height, width, draw(st.floats(0.1, 8.0)), distractors
+
+
+@PROPERTY_SETTINGS
+@given(render_cases())
+def test_render_matches_out_of_place_formula(case):
+    coords, height, width, peak_sigma, distractors = case
+    rendered = render_gaussian_heatmap(
+        Pose.of(coords), height, width, peak_sigma, distractors=distractors
+    )
+    expected = render_reference(coords, height, width, peak_sigma, distractors)
+    assert rendered.values.tobytes() == expected.tobytes()

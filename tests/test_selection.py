@@ -11,12 +11,14 @@ from poselik import (
     Heatmap,
     MissingHeatmap,
     MissingParams,
+    PeakSet,
     Pose,
     PoseModelParams,
     SamplePool,
     SchemaError,
     STRATEGIES,
     chain_skeleton,
+    extract_peaks,
     multi_peak_entropy,
     ood_ranking_auc,
     refine_pose,
@@ -26,7 +28,7 @@ from poselik import (
 )
 from poselik.selection import _random_score
 
-from _helpers import oracle_auc
+from _helpers import assert_same_peaks, oracle_auc
 
 
 def chain_model(n_joints=3, mean=6.0, sigma=1.0):
@@ -49,14 +51,34 @@ def render(pose, size=64):
 
 
 def make_pool(heatmaps, labeled=None):
-    return SamplePool(labeled=dict(labeled or {}), unlabeled=dict(heatmaps))
+    pool = SamplePool(labeled=dict(labeled or {}), unlabeled={})
+    for sample_id, heatmap in heatmaps.items():
+        pool.add_unlabeled(sample_id, heatmap)
+    return pool
 
 
 class TestSamplePool:
     def test_rejects_overlapping_ids(self):
-        hm = render(vertical_pose(3))
+        peaks = extract_peaks(render(vertical_pose(3)))
         with pytest.raises(SchemaError, match="both"):
-            SamplePool(labeled={"x": vertical_pose(3)}, unlabeled={"x": hm})
+            SamplePool(labeled={"x": vertical_pose(3)}, unlabeled={"x": peaks})
+
+    def test_add_unlabeled_stores_only_the_peaks(self):
+        hm = render(vertical_pose(3))
+        pool = make_pool({"a": hm})
+        assert isinstance(pool.unlabeled["a"], PeakSet)
+        assert_same_peaks(pool.unlabeled["a"], extract_peaks(hm))
+        assert not any(isinstance(value, Heatmap) for value in vars(pool).values())
+
+    def test_add_unlabeled_rejects_known_ids(self):
+        pool = make_pool({"a": render(vertical_pose(3))}, labeled={"l": vertical_pose(3)})
+        stored = pool.unlabeled["a"]
+        with pytest.raises(SchemaError, match="'a'"):
+            pool.add_unlabeled("a", render(vertical_pose(3, step=9.0)))
+        with pytest.raises(SchemaError, match="'l'"):
+            pool.add_unlabeled("l", render(vertical_pose(3)))
+        assert pool.unlabeled == {"a": stored}  # a rejected add changes nothing
+        assert list(pool.labeled) == ["l"]
 
     def test_move_to_labeled(self):
         pool = make_pool({"a": render(vertical_pose(3))})
@@ -65,9 +87,10 @@ class TestSamplePool:
         with pytest.raises(MissingHeatmap):
             pool.move_to_labeled("a", vertical_pose(3))
 
-    def test_peaks_are_cached(self):
+    def test_peaks_for_returns_the_stored_set(self):
         pool = make_pool({"a": render(vertical_pose(3))})
         first = pool.peaks_for("a")
+        assert first is pool.unlabeled["a"]
         assert pool.peaks_for("a") is first
         with pytest.raises(MissingHeatmap, match="ghost"):
             pool.peaks_for("ghost")
@@ -78,8 +101,10 @@ class TestSamplePool:
         copy = pool.clone()
         copy.move_to_labeled("a", vertical_pose(3))
         assert "a" in pool.unlabeled  # original untouched
+        assert pool.peaks_for("a") is peaks
+        with pytest.raises(MissingHeatmap):
+            copy.peaks_for("a")
         assert copy.peaks_for("b") is pool.peaks_for("b")
-        assert copy._peak_cache["a"] is peaks
 
 
 class TestScorePool:

@@ -8,12 +8,17 @@ import pytest
 
 from poselik import (
     ConfigInvalid,
+    Heatmap,
+    PeakSet,
     SimulationConfig,
     build_pool,
     chain_skeleton,
     extract_peaks,
     run_simulation,
 )
+from poselik.simulation import _render_sample
+
+from _helpers import assert_same_peaks
 
 
 def base_doc():
@@ -125,25 +130,41 @@ class TestBuildPool:
         cfg = SimulationConfig.from_dict(base_doc())
         pool_a, held_a, truth_a, _ = build_pool(cfg)
         pool_b, held_b, truth_b, _ = build_pool(cfg)
+        assert list(pool_a.unlabeled) == list(pool_b.unlabeled) == list(truth_a)
         for sample_id in truth_a:
             np.testing.assert_array_equal(
                 truth_a[sample_id].coordinates, truth_b[sample_id].coordinates
             )
-            np.testing.assert_array_equal(
-                pool_a.unlabeled[sample_id].values, pool_b.unlabeled[sample_id].values
-            )
+            assert_same_peaks(pool_a.unlabeled[sample_id], pool_b.unlabeled[sample_id])
         for sample_id in held_a:
             np.testing.assert_array_equal(
                 held_a[sample_id].coordinates, held_b[sample_id].coordinates
             )
 
+    def test_pool_keeps_peak_sets_and_no_heatmap(self):
+        pool, *_ = build_pool(SimulationConfig.from_dict(base_doc()))
+        assert all(isinstance(peaks, PeakSet) for peaks in pool.unlabeled.values())
+        held = [v for field in vars(pool).values() for v in field.values()]
+        assert not any(isinstance(value, Heatmap) for value in held)
+
+    def test_pool_peaks_match_a_replayed_render(self):
+        """The stored peaks are the peaks of the heatmaps a fresh render
+        generator reproduces, drawn in id order from the same pose."""
+        doc = base_doc()
+        doc["heatmap"].update(distractors=2, distractor_amplitude=0.5)
+        cfg = SimulationConfig.from_dict(doc)
+        pool, _, truth, _ = build_pool(cfg)
+        _, render_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+        render_rng = np.random.default_rng(render_seed)
+        for sample_id in sorted(truth):
+            heatmap = _render_sample(render_rng, truth[sample_id], cfg)
+            assert_same_peaks(pool.unlabeled[sample_id], extract_peaks(heatmap))
+
     def test_distractors_add_extra_peaks(self):
         doc = base_doc()
         doc["heatmap"].update(distractors=2, distractor_amplitude=0.5)
         pool, *_ = build_pool(SimulationConfig.from_dict(doc))
-        counts = [
-            sum(extract_peaks(hm).counts()) for hm in pool.unlabeled.values()
-        ]
+        counts = [sum(peaks.counts()) for peaks in pool.unlabeled.values()]
         assert max(counts) > SimulationConfig.from_dict(doc).joints
 
     def test_infeasible_geometry_is_rejected(self):
