@@ -9,6 +9,7 @@ computation consumes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -181,6 +182,35 @@ def read_heatmap_file(path) -> Heatmap:
 
 # --- synthetic rendering ----------------------------------------------------
 
+def _gaussian(dr: np.ndarray, dc: np.ndarray, inv: float, out: np.ndarray) -> np.ndarray:
+    """exp(-(dr**2 + dc**2) * inv) in ``out``, for a column ``dr`` of row
+    offsets and a row ``dc`` of column offsets: the one bump formula.
+
+    Each step writes into ``out`` in the formula's order, so values match
+    it bit for bit without a fresh temporary per step.
+    """
+    np.add(dr ** 2, dc ** 2, out=out)
+    np.negative(out, out=out)
+    np.multiply(out, inv, out=out)
+    return np.exp(out, out=out)
+
+
+@functools.lru_cache(maxsize=1)
+def _gaussian_table(height: int, width: int, inv: float) -> np.ndarray:
+    """The bump at every integer offset: entry ``(height - 1 + dr, width - 1 + dc)``
+    is its value ``dr`` rows and ``dc`` columns from its centre.
+
+    Keyed by ``inv``, not ``peak_sigma``: the table depends on nothing else,
+    and equal sigmas of different dtypes can give different ``inv``. Read-only,
+    because every render of this shape shares it.
+    """
+    dr = np.arange(1 - height, height, dtype=np.float64)[:, None]
+    dc = np.arange(1 - width, width, dtype=np.float64)[None, :]
+    table = _gaussian(dr, dc, inv, np.empty((2 * height - 1, 2 * width - 1)))
+    table.flags.writeable = False
+    return table
+
+
 def render_gaussian_heatmap(
     pose: Pose,
     height: int,
@@ -192,7 +222,10 @@ def render_gaussian_heatmap(
 
     ``distractors`` adds extra bumps as (joint, (row, col), amplitude)
     entries. Values are clipped to [0, 1]. Coordinates are (row, col) at
-    grid resolution and must lie inside the grid.
+    grid resolution and must lie inside the grid. A bump on an integer cell
+    is a window of one cached table of bumps at integer offsets, whose
+    offsets ``rows - row`` are the same exact integers; other bumps are
+    computed directly. Both give the formula's values bit for bit.
     """
     if pose.dimension != 2:
         raise OutOfBoundsCoordinate("rendering requires 2D poses")
@@ -201,9 +234,6 @@ def render_gaussian_heatmap(
     rows = np.arange(height, dtype=np.float64)[:, None]
     cols = np.arange(width, dtype=np.float64)[None, :]
     inv = 1.0 / (2.0 * peak_sigma * peak_sigma)
-    # Every bump is built in this one grid, in the order of the operations
-    # in exp(-((rows - row)**2 + (cols - col)**2) * inv), so values match
-    # that formula bit for bit without a fresh (H, W) temporary per step.
     scratch = np.empty((height, width), dtype=np.float64)
 
     def bump(row: float, col: float) -> np.ndarray:
@@ -211,10 +241,10 @@ def render_gaussian_heatmap(
             raise OutOfBoundsCoordinate(
                 f"coordinate ({row}, {col}) outside {height}x{width} grid"
             )
-        np.add((rows - row) ** 2, (cols - col) ** 2, out=scratch)
-        np.negative(scratch, out=scratch)
-        np.multiply(scratch, inv, out=scratch)
-        return np.exp(scratch, out=scratch)
+        if float(row).is_integer() and float(col).is_integer():
+            top, left = height - 1 - int(row), width - 1 - int(col)
+            return _gaussian_table(height, width, inv)[top : top + height, left : left + width]
+        return _gaussian(rows - row, cols - col, inv, scratch)
 
     maps = np.zeros((pose.n_joints, height, width), dtype=np.float64)
     for j in range(pose.n_joints):
@@ -234,19 +264,22 @@ def read_manifest(path) -> list[tuple[str, str]]:
     """Read a JSONL manifest of ``{"id": ..., "path": ...}`` lines.
 
     Relative paths resolve against the manifest's directory. Ids must be
-    unique.
+    unique. Every malformed line raises :class:`SchemaError` naming it.
     """
     base = os.path.dirname(os.path.abspath(path))
     entries: list[tuple[str, str]] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 become lone surrogates: outside a JSON string
+    # they are invalid JSON, inside a path they give back the file name's
+    # bytes through os.fsencode.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):  # RecursionError: nesting too deep
                 raise SchemaError(f"{path}:{lineno}: invalid JSON") from None
             if not isinstance(record, dict) or "id" not in record or "path" not in record:
                 raise SchemaError(f"{path}:{lineno}: expected an object with 'id' and 'path'")
@@ -254,11 +287,22 @@ def read_manifest(path) -> list[tuple[str, str]]:
             if sample_id in seen:
                 raise SchemaError(f"{path}:{lineno}: duplicate sample id {sample_id!r}")
             seen.add(sample_id)
-            target = record["path"]
+            target = _file_path(record["path"], f"{path}:{lineno}")
             if not os.path.isabs(target):
                 target = os.path.join(base, target)
             entries.append((sample_id, target))
     return entries
+
+
+def _file_path(value, where: str) -> str:
+    """``value`` if it is a string that ``open`` can take as a file name."""
+    if isinstance(value, str) and "\0" not in value:
+        try:
+            os.fsencode(value)  # rejects lone surrogates that no file name can hold
+            return value
+        except UnicodeEncodeError:
+            pass
+    raise SchemaError(f"{where}: 'path' must be a file name string, got {value!r:.60}")
 
 
 def entropy_of_probs(probs: Sequence[float]) -> float:

@@ -506,6 +506,20 @@ class TestMaximaCommand:
         ) == 4
         assert "'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", [None, 7], ids=["null", "number"])
+    def test_non_string_path_exits_3(self, tmp_path, capsys, path):
+        manifest_path = tmp_path / "m.jsonl"
+        manifest_path.write_text(
+            json.dumps({"id": "ok", "path": "hm.pshm"}) + "\n"
+            + json.dumps({"id": "a", "path": path}) + "\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "x.jsonl"
+        assert run_cli(["maxima", "--heatmaps", str(manifest_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{manifest_path}:2:" in err[0] and "'path'" in err[0]
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def config_doc(self):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -258,6 +259,12 @@ class TestManifest:
             ("b", str(tmp_path / "b.pshm")),
         ]
 
+    def test_undecodable_path_bytes_name_that_file(self, tmp_path):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_bytes(b'{"id": "a", "path": "caf\xe9.pshm"}\n')
+        ((_, target),) = read_manifest(manifest)
+        assert os.fsencode(target) == os.fsencode(str(tmp_path)) + b"/caf\xe9.pshm"
+
     def test_duplicate_ids_rejected(self, tmp_path):
         manifest = tmp_path / "m.jsonl"
         manifest.write_text(
@@ -275,6 +282,16 @@ class TestManifest:
         manifest.write_text(json.dumps({"id": "a"}) + "\n", encoding="utf-8")
         with pytest.raises(SchemaError):
             read_manifest(manifest)
+        manifest.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            read_manifest(manifest)
+        manifest.write_bytes(b'{"id": "a", "path": "x"}\xff\n')
+        with pytest.raises(SchemaError, match=":1: invalid JSON"):
+            read_manifest(manifest)
+        for path in ("a\0b", "\ud800", None, 7, ["a"]):
+            manifest.write_text(json.dumps({"id": "a", "path": path}) + "\n", encoding="utf-8")
+            with pytest.raises(SchemaError, match=":1: 'path'"):
+                read_manifest(manifest)
 
 
 class TestEntropyHelper:

@@ -4,32 +4,46 @@ The fixed-seed tests and criterion 1 cover distance models; these
 properties add offset models and root priors, and check that a refined
 pose reports the same terms as scoring that pose directly. Peak
 extraction is checked bit for bit against a per-joint loop on grids
-full of ties, plateaus and negative maxima, the in-place heatmap renderer
-against its out-of-place formula, and the ranking AUC against its
-pairwise definition.
+full of ties, plateaus and negative maxima, the heatmap renderer (cached
+table windows and direct bumps) against its out-of-place formula, and the
+ranking AUC against its pairwise definition. Fuzzed manifests and heatmap
+files must read back exactly or raise only ``PoseLikError``s.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import struct
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poselik import (
+    BadMagic,
     DistanceParams,
     Heatmap,
     OffsetParams,
     PeakSet,
     Pose,
+    PoseLikError,
     PoseModelParams,
+    TruncatedPayload,
+    VersionUnsupported,
     brute_force_best_pose,
     extract_peaks,
     ood_ranking_auc,
     point_log_likelihood,
+    read_heatmap_file,
+    read_manifest,
     refine_pose,
     render_gaussian_heatmap,
     validate_skeleton,
+    write_heatmap_file,
 )
+from poselik.heatmaps import _gaussian_table
 
 from _helpers import oracle_auc, oracle_peaks, peakset_of, render_reference
 
@@ -164,28 +178,164 @@ def test_ood_ranking_auc_equals_pairwise_definition(id_scores, ood_scores):
 
 @st.composite
 def render_cases(draw):
-    """(coords, height, width, peak_sigma, distractors) with fractional
-    coordinates anywhere in the grid, including its edges."""
+    """(coords, height, width, peak_sigma, distractors). About half the
+    centres sit on integer cells, the grid's edge rows and columns often;
+    the rest are fractional anywhere in the grid."""
     height, width = draw(st.integers(3, 40)), draw(st.integers(3, 40))
     n = draw(st.integers(1, 4))
-    row = st.floats(0.0, height - 1.0, allow_nan=False)
-    col = st.floats(0.0, width - 1.0, allow_nan=False)
-    coords = [(draw(row), draw(col)) for _ in range(n)]
+
+    def cell(size):
+        return (st.sampled_from((0, size - 1)) | st.integers(0, size - 1)).map(float)
+
+    def axis(size):
+        return cell(size) | st.floats(0.0, size - 1.0, allow_nan=False)
+
+    centre = st.tuples(cell(height), cell(width)) | st.tuples(axis(height), axis(width))
+    coords = draw(st.lists(centre, min_size=n, max_size=n))
     distractors = draw(
-        st.lists(
-            st.tuples(st.integers(0, n - 1), st.tuples(row, col), st.floats(0.01, 1.0)),
-            max_size=4,
-        )
+        st.lists(st.tuples(st.integers(0, n - 1), centre, st.floats(0.01, 1.0)), max_size=4)
     )
     return coords, height, width, draw(st.floats(0.1, 8.0)), distractors
 
 
-@PROPERTY_SETTINGS
-@given(render_cases())
-def test_render_matches_out_of_place_formula(case):
+def assert_renders_like_reference(case):
     coords, height, width, peak_sigma, distractors = case
     rendered = render_gaussian_heatmap(
         Pose.of(coords), height, width, peak_sigma, distractors=distractors
     )
     expected = render_reference(coords, height, width, peak_sigma, distractors)
     assert rendered.values.tobytes() == expected.tobytes()
+    table = _gaussian_table(height, width, 1.0 / (2.0 * peak_sigma * peak_sigma))
+    assert not table.flags.writeable
+
+
+@PROPERTY_SETTINGS
+@given(render_cases(), render_cases())
+def test_render_matches_out_of_place_formula(case, other):
+    # Rendering another shape before and after shows the cached bump table
+    # never serves other arguments.
+    for each in (other, case, other):
+        assert_renders_like_reference(each)
+
+
+# --- untrusted files --------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("untrusted")
+
+
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def manifest_entries(ids, paths):
+    return st.fixed_dictionaries({"id": ids, "path": paths}).map(json.dumps)
+
+
+repeated_id = st.sampled_from(("a", "b", "1"))
+manifest_line = st.one_of(
+    manifest_entries(repeated_id, st.text(max_size=8)),
+    manifest_entries(repeated_id, st.sampled_from(("", "a\0b", "\ud800", "\udcff"))),
+    manifest_entries(json_value, json_value),
+    st.dictionaries(st.sampled_from(("id", "path", "x")), json_value, max_size=2).map(json.dumps),
+    json_value.map(json.dumps),  # mostly not an object
+    st.text(max_size=12),  # mostly invalid JSON
+    st.just(json.dumps({"id": "t", "path": "x"})[:-3]),  # truncated
+).map(lambda line: line.encode("utf-8", "surrogatepass")) | st.binary(max_size=12)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(manifest_line, max_size=6))
+def test_read_manifest_returns_entries_or_raises_poselik_errors(scratch, lines):
+    path = scratch / "manifest.jsonl"
+    # Each line alone as well, so no line hides behind an earlier bad one.
+    for content in [lines] + [[line] for line in lines]:
+        path.write_bytes(b"\n".join(content))
+        try:
+            entries = read_manifest(path)
+        except PoseLikError:
+            continue
+        ids = [sample_id for sample_id, _ in entries]
+        assert len(set(ids)) == len(ids)
+        for sample_id, target in entries:
+            assert isinstance(sample_id, str) and isinstance(target, str)
+            assert os.path.isabs(target) and "\0" not in target
+            os.fsencode(target)  # a name open() can take
+
+
+@st.composite
+def float32_grids(draw) -> Heatmap:
+    shape = (draw(st.integers(1, 3)), draw(st.integers(3, 6)), draw(st.integers(3, 6)))
+    values = draw(
+        st.lists(
+            st.floats(width=32, allow_nan=False, allow_infinity=False),
+            min_size=int(np.prod(shape)), max_size=int(np.prod(shape)),
+        )
+    )
+    return Heatmap(values=np.array(values, dtype=np.float32).reshape(shape))
+
+
+@PROPERTY_SETTINGS
+@given(float32_grids())
+def test_heatmap_file_round_trip_keeps_every_byte(scratch, heatmap):
+    path = scratch / "round-trip.pshm"
+    write_heatmap_file(heatmap, path)
+    again = read_heatmap_file(path)
+    assert again.values.shape == heatmap.values.shape
+    assert again.values.tobytes() == heatmap.values.tobytes()
+
+
+HEADER = struct.Struct("<4sIIII")
+dimension = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def corrupted_files(draw) -> tuple[bytes, type | None]:
+    """(file bytes, the error reading them must raise); ``None`` where only
+    "some PoseLikError or a heatmap" can be said."""
+    heatmap = draw(float32_grids())
+    n, h, w = heatmap.values.shape
+    payload = heatmap.values.astype("<f4").tobytes()
+    kind = draw(st.sampled_from(("truncated", "magic", "version", "random", "zero", "dims")))
+    if kind == "truncated":
+        cut = draw(st.integers(0, HEADER.size + len(payload) - 1))
+        data = (HEADER.pack(b"PSHM", 1, n, h, w) + payload)[:cut]
+        return data, BadMagic if cut < HEADER.size else TruncatedPayload
+    if kind == "magic":
+        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != b"PSHM"))
+        return HEADER.pack(magic, 1, n, h, w) + payload, BadMagic
+    if kind == "version":
+        version = draw(dimension.filter(lambda v: v != 1))
+        return HEADER.pack(b"PSHM", version, n, h, w) + payload, VersionUnsupported
+    if kind == "random":
+        return draw(st.binary(min_size=HEADER.size, max_size=HEADER.size)) + payload, None
+    if kind == "zero":
+        dims = [n, h, w]
+        dims[draw(st.integers(0, 2))] = 0
+        return HEADER.pack(b"PSHM", 1, *dims) + draw(st.sampled_from((b"", payload))), PoseLikError
+    dims = draw(st.tuples(dimension, dimension, dimension).filter(lambda d: d != (n, h, w)))
+    if dims[0] * dims[1] * dims[2] == n * h * w:
+        return HEADER.pack(b"PSHM", 1, *dims) + payload, None  # reshaped, maybe too small
+    return HEADER.pack(b"PSHM", 1, *dims) + payload, TruncatedPayload
+
+
+@PROPERTY_SETTINGS
+@given(corrupted_files())
+def test_corrupt_heatmap_files_raise_only_poselik_errors(scratch, corrupted):
+    data, error = corrupted
+    path = scratch / "corrupt.pshm"
+    path.write_bytes(data)
+    if error is not None:
+        with pytest.raises(error):
+            read_heatmap_file(path)
+        return
+    try:
+        read_heatmap_file(path)
+    except PoseLikError:
+        pass
