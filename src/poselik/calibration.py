@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InsufficientData, PoseLikError, SchemaError
+from .errors import EmptyInput, InsufficientData, SchemaError
 from .model import (
     SIGMA_FLOOR,
     DistanceParams,
@@ -21,9 +21,11 @@ from .model import (
     Pose,
     PoseModelParams,
     Skeleton,
-    _link_params_from_dict,
-    _load_json,
+    _params_of,
+    errors_at,
+    iter_jsonl,
     model_to_dict,
+    read_json,
 )
 
 RIDGE_START = 1e-6
@@ -157,28 +159,14 @@ def fit_model(
 def read_labeled_poses(path) -> list[tuple[str, Pose]]:
     """JSON-lines reader: one ``{"id": ..., "pose": [[...], ...]}`` per line."""
     records: list[tuple[str, Pose]] = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict) or "id" not in record or "pose" not in record:
-                raise SchemaError(f"{path}:{line_no}: expected keys 'id' and 'pose'")
-            sample_id = str(record["id"])
-            if sample_id in seen:
-                raise SchemaError(f"{path}:{line_no}: duplicate pose id {sample_id!r}")
-            seen.add(sample_id)
-            try:
-                coords = np.asarray(record["pose"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}:{line_no}: malformed pose array") from exc
-            if coords.ndim != 2:
-                raise SchemaError(f"{path}:{line_no}: pose must be a 2D array")
+    for where, sample_id, record in iter_jsonl(path, "pose"):
+        try:
+            coords = np.asarray(record["pose"], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise SchemaError(f"{where}: malformed pose array") from None
+        if coords.ndim != 2:
+            raise SchemaError(f"{where}: pose must be a 2D array")
+        with errors_at(where):
             records.append((sample_id, Pose.of(coords)))
     if not records:
         raise EmptyInput(f"{path}: no labeled poses")
@@ -193,8 +181,8 @@ def load_image_params(path, skeleton: Skeleton) -> dict[str, PoseModelParams]:
     per-link layout as the shared model file. Every error names the image
     id it came from.
     """
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "per_image" not in doc:
+    doc = read_json(path)
+    if "per_image" not in doc:
         raise SchemaError(f"{path}: expected an object with a 'per_image' key")
     model_kind = doc.get("model_kind")
     if model_kind not in ("distance", "offset"):
@@ -206,30 +194,8 @@ def load_image_params(path, skeleton: Skeleton) -> dict[str, PoseModelParams]:
     for image_id, entry in per_image.items():
         if not isinstance(entry, dict) or "links" not in entry:
             raise SchemaError(f"{path}: image {image_id!r}: expected a 'links' array")
-        links = entry["links"]
-        if not isinstance(links, list) or len(links) != skeleton.n_links:
-            raise SchemaError(
-                f"{path}: image {image_id!r}: expected {skeleton.n_links} link entries"
-            )
-        try:
-            link_params = tuple(
-                _link_params_from_dict(item, where=f"links[{i}]")
-                for i, item in enumerate(links)
-            )
-            root_entry = entry.get("root")
-            root_params = (
-                _link_params_from_dict(root_entry, where="root")
-                if root_entry is not None
-                else None
-            )
-            out[str(image_id)] = PoseModelParams(
-                skeleton=skeleton,
-                link_params=link_params,
-                model_kind=model_kind,
-                root_params=root_params,
-            )
-        except PoseLikError as exc:
-            raise type(exc)(f"{path}: image {image_id!r}: {exc}") from exc
+        with errors_at(f"{path}: image {image_id!r}"):
+            out[str(image_id)] = _params_of(skeleton, model_kind, entry, "links", "root")
     return out
 
 

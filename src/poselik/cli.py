@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -36,7 +37,7 @@ from .calibration import (
     read_labeled_poses,
     save_model_with_meta,
 )
-from .errors import ConfigInvalid, MissingJoint, MissingParams, PoseLikError
+from .errors import ConfigInvalid, MissingJoint, MissingParams, PoseLikError, SchemaError
 from .heatmaps import (
     DEFAULT_MAX_PEAKS,
     DEFAULT_THRESHOLD_RATIO,
@@ -50,7 +51,14 @@ from .likelihood import (
     point_log_likelihood,
     refine_pose,
 )
-from .model import PoseModelParams, load_model_file, load_skeleton_file
+from .model import (
+    PoseModelParams,
+    errors_at,
+    iter_jsonl,
+    load_model_file,
+    load_skeleton_file,
+    read_json,
+)
 from .selection import _random_score, select_batch
 from .simulation import SimulationConfig, run_simulation
 
@@ -199,34 +207,26 @@ def _score_from_record(record: dict, strategy: str, where: str) -> float:
         if key in record:
             value = record[key]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise PoseLikError(f"{where}: field {key!r} must be a number")
-            return float(value)
-    raise PoseLikError(
+                raise SchemaError(f"{where}: field {key!r} must be a number")
+            try:
+                value = float(value)
+            except OverflowError:
+                raise SchemaError(f"{where}: field {key!r} is out of range") from None
+            if math.isnan(value):  # NaN has no rank; -Infinity is a valid total
+                raise SchemaError(f"{where}: field {key!r} is NaN")
+            return value
+    raise SchemaError(
         f"{where}: no usable score field (looked for {list(candidates)})"
     )
 
 
 def _load_select(args) -> dict:
     scores: dict[str, float] = {}
-    with open(args.scores, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{args.scores}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                raise PoseLikError(f"{where}: invalid JSON") from None
-            if not isinstance(record, dict) or "id" not in record:
-                raise PoseLikError(f"{where}: expected an object with an 'id'")
-            sample_id = str(record["id"])
-            if sample_id in scores:
-                raise PoseLikError(f"{where}: duplicate sample id {sample_id!r}")
-            if args.strategy == "random":
-                scores[sample_id] = _random_score(args.seed, sample_id)
-            else:
-                scores[sample_id] = _score_from_record(record, args.strategy, where)
+    for where, sample_id, record in iter_jsonl(args.scores):
+        if args.strategy == "random":
+            scores[sample_id] = _random_score(args.seed, sample_id)
+        else:
+            scores[sample_id] = _score_from_record(record, args.strategy, where)
     return {"scores": scores}
 
 
@@ -248,16 +248,14 @@ def _compute_calibrate(args, ctx, timings):
 
 
 def _load_simulate(args) -> dict:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PoseLikError(f"{args.config}: invalid JSON ({exc})") from None
-    return {"cfg": SimulationConfig.from_dict(raw)}
+    doc = read_json(args.config)
+    with errors_at(args.config):
+        return {"cfg": SimulationConfig.from_dict(doc)}
 
 
 def _compute_simulate(args, ctx, timings):
-    outcome = run_simulation(ctx["cfg"])
+    with errors_at(args.config):  # an infeasible config is found only while generating
+        outcome = run_simulation(ctx["cfg"])
     files = [
         (args.out, lambda tmp: _write_json(tmp, outcome.report)),
         (f"{args.out}.selections.jsonl", lambda tmp: _write_jsonl(tmp, outcome.selections)),

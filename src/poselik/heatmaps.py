@@ -10,7 +10,6 @@ computation consumes.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import struct
@@ -28,7 +27,7 @@ from .errors import (
     TruncatedPayload,
     VersionUnsupported,
 )
-from .model import Pose
+from .model import Pose, iter_jsonl
 
 # Defaults for peak extraction: peaks below threshold_ratio * (global max)
 # are dropped, and at most max_peaks survive per joint. Bounds the
@@ -267,31 +266,10 @@ def read_manifest(path) -> list[tuple[str, str]]:
     unique. Every malformed line raises :class:`SchemaError` naming it.
     """
     base = os.path.dirname(os.path.abspath(path))
-    entries: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    # Bytes that are not UTF-8 become lone surrogates: outside a JSON string
-    # they are invalid JSON, inside a path they give back the file name's
-    # bytes through os.fsencode.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError):  # RecursionError: nesting too deep
-                raise SchemaError(f"{path}:{lineno}: invalid JSON") from None
-            if not isinstance(record, dict) or "id" not in record or "path" not in record:
-                raise SchemaError(f"{path}:{lineno}: expected an object with 'id' and 'path'")
-            sample_id = str(record["id"])
-            if sample_id in seen:
-                raise SchemaError(f"{path}:{lineno}: duplicate sample id {sample_id!r}")
-            seen.add(sample_id)
-            target = _file_path(record["path"], f"{path}:{lineno}")
-            if not os.path.isabs(target):
-                target = os.path.join(base, target)
-            entries.append((sample_id, target))
-    return entries
+    return [
+        (sample_id, os.path.join(base, _file_path(record["path"], where)))
+        for where, sample_id, record in iter_jsonl(path, "path")
+    ]
 
 
 def _file_path(value, where: str) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -29,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     DisconnectedJoint,
     DuplicateJointName,
+    PoseLikError,
     SchemaError,
     SigmaNonPositive,
 )
@@ -138,7 +140,7 @@ def validate_skeleton(candidate: dict) -> Skeleton:
         joints.append(name)
     n = len(joints)
 
-    if dimension not in (2, 3):
+    if not isinstance(dimension, int) or dimension not in (2, 3):
         raise SchemaError(f"dimension must be 2 or 3, got {dimension!r}")
 
     if isinstance(raw_root, str):
@@ -353,7 +355,7 @@ def _link_params_from_dict(entry: dict, *, where: str) -> LinkParams:
     if "mean" in entry or "sigma" in entry:
         try:
             mean, sigma = float(entry["mean"]), float(entry["sigma"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise SchemaError(f"{where}: distance entry needs numeric 'mean' and 'sigma'") from None
         if np.isfinite(sigma) and sigma > 0:
             sigma = max(sigma, SIGMA_FLOOR)
@@ -363,6 +365,10 @@ def _link_params_from_dict(entry: dict, *, where: str) -> LinkParams:
             return OffsetParams(offset=entry["offset"], covariance=entry["covariance"])
         except KeyError:
             raise SchemaError(f"{where}: offset entry needs 'offset' and 'covariance'") from None
+        except (TypeError, ValueError, OverflowError):  # from np.asarray: ragged or not numbers
+            raise SchemaError(
+                f"{where}: 'offset' and 'covariance' must be arrays of numbers"
+            ) from None
     raise SchemaError(f"{where}: unrecognized parameter entry {sorted(entry)!r}")
 
 
@@ -379,40 +385,94 @@ def model_from_dict(doc: dict) -> PoseModelParams:
     skeleton = validate_skeleton(doc)
     if "model_kind" not in doc or "params" not in doc:
         raise SchemaError("model document needs 'model_kind' and 'params'")
-    raw = doc["params"]
-    if not isinstance(raw, list):
-        raise SchemaError("'params' must be a list aligned with 'links'")
-    link_params = tuple(
-        _link_params_from_dict(entry, where=f"params[{i}]") for i, entry in enumerate(raw)
-    )
-    root_params = None
-    if doc.get("root_params") is not None:
-        root_params = _link_params_from_dict(doc["root_params"], where="root_params")
+    return _params_of(skeleton, doc["model_kind"], doc, "params", "root_params")
+
+
+def _params_of(skeleton, model_kind, doc: dict, links_key: str, root_key: str) -> PoseModelParams:
+    """Parameters from ``doc[links_key]``, one entry per link of ``skeleton``,
+    and the optional root prior ``doc[root_key]``; errors name the entry."""
+    entries, root_entry = doc[links_key], doc.get(root_key)
+    if not isinstance(entries, list):
+        raise SchemaError(f"{links_key!r} must be a list with one entry per link")
     return PoseModelParams(
         skeleton=skeleton,
-        link_params=link_params,
-        model_kind=doc["model_kind"],
-        root_params=root_params,
+        link_params=tuple(
+            _link_params_from_dict(entry, where=f"{links_key}[{i}]")
+            for i, entry in enumerate(entries)
+        ),
+        model_kind=model_kind,
+        root_params=(
+            None if root_entry is None else _link_params_from_dict(root_entry, where=root_key)
+        ),
     )
 
 
-def _load_json(path) -> dict:
+# --- input files ------------------------------------------------------------------
+#
+# Every JSON and JSON-lines input goes through one of these two readers. Bytes
+# that are not UTF-8 become lone surrogates: invalid JSON outside a string, the
+# file's raw bytes inside one. RecursionError is JSON nested too deep.
+
+def read_json(path) -> dict:
+    """The JSON object that makes up the whole file at ``path``."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level value must be an object")
     return doc
 
 
+def iter_jsonl(path, *keys):
+    """Yield ``(where, sample_id, record)`` for each non-blank line of a
+    JSON-lines file, ``where`` being ``file:line``.
+
+    Each record must be an object holding ``"id"`` and every key in
+    ``keys``; ``sample_id`` is ``str(record["id"])`` and must be unique.
+    """
+    required = ("id", *keys)
+    seen: set[str] = set()
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError):
+                raise SchemaError(f"{where}: invalid JSON") from None
+            if not isinstance(record, dict) or not all(key in record for key in required):
+                raise SchemaError(f"{where}: expected an object with keys {list(required)}")
+            sample_id = str(record["id"])
+            if sample_id in seen:
+                raise SchemaError(f"{where}: duplicate sample id {sample_id!r}")
+            seen.add(sample_id)
+            yield where, sample_id, record
+
+
+@contextmanager
+def errors_at(where: str):
+    """Prefix ``where`` (a file, line or entry) to any poselik error raised inside."""
+    try:
+        yield
+    except PoseLikError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 def load_skeleton_file(path) -> Skeleton:
-    return validate_skeleton(_load_json(path))
+    doc = read_json(path)
+    with errors_at(path):
+        return validate_skeleton(doc)
 
 
 def load_model_file(path) -> PoseModelParams:
-    return model_from_dict(_load_json(path))
+    doc = read_json(path)
+    with errors_at(path):
+        return model_from_dict(doc)
 
 
 def save_model_file(params: PoseModelParams, path) -> None:

@@ -100,17 +100,16 @@ def _random_score(seed: int, sample_id: str) -> float:
 def score_pool(
     pool: SamplePool,
     strategy: str,
-    params: PoseModelParams | dict[str, PoseModelParams] | None = None,
+    params: PoseModelParams | None = None,
     *,
     mode: str = "expected",
     seed: int = 0,
 ) -> dict[str, float]:
     """Score every unlabeled sample under one strategy.
 
-    ``params`` is either one fitted model shared by every sample or a
-    per-sample map keyed by id; it is required for ``vl4pose`` only.
-    ``mode`` picks the vl4pose flavor: the expectation over peak
-    distributions (default) or the refined maximum.
+    ``params`` is the fitted model shared by every sample; it is required
+    for ``vl4pose`` only. ``mode`` picks the vl4pose flavor: the
+    expectation over peak distributions (default) or the refined maximum.
     """
     _check_strategy(strategy)
     if mode not in ("expected", "max"):
@@ -129,16 +128,10 @@ def score_pool(
         if strategy == "entropy":
             scores[sample_id] = multi_peak_entropy(peaks)
             continue
-        if isinstance(params, dict):
-            sample_params = params.get(sample_id)
-            if sample_params is None:
-                raise MissingParams(f"no model parameters for sample {sample_id!r}")
-        else:
-            sample_params = params
         if mode == "expected":
-            scores[sample_id] = expected_log_likelihood(peaks, sample_params).total
+            scores[sample_id] = expected_log_likelihood(peaks, params).total
         else:
-            scores[sample_id] = refine_pose(peaks, sample_params).log_likelihood
+            scores[sample_id] = refine_pose(peaks, params).log_likelihood
     return scores
 
 

@@ -76,8 +76,6 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimulationConfig":
-        if not isinstance(doc, dict):
-            raise ConfigInvalid("config must be a JSON object")
         top = _take_keys(
             doc,
             required=("seed", "rounds", "budget", "pool", "skeleton",
@@ -108,7 +106,10 @@ class SimulationConfig:
                 "config.ood_generator must differ from config.generator in at "
                 "least one field"
             )
-        strategies = tuple(top.get("strategies", STRATEGIES))
+        strategies = top.get("strategies", list(STRATEGIES))
+        if not isinstance(strategies, list) or not all(isinstance(s, str) for s in strategies):
+            raise ConfigInvalid(f"config.strategies must be a list of names, got {strategies!r}")
+        strategies = tuple(strategies)
         if not strategies:
             raise ConfigInvalid("config.strategies must not be empty")
         if len(set(strategies)) != len(strategies):
@@ -223,7 +224,10 @@ def _as_int(value, where: str, minimum: int) -> int:
 def _as_float(value, where: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"{where} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value):
         raise ConfigInvalid(f"{where} must be finite, got {value}")
     if positive and value <= 0.0:

@@ -230,6 +230,13 @@ class TestLabeledPoseFile:
         path.write_text(dup + "\n" + dup + "\n", encoding="utf-8")
         with pytest.raises(SchemaError, match="duplicate"):
             read_labeled_poses(path)
+        # not UTF-8, nested too deep, a coordinate that is not finite or beyond the float range
+        big = b"1" + b"0" * 400
+        for data in (b"\xff\n", b"[" * 200_000 + b"\n", b'{"id": "a", "pose": [[0, NaN]]}\n',
+                     b'{"id": "a", "pose": [[0, ' + big + b"]]}\n"):
+            path.write_bytes(data)
+            with pytest.raises(SchemaError, match=":1: "):
+                read_labeled_poses(path)
 
 
 class TestPerImageParams:
@@ -284,6 +291,13 @@ class TestPerImageParams:
             model_kind="offset",
         )
         with pytest.raises(CovarianceNotSPD, match="imgZ"):
+            load_image_params(path, skel)
+        path = self.write_file(
+            tmp_path,
+            {"imgW": {"links": [{"offset": [0, 0], "covariance": [[6.0, 1.0], [1.0]]}]}},
+            model_kind="offset",
+        )
+        with pytest.raises(SchemaError, match=r"'imgW': links\[0\]"):
             load_image_params(path, skel)
 
     def test_document_level_errors(self, tmp_path):

@@ -357,11 +357,21 @@ class TestSelectCommand:
 
     def test_malformed_score_files_exit_3(self, tmp_path, capsys):
         bad_json = tmp_path / "bad.jsonl"
-        bad_json.write_text("{nope\n", encoding="utf-8")
-        assert run_cli(
-            ["select", "--scores", str(bad_json), "--strategy", "vl4pose",
-             "--budget", "1", "--out", str(tmp_path / "x.json")]
-        ) == 3
+        for data in (
+            b"{nope\n",
+            b"\xff\n",  # not UTF-8
+            b"[" * 200_000 + b"\n",  # nested too deep
+            b'{"id": "b", "total": 1.0}\n{"id": "a", "total": NaN}\n',  # NaN has no rank
+            b'{"id": "a", "total": 1' + b"0" * 400 + b"}\n",  # beyond the float range
+        ):
+            bad_json.write_bytes(data)
+            assert run_cli(
+                ["select", "--scores", str(bad_json), "--strategy", "vl4pose",
+                 "--budget", "1", "--out", str(tmp_path / "x.json")]
+            ) == 3
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and f"{bad_json}:" in err[0]
+            assert not (tmp_path / "x.json").exists()
         missing_field = self.write_scores(tmp_path, [{"id": "a", "confidence": 1.0}])
         assert run_cli(
             ["select", "--scores", str(missing_field), "--strategy", "vl4pose",
@@ -582,10 +592,13 @@ class TestSimulateCommand:
             ["simulate", "--config", str(config_path), "--out", str(tmp_path / "x.json")]
         ) == 3
         assert "surprise" in capsys.readouterr().err
-        config_path.write_text("{not json", encoding="utf-8")
-        assert run_cli(
-            ["simulate", "--config", str(config_path), "--out", str(tmp_path / "x.json")]
-        ) == 3
+        for data in (b"{not json", b"\xff", b"[" * 200_000):
+            config_path.write_bytes(data)
+            assert run_cli(
+                ["simulate", "--config", str(config_path), "--out", str(tmp_path / "x.json")]
+            ) == 3
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and f"{config_path}: invalid JSON" in err[0]
 
     @pytest.mark.parametrize("infeasible", ["distractor", "link_lengths"])
     def test_infeasible_config_exits_3_without_outputs(self, tmp_path, capsys, infeasible):
@@ -602,7 +615,7 @@ class TestSimulateCommand:
             ["simulate", "--config", str(self.write_config(tmp_path, doc)), "--out", str(out)]
         ) == 3
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "grid" in err[0]
+        assert len(err) == 1 and "grid" in err[0] and "config.json" in err[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 

@@ -97,9 +97,10 @@ class TestValidateSkeleton:
 
     def test_bad_dimension(self):
         doc = star_doc()
-        doc["dimension"] = 4
-        with pytest.raises(SchemaError):
-            validate_skeleton(doc)
+        for dimension in (4, 2.0, True):  # 2.0 would reach np.eye as a float
+            doc["dimension"] = dimension
+            with pytest.raises(SchemaError):
+                validate_skeleton(doc)
 
     def test_missing_keys_and_wrong_types(self):
         with pytest.raises(SchemaError):
@@ -288,7 +289,18 @@ class TestJsonSchema:
         arr.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(SchemaError):
             load_skeleton_file(arr)
+        for data in (b"\xff", b"[" * 200_000):  # not UTF-8, nested too deep
+            bad.write_bytes(data)
+            with pytest.raises(SchemaError, match="invalid JSON"):
+                load_skeleton_file(bad)
         incomplete = tmp_path / "inc.json"
         incomplete.write_text(json.dumps(star_doc()), encoding="utf-8")
         with pytest.raises(SchemaError, match="model_kind"):
             load_model_file(incomplete)
+        doc = dict(star_doc(), model_kind="offset")
+        for bad_entry in ({"offset": [0.0, 0.0], "covariance": [[6.0, 1.0], [1.0]]},
+                          {"offset": [{}, 1.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]}):
+            doc["params"] = [bad_entry] * len(doc["links"])
+            incomplete.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(SchemaError, match=r"inc\.json: params\[0\]"):
+                load_model_file(incomplete)

@@ -7,12 +7,18 @@ extraction is checked bit for bit against a per-joint loop on grids
 full of ties, plateaus and negative maxima, the heatmap renderer (cached
 table windows and direct bumps) against its out-of-place formula, and the
 ranking AUC against its pairwise definition. Fuzzed manifests and heatmap
-files must read back exactly or raise only ``PoseLikError``s.
+files must read back exactly or raise only ``PoseLikError``s, and every
+command must turn any bytes in any of its JSON inputs into a documented exit
+code with at most one stderr line and, on failure, no output.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
+import math
 import os
 import struct
 
@@ -33,6 +39,7 @@ from poselik import (
     TruncatedPayload,
     VersionUnsupported,
     brute_force_best_pose,
+    cli,
     extract_peaks,
     ood_ranking_auc,
     point_log_likelihood,
@@ -339,3 +346,148 @@ def test_corrupt_heatmap_files_raise_only_poselik_errors(scratch, corrupted):
         read_heatmap_file(path)
     except PoseLikError:
         pass
+
+
+# --- every JSON input of every command ---------------------------------------------
+
+def _jsonl(*records) -> bytes:
+    return "".join(json.dumps(record) + "\n" for record in records).encode("utf-8")
+
+
+def _pose(shift: int) -> list:
+    return [[8 + shift, 4], [8 + shift, 8], [8, 12 + shift]]
+
+
+_SKELETON = {
+    "joints": ["a", "b", "c"], "root": "a", "dimension": 2, "links": [["a", "b"], ["b", "c"]],
+}
+_OFFSET = {"offset": [0.0, 4.0], "covariance": [[1.0, 0.25], [0.25, 1.0]]}
+_SIM_GENERATOR = {
+    "link_means": [3.0, 3.0], "link_sds": [0.5, 0.5], "angle_ranges": [[-0.5, 0.5]] * 2,
+}
+VALID_INPUTS = {
+    "skeleton.json": json.dumps(_SKELETON).encode("utf-8"),
+    "model.json": json.dumps(dict(
+        _SKELETON, model_kind="offset", params=[_OFFSET, _OFFSET],
+        root_params={"offset": [8.0, 4.0], "covariance": [[4.0, 0.0], [0.0, 4.0]]},
+    )).encode("utf-8"),
+    "per_image.json": json.dumps({"model_kind": "distance", "per_image": {
+        f"s{i}": {"links": [{"mean": 4.0, "sigma": 1.0}] * 2, "root": {"mean": 9.0, "sigma": 3.0}}
+        for i in range(2)
+    }}).encode("utf-8"),
+    "manifest.jsonl": _jsonl(*({"id": f"s{i}", "path": f"s{i}.pshm"} for i in range(2))),
+    "poses.jsonl": _jsonl(*({"id": f"s{i}", "pose": _pose(i)} for i in range(2))),
+    "labeled.jsonl": _jsonl(*({"id": i, "pose": _pose(i)} for i in range(3))),
+    "scores.jsonl": _jsonl(
+        {"id": "a", "total": -3.5, "entropy": 0.25},
+        {"id": "b", "total": -math.inf, "entropy": 1.0},
+        {"id": "c", "score": 1, "total": 0.5},
+    ),
+    "config.json": json.dumps({
+        "seed": 7, "rounds": 1, "budget": 1, "ranking_mode": "max",
+        "initial_random_fraction": 0.0, "strategies": ["vl4pose", "entropy", "random"],
+        "pool": {"labeled": 3, "unlabeled": 3, "ood": 1, "heldout": 1},
+        "skeleton": {"joints": 3}, "generator": _SIM_GENERATOR,
+        "ood_generator": dict(_SIM_GENERATOR, link_means=[5.0, 5.0]),
+        "heatmap": {"height": 16, "width": 16, "peak_sigma": 1.0,
+                    "distractors": 1, "distractor_amplitude": 0.5},
+    }).encode("utf-8"),
+}
+_MODEL = ["--skeleton", "skeleton.json", "--params", "model.json", "--heatmaps", "manifest.jsonl"]
+CLI_RUNS = (
+    ["score", *_MODEL],
+    ["score", "--skeleton", "skeleton.json", "--params", "per_image.json", "--per-image",
+     "--heatmaps", "manifest.jsonl"],
+    ["score", *_MODEL, "--mode", "point", "--poses", "poses.jsonl"],
+    ["refine", *_MODEL],
+    ["maxima", "--heatmaps", "manifest.jsonl"],
+    ["select", "--scores", "scores.jsonl", "--strategy", "vl4pose", "--budget", "1"],
+    ["select", "--scores", "scores.jsonl", "--strategy", "entropy", "--budget", "2"],
+    ["calibrate", "--skeleton", "skeleton.json", "--labeled", "labeled.jsonl", "--model", "offset"],
+    ["simulate", "--config", "config.json"],
+)
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cli-inputs")
+    for name, data in VALID_INPUTS.items():
+        (directory / name).write_bytes(data)
+    for i in range(2):
+        heatmap = render_gaussian_heatmap(Pose.of(_pose(i)), 16, 16, 1.0, [(1, (2, 2), 0.7)])
+        write_heatmap_file(heatmap, directory / f"s{i}.pshm")
+    (directory / "out").mkdir()
+    return directory
+
+
+def _paths(value, prefix=()):
+    """Every path of keys and indices into a JSON value, the empty one first."""
+    yield prefix
+    if isinstance(value, (dict, list)):
+        for key, inner in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(inner, prefix + (key,))
+
+
+def _replace(value, path, new):
+    if not path:
+        return new
+    value[path[0]] = _replace(value[path[0]], path[1:], new)
+    return value
+
+
+# One value of each JSON type, the awkward ones first: non-finite,
+# out-of-float-range and integral float numbers, empty and unhashable containers.
+odd_value = st.sampled_from((
+    math.nan, math.inf, -math.inf, 10**400, -(10**400), 0, -1, 0.5, 2.0, None, True, "", "x",
+    [], [[1]], [{}], {}, {"": 0},
+)) | json_value
+
+
+@st.composite
+def corrupted_inputs(draw):
+    """(file name, bytes): one valid input made random, cut short, not UTF-8,
+    nested too deep, or holding a value of the wrong type somewhere."""
+    name = draw(st.sampled_from(sorted(VALID_INPUTS)))
+    valid = VALID_INPUTS[name]
+    kind = draw(st.sampled_from(("random", "truncated", "not_utf8", "deep") + ("retyped",) * 4))
+    cut = draw(st.integers(0, len(valid)))
+    if kind == "random":
+        return name, draw(st.binary(max_size=64))
+    if kind == "truncated":
+        return name, valid[:cut]
+    if kind == "not_utf8":  # a stray byte, a cut-off sequence, an encoded surrogate
+        bad = draw(st.sampled_from((b"\xff", b"\xc3", b"\xed\xa0\x80")))
+        return name, valid[:cut] + bad + valid[cut:]
+    if kind == "deep":
+        return name, valid[:cut] + b"[" * 100_000 + valid[cut:]
+    docs = [json.loads(line) for line in valid.splitlines()]
+    at = draw(st.integers(0, len(docs) - 1))
+    path = draw(st.sampled_from(list(_paths(docs[at]))))
+    old = functools.reduce(lambda value, key: value[key], path, docs[at])
+    docs[at] = _replace(docs[at], path, draw(odd_value.filter(lambda v: type(v) is not type(old))))
+    return name, "\n".join(json.dumps(doc) for doc in docs).encode("utf-8")
+
+
+@PROPERTY_SETTINGS
+@given(corrupted_inputs())
+def test_every_command_survives_any_json_input(cli_dir, corrupted):
+    name, data = corrupted
+    out = cli_dir / "out"
+    (cli_dir / name).write_bytes(data)
+    try:
+        for argv in (argv for argv in CLI_RUNS if name in argv):
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = cli.main([str(cli_dir / a) if a in VALID_INPUTS else a for a in argv]
+                                + ["--out", str(out / "result")])
+            lines = stderr.getvalue().splitlines()
+            assert code in (0, 2, 3, 4), (argv, code)
+            assert len(lines) <= 1 and "Traceback" not in stderr.getvalue(), (argv, lines)
+            if code == 3:  # a bad input: the one line names its file
+                assert name in lines[0], (argv, lines)
+            if code != 0:
+                assert os.listdir(out) == [], (argv, lines)
+            for leftover in out.iterdir():
+                leftover.unlink()
+    finally:
+        (cli_dir / name).write_bytes(VALID_INPUTS[name])

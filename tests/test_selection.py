@@ -141,15 +141,6 @@ class TestScorePool:
             scores = score_pool(pool, strategy, chain_model())
             assert scores["a"] == scores["b"]
 
-    def test_per_image_params_map(self):
-        hm = render(vertical_pose(3))
-        pool = make_pool({"a": hm, "b": Heatmap(hm.values.copy())})
-        per_image = {"a": chain_model(mean=6.0), "b": chain_model(mean=30.0)}
-        scores = score_pool(pool, "vl4pose", per_image)
-        assert scores["a"] > scores["b"]  # the far-off prior tanks sample b
-        with pytest.raises(MissingParams, match="'b'"):
-            score_pool(pool, "vl4pose", {"a": chain_model()})
-
     def test_max_mode_uses_refined_likelihood(self):
         pool = make_pool({"a": render(vertical_pose(3))})
         model = chain_model()

@@ -81,6 +81,11 @@ class TestConfigParsing:
             (lambda d: d.update(initial_random_fraction=1.5), "[0, 1]"),
             (lambda d: d["heatmap"].update(distractor_amplitude=1.5), "<= 1"),
             (lambda d: d["heatmap"].update(peak_sigma=0.0), "> 0"),
+            (lambda d: d["heatmap"].update(peak_sigma=10**400), "finite"),
+            (lambda d: d.update(strategies=2.5), "list of names"),
+            (lambda d: d.update(strategies=None), "list of names"),
+            (lambda d: d.update(strategies=[[1]]), "list of names"),
+            (lambda d: d.update(strategies="random"), "list of names"),
         ],
     )
     def test_rejects_invalid_documents(self, mutate, message):
