@@ -8,7 +8,6 @@ factorization succeeds). Both are exact MLE solutions, no iteration.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ from .model import (
     _params_of,
     errors_at,
     iter_jsonl,
-    model_to_dict,
     read_json,
 )
 
@@ -134,23 +132,18 @@ def fit_offset_params(data: LabeledPoseSet, parent: int, child: int) -> OffsetPa
     return OffsetParams(offset=mean, covariance=candidate)
 
 
-def fit_model(
-    data: LabeledPoseSet,
-    model_kind: str,
-    root_params=None,
-) -> PoseModelParams:
-    """Fit every link of the skeleton from the labeled poses."""
+def fit_model(data: LabeledPoseSet, model_kind: str) -> PoseModelParams:
+    """Fit every link of the skeleton from the labeled poses; a failed fit
+    names its link."""
     if model_kind not in ("distance", "offset"):
         raise SchemaError(f"unknown model_kind {model_kind!r}")
     fit = fit_distance_params if model_kind == "distance" else fit_offset_params
-    link_params = tuple(
-        fit(data, parent, child) for parent, child in data.skeleton.links
-    )
+    link_params = []
+    for idx, (parent, child) in enumerate(data.skeleton.links):
+        with errors_at(f"link #{idx}"):
+            link_params.append(fit(data, parent, child))
     return PoseModelParams(
-        skeleton=data.skeleton,
-        link_params=link_params,
-        model_kind=model_kind,
-        root_params=root_params,
+        skeleton=data.skeleton, link_params=tuple(link_params), model_kind=model_kind
     )
 
 
@@ -198,11 +191,3 @@ def load_image_params(path, skeleton: Skeleton) -> dict[str, PoseModelParams]:
             out[str(image_id)] = _params_of(skeleton, model_kind, entry, "links", "root")
     return out
 
-
-def save_model_with_meta(path, params: PoseModelParams, sample_count: int) -> None:
-    """Write a fitted model plus the number of poses that produced it."""
-    doc = model_to_dict(params)
-    doc["fit"] = {"sample_count": int(sample_count)}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -29,14 +29,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import __version__
-from .calibration import (
-    LabeledPoseSet,
-    fit_model,
-    load_image_params,
-    read_labeled_poses,
-    save_model_with_meta,
-)
+from .calibration import LabeledPoseSet, fit_model, load_image_params, read_labeled_poses
 from .errors import ConfigInvalid, MissingJoint, MissingParams, PoseLikError, SchemaError
 from .heatmaps import (
     DEFAULT_MAX_PEAKS,
@@ -57,7 +53,9 @@ from .model import (
     iter_jsonl,
     load_model_file,
     load_skeleton_file,
+    model_to_dict,
     read_json,
+    write_json,
 )
 from .selection import _random_score, select_batch
 from .simulation import SimulationConfig, run_simulation
@@ -80,12 +78,6 @@ def _write_jsonl(path: str, records: list[dict]) -> None:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True))
             fh.write("\n")
-
-
-def _write_json(path: str, document: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_atomic(path: str, write: Callable[[str], None]) -> None:
@@ -238,13 +230,14 @@ def _compute_select(args, ctx, timings):
         "selected": list(result.selected),
         "scores": {k: result.scores[k] for k in sorted(result.scores)},
     }
-    return [(args.out, lambda tmp: _write_json(tmp, document))], len(ctx["scores"])
+    return [(args.out, lambda tmp: write_json(tmp, document))], len(ctx["scores"])
 
 
 def _compute_calibrate(args, ctx, timings):
     data = LabeledPoseSet.of(ctx["skeleton"], [pose for _, pose in ctx["labeled"]])
     fitted = fit_model(data, args.model)
-    return [(args.out, lambda tmp: save_model_with_meta(tmp, fitted, data.n_poses))], data.n_poses
+    document = {**model_to_dict(fitted), "fit": {"sample_count": data.n_poses}}
+    return [(args.out, lambda tmp: write_json(tmp, document))], data.n_poses
 
 
 def _load_simulate(args) -> dict:
@@ -257,7 +250,7 @@ def _compute_simulate(args, ctx, timings):
     with errors_at(args.config):  # an infeasible config is found only while generating
         outcome = run_simulation(ctx["cfg"])
     files = [
-        (args.out, lambda tmp: _write_json(tmp, outcome.report)),
+        (args.out, lambda tmp: write_json(tmp, outcome.report)),
         (f"{args.out}.selections.jsonl", lambda tmp: _write_jsonl(tmp, outcome.selections)),
     ]
     return files, ctx["cfg"].unlabeled_size
@@ -327,23 +320,27 @@ def _run(command: str, args: argparse.Namespace) -> int:
     """
     spec = _COMMANDS[command]
     started = time.perf_counter()
-    try:
-        ctx = spec.load(args)
-    except (PoseLikError, OSError) as exc:
-        _error(exc)
-        return 3
-    load_ms = (time.perf_counter() - started) * 1000.0
+    # Extreme finite inputs may overflow to inf or nan on the way; the
+    # parameter checks reject non-finite fits and -inf densities are valid
+    # scores, so numpy's warnings would only add stderr lines.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            ctx = spec.load(args)
+        except (PoseLikError, OSError) as exc:
+            _error(exc)
+            return 3
+        load_ms = (time.perf_counter() - started) * 1000.0
 
-    timings = {"io": load_ms}
-    compute_start = time.perf_counter()
-    try:
-        files, samples = spec.compute(args, ctx, timings)
-    except ConfigInvalid as exc:  # a config no sample can satisfy, not a sample's data
-        _error(exc)
-        return 3
-    except PoseLikError as exc:
-        _error(exc)
-        return 4
+        timings = {"io": load_ms}
+        compute_start = time.perf_counter()
+        try:
+            files, samples = spec.compute(args, ctx, timings)
+        except ConfigInvalid as exc:  # a config no sample can satisfy, not a sample's data
+            _error(exc)
+            return 3
+        except PoseLikError as exc:
+            _error(exc)
+            return 4
     read_ms = timings["io"] - load_ms
     timings["compute"] = (time.perf_counter() - compute_start) * 1000.0 - read_ms
 
@@ -372,7 +369,7 @@ def _run(command: str, args: argparse.Namespace) -> int:
             "samples": samples,
         }
         path = f"{args.out}.manifest.json"
-        _write_atomic(path, lambda tmp: _write_json(tmp, manifest))
+        _write_atomic(path, lambda tmp: write_json(tmp, manifest))
     except OSError as exc:
         _error(f"cannot write {path}: {exc.strerror or exc}")
         return 3

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyPeakSet,
-    MissingJoint,
-    SearchSpaceTooLarge,
-)
+from .errors import DimensionMismatch, EmptyPeakSet, MissingJoint, SearchSpaceTooLarge
 from .heatmaps import PeakSet, entropy_of_probs
 from .model import DistanceParams, LinkParams, OffsetParams, Pose, PoseModelParams
 
@@ -60,8 +55,8 @@ class RefinedPose:
     ``log_likelihood`` is the point log-likelihood of the chosen pose,
     ``root_term + sum(per_link_terms)``; ``objective`` additionally
     includes the per-joint log peak probabilities that drive the
-    selection. Every term is an entry of the density matrices the search
-    maximized over.
+    selection. Every term is an entry of the arrays the search maximized
+    over.
     """
 
     pose: Pose
@@ -86,16 +81,13 @@ class RefinedPose:
 
 # --- link densities ---------------------------------------------------------
 
-def _density_matrix(parent_locs: np.ndarray, child_locs: np.ndarray, params: LinkParams) -> np.ndarray:
-    """(a, b) matrix of link log-densities over candidate location pairs.
+def _log_density(diff: np.ndarray, params: LinkParams) -> np.ndarray:
+    """Log-densities of displacements ``diff`` of any shape ``(..., D)``.
 
-    The one log-density formula per link family: the scalar, point,
-    expected, refined and exhaustive scores all read their link terms from
-    here. Every entry is computed from its own pair by elementwise
-    operations, so an entry does not depend on the shape of the batch it
-    is computed in and a 1x1 call matches the (a, b) call bit for bit.
+    The one formula per link family. Each entry is computed from its own
+    displacement by elementwise operations, so it does not depend on the
+    shape of the batch it is computed in.
     """
-    diff = child_locs[None, :, :] - parent_locs[:, None, :]
     if isinstance(params, DistanceParams):
         dist = np.sqrt((diff * diff).sum(axis=-1))
         z = (dist - params.mean_distance) / params.sigma
@@ -115,11 +107,20 @@ def _density_matrix(parent_locs: np.ndarray, child_locs: np.ndarray, params: Lin
     return -0.5 * maha - 0.5 * params.log_det - 0.5 * params.dimension * LOG_2PI
 
 
-def _root_density_vector(locs: np.ndarray, params: LinkParams | None) -> np.ndarray:
-    if params is None:
-        return np.zeros(locs.shape[0])
-    origin = np.zeros((1, locs.shape[1]))
-    return _density_matrix(origin, locs, params)[0]
+def _terms(locs: list[np.ndarray], params: PoseModelParams):
+    """Every density term of one sample, which every scoring mode reads: the
+    root prior ``(K_root,)`` and, per link in declaration order, a
+    ``(K_parent, K_child)`` matrix over candidate locations ``locs[j]``
+    ``(K_j, D)``. A root prior scores a location as a displacement from the
+    origin; the uniform default scores zero.
+    """
+    root, prior = locs[params.skeleton.root], params.root_params
+    root_vector = np.zeros(len(root)) if prior is None else _log_density(root, prior)
+    link_matrices = [
+        _log_density(locs[child][None, :, :] - locs[parent][:, None, :], law)
+        for law, (parent, child) in zip(params.link_params, params.skeleton.links)
+    ]
+    return root_vector, link_matrices
 
 
 def link_log_density(parent_loc, child_loc, params: LinkParams) -> float:
@@ -132,7 +133,7 @@ def link_log_density(parent_loc, child_loc, params: LinkParams) -> float:
         raise DimensionMismatch(
             f"locations must be {params.dimension}-vectors for this offset model"
         )
-    return float(_density_matrix(parent[None, :], child[None, :], params)[0, 0])
+    return float(_log_density(child - parent, params))
 
 
 def link_log_density_distance(parent_loc, child_loc, params: DistanceParams) -> float:
@@ -178,13 +179,9 @@ def _check_pose(pose: Pose, params: PoseModelParams) -> None:
 def point_log_likelihood(pose: Pose, params: PoseModelParams) -> LikelihoodReport:
     """Log-likelihood of one complete pose: root prior + per-link terms."""
     _check_pose(pose, params)
-    skel = params.skeleton
-    coords = pose.coordinates
-    terms = [
-        link_log_density(coords[parent], coords[child], params.link_params[idx])
-        for idx, (parent, child) in enumerate(skel.links)
-    ]
-    root_term = root_log_density(coords[skel.root], params.root_params)
+    root_vector, link_matrices = _terms(list(pose.coordinates[:, None, :]), params)
+    terms = [float(m[0, 0]) for m in link_matrices]
+    root_term = float(root_vector[0])
     return LikelihoodReport(
         total=root_term + sum(terms),
         per_link_terms=tuple(terms),
@@ -193,7 +190,13 @@ def point_log_likelihood(pose: Pose, params: PoseModelParams) -> LikelihoodRepor
     )
 
 
-def _peak_arrays(peaks: PeakSet, params: PoseModelParams):
+def _per_joint(peaks: PeakSet, values: np.ndarray) -> list[np.ndarray]:
+    """Per-joint views of one per-peak array."""
+    bounds = peaks.offsets.tolist()
+    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _peak_locs(peaks: PeakSet, params: PoseModelParams) -> list[np.ndarray]:
     skel = params.skeleton
     if peaks.joint_count != skel.n_joints:
         raise DimensionMismatch(
@@ -204,9 +207,7 @@ def _peak_arrays(peaks: PeakSet, params: PoseModelParams):
     counts = peaks.counts()
     if 0 in counts:
         raise EmptyPeakSet(f"joint {skel.joints[counts.index(0)]!r} has no candidate peaks")
-    bounds = peaks.offsets.tolist()
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    return [peaks.locs[a:b] for a, b in spans], [peaks.probs[a:b] for a, b in spans]
+    return _per_joint(peaks, peaks.locs)
 
 
 def expected_log_likelihood(peaks: PeakSet, params: PoseModelParams) -> LikelihoodReport:
@@ -217,13 +218,14 @@ def expected_log_likelihood(peaks: PeakSet, params: PoseModelParams) -> Likeliho
     averages the root prior the same way. With single-peak joints this
     reduces to the point log-likelihood of the argmax pose.
     """
-    locs, probs = _peak_arrays(peaks, params)
+    root_vector, link_matrices = _terms(_peak_locs(peaks, params), params)
+    probs = _per_joint(peaks, peaks.probs)
     skel = params.skeleton
-    terms = []
-    for idx, (parent, child) in enumerate(skel.links):
-        m = _density_matrix(locs[parent], locs[child], params.link_params[idx])
-        terms.append(float(probs[parent] @ m @ probs[child]))
-    root_term = float(probs[skel.root] @ _root_density_vector(locs[skel.root], params.root_params))
+    terms = [
+        float(probs[parent] @ m @ probs[child])
+        for m, (parent, child) in zip(link_matrices, skel.links)
+    ]
+    root_term = float(probs[skel.root] @ root_vector)
     return LikelihoodReport(
         total=root_term + sum(terms),
         per_link_terms=tuple(terms),
@@ -239,10 +241,9 @@ def multi_peak_entropy(peaks: PeakSet) -> float:
     counts = peaks.counts()
     if 0 in counts:
         raise EmptyPeakSet(f"joint #{counts.index(0)} has no candidate peaks")
-    bounds, probs = peaks.offsets.tolist(), peaks.probs.tolist()
     total = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        total += entropy_of_probs(probs[a:b])
+    for probs in _per_joint(peaks, peaks.probs.tolist()):
+        total += entropy_of_probs(probs)
     return total
 
 
@@ -252,64 +253,51 @@ def _joint_log_probs(peaks: PeakSet) -> list[np.ndarray]:
     """Per-joint views of the log peak probabilities, one ``np.log`` for all."""
     with np.errstate(divide="ignore"):
         logs = np.log(peaks.probs)  # log(0) -> -inf: a zero-probability peak is never chosen
-    bounds = peaks.offsets.tolist()
-    return [logs[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def _objective(probs: list[np.ndarray], indices, root_term: float, link_terms) -> float:
-    """Canonical sum of one selection's terms: joint log peak probabilities,
-    root prior, then links in declaration order. The tree DP, the
-    exhaustive scorer and :func:`refinement_objective` all add in this
-    order, so they report bit-identical values for the same selection."""
-    total = 0.0
-    for j, i in enumerate(indices):
-        p = probs[j][i]
-        total += math.log(p) if p > 0.0 else -math.inf
-    total += root_term
-    for term in link_terms:
-        total += term
-    return total
-
-
-def refinement_objective(
-    peaks: PeakSet, params: PoseModelParams, indices: tuple[int, ...] | list[int]
-) -> float:
-    """Score of one peak selection: log peak probabilities + link densities."""
-    locs, probs = _peak_arrays(peaks, params)
-    skel = params.skeleton
-    root_term = root_log_density(locs[skel.root][indices[skel.root]], params.root_params)
-    link_terms = [
-        link_log_density(
-            locs[parent][indices[parent]], locs[child][indices[child]], params.link_params[idx]
-        )
-        for idx, (parent, child) in enumerate(skel.links)
-    ]
-    return _objective(probs, indices, root_term, link_terms)
+    return _per_joint(peaks, logs)
 
 
 def _finish(
     peaks: PeakSet,
     params: PoseModelParams,
-    probs: list[np.ndarray],
+    log_probs: list[np.ndarray],
     root_vector: np.ndarray,
     link_matrices: list[np.ndarray],
     indices: list[int],
 ) -> RefinedPose:
-    """Gather the chosen entries from the densities the search already built."""
+    """Gather one selection's entries from the arrays the search maximized.
+
+    ``objective`` adds them in the canonical order: joint log peak
+    probabilities, root prior, then links in declaration order. The tree
+    DP, the exhaustive scorer and :func:`refinement_objective` all finish
+    here, so they report bit-identical values for the same selection.
+    """
     skel = params.skeleton
     root_term = float(root_vector[indices[skel.root]])
     link_terms = tuple(
         float(link_matrices[idx][indices[parent], indices[child]])
         for idx, (parent, child) in enumerate(skel.links)
     )
+    joint_terms = [float(logs[i]) for logs, i in zip(log_probs, indices)]
+    objective = 0.0
+    for term in (*joint_terms, root_term, *link_terms):
+        objective += term
     return RefinedPose(
         pose=Pose.of(peaks.locs[peaks.offsets[:-1] + indices]),
         log_likelihood=root_term + sum(link_terms),
         chosen_peak_index=tuple(int(i) for i in indices),
-        objective=_objective(probs, indices, root_term, link_terms),
+        objective=objective,
         per_link_terms=link_terms,
         root_term=root_term,
     )
+
+
+def refinement_objective(
+    peaks: PeakSet, params: PoseModelParams, indices: tuple[int, ...] | list[int]
+) -> float:
+    """Score of one peak selection: log peak probabilities + root and link
+    densities, exactly as :func:`refine_pose` reports it for that selection."""
+    terms = _terms(_peak_locs(peaks, params), params)
+    return _finish(peaks, params, _joint_log_probs(peaks), *terms, list(indices)).objective
 
 
 def refine_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
@@ -322,21 +310,16 @@ def refine_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
     lowest peak index at each joint, root first, which makes the result
     the lexicographically smallest maximizer in breadth-first joint order.
     """
-    locs, probs = _peak_arrays(peaks, params)
+    root_vector, link_matrices = _terms(_peak_locs(peaks, params), params)
     log_probs = _joint_log_probs(peaks)
     skel = params.skeleton
-    n = skel.n_joints
-    root_vector = _root_density_vector(locs[skel.root], params.root_params)
-    link_matrices: list[np.ndarray] = [None] * skel.n_links
-    subtree: list[np.ndarray | None] = [None] * n
+    subtree: list[np.ndarray | None] = [None] * skel.n_joints
     choice: dict[tuple[int, int], np.ndarray] = {}
 
     for j in reversed(skel.bfs_joints):
         score = log_probs[j].copy()
         for link_idx, child in skel.children_links[j]:
-            m = _density_matrix(locs[j], locs[child], params.link_params[link_idx])
-            link_matrices[link_idx] = m
-            combined = m + subtree[child][None, :]
+            combined = link_matrices[link_idx] + subtree[child][None, :]
             best = np.argmax(combined, axis=1)  # first max = lowest peak index
             score += combined[np.arange(combined.shape[0]), best]
             choice[(j, child)] = best
@@ -344,12 +327,12 @@ def refine_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
             score += root_vector
         subtree[j] = score
 
-    indices = [0] * n
+    indices = [0] * skel.n_joints
     indices[skel.root] = int(np.argmax(subtree[skel.root]))
     for j in skel.bfs_joints:
         for _, child in skel.children_links[j]:
             indices[child] = int(choice[(j, child)][indices[j]])
-    return _finish(peaks, params, probs, root_vector, link_matrices, indices)
+    return _finish(peaks, params, log_probs, root_vector, link_matrices, indices)
 
 
 def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
@@ -360,7 +343,7 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
     refinement tie-break. Guarded to :data:`BRUTE_FORCE_GUARD`
     configurations.
     """
-    locs, probs = _peak_arrays(peaks, params)
+    locs = _peak_locs(peaks, params)
     skel = params.skeleton
     counts = peaks.counts()
     space = math.prod(counts)
@@ -378,11 +361,7 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
             full[axis] = size
         return arr.reshape(full)
 
-    root_vector = _root_density_vector(locs[skel.root], params.root_params)
-    link_matrices = [
-        _density_matrix(locs[parent], locs[child], params.link_params[idx])
-        for idx, (parent, child) in enumerate(skel.links)
-    ]
+    root_vector, link_matrices = _terms(locs, params)
     log_probs = _joint_log_probs(peaks)
     total = np.zeros(shape)
     for j in order:
@@ -397,4 +376,4 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
     indices = [0] * skel.n_joints
     for a, j in enumerate(order):
         indices[j] = int(per_axis[a])
-    return _finish(peaks, params, probs, root_vector, link_matrices, indices)
+    return _finish(peaks, params, log_probs, root_vector, link_matrices, indices)

@@ -407,11 +407,12 @@ def _params_of(skeleton, model_kind, doc: dict, links_key: str, root_key: str) -
     )
 
 
-# --- input files ------------------------------------------------------------------
+# --- JSON files -------------------------------------------------------------------
 #
-# Every JSON and JSON-lines input goes through one of these two readers. Bytes
-# that are not UTF-8 become lone surrogates: invalid JSON outside a string, the
-# file's raw bytes inside one. RecursionError is JSON nested too deep.
+# Every JSON and JSON-lines input goes through one of the two readers, and every
+# JSON output through ``write_json``. Bytes that are not UTF-8 become lone
+# surrogates: invalid JSON outside a string, the file's raw bytes inside one.
+# RecursionError is JSON nested too deep.
 
 def read_json(path) -> dict:
     """The JSON object that makes up the whole file at ``path``."""
@@ -454,6 +455,13 @@ def iter_jsonl(path, *keys):
             yield where, sample_id, record
 
 
+def write_json(path, doc: dict) -> None:
+    """Write ``doc`` as indented JSON with sorted keys and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @contextmanager
 def errors_at(where: str):
     """Prefix ``where`` (a file, line or entry) to any poselik error raised inside."""
@@ -476,6 +484,4 @@ def load_model_file(path) -> PoseModelParams:
 
 
 def save_model_file(params: PoseModelParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(params), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_dict(params))

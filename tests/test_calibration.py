@@ -25,7 +25,6 @@ from poselik import (
     read_labeled_poses,
     validate_skeleton,
 )
-from poselik.calibration import save_model_with_meta
 
 from _helpers import oracle_weighted_mean_sd, random_tree_skeleton
 
@@ -309,14 +308,3 @@ class TestPerImageParams:
         path.write_text(json.dumps({"model_kind": "nope", "per_image": {}}), encoding="utf-8")
         with pytest.raises(SchemaError, match="model_kind"):
             load_image_params(path, skel)
-
-    def test_save_model_with_meta(self, tmp_path):
-        skel = validate_skeleton(TWO_JOINTS)
-        data = LabeledPoseSet.of(skel, poses_with_distances([4, 6, 8]))
-        fitted = fit_model(data, "distance")
-        out = tmp_path / "fitted.json"
-        save_model_with_meta(out, fitted, data.n_poses)
-        doc = json.loads(out.read_text(encoding="utf-8"))
-        assert doc["fit"] == {"sample_count": 3}
-        assert doc["model_kind"] == "distance"
-        assert doc["params"][0]["mean"] == pytest.approx(6.0)

@@ -455,6 +455,27 @@ class TestCalibrateCommand:
              "--model", "distance", "--out", str(tmp_path / "x.json")]
         ) == 3
 
+    @pytest.mark.parametrize("model", ["distance", "offset"])
+    def test_overflowing_fit_exits_4_naming_the_link(self, tmp_path, capsys, model):
+        skeleton_path = tmp_path / "skel.json"
+        skeleton_path.write_text(json.dumps(SKELETON_DOC), encoding="utf-8")
+        labeled_path = tmp_path / "labeled.jsonl"
+        labeled_path.write_text(
+            "".join(
+                json.dumps({"id": f"p{i}", "pose": [[20, 10], [20, 14 + i], [row, 10]]}) + "\n"
+                for i, row in enumerate([1e308, -1e308, 1e308, -1e308])
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "x.json"
+        assert run_cli(
+            ["calibrate", "--skeleton", str(skeleton_path), "--labeled", str(labeled_path),
+             "--model", model, "--out", str(out)]
+        ) == 4
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1 and "link #1" in err_lines[0]
+        assert not out.exists() and not (tmp_path / "x.json.manifest.json").exists()
+
 
 class TestMaximaCommand:
     def two_bump_inputs(self, tmp_path):

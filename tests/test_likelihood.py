@@ -22,7 +22,6 @@ from poselik import (
     multi_peak_entropy,
     point_log_likelihood,
     refine_pose,
-    refinement_objective,
     root_log_density,
     validate_skeleton,
 )
@@ -367,16 +366,6 @@ class TestRefinePose:
         # Configurations (0,0) and (1,1) score identically; BFS-lex picks (0,0).
         assert refine_pose(peaks, model).chosen_peak_index == (0, 0)
         assert brute_force_best_pose(peaks, model).chosen_peak_index == (0, 0)
-
-    def test_refinement_objective_is_canonical(self):
-        rng = np.random.default_rng(42)
-        skel = random_tree_skeleton(rng, 5)
-        model = random_distance_model(rng, skel, root_prior=True)
-        peaks = random_peakset(rng, 5, max_peaks=3)
-        refined = refine_pose(peaks, model)
-        assert refined.objective == refinement_objective(
-            peaks, model, refined.chosen_peak_index
-        )
 
     def test_brute_force_guard(self):
         skel = chain(7)

@@ -2,7 +2,8 @@
 
 The fixed-seed tests and criterion 1 cover distance models; these
 properties add offset models and root priors, and check that a refined
-pose reports the same terms as scoring that pose directly. Peak
+pose reports the same terms as scoring that pose directly and the same
+objective as scoring its selection, which no other selection beats. Peak
 extraction is checked bit for bit against a per-joint loop on grids
 full of ties, plateaus and negative maxima, the heatmap renderer (cached
 table windows and direct bumps) against its out-of-place formula, and the
@@ -46,13 +47,20 @@ from poselik import (
     read_heatmap_file,
     read_manifest,
     refine_pose,
+    refinement_objective,
     render_gaussian_heatmap,
     validate_skeleton,
     write_heatmap_file,
 )
 from poselik.heatmaps import _gaussian_table
 
-from _helpers import oracle_auc, oracle_peaks, peakset_of, render_reference
+from _helpers import (
+    oracle_auc,
+    oracle_config_objective,
+    oracle_peaks,
+    peakset_of,
+    render_reference,
+)
 
 GRID = 32
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -129,14 +137,19 @@ def test_refinement_matches_exhaustive_search_for_offset_models(instance):
 
 
 @PROPERTY_SETTINGS
-@given(instances())
-def test_refined_terms_equal_point_scoring_of_the_pose(instance):
+@given(instances(), st.data())
+def test_refined_terms_equal_point_scoring_of_the_pose(instance, data):
     peaks, model = instance
     refined = refine_pose(peaks, model)
     report = point_log_likelihood(refined.pose, model)
     assert refined.per_link_terms == report.per_link_terms
     assert refined.root_term == report.root_term
     assert refined.log_likelihood == report.total
+    assert refinement_objective(peaks, model, refined.chosen_peak_index) == refined.objective
+    indices = [data.draw(st.integers(0, count - 1)) for count in peaks.counts()]
+    objective = refinement_objective(peaks, model, indices)
+    assert objective == pytest.approx(oracle_config_objective(peaks, model, indices), abs=1e-9)
+    assert objective <= refined.objective + 1e-9
 
 
 @st.composite
