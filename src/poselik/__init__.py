@@ -65,7 +65,9 @@ from .likelihood import (
     link_log_density_offset,
     multi_peak_entropy,
     point_log_likelihood,
+    point_log_likelihoods,
     refine_pose,
+    refined_log_likelihoods,
     refinement_objective,
     root_log_density,
 )

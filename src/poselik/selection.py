@@ -26,7 +26,12 @@ from .errors import (
     SchemaError,
 )
 from .heatmaps import Heatmap, PeakSet, extract_peaks
-from .likelihood import expected_log_likelihood, multi_peak_entropy, refine_pose
+from .likelihood import (
+    expected_log_likelihood,
+    multi_peak_entropy,
+    refine_pose,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
+    refined_log_likelihoods,
+)
 from .model import Pose, PoseModelParams
 
 STRATEGIES = ("vl4pose", "entropy", "random")
@@ -109,7 +114,8 @@ def score_pool(
 
     ``params`` is the fitted model shared by every sample; it is required
     for ``vl4pose`` only. ``mode`` picks the vl4pose flavor: the
-    expectation over peak distributions (default) or the refined maximum.
+    expectation over peak distributions (default) or the refined maximum,
+    which one batched tree DP computes for the whole pool.
     """
     _check_strategy(strategy)
     if mode not in ("expected", "max"):
@@ -118,6 +124,9 @@ def score_pool(
         raise MissingParams("vl4pose scoring needs fitted model parameters")
     if not pool.unlabeled:
         raise EmptyInput("unlabeled pool is empty")
+    if strategy == "vl4pose" and mode == "max":
+        refined = refined_log_likelihoods(list(pool.unlabeled.values()), params)
+        return dict(zip(pool.unlabeled, refined))
 
     scores: dict[str, float] = {}
     for sample_id in pool.unlabeled:
@@ -128,10 +137,7 @@ def score_pool(
         if strategy == "entropy":
             scores[sample_id] = multi_peak_entropy(peaks)
             continue
-        if mode == "expected":
-            scores[sample_id] = expected_log_likelihood(peaks, params).total
-        else:
-            scores[sample_id] = refine_pose(peaks, params).log_likelihood
+        scores[sample_id] = expected_log_likelihood(peaks, params).total
     return scores
 
 

@@ -21,7 +21,10 @@ import numpy as np
 from .calibration import LabeledPoseSet, fit_model
 from .errors import ConfigInvalid
 from .heatmaps import render_gaussian_heatmap
-from .likelihood import point_log_likelihood
+from .likelihood import (
+    point_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
+    point_log_likelihoods,
+)
 from .model import Pose, Skeleton, validate_skeleton
 from .selection import (
     _HIGHEST_FIRST,
@@ -414,7 +417,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
     """Run every configured strategy on clones of one generated pool."""
     skeleton = chain_skeleton(cfg.joints)
     base_pool, heldout, truth, is_ood = build_pool(cfg)
-    heldout_order = sorted(heldout)
+    heldout_poses = [heldout[h] for h in sorted(heldout)]
 
     metrics = {
         s: {"ood_recall": [], "ood_auc": [], "heldout_mean_ll": [], "labeled_count": []}
@@ -441,9 +444,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
             hit = sum(1 for s in result.selected if is_ood[s])
             recall = hit / remaining_ood if remaining_ood else None
             auc = _round_auc(scores, is_ood, strategy)
-            heldout_ll = sum(
-                point_log_likelihood(heldout[h], params).total for h in heldout_order
-            ) / len(heldout_order)
+            heldout_ll = sum(point_log_likelihoods(heldout_poses, params)) / len(heldout_poses)
 
             for sample_id in result.selected:
                 selections.append(

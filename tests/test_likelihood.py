@@ -13,6 +13,7 @@ from poselik import (
     OffsetParams,
     Pose,
     PoseModelParams,
+    SchemaError,
     SearchSpaceTooLarge,
     brute_force_best_pose,
     expected_log_likelihood,
@@ -22,6 +23,7 @@ from poselik import (
     multi_peak_entropy,
     point_log_likelihood,
     refine_pose,
+    refinement_objective,
     root_log_density,
     validate_skeleton,
 )
@@ -393,6 +395,22 @@ class TestRefinePose:
         )
         assert refine_pose(peaks, model).chosen_peak_index == (0, 1)
         assert brute_force_best_pose(peaks, model).chosen_peak_index == (0, 1)
+
+    def test_refinement_objective_checks_the_selection(self):
+        model = PoseModelParams(
+            skeleton=chain(3),
+            link_params=(DistanceParams(5.0, 1.0), DistanceParams(5.0, 1.0)),
+            model_kind="distance",
+        )
+        peaks = peakset_from([[((10, 10), 0.6), ((10, 20), 0.4)]] * 3)
+        assert refinement_objective(peaks, model, [1, 0, 0]) == refinement_objective(
+            peaks, model, (np.int64(1), 0, 0)
+        )
+        for indices in ([-1, 0, 0], [2, 0, 0], [0, 1.0, 0]):
+            with pytest.raises(SchemaError, match=r"joint 'j.*' must be an integer in 0\.\.1"):
+                refinement_objective(peaks, model, indices)
+        with pytest.raises(DimensionMismatch, match="2 peak indices, skeleton has 3 joints"):
+            refinement_objective(peaks, model, [0, 0])
 
 
 class TestMultiPeakEntropy:

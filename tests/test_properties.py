@@ -3,11 +3,13 @@
 The fixed-seed tests and criterion 1 cover distance models; these
 properties add offset models and root priors, and check that a refined
 pose reports the same terms as scoring that pose directly and the same
-objective as scoring its selection, which no other selection beats. Peak
-extraction is checked bit for bit against a per-joint loop on grids
-full of ties, plateaus and negative maxima, the heatmap renderer (cached
-table windows and direct bumps) against its out-of-place formula, and the
-ranking AUC against its pairwise definition. Fuzzed manifests and heatmap
+objective as scoring its selection, which no other selection beats. The
+batched DP over a padded pool, and stacked point scoring, must report bit
+for bit what each sample's own call reports. Peak extraction is checked
+bit for bit against a per-joint loop on grids full of ties, plateaus and
+negative maxima, the heatmap renderer (cached table windows and direct
+bumps) against its out-of-place formula, and the ranking AUC against its
+pairwise definition. Fuzzed manifests and heatmap
 files must read back exactly or raise only ``PoseLikError``s, and every
 command must turn any bytes in any of its JSON inputs into a documented exit
 code with at most one stderr line and, on failure, no output.
@@ -37,6 +39,7 @@ from poselik import (
     Pose,
     PoseLikError,
     PoseModelParams,
+    SamplePool,
     TruncatedPayload,
     VersionUnsupported,
     brute_force_best_pose,
@@ -44,15 +47,18 @@ from poselik import (
     extract_peaks,
     ood_ranking_auc,
     point_log_likelihood,
+    point_log_likelihoods,
     read_heatmap_file,
     read_manifest,
     refine_pose,
     refinement_objective,
     render_gaussian_heatmap,
+    score_pool,
     validate_skeleton,
     write_heatmap_file,
 )
 from poselik.heatmaps import _gaussian_table
+from poselik.likelihood import _finish, _max_sum, _stack, _terms
 
 from _helpers import (
     oracle_auc,
@@ -82,13 +88,16 @@ def distance_params(draw) -> DistanceParams:
 
 
 @st.composite
-def peak_sets(draw, n_joints: int) -> PeakSet:
+def peak_sets(draw, n_joints: int, max_peaks: int = 3, zero_probs: bool = False) -> PeakSet:
+    """Up to ``max_peaks`` distinct cells per joint with softmax probabilities;
+    with ``zero_probs``, some peaks (at times all of a joint's) get
+    probability zero."""
     joints = []
     for _ in range(n_joints):
         cells = draw(
             st.lists(
                 st.tuples(st.integers(0, GRID - 1), st.integers(0, GRID - 1)),
-                min_size=1, max_size=3, unique=True,
+                min_size=1, max_size=max_peaks, unique=True,
             )
         )
         scores = sorted(
@@ -96,16 +105,17 @@ def peak_sets(draw, n_joints: int) -> PeakSet:
             reverse=True,
         )
         weights = np.exp(np.array(scores) - max(scores))
-        probs = weights / weights.sum()
+        if zero_probs:
+            weights *= draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+        probs = weights / weights.sum() if weights.any() else weights
         joints.append(list(zip(cells, scores, probs.tolist())))
     return peakset_of(joints)
 
 
 @st.composite
-def instances(draw, kinds=("distance", "offset")):
-    """(peaks, model): a random tree with permuted joint indices, a peak set
-    of up to 3 peaks per joint, and per-link laws of one family with an
-    optional root prior."""
+def models(draw, kinds=("distance", "offset")) -> PoseModelParams:
+    """A random tree with permuted joint indices and per-link laws of one
+    family, with an optional root prior."""
     n = draw(st.integers(1, 6))
     perm = draw(st.permutations(range(n)))
     links = [[perm[draw(st.integers(0, child - 1))], perm[child]] for child in range(1, n)]
@@ -119,10 +129,26 @@ def instances(draw, kinds=("distance", "offset")):
     else:
         link_params = tuple(draw(distance_params()) for _ in links)
         root_params = draw(st.none() | distance_params())
-    model = PoseModelParams(
+    return PoseModelParams(
         skeleton=skeleton, link_params=link_params, model_kind=kind, root_params=root_params
     )
-    return draw(peak_sets(n)), model
+
+
+@st.composite
+def instances(draw, kinds=("distance", "offset")):
+    """(peaks, model): a random model and a peak set of up to 3 peaks per joint."""
+    model = draw(models(kinds))
+    return draw(peak_sets(model.skeleton.n_joints)), model
+
+
+@st.composite
+def pools(draw):
+    """(peak sets, model): 1-6 samples of one random model whose peak counts
+    differ from sample to sample (1-4 per joint), some at probability zero."""
+    model = draw(models())
+    n_joints = model.skeleton.n_joints
+    samples = draw(st.integers(1, 6))
+    return [draw(peak_sets(n_joints, 4, zero_probs=True)) for _ in range(samples)], model
 
 
 @PROPERTY_SETTINGS
@@ -150,6 +176,55 @@ def test_refined_terms_equal_point_scoring_of_the_pose(instance, data):
     objective = refinement_objective(peaks, model, indices)
     assert objective == pytest.approx(oracle_config_objective(peaks, model, indices), abs=1e-9)
     assert objective <= refined.objective + 1e-9
+
+
+def batched_refinements(peak_sets, model):
+    """Each sample's RefinedPose, read from one batched DP over the padded stack."""
+    locs, log_probs = _stack(peak_sets, model)
+    root_vector, link_matrices = _terms(locs, model)
+    indices = _max_sum(log_probs, root_vector, link_matrices, model.skeleton)
+    return [
+        _finish(
+            peaks, model,
+            [logs[b : b + 1] for logs in log_probs],
+            root_vector[b : b + 1],
+            [m[b : b + 1] for m in link_matrices],
+            indices[b].tolist(),
+        )
+        for b, peaks in enumerate(peak_sets)
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(pools())
+def test_batched_refinement_equals_per_sample_refinement(pool_case):
+    peak_sets, model = pool_case
+    singles = [refine_pose(peaks, model) for peaks in peak_sets]
+    for batched, single in zip(batched_refinements(peak_sets, model), singles):
+        assert batched.chosen_peak_index == single.chosen_peak_index
+        assert batched.log_likelihood == single.log_likelihood
+        assert batched.objective == single.objective
+        assert batched.per_link_terms == single.per_link_terms
+        assert batched.root_term == single.root_term
+    pool = SamplePool(labeled={}, unlabeled={f"s{i}": p for i, p in enumerate(peak_sets)})
+    scores = score_pool(pool, "vl4pose", model, mode="max")
+    assert list(scores.items()) == [
+        (f"s{i}", single.log_likelihood) for i, single in enumerate(singles)
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(models(), st.data())
+def test_stacked_point_scoring_equals_per_pose_scoring(model, data):
+    skeleton = model.skeleton
+    coords = st.lists(
+        st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+        min_size=skeleton.n_joints, max_size=skeleton.n_joints,
+    )
+    poses = [Pose.of(c) for c in data.draw(st.lists(coords, min_size=1, max_size=5))]
+    assert point_log_likelihoods(poses, model) == [
+        point_log_likelihood(pose, model).total for pose in poses
+    ]
 
 
 @st.composite

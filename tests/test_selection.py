@@ -5,9 +5,11 @@ import pytest
 
 from poselik import (
     BudgetExceedsPool,
+    DimensionMismatch,
     DistanceParams,
     EmptyClass,
     EmptyInput,
+    EmptyPeakSet,
     Heatmap,
     MissingHeatmap,
     MissingParams,
@@ -28,7 +30,7 @@ from poselik import (
 )
 from poselik.selection import _random_score
 
-from _helpers import assert_same_peaks, oracle_auc
+from _helpers import assert_same_peaks, oracle_auc, peakset_of
 
 
 def chain_model(n_joints=3, mean=6.0, sigma=1.0):
@@ -149,6 +151,21 @@ class TestScorePool:
         assert scores["a"] == refined.log_likelihood
         with pytest.raises(SchemaError, match="mode"):
             score_pool(pool, "vl4pose", model, mode="argmax")
+
+    def test_max_mode_raises_what_refine_pose_raises(self):
+        """The batched DP checks every sample before stacking, with the
+        per-sample errors: an empty joint, then a wrong joint count."""
+        model = chain_model()
+        good = extract_peaks(render(vertical_pose(3)))
+        empty_joint = peakset_of([[((1, 1), 1.0, 1.0)], [], [((3, 3), 1.0, 1.0)]])
+        two_joints = peakset_of([[((1, 1), 1.0, 1.0)], [((3, 3), 1.0, 1.0)]])
+        for bad, error in ((empty_joint, EmptyPeakSet), (two_joints, DimensionMismatch)):
+            with pytest.raises(error) as single:
+                refine_pose(bad, model)
+            pool = SamplePool(labeled={}, unlabeled={"good": good, "bad": bad})
+            with pytest.raises(error) as batched:
+                score_pool(pool, "vl4pose", model, mode="max")
+            assert str(batched.value) == str(single.value)
 
     def test_entropy_matches_peak_entropy_and_alias(self):
         pool = make_pool({"a": render(vertical_pose(3))})
