@@ -22,6 +22,7 @@ from .model import (
     Skeleton,
     _params_of,
     errors_at,
+    is_number_rows,
     iter_jsonl,
     read_json,
 )
@@ -153,9 +154,11 @@ def read_labeled_poses(path) -> list[tuple[str, Pose]]:
     """JSON-lines reader: one ``{"id": ..., "pose": [[...], ...]}`` per line."""
     records: list[tuple[str, Pose]] = []
     for where, sample_id, record in iter_jsonl(path, "pose"):
+        if not is_number_rows(record["pose"]):
+            raise SchemaError(f"{where}: pose must be a list of coordinate lists of numbers")
         try:
             coords = np.asarray(record["pose"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
+        except (ValueError, OverflowError):  # ragged, or beyond the float range
             raise SchemaError(f"{where}: malformed pose array") from None
         if coords.ndim != 2:
             raise SchemaError(f"{where}: pose must be a 2D array")

@@ -11,8 +11,9 @@ Each subcommand is a thin shell over one library operation. Exit codes:
   run; the diagnostic names the sample).
 
 Data outputs go to ``--out``; diagnostics go to stderr; the run
-manifest goes to ``<out>.manifest.json`` and is written last (``simulate``
-additionally writes the per-selection log to ``<out>.selections.jsonl``).
+manifest goes to ``<out>.manifest.json``, which is removed before any
+output is replaced and written last (``simulate`` additionally writes the
+per-selection log to ``<out>.selections.jsonl``).
 Output lines always follow input-manifest order.
 """
 
@@ -50,6 +51,7 @@ from .likelihood import (
 from .model import (
     PoseModelParams,
     errors_at,
+    is_number,
     iter_jsonl,
     load_model_file,
     load_skeleton_file,
@@ -198,7 +200,7 @@ def _score_from_record(record: dict, strategy: str, where: str) -> float:
     for key in candidates:
         if key in record:
             value = record[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not is_number(value):
                 raise SchemaError(f"{where}: field {key!r} must be a number")
             try:
                 value = float(value)
@@ -315,8 +317,9 @@ def _run(command: str, args: argparse.Namespace) -> int:
     """Load, compute, write the outputs, then the run manifest last.
 
     Each output is written to a temporary file and renamed into place, so
-    no failure leaves a partial file, and a manifest exists only for a run
-    that wrote every output.
+    no failure leaves a partial file. The old manifest is removed before
+    any output is replaced, so a manifest exists only beside the outputs of
+    the run that wrote it.
     """
     spec = _COMMANDS[command]
     started = time.perf_counter()
@@ -354,7 +357,12 @@ def _run(command: str, args: argparse.Namespace) -> int:
         _error(exc)
         return 3
 
+    manifest_path = f"{args.out}.manifest.json"
+    path = manifest_path
     try:
+        # An old manifest must not outlive the outputs it describes.
+        with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+            os.unlink(manifest_path)
         for path, write in files:
             _write_atomic(path, write)
         timings["total"] = (time.perf_counter() - started) * 1000.0
@@ -368,7 +376,7 @@ def _run(command: str, args: argparse.Namespace) -> int:
             "timings_ms": timings,
             "samples": samples,
         }
-        path = f"{args.out}.manifest.json"
+        path = manifest_path
         _write_atomic(path, lambda tmp: write_json(tmp, manifest))
     except OSError as exc:
         _error(f"cannot write {path}: {exc.strerror or exc}")

@@ -75,8 +75,29 @@ class PeakSet:
     offsets: np.ndarray  # (joints + 1,) int64, offsets[0] == 0, offsets[-1] == K
 
     def __post_init__(self):
-        for array in (self.locs, self.scores, self.probs, self.offsets):
+        names = ("locs", "scores", "probs", "offsets")
+        arrays = [np.asarray(getattr(self, name)) for name in names]
+        locs, scores, probs, offsets = arrays
+        if locs.ndim != 2 or locs.shape[1] != 2 or locs.dtype.kind not in "iu":
+            raise SchemaError(f"peak locs must be (K, 2) integers, got {locs.dtype} {locs.shape}")
+        for name, array in (("scores", scores), ("probs", probs)):
+            if array.shape != (len(locs),):
+                raise SchemaError(f"peak {name} must be ({len(locs)},), got {array.shape}")
+        bounds = offsets.ravel().tolist()
+        if not (
+            offsets.ndim == 1
+            and offsets.dtype.kind in "iu"
+            and bounds[:1] == [0]
+            and bounds[-1] == len(locs)
+            and bounds == sorted(bounds)  # never decreases
+        ):
+            raise SchemaError(
+                f"peak offsets must be a 1-D integer array that starts at 0, never "
+                f"decreases and ends at {len(locs)}, got {bounds!r:.60}"
+            )
+        for name, array in zip(names, arrays):
             array.flags.writeable = False  # one peak set is shared by every scorer
+            object.__setattr__(self, name, array)
 
     @property
     def joint_count(self) -> int:

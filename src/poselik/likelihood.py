@@ -214,29 +214,51 @@ def point_log_likelihoods(poses, params: PoseModelParams) -> list[float]:
     return (root + sum(links)).tolist()
 
 
-def _per_joint(peaks: PeakSet, values: np.ndarray) -> list[np.ndarray]:
-    """Per-joint views of one per-peak array."""
-    bounds = peaks.offsets.tolist()
-    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+def _log(probs: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(probs)  # log(0) -> -inf: a zero-probability peak is never chosen
 
 
-def _check_peaks(peaks: PeakSet, params: PoseModelParams) -> None:
+def _stack(peak_sets, params: PoseModelParams):
+    """The peaks of a batch as padded per-joint arrays: what every peak
+    likelihood reads, and the only place peak sets meet the skeleton.
+
+    The batch is checked at once, and raises what checking the samples one
+    by one in batch order would: a wrong joint count, a skeleton that is not
+    2-D, then a joint with no peaks. Every peak is then scattered once into
+    ``(B, J, K)`` grids. Joint ``j`` gets views of locations ``(B, K_j, 2)``
+    padded with 0, probabilities ``(B, K_j)`` padded with 0 and their logs
+    padded with ``-inf``, ``K_j`` being the largest count of that joint in
+    the batch. Padding follows each sample's peaks and never beats a real
+    peak, so a first maximum is still the lowest real peak index.
+    """
     skel = params.skeleton
-    if peaks.joint_count != skel.n_joints:
-        raise DimensionMismatch(
-            f"peak set covers {peaks.joint_count} joints, skeleton has {skel.n_joints}"
-        )
-    if skel.dimension != 2:
+    joints = [peaks.joint_count for peaks in peak_sets]
+    # Samples before the first wrong joint count have every joint.
+    whole = next((b for b, n in enumerate(joints) if n != skel.n_joints), len(joints))
+    if whole and skel.dimension != 2:
         raise DimensionMismatch("peak-based scoring operates on 2D grid locations")
-    counts = peaks.counts()
-    if 0 in counts:
-        raise EmptyPeakSet(f"joint {skel.joints[counts.index(0)]!r} has no candidate peaks")
-
-
-def _peak_locs(peaks: PeakSet, params: PoseModelParams) -> list[np.ndarray]:
-    """Per-joint candidate locations of one sample, a batch of one ``(1, K_j, 2)``."""
-    _check_peaks(peaks, params)
-    return [locs[None] for locs in _per_joint(peaks, peaks.locs)]
+    offsets = np.array([peaks.offsets for peaks in peak_sets[:whole]], dtype=np.int64)
+    offsets = offsets.reshape(whole, skel.n_joints + 1)
+    counts = offsets[:, 1:] - offsets[:, :-1]  # (B, J)
+    if not counts.all():
+        first = np.argmin(counts.min(axis=1))  # the first sample with an empty joint
+        joint = skel.joints[np.argmin(counts[first])]
+        raise EmptyPeakSet(f"joint {joint!r} has no candidate peaks")
+    if whole < len(joints):
+        raise DimensionMismatch(
+            f"peak set covers {joints[whole]} joints, skeleton has {skel.n_joints}"
+        )
+    widths = counts.max(axis=0).tolist()
+    # The real cells of the grids, in C order, are the peaks in CSR order.
+    real = np.arange(max(widths)) < counts[:, :, None]
+    locs = np.zeros(real.shape + (2,), dtype=np.int64)
+    locs[real] = np.concatenate([peaks.locs for peaks in peak_sets])
+    probs = np.zeros(real.shape)
+    probs[real] = np.concatenate([peaks.probs for peaks in peak_sets])
+    return tuple(
+        [grid[:, j, :k] for j, k in enumerate(widths)] for grid in (locs, probs, _log(probs))
+    )
 
 
 def expected_log_likelihood(peaks: PeakSet, params: PoseModelParams) -> LikelihoodReport:
@@ -247,14 +269,14 @@ def expected_log_likelihood(peaks: PeakSet, params: PoseModelParams) -> Likeliho
     averages the root prior the same way. With single-peak joints this
     reduces to the point log-likelihood of the argmax pose.
     """
-    root_vector, link_matrices = _terms(_peak_locs(peaks, params), params)
-    probs = _per_joint(peaks, peaks.probs)
+    locs, probs, _ = _stack([peaks], params)
+    root_vector, link_matrices = _terms(locs, params)
     skel = params.skeleton
     terms = [
-        float(probs[parent] @ m[0] @ probs[child])
+        float(probs[parent][0] @ m[0] @ probs[child][0])
         for m, (parent, child) in zip(link_matrices, skel.links)
     ]
-    root_term = float(probs[skel.root] @ root_vector[0])
+    root_term = float(probs[skel.root][0] @ root_vector[0])
     return LikelihoodReport(
         total=root_term + sum(terms),
         per_link_terms=tuple(terms),
@@ -270,53 +292,14 @@ def multi_peak_entropy(peaks: PeakSet) -> float:
     counts = peaks.counts()
     if 0 in counts:
         raise EmptyPeakSet(f"joint #{counts.index(0)} has no candidate peaks")
+    bounds, probs = peaks.offsets.tolist(), peaks.probs.tolist()
     total = 0.0
-    for probs in _per_joint(peaks, peaks.probs.tolist()):
-        total += entropy_of_probs(probs)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        total += entropy_of_probs(probs[a:b])
     return total
 
 
 # --- max-likelihood refinement --------------------------------------------------
-
-def _log(probs: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(probs)  # log(0) -> -inf: a zero-probability peak is never chosen
-
-
-def _joint_log_probs(peaks: PeakSet) -> list[np.ndarray]:
-    """Per-joint log peak probabilities of one sample, a batch of one ``(1, K_j)``."""
-    return [logs[None] for logs in _per_joint(peaks, _log(peaks.probs))]
-
-
-def _stack(peak_sets, params: PoseModelParams):
-    """The peaks of a batch as padded per-joint arrays.
-
-    Joint ``j`` gets locations ``(B, K_j, 2)`` padded with 0 and log peak
-    probabilities ``(B, K_j)`` padded with ``-inf``, ``K_j`` being the
-    largest count of that joint in the batch. Padding follows each sample's
-    peaks and never beats a real peak, so a first maximum is still the
-    lowest real peak index. Every sample is checked before stacking.
-    """
-    for peaks in peak_sets:
-        _check_peaks(peaks, params)
-    all_locs = np.concatenate([peaks.locs for peaks in peak_sets])
-    all_logs = _log(np.concatenate([peaks.probs for peaks in peak_sets]))
-    offsets = np.stack([peaks.offsets for peaks in peak_sets])  # (B, J + 1)
-    firsts = np.cumsum(offsets[:, -1]) - offsets[:, -1]  # each sample's first row in all_locs
-    locs, log_probs = [], []
-    for start, stop in zip(offsets.T[:-1], offsets.T[1:]):
-        count = stop - start
-        slots = np.arange(count.max())
-        real = slots < count[:, None]  # (B, K_j)
-        rows = ((firsts + start)[:, None] + slots)[real]
-        joint_locs = np.zeros(real.shape + all_locs.shape[1:], dtype=all_locs.dtype)
-        joint_locs[real] = all_locs[rows]
-        joint_logs = np.full(real.shape, -np.inf)
-        joint_logs[real] = all_logs[rows]
-        locs.append(joint_locs)
-        log_probs.append(joint_logs)
-    return locs, log_probs
-
 
 def _max_sum(log_probs, root_vector, link_matrices, skeleton) -> np.ndarray:
     """Exact argmax over joint-wise peak choices via max-sum on the tree,
@@ -353,9 +336,19 @@ def _max_sum(log_probs, root_vector, link_matrices, skeleton) -> np.ndarray:
     return np.stack(chosen, axis=1)
 
 
+def _refine(peak_sets, params: PoseModelParams):
+    """Stack, term table and tree DP of a batch: the padded locations and log
+    peak probabilities, the root vector and link matrices, and the chosen
+    peak indices ``(B, J)``."""
+    locs, _, log_probs = _stack(peak_sets, params)
+    root_vector, link_matrices = _terms(locs, params)
+    indices = _max_sum(log_probs, root_vector, link_matrices, params.skeleton)
+    return locs, log_probs, root_vector, link_matrices, indices
+
+
 def _finish(
-    peaks: PeakSet,
     params: PoseModelParams,
+    locs: list[np.ndarray],
     log_probs: list[np.ndarray],
     root_vector: np.ndarray,
     link_matrices: list[np.ndarray],
@@ -380,7 +373,7 @@ def _finish(
     for term in (*joint_terms, root_term, *link_terms):
         objective += term
     return RefinedPose(
-        pose=Pose.of(peaks.locs[peaks.offsets[:-1] + indices]),
+        pose=Pose.of([joint_locs[0, i] for joint_locs, i in zip(locs, indices)]),
         log_likelihood=root_term + sum(link_terms),
         chosen_peak_index=tuple(int(i) for i in indices),
         objective=objective,
@@ -394,7 +387,7 @@ def refinement_objective(
 ) -> float:
     """Score of one peak selection: log peak probabilities + root and link
     densities, exactly as :func:`refine_pose` reports it for that selection."""
-    locs = _peak_locs(peaks, params)
+    locs, _, log_probs = _stack([peaks], params)
     skel = params.skeleton
     if len(indices) != skel.n_joints:
         raise DimensionMismatch(
@@ -407,15 +400,13 @@ def refinement_objective(
                 f"peak index {index!r} for joint {name!r} must be an integer in 0..{count - 1}"
             )
     terms = _terms(locs, params)
-    return _finish(peaks, params, _joint_log_probs(peaks), *terms, list(indices)).objective
+    return _finish(params, locs, log_probs, *terms, list(indices)).objective
 
 
 def refine_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
     """The maximizing peak selection of one sample: the tree DP on a batch of one."""
-    log_probs = _joint_log_probs(peaks)
-    root_vector, link_matrices = _terms(_peak_locs(peaks, params), params)
-    indices = _max_sum(log_probs, root_vector, link_matrices, params.skeleton)[0]
-    return _finish(peaks, params, log_probs, root_vector, link_matrices, indices.tolist())
+    *arrays, indices = _refine([peaks], params)
+    return _finish(params, *arrays, indices[0].tolist())
 
 
 def refined_log_likelihoods(peak_sets, params: PoseModelParams) -> list[float]:
@@ -423,10 +414,8 @@ def refined_log_likelihoods(peak_sets, params: PoseModelParams) -> list[float]:
     batched tree DP over the padded stack of all of them."""
     if not peak_sets:
         return []
-    locs, log_probs = _stack(peak_sets, params)
-    root_vector, link_matrices = _terms(locs, params)
+    _, _, root_vector, link_matrices, indices = _refine(peak_sets, params)
     skel = params.skeleton
-    indices = _max_sum(log_probs, root_vector, link_matrices, skel)
     rows = np.arange(len(indices))
     link_terms = [
         m[rows, indices[:, parent], indices[:, child]]
@@ -443,9 +432,9 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
     refinement tie-break. Guarded to :data:`BRUTE_FORCE_GUARD`
     configurations.
     """
-    locs = _peak_locs(peaks, params)
+    locs, _, log_probs = _stack([peaks], params)
     skel = params.skeleton
-    counts = peaks.counts()
+    counts = [joint_locs.shape[1] for joint_locs in locs]
     space = math.prod(counts)
     if space > BRUTE_FORCE_GUARD:
         raise SearchSpaceTooLarge(f"{space} configurations exceed guard {BRUTE_FORCE_GUARD}")
@@ -462,7 +451,6 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
         return arr.reshape(full)
 
     root_vector, link_matrices = _terms(locs, params)
-    log_probs = _joint_log_probs(peaks)
     total = np.zeros(shape)
     for j in order:
         total = total + along(log_probs[j][0], axis_of[j])
@@ -476,4 +464,4 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
     indices = [0] * skel.n_joints
     for a, j in enumerate(order):
         indices[j] = int(per_axis[a])
-    return _finish(peaks, params, log_probs, root_vector, link_matrices, indices)
+    return _finish(params, locs, log_probs, root_vector, link_matrices, indices)

@@ -349,26 +349,47 @@ def _link_params_to_dict(params: LinkParams) -> dict:
     }
 
 
+def is_number(value) -> bool:
+    """Whether a parsed JSON value is a number (``true`` and ``"5"`` are not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_number_list(value) -> bool:
+    """Whether a parsed JSON value is a list of numbers."""
+    return isinstance(value, list) and all(map(is_number, value))
+
+
+def is_number_rows(value) -> bool:
+    """Whether a parsed JSON value is a list of lists of numbers."""
+    return isinstance(value, list) and all(map(is_number_list, value))
+
+
 def _link_params_from_dict(entry: dict, *, where: str) -> LinkParams:
     if not isinstance(entry, dict):
         raise SchemaError(f"{where}: parameter entry must be an object")
     if "mean" in entry or "sigma" in entry:
+        message = f"{where}: distance entry needs numeric 'mean' and 'sigma'"
+        mean, sigma = entry.get("mean"), entry.get("sigma")
+        if not (is_number(mean) and is_number(sigma)):
+            raise SchemaError(message)
         try:
-            mean, sigma = float(entry["mean"]), float(entry["sigma"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise SchemaError(f"{where}: distance entry needs numeric 'mean' and 'sigma'") from None
+            mean, sigma = float(mean), float(sigma)
+        except OverflowError:  # an integer beyond the float range
+            raise SchemaError(message) from None
         if np.isfinite(sigma) and sigma > 0:
             sigma = max(sigma, SIGMA_FLOOR)
         return DistanceParams(mean_distance=mean, sigma=sigma)
     if "offset" in entry or "covariance" in entry:
+        if "offset" not in entry or "covariance" not in entry:
+            raise SchemaError(f"{where}: offset entry needs 'offset' and 'covariance'")
+        message = f"{where}: 'offset' and 'covariance' must be arrays of numbers"
+        offset, covariance = entry["offset"], entry["covariance"]
+        if not (is_number_list(offset) and is_number_rows(covariance)):
+            raise SchemaError(message)
         try:
-            return OffsetParams(offset=entry["offset"], covariance=entry["covariance"])
-        except KeyError:
-            raise SchemaError(f"{where}: offset entry needs 'offset' and 'covariance'") from None
-        except (TypeError, ValueError, OverflowError):  # from np.asarray: ragged or not numbers
-            raise SchemaError(
-                f"{where}: 'offset' and 'covariance' must be arrays of numbers"
-            ) from None
+            return OffsetParams(offset=offset, covariance=covariance)
+        except (ValueError, OverflowError):  # from np.asarray: ragged or too large
+            raise SchemaError(message) from None
     raise SchemaError(f"{where}: unrecognized parameter entry {sorted(entry)!r}")
 
 

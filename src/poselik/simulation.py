@@ -25,13 +25,12 @@ from .likelihood import (
     point_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     point_log_likelihoods,
 )
-from .model import Pose, Skeleton, validate_skeleton
+from .model import Pose, Skeleton, is_number, validate_skeleton
 from .selection import (
     _HIGHEST_FIRST,
     STRATEGIES,
     SamplePool,
     SelectionResult,
-    _random_score,
     ood_ranking_auc,
     score_pool,
     select_batch,
@@ -225,7 +224,7 @@ def _as_int(value, where: str, minimum: int) -> int:
     return value
 
 def _as_float(value, where: str, positive: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise ConfigInvalid(f"{where} must be a number, got {value!r}")
     try:
         value = float(value)
@@ -398,26 +397,40 @@ def _round_auc(scores: dict[str, float], is_ood: dict[str, bool], strategy: str)
 
 
 def _select_round(
-    cfg: SimulationConfig, scores: dict[str, float], strategy: str
+    cfg: SimulationConfig,
+    scores: dict[str, float],
+    strategy: str,
+    random_scores: dict[str, float],
 ) -> SelectionResult:
-    """Budgeted selection, with an optional random warm-up slice."""
+    """Budgeted selection, with an optional random warm-up slice ranked by
+    ``random_scores``."""
     n_random = int(round(cfg.initial_random_fraction * cfg.budget))
     if strategy == "random" or n_random == 0:
         return select_batch(scores, strategy, cfg.budget)
-    random_scores = {
-        sample_id: _random_score(cfg.seed, sample_id) for sample_id in scores
-    }
-    warmup = select_batch(random_scores, "random", n_random).selected
+    warmup = select_batch(
+        {sample_id: random_scores[sample_id] for sample_id in scores}, "random", n_random
+    ).selected
     remaining = {s: v for s, v in scores.items() if s not in warmup}
     rest = select_batch(remaining, strategy, cfg.budget - n_random).selected
     return SelectionResult(strategy=strategy, selected=warmup + rest, scores=dict(scores))
 
 
 def run_simulation(cfg: SimulationConfig) -> SimulationReport:
-    """Run every configured strategy on clones of one generated pool."""
+    """Run every configured strategy on clones of one generated pool.
+
+    A sample's peaks never change, so the model-free ``entropy`` and
+    ``random`` scores are computed once over the generated pool; each round
+    reads those of the samples still unlabeled. Only ``vl4pose`` is scored
+    again every round, under that round's fitted model.
+    """
     skeleton = chain_skeleton(cfg.joints)
     base_pool, heldout, truth, is_ood = build_pool(cfg)
     heldout_poses = [heldout[h] for h in sorted(heldout)]
+    fixed_scores = {  # random scores also rank every strategy's warm-up slice
+        strategy: score_pool(base_pool, strategy, seed=cfg.seed)
+        for strategy in ("entropy", "random")
+        if strategy in cfg.strategies or strategy == "random"
+    }
 
     metrics = {
         s: {"ood_recall": [], "ood_auc": [], "heldout_mean_ll": [], "labeled_count": []}
@@ -431,14 +444,11 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
         for strategy in cfg.strategies:
             pool = pools[strategy]
             params = _fit_round_params(pool, skeleton)
-            scores = score_pool(
-                pool,
-                strategy,
-                params if strategy == "vl4pose" else None,
-                mode=cfg.ranking_mode,
-                seed=cfg.seed,
-            )
-            result = _select_round(cfg, scores, strategy)
+            if strategy in fixed_scores:
+                scores = {s: fixed_scores[strategy][s] for s in pool.unlabeled}
+            else:
+                scores = score_pool(pool, strategy, params, mode=cfg.ranking_mode)
+            result = _select_round(cfg, scores, strategy, fixed_scores["random"])
 
             remaining_ood = sum(1 for s in pool.unlabeled if is_ood[s])
             hit = sum(1 for s in result.selected if is_ood[s])

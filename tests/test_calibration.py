@@ -230,9 +230,13 @@ class TestLabeledPoseFile:
         with pytest.raises(SchemaError, match="duplicate"):
             read_labeled_poses(path)
         # not UTF-8, nested too deep, a coordinate that is not finite or beyond the float range
+        # and coordinates that are not JSON numbers
         big = b"1" + b"0" * 400
         for data in (b"\xff\n", b"[" * 200_000 + b"\n", b'{"id": "a", "pose": [[0, NaN]]}\n',
-                     b'{"id": "a", "pose": [[0, ' + big + b"]]}\n"):
+                     b'{"id": "a", "pose": [[0, ' + big + b"]]}\n",
+                     b'{"id": "a", "pose": [[true, "3"], [4, 5], [6, "7"]]}\n',
+                     b'{"id": "a", "pose": [[0, 1], [2, null]]}\n',
+                     b'{"id": "a", "pose": "[[0, 1], [2, 3]]"}\n'):
             path.write_bytes(data)
             with pytest.raises(SchemaError, match=":1: "):
                 read_labeled_poses(path)
@@ -297,6 +301,15 @@ class TestPerImageParams:
             model_kind="offset",
         )
         with pytest.raises(SchemaError, match=r"'imgW': links\[0\]"):
+            load_image_params(path, skel)
+        path = self.write_file(tmp_path, {"imgV": {"links": [{"mean": "5", "sigma": True}]}})
+        with pytest.raises(SchemaError, match=r"'imgV': links\[0\]: distance entry"):
+            load_image_params(path, skel)
+        path = self.write_file(
+            tmp_path,
+            {"imgU": {"links": [{"mean": 5, "sigma": 1}], "root": {"mean": "20", "sigma": 4}}},
+        )
+        with pytest.raises(SchemaError, match=r"'imgU': root: distance entry"):
             load_image_params(path, skel)
 
     def test_document_level_errors(self, tmp_path):

@@ -455,6 +455,21 @@ class TestCalibrateCommand:
              "--model", "distance", "--out", str(tmp_path / "x.json")]
         ) == 3
 
+    def test_pose_of_non_numbers_exits_3(self, tmp_path, capsys):
+        skeleton_path = tmp_path / "skel.json"
+        skeleton_path.write_text(json.dumps(SKELETON_DOC), encoding="utf-8")
+        labeled_path = self.write_labeled(tmp_path, [4, 6])
+        with open(labeled_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "bad", "pose": [[True, "3"], [4, 5], [6, "7"]]}) + "\n")
+        out = tmp_path / "x.json"
+        assert run_cli(
+            ["calibrate", "--skeleton", str(skeleton_path), "--labeled", str(labeled_path),
+             "--model", "distance", "--out", str(out)]
+        ) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "labeled.jsonl:3: pose" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("model", ["distance", "offset"])
     def test_overflowing_fit_exits_4_naming_the_link(self, tmp_path, capsys, model):
         skeleton_path = tmp_path / "skel.json"
@@ -620,6 +635,26 @@ class TestSimulateCommand:
             ) == 3
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and f"{config_path}: invalid JSON" in err[0]
+
+    def test_failed_write_leaves_no_old_manifest_beside_new_outputs(self, tmp_path, capsys):
+        config_path = self.write_config(tmp_path)
+        out = tmp_path / "x.json"
+        assert run_cli(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+        manifest = tmp_path / "x.json.manifest.json"
+        assert json.loads(manifest.read_text())["seed"] == 7
+        selections = tmp_path / "x.json.selections.jsonl"
+        selections.unlink()
+        selections.mkdir()
+        (selections / "keep").write_text("", encoding="utf-8")  # os.replace onto it fails
+        doc = dict(self.config_doc(), seed=8)
+        assert run_cli(
+            ["simulate", "--config", str(self.write_config(tmp_path, doc)), "--out", str(out)]
+        ) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "x.json.selections.jsonl" in err[0]
+        assert json.loads(out.read_text())["config"]["seed"] == 8
+        assert not manifest.exists()
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
     @pytest.mark.parametrize("infeasible", ["distractor", "link_lengths"])
     def test_infeasible_config_exits_3_without_outputs(self, tmp_path, capsys, infeasible):

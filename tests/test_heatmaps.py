@@ -13,6 +13,7 @@ from poselik import (
     Heatmap,
     NonFiniteValue,
     OutOfBoundsCoordinate,
+    PeakSet,
     Pose,
     SchemaError,
     TruncatedPayload,
@@ -48,6 +49,47 @@ class TestHeatmapType:
         hm = heatmap_of(np.zeros((4, 4)))
         with pytest.raises(ValueError):
             hm.values[0, 0, 0] = 1.0
+
+
+def two_joint_layout(**changes) -> dict:
+    """PeakSet arrays of two one-peak joints, with ``changes`` applied."""
+    layout = {
+        "locs": np.array([[1, 2], [3, 4]]),
+        "scores": np.array([0.9, 0.8]),
+        "probs": np.array([1.0, 1.0]),
+        "offsets": np.array([0, 1, 2]),
+    }
+    layout.update(changes)
+    return layout
+
+
+class TestPeakSetLayout:
+    def test_valid_layout_is_frozen(self):
+        peaks = PeakSet(**two_joint_layout(offsets=[0, 1, 2]))  # lists become arrays
+        assert peaks.counts() == (1, 1)
+        for array in (peaks.locs, peaks.scores, peaks.probs, peaks.offsets):
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"offsets": np.array([0, 1, 3])}, "ends at 2"),
+            ({"offsets": np.array([0, 2, 1])}, "never decreases"),
+            ({"offsets": np.array([1, 1, 2])}, "starts at 0"),
+            ({"offsets": np.array([], dtype=np.int64)}, "starts at 0"),
+            ({"offsets": np.array([[0, 1, 2]])}, "1-D integer array"),
+            ({"offsets": np.array([0.0, 1.0, 2.0])}, "1-D integer array"),
+            ({"locs": np.array([[1.0, 2.0], [3.0, 4.0]])}, r"\(K, 2\) integers"),
+            ({"locs": np.array([1, 2])}, r"\(K, 2\) integers"),
+            ({"locs": np.array([[1, 2, 0], [3, 4, 0]])}, r"\(K, 2\) integers"),
+            ({"scores": np.array([0.9])}, r"scores must be \(2,\)"),
+            ({"probs": np.array([1.0])}, r"probs must be \(2,\)"),
+            ({"probs": np.ones((2, 1))}, r"probs must be \(2,\)"),
+        ],
+    )
+    def test_rejects_a_layout_its_arrays_cannot_hold(self, changes, message):
+        with pytest.raises(SchemaError, match=message):
+            PeakSet(**two_joint_layout(**changes))
 
 
 def softmax(scores) -> np.ndarray:

@@ -298,9 +298,25 @@ class TestJsonSchema:
         with pytest.raises(SchemaError, match="model_kind"):
             load_model_file(incomplete)
         doc = dict(star_doc(), model_kind="offset")
+        # Only JSON numbers: numpy and float() would read "5" and true as 5.0 and 1.0.
         for bad_entry in ({"offset": [0.0, 0.0], "covariance": [[6.0, 1.0], [1.0]]},
-                          {"offset": [{}, 1.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]}):
+                          {"offset": [{}, 1.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]},
+                          {"offset": ["1", 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]},
+                          {"offset": [0.0, 0.0], "covariance": [[True, 0.0], [0.0, 1.0]]},
+                          {"offset": [0.0, 0.0], "covariance": "[[1, 0], [0, 1]]"}):
             doc["params"] = [bad_entry] * len(doc["links"])
             incomplete.write_text(json.dumps(doc), encoding="utf-8")
-            with pytest.raises(SchemaError, match=r"inc\.json: params\[0\]"):
+            with pytest.raises(SchemaError, match=r"inc\.json: params\[0\]: 'offset' and"):
                 load_model_file(incomplete)
+        doc = dict(star_doc(), model_kind="distance")
+        for bad_entry in ({"mean": "5", "sigma": True}, {"mean": 5.0, "sigma": "1"},
+                          {"mean": False, "sigma": 1.0}, {"mean": None, "sigma": 1.0}):
+            doc["params"] = [bad_entry] * len(doc["links"])
+            incomplete.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(SchemaError, match=r"inc\.json: params\[0\]: distance entry"):
+                load_model_file(incomplete)
+        doc["params"] = [{"mean": 5.0, "sigma": 1.0}] * len(doc["links"])
+        doc["root_params"] = {"mean": 5.0, "sigma": "2"}
+        incomplete.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"inc\.json: root_params: distance entry"):
+            load_model_file(incomplete)

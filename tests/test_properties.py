@@ -45,6 +45,7 @@ from poselik import (
     brute_force_best_pose,
     cli,
     extract_peaks,
+    multi_peak_entropy,
     ood_ranking_auc,
     point_log_likelihood,
     point_log_likelihoods,
@@ -61,6 +62,7 @@ from poselik.heatmaps import _gaussian_table
 from poselik.likelihood import _finish, _max_sum, _stack, _terms
 
 from _helpers import (
+    joint_peaks,
     oracle_auc,
     oracle_config_objective,
     oracle_peaks,
@@ -180,18 +182,19 @@ def test_refined_terms_equal_point_scoring_of_the_pose(instance, data):
 
 def batched_refinements(peak_sets, model):
     """Each sample's RefinedPose, read from one batched DP over the padded stack."""
-    locs, log_probs = _stack(peak_sets, model)
+    locs, _, log_probs = _stack(peak_sets, model)
     root_vector, link_matrices = _terms(locs, model)
     indices = _max_sum(log_probs, root_vector, link_matrices, model.skeleton)
     return [
         _finish(
-            peaks, model,
+            model,
+            [joint_locs[b : b + 1] for joint_locs in locs],
             [logs[b : b + 1] for logs in log_probs],
             root_vector[b : b + 1],
             [m[b : b + 1] for m in link_matrices],
             indices[b].tolist(),
         )
-        for b, peaks in enumerate(peak_sets)
+        for b in range(len(peak_sets))
     ]
 
 
@@ -202,6 +205,7 @@ def test_batched_refinement_equals_per_sample_refinement(pool_case):
     singles = [refine_pose(peaks, model) for peaks in peak_sets]
     for batched, single in zip(batched_refinements(peak_sets, model), singles):
         assert batched.chosen_peak_index == single.chosen_peak_index
+        assert batched.pose.coordinates.tolist() == single.pose.coordinates.tolist()
         assert batched.log_likelihood == single.log_likelihood
         assert batched.objective == single.objective
         assert batched.per_link_terms == single.per_link_terms
@@ -211,6 +215,54 @@ def test_batched_refinement_equals_per_sample_refinement(pool_case):
     assert list(scores.items()) == [
         (f"s{i}", single.log_likelihood) for i, single in enumerate(singles)
     ]
+
+
+@st.composite
+def faulty_pools(draw):
+    """(peak sets, model): a pool in which samples at random positions have
+    a joint with no peaks or the wrong number of joints, under a distance
+    model whose skeleton is at times 3-D, which no peak set can be scored on."""
+    model = draw(models(kinds=("distance",)))
+    skel = model.skeleton
+    if draw(st.booleans()):
+        doc = {"joints": list(skel.joints), "root": skel.root,
+               "links": [list(link) for link in skel.links], "dimension": 3}
+        model = PoseModelParams(
+            skeleton=validate_skeleton(doc), link_params=model.link_params,
+            model_kind="distance", root_params=model.root_params,
+        )
+    samples = []
+    for _ in range(draw(st.integers(1, 6))):
+        fault = draw(st.sampled_from(("none", "none", "empty", "joints")))
+        n_joints = skel.n_joints
+        if fault == "joints":
+            n_joints = draw(st.sampled_from((0, n_joints - 1, n_joints + 1)))
+        peaks = draw(peak_sets(n_joints, 2))
+        if fault == "empty":
+            bare = draw(st.integers(0, n_joints - 1))
+            joints = [joint_peaks(peaks, j) for j in range(n_joints)]
+            joints[bare] = []
+            peaks = peakset_of([[(loc, 1.0, prob) for loc, prob in joint] for joint in joints])
+        samples.append(peaks)
+    return samples, model
+
+
+def raised_by(call):
+    try:
+        call()
+    except PoseLikError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(faulty_pools())
+def test_batch_check_raises_what_the_first_failing_sample_raises(pool_case):
+    peak_sets, model = pool_case
+    alone = [raised_by(functools.partial(refine_pose, peaks, model)) for peaks in peak_sets]
+    pool = SamplePool(labeled={}, unlabeled={f"s{i}": p for i, p in enumerate(peak_sets)})
+    batched = raised_by(functools.partial(score_pool, pool, "vl4pose", model, mode="max"))
+    assert batched == next((error for error in alone if error), None)
 
 
 @PROPERTY_SETTINGS
@@ -257,6 +309,32 @@ def test_extract_peaks_matches_per_joint_reference(heatmap, threshold_ratio, max
     assert peaks.locs.tolist() == locs
     assert peaks.scores.tolist() == scores
     assert peaks.probs.tolist() == probs
+
+
+@PROPERTY_SETTINGS
+@given(
+    heatmaps(),
+    st.sampled_from((-1.0, 0.0, 0.05, 0.5, 1.0)) | st.floats(-2.0, 2.0),
+    st.integers(1, 10),
+)
+def test_peak_probabilities_and_entropy_stay_in_range(heatmap, threshold_ratio, max_peaks):
+    peaks = extract_peaks(heatmap, threshold_ratio, max_peaks)
+    bounds = peaks.offsets.tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        probs, scores = peaks.probs[a:b], peaks.scores[a:b]
+        assert abs(math.fsum(probs) - 1.0) <= 4 * np.finfo(float).eps
+        assert ((probs > 0.0) & (probs <= 1.0)).all()
+        # Scores descend within a joint, so probabilities never rise, and
+        # equal scores get equal probabilities.
+        assert (np.diff(probs) <= 0.0).all()
+        assert (np.diff(probs)[np.diff(scores) == 0.0] == 0.0).all()
+        if b - a == 1:
+            assert probs[0] == 1.0
+    entropy = multi_peak_entropy(peaks)
+    assert 0.0 <= entropy <= sum(math.log(k) for k in peaks.counts())
+    if set(peaks.counts()) == {1}:
+        assert entropy == 0.0
+    assert multi_peak_entropy(extract_peaks(heatmap, threshold_ratio, 1)) == 0.0
 
 
 ranking_score = st.integers(-3, 3).map(float) | st.floats(-1e6, 1e6)
