@@ -48,6 +48,7 @@ from .heatmaps import (
     DEFAULT_THRESHOLD_RATIO,
     Heatmap,
     PeakSet,
+    extract_peak_sets,
     extract_peaks,
     read_heatmap_file,
     read_manifest,
@@ -60,6 +61,7 @@ from .likelihood import (
     RefinedPose,
     brute_force_best_pose,
     expected_log_likelihood,
+    expected_log_likelihoods,
     link_log_density,
     link_log_density_distance,
     link_log_density_offset,
@@ -67,6 +69,7 @@ from .likelihood import (
     point_log_likelihood,
     point_log_likelihoods,
     refine_pose,
+    refine_poses,
     refined_log_likelihoods,
     refinement_objective,
     root_log_density,

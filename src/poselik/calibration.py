@@ -150,8 +150,12 @@ def fit_model(data: LabeledPoseSet, model_kind: str) -> PoseModelParams:
 
 # --- labeled-pose and per-image parameter files --------------------------------
 
-def read_labeled_poses(path) -> list[tuple[str, Pose]]:
-    """JSON-lines reader: one ``{"id": ..., "pose": [[...], ...]}`` per line."""
+def read_labeled_poses(path, skeleton: Skeleton | None = None) -> list[tuple[str, Pose]]:
+    """JSON-lines reader: one ``{"id": ..., "pose": [[...], ...]}`` per line.
+
+    Given a ``skeleton``, a pose whose joint count or dimension differs from
+    it is a schema error naming its line.
+    """
     records: list[tuple[str, Pose]] = []
     for where, sample_id, record in iter_jsonl(path, "pose"):
         if not is_number_rows(record["pose"]):
@@ -162,6 +166,15 @@ def read_labeled_poses(path) -> list[tuple[str, Pose]]:
             raise SchemaError(f"{where}: malformed pose array") from None
         if coords.ndim != 2:
             raise SchemaError(f"{where}: pose must be a 2D array")
+        if skeleton is not None and coords.shape[0] != skeleton.n_joints:
+            raise SchemaError(
+                f"{where}: pose has {coords.shape[0]} joints, skeleton has {skeleton.n_joints}"
+            )
+        if skeleton is not None and coords.shape[1] != skeleton.dimension:
+            raise SchemaError(
+                f"{where}: pose dimension {coords.shape[1]} != skeleton dimension "
+                f"{skeleton.dimension}"
+            )
         with errors_at(where):
             records.append((sample_id, Pose.of(coords)))
     if not records:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -38,15 +39,18 @@ from .errors import ConfigInvalid, MissingJoint, MissingParams, PoseLikError, Sc
 from .heatmaps import (
     DEFAULT_MAX_PEAKS,
     DEFAULT_THRESHOLD_RATIO,
-    extract_peaks,
+    extract_peak_sets,
+    extract_peaks,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     read_heatmap_file,
     read_manifest,
 )
 from .likelihood import (
-    expected_log_likelihood,
+    expected_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it
+    expected_log_likelihoods,
     multi_peak_entropy,
     point_log_likelihood,
-    refine_pose,
+    refine_pose,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
+    refine_poses,
 )
 from .model import (
     PoseModelParams,
@@ -75,11 +79,13 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
+def _jsonl(records) -> str:
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
 def _write_jsonl(path: str, records: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+        fh.write(_jsonl(records))
 
 
 def _write_atomic(path: str, write: Callable[[str], None]) -> None:
@@ -101,11 +107,12 @@ class _Command:
     """One subcommand as data for :func:`_run`.
 
     ``load(args)`` reads the shared inputs into a context dict (failures
-    exit 3). ``compute(args, ctx, timings)`` returns the output files as
-    ``(path, write)`` pairs plus the sample count (failures exit 4) and
-    adds the time of any file reads to ``timings["io"]``. ``config`` and
-    ``seed`` fill the run manifest; ``inputs`` names the arguments whose
-    files it hashes (unset ones are skipped).
+    exit 3). ``compute(args, ctx, timings, stage)`` writes each output to
+    the temporary file ``stage(path)`` names and returns the sample count
+    (failures exit 4, failed writes exit 3); it adds the time of any file
+    reads to ``timings["io"]``. ``config`` and ``seed`` fill the run
+    manifest; ``inputs`` names the arguments whose files it hashes (unset
+    ones are skipped).
     """
 
     load: Callable[[argparse.Namespace], dict]
@@ -115,24 +122,81 @@ class _Command:
     seed: Callable[[argparse.Namespace, dict], int | None] = lambda args, ctx: None
 
 
-def _per_sample(sample: Callable, reads_heatmap: Callable = lambda args: True) -> Callable:
-    """``compute`` for a command that maps ``sample(args, ctx, id, heatmap)``
-    over the heatmap manifest into one JSONL record per sample, in manifest
-    order. The first failure aborts the run, naming the sample."""
+# Samples read, extracted and scored together: memory grows with the chunk,
+# not with the manifest. At most CHUNK samples and CHUNK_BYTES of grids.
+# On 16-joint 64x64 heatmaps (16 fill the 4 MiB), chunks of 4 ran 20-35%
+# slower than 16 and chunks of 32 about 5% faster for 5 MB more memory; the
+# byte cap keeps larger grids (3 samples of 17-joint 128x128) near the
+# memory that one sample at a time takes.
+CHUNK = 16
+CHUNK_BYTES = 1 << 22
+_DEFAULT_EXTRACTION = (DEFAULT_THRESHOLD_RATIO, DEFAULT_MAX_PEAKS)
 
-    def compute(args, ctx, timings):
-        records = []
-        for sample_id, path in ctx["entries"]:
-            try:
-                t0 = time.perf_counter()
-                heatmap = read_heatmap_file(path) if reads_heatmap(args) else None
-                timings["io"] += (time.perf_counter() - t0) * 1000.0
-                records.append(sample(args, ctx, sample_id, heatmap))
-            except (PoseLikError, OSError) as exc:
-                raise PoseLikError(f"sample {sample_id!r}: {exc}") from exc
-        return [(args.out, lambda tmp: _write_jsonl(tmp, records))], len(records)
+
+def _chunked(records: Callable, extraction: Callable) -> Callable:
+    """``compute`` for a command that turns each chunk of the heatmap
+    manifest into JSONL records with ``records(args, ctx, ids, peak_sets)``
+    and streams them to its output, in manifest order.
+
+    ``extraction(args)`` gives the ``(threshold_ratio, max_peaks)`` that the
+    command extracts peaks with, or ``None`` if it reads no heatmap (its
+    ``peak_sets`` are then ``None``). Heatmaps are read into one reused
+    ``(chunk, J, H, W)`` buffer sized for the first heatmap of its shape,
+    and a change of shape starts a new chunk.
+    The first failure in manifest order aborts the run, naming its sample.
+    """
+
+    def compute(args, ctx, timings, stage):
+        entries, settings = ctx["entries"], extraction(args)
+        ids: list[str] = []
+        buffer = None
+        with open(stage(args.out), "w", encoding="utf-8") as out:
+
+            def flush():
+                if ids:
+                    peak_sets = None if settings is None else extract_peak_sets(
+                        buffer[: len(ids)], *settings
+                    )
+                    out.write(_jsonl(_chunk_records(records, args, ctx, ids, peak_sets)))
+                    ids.clear()
+
+            for sample_id, path in entries:
+                if settings is not None:
+                    try:
+                        t0 = time.perf_counter()
+                        values = read_heatmap_file(path).values
+                        timings["io"] += (time.perf_counter() - t0) * 1000.0
+                    except (PoseLikError, OSError) as exc:
+                        flush()  # a sample before it may fail first
+                        raise PoseLikError(f"sample {sample_id!r}: {exc}") from exc
+                    if buffer is None or buffer.shape[1:] != values.shape:
+                        flush()
+                        size = min(CHUNK, max(1, CHUNK_BYTES // values.nbytes), len(entries))
+                        buffer = np.empty((size, *values.shape), np.float32)
+                    buffer[len(ids)] = values
+                ids.append(sample_id)
+                if len(ids) == (CHUNK if buffer is None else len(buffer)):
+                    flush()
+            flush()
+        return len(entries)
 
     return compute
+
+
+def _chunk_records(records: Callable, args, ctx, ids: list[str], peak_sets) -> list[dict]:
+    """``records`` of one chunk. If the chunk fails, its samples run alone in
+    turn, so that the error names the first failing sample and says what
+    that sample's own run says."""
+    try:
+        return records(args, ctx, ids, peak_sets)
+    except PoseLikError:
+        for i, sample_id in enumerate(ids):
+            try:
+                alone = None if peak_sets is None else peak_sets[i : i + 1]
+                records(args, ctx, ids[i : i + 1], alone)
+            except PoseLikError as exc:
+                raise PoseLikError(f"sample {sample_id!r}: {exc}") from exc
+        raise
 
 
 def _load_model(args) -> PoseModelParams:
@@ -164,35 +228,52 @@ def _params_for(ctx, sample_id: str) -> PoseModelParams:
     return params
 
 
-def _score_sample(args, ctx, sample_id, heatmap) -> dict:
+def _score_records(args, ctx, ids, peak_sets) -> list[dict]:
     if args.mode == "point":
-        pose = ctx["poses"].get(sample_id)
-        if pose is None:
-            raise MissingJoint(f"no pose provided for sample {sample_id!r}")
-        report = point_log_likelihood(pose, _params_for(ctx, sample_id))
-    else:
-        report = expected_log_likelihood(extract_peaks(heatmap), _params_for(ctx, sample_id))
-    return report.to_json_dict(sample_id)
+        return [
+            point_log_likelihood(_pose_for(ctx, sample_id), _params_for(ctx, sample_id))
+            .to_json_dict(sample_id)
+            for sample_id in ids
+        ]
+    # One batch per run of samples that share parameters (each image has its
+    # own under --per-image).
+    samples = zip(ids, peak_sets, [_params_for(ctx, sample_id) for sample_id in ids])
+    records = []
+    for _, run in itertools.groupby(samples, key=lambda sample: id(sample[2])):
+        run_ids, run_peaks, run_params = zip(*run)
+        reports = expected_log_likelihoods(list(run_peaks), run_params[0])
+        records += [report.to_json_dict(i) for report, i in zip(reports, run_ids)]
+    return records
 
 
-def _refine_sample(args, ctx, sample_id, heatmap) -> dict:
-    return refine_pose(extract_peaks(heatmap), ctx["params"]).to_json_dict(sample_id)
+def _pose_for(ctx, sample_id: str):
+    pose = ctx["poses"].get(sample_id)
+    if pose is None:
+        raise MissingJoint(f"no pose provided for sample {sample_id!r}")
+    return pose
 
 
-def _maxima_sample(args, ctx, sample_id, heatmap) -> dict:
-    peaks = extract_peaks(heatmap, args.threshold, args.max_peaks)
-    rows = [
-        {"loc": loc, "score": score, "prob": prob}
-        for loc, score, prob in zip(
-            peaks.locs.tolist(), peaks.scores.tolist(), peaks.probs.tolist()
-        )
-    ]
-    bounds = peaks.offsets.tolist()
-    return {
-        "id": sample_id,
-        "entropy": multi_peak_entropy(peaks),
-        "peaks": [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])],
-    }
+def _refine_records(args, ctx, ids, peak_sets) -> list[dict]:
+    refined = refine_poses(peak_sets, ctx["params"])
+    return [pose.to_json_dict(sample_id) for pose, sample_id in zip(refined, ids)]
+
+
+def _maxima_records(args, ctx, ids, peak_sets) -> list[dict]:
+    records = []
+    for sample_id, peaks in zip(ids, peak_sets):
+        rows = [
+            {"loc": loc, "score": score, "prob": prob}
+            for loc, score, prob in zip(
+                peaks.locs.tolist(), peaks.scores.tolist(), peaks.probs.tolist()
+            )
+        ]
+        bounds = peaks.offsets.tolist()
+        records.append({
+            "id": sample_id,
+            "entropy": multi_peak_entropy(peaks),
+            "peaks": [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])],
+        })
+    return records
 
 
 def _score_from_record(record: dict, strategy: str, where: str) -> float:
@@ -224,7 +305,7 @@ def _load_select(args) -> dict:
     return {"scores": scores}
 
 
-def _compute_select(args, ctx, timings):
+def _compute_select(args, ctx, timings, stage):
     result = select_batch(ctx["scores"], args.strategy, args.budget)
     document = {
         "strategy": result.strategy,
@@ -232,14 +313,21 @@ def _compute_select(args, ctx, timings):
         "selected": list(result.selected),
         "scores": {k: result.scores[k] for k in sorted(result.scores)},
     }
-    return [(args.out, lambda tmp: write_json(tmp, document))], len(ctx["scores"])
+    write_json(stage(args.out), document)
+    return len(ctx["scores"])
 
 
-def _compute_calibrate(args, ctx, timings):
+def _load_calibrate(args) -> dict:
+    skeleton = load_skeleton_file(args.skeleton)
+    return {"skeleton": skeleton, "labeled": read_labeled_poses(args.labeled, skeleton)}
+
+
+def _compute_calibrate(args, ctx, timings, stage):
     data = LabeledPoseSet.of(ctx["skeleton"], [pose for _, pose in ctx["labeled"]])
     fitted = fit_model(data, args.model)
     document = {**model_to_dict(fitted), "fit": {"sample_count": data.n_poses}}
-    return [(args.out, lambda tmp: write_json(tmp, document))], data.n_poses
+    write_json(stage(args.out), document)
+    return data.n_poses
 
 
 def _load_simulate(args) -> dict:
@@ -248,20 +336,20 @@ def _load_simulate(args) -> dict:
         return {"cfg": SimulationConfig.from_dict(doc)}
 
 
-def _compute_simulate(args, ctx, timings):
+def _compute_simulate(args, ctx, timings, stage):
     with errors_at(args.config):  # an infeasible config is found only while generating
         outcome = run_simulation(ctx["cfg"])
-    files = [
-        (args.out, lambda tmp: write_json(tmp, outcome.report)),
-        (f"{args.out}.selections.jsonl", lambda tmp: _write_jsonl(tmp, outcome.selections)),
-    ]
-    return files, ctx["cfg"].unlabeled_size
+    write_json(stage(args.out), outcome.report)
+    _write_jsonl(stage(f"{args.out}.selections.jsonl"), outcome.selections)
+    return ctx["cfg"].unlabeled_size
 
 
 _COMMANDS = {
     "score": _Command(
         load=_load_score,
-        compute=_per_sample(_score_sample, reads_heatmap=lambda args: args.mode != "point"),
+        compute=_chunked(
+            _score_records, lambda args: None if args.mode == "point" else _DEFAULT_EXTRACTION
+        ),
         config=lambda args, ctx: {
             "mode": args.mode, "per_image": bool(args.per_image), "out": args.out,
         },
@@ -269,7 +357,7 @@ _COMMANDS = {
     ),
     "refine": _Command(
         load=lambda args: {"params": _load_model(args), "entries": read_manifest(args.heatmaps)},
-        compute=_per_sample(_refine_sample),
+        compute=_chunked(_refine_records, lambda args: _DEFAULT_EXTRACTION),
         config=lambda args, ctx: {"out": args.out},
         inputs=("skeleton", "params", "heatmaps"),
     ),
@@ -283,17 +371,14 @@ _COMMANDS = {
         seed=lambda args, ctx: args.seed,
     ),
     "calibrate": _Command(
-        load=lambda args: {
-            "skeleton": load_skeleton_file(args.skeleton),
-            "labeled": read_labeled_poses(args.labeled),
-        },
+        load=_load_calibrate,
         compute=_compute_calibrate,
         config=lambda args, ctx: {"model": args.model, "out": args.out},
         inputs=("skeleton", "labeled"),
     ),
     "maxima": _Command(
         load=lambda args: {"entries": read_manifest(args.heatmaps)},
-        compute=_per_sample(_maxima_sample),
+        compute=_chunked(_maxima_records, lambda args: (args.threshold, args.max_peaks)),
         config=lambda args, ctx: {
             "threshold": args.threshold, "max_peaks": args.max_peaks, "out": args.out,
         },
@@ -314,74 +399,91 @@ def _error(message) -> None:
 
 
 def _run(command: str, args: argparse.Namespace) -> int:
-    """Load, compute, write the outputs, then the run manifest last.
+    """Load, compute the outputs into temporary files, rename each over its
+    output, then write the run manifest last.
 
-    Each output is written to a temporary file and renamed into place, so
-    no failure leaves a partial file. The old manifest is removed before
-    any output is replaced, so a manifest exists only beside the outputs of
-    the run that wrote it.
+    Each output goes to a temporary file beside it (per-sample commands
+    stream their records there chunk by chunk), which is renamed into place
+    only once every sample has succeeded and every input is hashed. So no
+    failure leaves a partial file, and no temporary file outlives the run.
+    The old manifest is removed before any output is replaced, so a
+    manifest exists only beside the outputs of the run that wrote it.
     """
     spec = _COMMANDS[command]
     started = time.perf_counter()
-    # Extreme finite inputs may overflow to inf or nan on the way; the
-    # parameter checks reject non-finite fits and -inf densities are valid
-    # scores, so numpy's warnings would only add stderr lines.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            ctx = spec.load(args)
-        except (PoseLikError, OSError) as exc:
-            _error(exc)
-            return 3
-        load_ms = (time.perf_counter() - started) * 1000.0
+    staged: list[tuple[str, str]] = []  # (output, its temporary file), in staging order
 
-        timings = {"io": load_ms}
-        compute_start = time.perf_counter()
-        try:
-            files, samples = spec.compute(args, ctx, timings)
-        except ConfigInvalid as exc:  # a config no sample can satisfy, not a sample's data
-            _error(exc)
-            return 3
-        except PoseLikError as exc:
-            _error(exc)
-            return 4
-    read_ms = timings["io"] - load_ms
-    timings["compute"] = (time.perf_counter() - compute_start) * 1000.0 - read_ms
+    def stage(path: str) -> str:
+        staged.append((path, f"{path}.{os.getpid()}.tmp"))
+        return staged[-1][1]
 
     try:
-        inputs = {
-            name: {"path": str(given), "sha256": _sha256_file(given)}
-            for name in spec.inputs
-            if (given := getattr(args, name))
-        }
-    except OSError as exc:
-        _error(exc)
-        return 3
+        # Extreme finite inputs may overflow to inf or nan on the way; the
+        # parameter checks reject non-finite fits and -inf densities are valid
+        # scores, so numpy's warnings would only add stderr lines.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                ctx = spec.load(args)
+            except (PoseLikError, OSError) as exc:
+                _error(exc)
+                return 3
+            load_ms = (time.perf_counter() - started) * 1000.0
 
-    manifest_path = f"{args.out}.manifest.json"
-    path = manifest_path
-    try:
-        # An old manifest must not outlive the outputs it describes.
-        with contextlib.suppress(FileNotFoundError, IsADirectoryError):
-            os.unlink(manifest_path)
-        for path, write in files:
-            _write_atomic(path, write)
-        timings["total"] = (time.perf_counter() - started) * 1000.0
-        manifest = {
-            "tool": TOOL_NAME,
-            "version": __version__,
-            "command": command,
-            "config": spec.config(args, ctx),
-            "inputs": inputs,
-            "seed": spec.seed(args, ctx),
-            "timings_ms": timings,
-            "samples": samples,
-        }
+            timings = {"io": load_ms}
+            compute_start = time.perf_counter()
+            try:
+                samples = spec.compute(args, ctx, timings, stage)
+            except ConfigInvalid as exc:  # a config no sample can satisfy, not a sample's data
+                _error(exc)
+                return 3
+            except PoseLikError as exc:
+                _error(exc)
+                return 4
+            except OSError as exc:  # reads name their sample; this is a staged write
+                _error(f"cannot write {staged[-1][0]}: {exc.strerror or exc}")
+                return 3
+        read_ms = timings["io"] - load_ms
+        timings["compute"] = (time.perf_counter() - compute_start) * 1000.0 - read_ms
+
+        try:
+            inputs = {
+                name: {"path": str(given), "sha256": _sha256_file(given)}
+                for name in spec.inputs
+                if (given := getattr(args, name))
+            }
+        except OSError as exc:
+            _error(exc)
+            return 3
+
+        manifest_path = f"{args.out}.manifest.json"
         path = manifest_path
-        _write_atomic(path, lambda tmp: write_json(tmp, manifest))
-    except OSError as exc:
-        _error(f"cannot write {path}: {exc.strerror or exc}")
-        return 3
-    return 0
+        try:
+            # An old manifest must not outlive the outputs it describes.
+            with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+                os.unlink(manifest_path)
+            for path, tmp in staged:
+                os.replace(tmp, path)
+            timings["total"] = (time.perf_counter() - started) * 1000.0
+            manifest = {
+                "tool": TOOL_NAME,
+                "version": __version__,
+                "command": command,
+                "config": spec.config(args, ctx),
+                "inputs": inputs,
+                "seed": spec.seed(args, ctx),
+                "timings_ms": timings,
+                "samples": samples,
+            }
+            path = manifest_path
+            _write_atomic(path, lambda tmp: write_json(tmp, manifest))
+        except OSError as exc:
+            _error(f"cannot write {path}: {exc.strerror or exc}")
+            return 3
+        return 0
+    finally:
+        for _, tmp in staged:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 # --- parser -----------------------------------------------------------------------

@@ -39,6 +39,11 @@ _MAGIC = b"PSHM"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIII")  # magic, version, joints, height, width
 
+# Candidate cells that peak extraction tests at once. Bounds its index arrays
+# for any threshold: at threshold 0 every cell of a non-negative grid is a
+# candidate.
+_CANDIDATE_SLICE = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class Heatmap:
@@ -112,7 +117,8 @@ def extract_peaks(
     threshold_ratio: float = DEFAULT_THRESHOLD_RATIO,
     max_peaks: int = DEFAULT_MAX_PEAKS,
 ) -> PeakSet:
-    """Candidate peaks of every joint, found in one pass over all grids.
+    """Candidate peaks of every joint of one heatmap: a stack of one for
+    :func:`extract_peak_sets`.
 
     A peak is a cell strictly greater than its 8-connected neighbors
     (border cells compare only existing neighbors) with score at least
@@ -122,52 +128,135 @@ def extract_peaks(
     by descending score, ties by row-major location, and truncated to the
     top ``max_peaks`` before softmax normalization.
     """
+    return extract_peak_sets(heatmap.values[None], threshold_ratio, max_peaks)[0]
+
+
+def extract_peak_sets(
+    values: np.ndarray,
+    threshold_ratio: float = DEFAULT_THRESHOLD_RATIO,
+    max_peaks: int = DEFAULT_MAX_PEAKS,
+) -> list[PeakSet]:
+    """The peaks of each sample of a ``(B, J, H, W)`` float32 stack of
+    :class:`Heatmap` values, found in one pass over all ``B * J`` grids.
+
+    Each sample's peak set is what :func:`extract_peaks` defines, whatever
+    the other samples of the stack hold. The threshold is applied first, so
+    the 8-neighbor test reads only the cells at or above it, in slices of
+    about :data:`_CANDIDATE_SLICE` cells: the grid maxima and the threshold
+    compare are the only passes over the whole float grids.
+    """
     if max_peaks < 1:
         raise SchemaError(f"max_peaks must be >= 1, got {max_peaks}")
-    # Comparisons run on the stored float32 scores, where they are exact;
-    # only candidate scores are widened to float64 for threshold and softmax.
-    values = heatmap.values
-    n, h, w = values.shape
-    padded = np.full((n, h + 2, w + 2), -np.inf, dtype=values.dtype)
-    padded[:, 1:-1, 1:-1] = values
-    strict = np.ones(values.shape, dtype=bool)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr or dc:
-                strict &= values > padded[:, 1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
-    flat, strict = values.reshape(n, h * w), strict.reshape(n, h * w)
-
-    every = np.arange(n)
+    if not (values.ndim == 4 and values.dtype == np.float32 and values.shape[1] >= 1
+            and min(values.shape[2:]) >= 3):
+        raise SchemaError(
+            "expected a (B, J, H, W) float32 stack with >=1 joint and >=3x3 grids, "
+            f"got {values.dtype} {values.shape}"
+        )
+    b, n, h, w = values.shape
+    grids, size = b * n, h * w
+    flat = values.reshape(grids, size)  # a view of a C-contiguous stack
+    every = np.arange(grids)
     top = flat.argmax(axis=1)  # row-major scan: ties resolve to the first cell
     threshold = threshold_ratio * flat[every, top].astype(np.float64)
-    # A plateaued or negative-valued global maximum may be no strict cell
-    # above threshold; keep it regardless.
-    strict[every, top] = True
-    index = np.flatnonzero(strict)  # much faster than a 2-D np.nonzero
-    joint, cell = np.divmod(index, h * w)
-    score = values.reshape(-1)[index].astype(np.float64)
-    keep = (score >= threshold[joint]) | (cell == top[joint])
-    joint, cell, score = joint[keep], cell[keep], score[keep]
+    # Scores are float32 and the threshold float64: the float32 compare
+    # against the next float32 below the threshold keeps every cell the
+    # exact test keeps, and a few more that it then drops. Each grid's
+    # maximum is left out of the test and kept whatever it gives: a
+    # plateaued or negative-valued maximum may be no strict cell above
+    # threshold.
+    with np.errstate(over="ignore"):  # a threshold beyond float32 rounds to inf
+        below = np.nextafter(threshold.astype(np.float32), np.float32(-np.inf))
+    candidate = flat >= below[:, None]
+    candidate[every, top] = False
+    bounds = [0, grids]
+    if np.count_nonzero(candidate) > _CANDIDATE_SLICE:
+        # Grids whose candidates add up to about _CANDIDATE_SLICE share a slice.
+        slice_of = np.cumsum(np.count_nonzero(candidate, axis=1)) // _CANDIDATE_SLICE
+        bounds = [0, *(np.flatnonzero(np.diff(slice_of)) + 1).tolist(), grids]
+    kept = [
+        _strict_maxima(flat, candidate, lo, hi, threshold, w)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    kept.append((every, top, flat[every, top].astype(np.float64)))
+    grid, cell, score = (np.concatenate(parts) for parts in zip(*kept))
 
-    order = np.lexsort((cell, -score, joint))
-    found = np.bincount(joint, minlength=n)
+    order = np.lexsort((cell, -score, grid))
+    found = np.bincount(grid, minlength=grids)
     rank = np.arange(len(order)) - np.repeat(np.cumsum(found) - found, found)
     order = order[rank < max_peaks]
     cell, score = cell[order], score[order]
     counts = np.minimum(found, max_peaks)
     offsets = np.concatenate([[0], np.cumsum(counts)])
 
-    # Softmax with each joint's maximum (its first row) subtracted. One
-    # ndarray.sum per joint: np.add.reduceat adds in another order.
+    # Softmax with each joint's maximum (its first row) subtracted. Each
+    # joint's sum is one row of a row sum over the joints with its count,
+    # which adds like ndarray.sum on the joint alone (np.add.reduceat adds
+    # in another order).
     shifted = np.exp(score - np.repeat(score[offsets[:-1]], counts))
-    bounds = offsets.tolist()
-    sums = np.array([shifted[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
-    return PeakSet(
-        locs=np.stack(np.divmod(cell, w), axis=1),
-        scores=score,
-        probs=shifted / np.repeat(sums, counts),
-        offsets=offsets,
+    sums = np.empty(grids)
+    for k in np.flatnonzero(np.bincount(counts)).tolist():
+        rows = np.flatnonzero(counts == k)
+        sums[rows] = shifted[offsets[rows, None] + np.arange(k)].sum(axis=1)
+    probs = shifted / np.repeat(sums, counts)
+    locs = np.stack(np.divmod(cell, w), axis=1)
+    starts = offsets[::n].tolist()  # each sample's first peak row, then the total
+    # Copies, not views: a peak set may outlive its chunk by far (a pool holds
+    # thousands), and a view keeps a second array object and the whole
+    # chunk's arrays alive.
+    return [
+        PeakSet(
+            locs=locs[a:z].copy(),
+            scores=score[a:z].copy(),
+            probs=probs[a:z].copy(),
+            offsets=offsets[i * n : (i + 1) * n + 1] - a,
+        )
+        for i, (a, z) in enumerate(zip(starts[:-1], starts[1:]))
+    ]
+
+
+def _strict_maxima(flat, candidate, lo, hi, threshold, w):
+    """(grid, cell, float64 score) of the candidates of grids ``lo:hi`` that
+    are at or above their grid's threshold and strictly greater than each
+    existing 8-neighbor. Clears ``candidate``'s first and last columns."""
+    size = flat.shape[1]
+    values = flat.reshape(-1)
+    # The row neighbors go first: on a smooth bump they reject all but about
+    # one cell per row, so the rest of the test reads few cells. Cells of
+    # the first and last column, which miss one row neighbor, are few and
+    # test apart, so the many others need no column arithmetic.
+    rows = candidate[lo:hi].reshape(-1, w)
+    first = np.flatnonzero(rows[:, 0]) * w + lo * size
+    last = np.flatnonzero(rows[:, -1]) * w + (lo * size + w - 1)
+    rows[:, 0] = rows[:, -1] = False
+    inner = np.flatnonzero(rows) + lo * size
+    score = values[inner]
+    index = np.concatenate([
+        inner[(score > values[inner - 1]) & (score > values[inner + 1])],
+        first[values[first] > values[first + 1]],
+        last[values[last] > values[last - 1]],
+    ])
+    grid = index // size  # floor division and subtraction: much faster than np.divmod
+    cell = index - grid * size
+    score = values[index]
+    wide = score.astype(np.float64)
+    row = cell // w
+    col = cell - row * w
+    first_row, last_row = row == 0, row == size // w - 1
+    first_col, last_col = col == 0, col == w - 1
+
+    def greater(step, outside):
+        # An outside neighbor's index may leave the stack; "clip" keeps the
+        # read in bounds, and its value is never used.
+        return (score > values.take(index + step, mode="clip")) | outside
+
+    keep = (
+        (wide >= threshold[grid])
+        & greater(-w - 1, first_row | first_col) & greater(-w, first_row)
+        & greater(-w + 1, first_row | last_col) & greater(w - 1, last_row | first_col)
+        & greater(w, last_row) & greater(w + 1, last_row | last_col)
     )
+    return grid[keep], cell[keep], wide[keep]
 
 
 # --- binary heatmap files ---------------------------------------------------

@@ -194,15 +194,7 @@ def _point_terms(poses, params: PoseModelParams):
 
 def point_log_likelihood(pose: Pose, params: PoseModelParams) -> LikelihoodReport:
     """Log-likelihood of one complete pose: root prior + per-link terms."""
-    root, links = _point_terms([pose], params)
-    terms = [float(t[0]) for t in links]
-    root_term = float(root[0])
-    return LikelihoodReport(
-        total=root_term + sum(terms),
-        per_link_terms=tuple(terms),
-        root_term=root_term,
-        mode="point",
-    )
+    return _reports(*_point_terms([pose], params), "point")[0]
 
 
 def point_log_likelihoods(poses, params: PoseModelParams) -> list[float]:
@@ -227,10 +219,11 @@ def _stack(peak_sets, params: PoseModelParams):
     by one in batch order would: a wrong joint count, a skeleton that is not
     2-D, then a joint with no peaks. Every peak is then scattered once into
     ``(B, J, K)`` grids. Joint ``j`` gets views of locations ``(B, K_j, 2)``
-    padded with 0, probabilities ``(B, K_j)`` padded with 0 and their logs
-    padded with ``-inf``, ``K_j`` being the largest count of that joint in
-    the batch. Padding follows each sample's peaks and never beats a real
-    peak, so a first maximum is still the lowest real peak index.
+    padded with 0, probabilities ``(B, K_j)`` padded with 0, their logs
+    padded with ``-inf`` and a mask ``(B, K_j)`` of the real peaks, ``K_j``
+    being the largest count of that joint in the batch. Padding follows each
+    sample's peaks and never beats a real peak, so a first maximum is still
+    the lowest real peak index.
     """
     skel = params.skeleton
     joints = [peaks.joint_count for peaks in peak_sets]
@@ -257,32 +250,67 @@ def _stack(peak_sets, params: PoseModelParams):
     probs = np.zeros(real.shape)
     probs[real] = np.concatenate([peaks.probs for peaks in peak_sets])
     return tuple(
-        [grid[:, j, :k] for j, k in enumerate(widths)] for grid in (locs, probs, _log(probs))
+        [grid[:, j, :k] for j, k in enumerate(widths)]
+        for grid in (locs, probs, _log(probs), real)
     )
+
+
+def _expect(values: np.ndarray, weights: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """``sum_k weights[b, k] * values[b, ..., k]`` over the real peaks ``k`` of
+    each sample ``b``, added one peak at a time in peak order.
+
+    The order does not depend on the batch, and a padded peak adds nothing:
+    not even ``0 * value``, which is NaN for a ``-inf`` density. Every joint
+    has a real first peak.
+    """
+    shape = (-1,) + (1,) * (values.ndim - 2)  # weights[:, k] against values[..., k]
+    total = values[..., 0] * weights[:, 0].reshape(shape)
+    for k in range(1, weights.shape[1]):
+        added = total + values[..., k] * weights[:, k].reshape(shape)
+        total = np.where(real[:, k].reshape(shape), added, total)
+    return total
+
+
+def _reports(root: np.ndarray, links: list[np.ndarray], mode: str) -> list[LikelihoodReport]:
+    """One report per sample from root terms ``(B,)`` and per-link terms ``(B,)``."""
+    columns = [terms.tolist() for terms in links]
+    reports = []
+    for b, root_term in enumerate(root.tolist()):
+        terms = tuple(column[b] for column in columns)
+        reports.append(LikelihoodReport(
+            total=root_term + sum(terms), per_link_terms=terms, root_term=root_term, mode=mode,
+        ))
+    return reports
+
+
+def expected_log_likelihoods(peak_sets, params: PoseModelParams) -> list[LikelihoodReport]:
+    """Link terms averaged over each joint's peak distribution, for every
+    sample of a batch from one stack.
+
+    Each link term is the expectation of the link log-density under the
+    product of the parent's and child's peak probabilities, summed over the
+    child's peaks, then over the parent's; the root term averages the root
+    prior the same way. With single-peak joints this reduces to the point
+    log-likelihood of the argmax pose. Each sample's report is bit for bit
+    what it gets alone.
+    """
+    if not peak_sets:
+        return []
+    locs, probs, _, real = _stack(peak_sets, params)
+    root_vector, link_matrices = _terms(locs, params)
+    skel = params.skeleton
+    links = [
+        _expect(_expect(m, probs[child], real[child]), probs[parent], real[parent])
+        for m, (parent, child) in zip(link_matrices, skel.links)
+    ]
+    root = _expect(root_vector, probs[skel.root], real[skel.root])
+    return _reports(root, links, "expected")
 
 
 def expected_log_likelihood(peaks: PeakSet, params: PoseModelParams) -> LikelihoodReport:
-    """Link terms averaged over each joint's peak distribution.
-
-    Each link term is the expectation of the link log-density under the
-    product of the parent's and child's peak probabilities; the root term
-    averages the root prior the same way. With single-peak joints this
-    reduces to the point log-likelihood of the argmax pose.
-    """
-    locs, probs, _ = _stack([peaks], params)
-    root_vector, link_matrices = _terms(locs, params)
-    skel = params.skeleton
-    terms = [
-        float(probs[parent][0] @ m[0] @ probs[child][0])
-        for m, (parent, child) in zip(link_matrices, skel.links)
-    ]
-    root_term = float(probs[skel.root][0] @ root_vector[0])
-    return LikelihoodReport(
-        total=root_term + sum(terms),
-        per_link_terms=tuple(terms),
-        root_term=root_term,
-        mode="expected",
-    )
+    """The expected log-likelihood of one sample: a batch of one for
+    :func:`expected_log_likelihoods`."""
+    return expected_log_likelihoods([peaks], params)[0]
 
 
 def multi_peak_entropy(peaks: PeakSet) -> float:
@@ -340,7 +368,7 @@ def _refine(peak_sets, params: PoseModelParams):
     """Stack, term table and tree DP of a batch: the padded locations and log
     peak probabilities, the root vector and link matrices, and the chosen
     peak indices ``(B, J)``."""
-    locs, _, log_probs = _stack(peak_sets, params)
+    locs, _, log_probs, _ = _stack(peak_sets, params)
     root_vector, link_matrices = _terms(locs, params)
     indices = _max_sum(log_probs, root_vector, link_matrices, params.skeleton)
     return locs, log_probs, root_vector, link_matrices, indices
@@ -353,9 +381,10 @@ def _finish(
     root_vector: np.ndarray,
     link_matrices: list[np.ndarray],
     indices: list[int],
+    row: int,
 ) -> RefinedPose:
-    """Gather one selection's entries from the batch-of-one arrays the search
-    maximized.
+    """Gather one selection's entries from row ``row`` of the batch arrays the
+    search maximized.
 
     ``objective`` adds them in the canonical order: joint log peak
     probabilities, root prior, then links in declaration order. The tree
@@ -363,17 +392,17 @@ def _finish(
     here, so they report bit-identical values for the same selection.
     """
     skel = params.skeleton
-    root_term = float(root_vector[0, indices[skel.root]])
+    root_term = float(root_vector[row, indices[skel.root]])
     link_terms = tuple(
-        float(m[0, indices[parent], indices[child]])
+        float(m[row, indices[parent], indices[child]])
         for m, (parent, child) in zip(link_matrices, skel.links)
     )
-    joint_terms = [float(logs[0, i]) for logs, i in zip(log_probs, indices)]
+    joint_terms = [float(logs[row, i]) for logs, i in zip(log_probs, indices)]
     objective = 0.0
     for term in (*joint_terms, root_term, *link_terms):
         objective += term
     return RefinedPose(
-        pose=Pose.of([joint_locs[0, i] for joint_locs, i in zip(locs, indices)]),
+        pose=Pose.of([joint_locs[row, i] for joint_locs, i in zip(locs, indices)]),
         log_likelihood=root_term + sum(link_terms),
         chosen_peak_index=tuple(int(i) for i in indices),
         objective=objective,
@@ -387,7 +416,7 @@ def refinement_objective(
 ) -> float:
     """Score of one peak selection: log peak probabilities + root and link
     densities, exactly as :func:`refine_pose` reports it for that selection."""
-    locs, _, log_probs = _stack([peaks], params)
+    locs, _, log_probs, _ = _stack([peaks], params)
     skel = params.skeleton
     if len(indices) != skel.n_joints:
         raise DimensionMismatch(
@@ -400,13 +429,22 @@ def refinement_objective(
                 f"peak index {index!r} for joint {name!r} must be an integer in 0..{count - 1}"
             )
     terms = _terms(locs, params)
-    return _finish(params, locs, log_probs, *terms, list(indices)).objective
+    return _finish(params, locs, log_probs, *terms, list(indices), 0).objective
+
+
+def refine_poses(peak_sets, params: PoseModelParams) -> list[RefinedPose]:
+    """The maximizing peak selection of each sample of a batch, from one
+    batched tree DP; each is bit for bit what the sample gets alone."""
+    if not peak_sets:
+        return []
+    *arrays, indices = _refine(peak_sets, params)
+    return [_finish(params, *arrays, chosen, b) for b, chosen in enumerate(indices.tolist())]
 
 
 def refine_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
-    """The maximizing peak selection of one sample: the tree DP on a batch of one."""
-    *arrays, indices = _refine([peaks], params)
-    return _finish(params, *arrays, indices[0].tolist())
+    """The maximizing peak selection of one sample: a batch of one for
+    :func:`refine_poses`."""
+    return refine_poses([peaks], params)[0]
 
 
 def refined_log_likelihoods(peak_sets, params: PoseModelParams) -> list[float]:
@@ -432,7 +470,7 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
     refinement tie-break. Guarded to :data:`BRUTE_FORCE_GUARD`
     configurations.
     """
-    locs, _, log_probs = _stack([peaks], params)
+    locs, _, log_probs, _ = _stack([peaks], params)
     skel = params.skeleton
     counts = [joint_locs.shape[1] for joint_locs in locs]
     space = math.prod(counts)
@@ -464,4 +502,4 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
     indices = [0] * skel.n_joints
     for a, j in enumerate(order):
         indices[j] = int(per_axis[a])
-    return _finish(params, locs, log_probs, root_vector, link_matrices, indices)
+    return _finish(params, locs, log_probs, root_vector, link_matrices, indices, 0)

@@ -27,7 +27,8 @@ from .errors import (
 )
 from .heatmaps import Heatmap, PeakSet, extract_peaks
 from .likelihood import (
-    expected_log_likelihood,
+    expected_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it
+    expected_log_likelihoods,
     multi_peak_entropy,
     refine_pose,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     refined_log_likelihoods,
@@ -114,8 +115,8 @@ def score_pool(
 
     ``params`` is the fitted model shared by every sample; it is required
     for ``vl4pose`` only. ``mode`` picks the vl4pose flavor: the
-    expectation over peak distributions (default) or the refined maximum,
-    which one batched tree DP computes for the whole pool.
+    expectation over peak distributions (default) or the refined maximum.
+    Either is computed for the whole pool by one batched call.
     """
     _check_strategy(strategy)
     if mode not in ("expected", "max"):
@@ -125,20 +126,15 @@ def score_pool(
     if not pool.unlabeled:
         raise EmptyInput("unlabeled pool is empty")
     if strategy == "vl4pose" and mode == "max":
-        refined = refined_log_likelihoods(list(pool.unlabeled.values()), params)
-        return dict(zip(pool.unlabeled, refined))
-
-    scores: dict[str, float] = {}
-    for sample_id in pool.unlabeled:
-        if strategy == "random":
-            scores[sample_id] = _random_score(seed, sample_id)
-            continue
-        peaks = pool.peaks_for(sample_id)
-        if strategy == "entropy":
-            scores[sample_id] = multi_peak_entropy(peaks)
-            continue
-        scores[sample_id] = expected_log_likelihood(peaks, params).total
-    return scores
+        scores = refined_log_likelihoods(list(pool.unlabeled.values()), params)
+    elif strategy == "vl4pose":
+        reports = expected_log_likelihoods(list(pool.unlabeled.values()), params)
+        scores = [report.total for report in reports]
+    elif strategy == "entropy":
+        scores = [multi_peak_entropy(peaks) for peaks in pool.unlabeled.values()]
+    else:
+        scores = [_random_score(seed, sample_id) for sample_id in pool.unlabeled]
+    return dict(zip(pool.unlabeled, scores))
 
 
 def select_batch(scores: dict[str, float], strategy: str, budget: int) -> SelectionResult:

@@ -213,6 +213,32 @@ class TestLabeledPoseFile:
         records = read_labeled_poses(path)
         assert [r[0] for r in records] == ["a", "b"]
         np.testing.assert_array_equal(records[1][1].coordinates, [[1, 1], [1, 7]])
+        skeleton = validate_skeleton(
+            {"joints": ["a", "b"], "root": 0, "links": [[0, 1]], "dimension": 2}
+        )
+        assert [r[0] for r in read_labeled_poses(path, skeleton)] == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "pose, message",
+        [
+            ([[0, 0], [0, 5]], r":2: pose has 2 joints, skeleton has 3$"),
+            ([[0, 0, 1], [0, 5, 1], [0, 9, 1]], r":2: pose dimension 3 != skeleton dimension 2$"),
+        ],
+        ids=["joint-count", "3-D"],
+    )
+    def test_shape_is_checked_against_the_skeleton(self, tmp_path, pose, message):
+        path = tmp_path / "poses.jsonl"
+        path.write_text(
+            json.dumps({"id": "a", "pose": [[0, 0], [0, 5], [0, 9]]}) + "\n"
+            + json.dumps({"id": "b", "pose": pose}) + "\n",
+            encoding="utf-8",
+        )
+        skeleton = validate_skeleton(
+            {"joints": ["a", "b", "c"], "root": 0, "links": [[0, 1], [1, 2]], "dimension": 2}
+        )
+        with pytest.raises(SchemaError, match=message):
+            read_labeled_poses(path, skeleton)
+        assert len(read_labeled_poses(path)) == 2  # without a skeleton, any shape reads
 
     def test_errors(self, tmp_path):
         path = tmp_path / "poses.jsonl"

@@ -470,6 +470,36 @@ class TestCalibrateCommand:
         assert len(err) == 1 and "labeled.jsonl:3: pose" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "pose, message",
+        [
+            ([[0, 0], [0, 5]], "labeled.jsonl:2: pose has 2 joints, skeleton has 3"),
+            ([[0, 0, 0], [0, 5, 0], [0, 9, 0]],
+             "labeled.jsonl:2: pose dimension 3 != skeleton dimension 2"),
+        ],
+        ids=["joint-count", "3-D"],
+    )
+    def test_pose_of_the_wrong_shape_exits_3_naming_its_line(
+        self, tmp_path, capsys, pose, message
+    ):
+        skeleton_path = tmp_path / "skel.json"
+        skeleton_path.write_text(json.dumps(SKELETON_DOC), encoding="utf-8")
+        labeled_path = tmp_path / "labeled.jsonl"
+        labeled_path.write_text(
+            json.dumps({"id": "p0", "pose": [[20, 10], [20, 14], [20, 18]]}) + "\n"
+            + json.dumps({"id": "p1", "pose": pose}) + "\n"
+            + json.dumps({"id": "p2", "pose": [[20, 10], [20, 16], [20, 22]]}) + "\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "x.json"
+        assert run_cli(
+            ["calibrate", "--skeleton", str(skeleton_path), "--labeled", str(labeled_path),
+             "--model", "distance", "--out", str(out)]
+        ) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].endswith(message)
+        assert not out.exists()
+
     @pytest.mark.parametrize("model", ["distance", "offset"])
     def test_overflowing_fit_exits_4_naming_the_link(self, tmp_path, capsys, model):
         skeleton_path = tmp_path / "skel.json"
@@ -673,6 +703,108 @@ class TestSimulateCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "grid" in err[0] and "config.json" in err[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def per_image_params(path, means):
+    """A per-image parameter file: one distance-law mean per image id."""
+    path.write_text(
+        json.dumps({
+            "model_kind": "distance",
+            "per_image": {
+                sample_id: {"links": [{"mean": mean, "sigma": 1.0}] * 2}
+                for sample_id, mean in means.items()
+            },
+        }),
+        encoding="utf-8",
+    )
+    return path
+
+
+class TestChunkedRunner:
+    """Heatmaps are read, extracted and scored in chunks; each record must
+    read as the sample's own run, and the first failure in manifest order
+    must abort the run naming its sample."""
+
+    def test_scoring_error_before_later_read_error_names_the_earlier_sample(
+        self, tmp_path, capsys
+    ):
+        skeleton_path, _, manifest_path, _ = write_inputs(tmp_path, n_samples=4)
+        params_path = per_image_params(
+            tmp_path / "per-image.json", {"s0": 6.0, "s2": 6.0, "s3": 6.0}
+        )
+        payload = (tmp_path / "sample-2.pshm").read_bytes()
+        (tmp_path / "sample-2.pshm").write_bytes(payload[:-8])  # s2: truncated
+        assert run_cli(
+            ["score", "--skeleton", str(skeleton_path), "--params", str(params_path),
+             "--per-image", "--heatmaps", str(manifest_path),
+             "--out", str(tmp_path / "x.jsonl")]
+        ) == 4
+        assert capsys.readouterr().err == (
+            "poselik: error: sample 's1': no model parameters for sample 's1'\n"
+        )
+
+    def test_a_manifest_of_mixed_grid_shapes(self, tmp_path, monkeypatch):
+        shapes = [(2, 9, 9), (2, 9, 9), (3, 9, 9), (2, 9, 9), (2, 7, 11), (2, 7, 11), (2, 9, 9)]
+        rng = np.random.default_rng(5)
+        entries = []
+        for i, shape in enumerate(shapes):
+            values = rng.integers(0, 4, size=shape).astype(np.float32)
+            write_heatmap_file(Heatmap(values), tmp_path / f"h{i}.pshm")
+            entries.append(json.dumps({"id": f"h{i}", "path": f"h{i}.pshm"}) + "\n")
+        manifest_path = tmp_path / "m.jsonl"
+        manifest_path.write_text("".join(entries), encoding="utf-8")
+        out = tmp_path / "peaks.jsonl"
+        monkeypatch.setattr(cli, "CHUNK", 2)  # chunks end on shapes and on the count
+        assert run_cli(
+            ["maxima", "--heatmaps", str(manifest_path), "--threshold", "0",
+             "--max-peaks", "3", "--out", str(out)]
+        ) == 0
+        records = read_jsonl(out)
+        assert [r["id"] for r in records] == [f"h{i}" for i in range(len(shapes))]
+        for i, record in enumerate(records):
+            peaks = extract_peaks(read_heatmap_file(tmp_path / f"h{i}.pshm"), 0.0, 3)
+            assert record["entropy"] == multi_peak_entropy(peaks)
+            assert [[p["loc"] for p in joint] for joint in record["peaks"]] == [
+                peaks.locs[a:b].tolist()
+                for a, b in zip(peaks.offsets[:-1], peaks.offsets[1:])
+            ]
+            assert [p["prob"] for joint in record["peaks"] for p in joint] == peaks.probs.tolist()
+
+    def test_per_image_scores_match_each_image_alone(self, tmp_path, monkeypatch):
+        skeleton_path, _, manifest_path, _ = write_inputs(tmp_path, n_samples=5)
+        means = {"s0": 6.0, "s1": 5.0, "s2": 30.0, "s3": 6.0, "s4": 7.5}
+        params_path = per_image_params(tmp_path / "per-image.json", means)
+        out = tmp_path / "scores.jsonl"
+        monkeypatch.setattr(cli, "CHUNK", 3)
+        assert run_cli(
+            ["score", "--skeleton", str(skeleton_path), "--params", str(params_path),
+             "--per-image", "--heatmaps", str(manifest_path), "--out", str(out)]
+        ) == 0
+        expected = [
+            json.dumps(
+                expected_log_likelihood(
+                    extract_peaks(read_heatmap_file(tmp_path / f"sample-{i}.pshm")),
+                    chain_model(mean=means[f"s{i}"]),
+                ).to_json_dict(f"s{i}"),
+                sort_keys=True,
+            )
+            for i in range(5)
+        ]
+        assert out.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+    def test_failed_run_leaves_old_outputs_and_no_temporary_file(self, tmp_path, capsys):
+        skeleton_path, model_path, manifest_path, _ = write_inputs(tmp_path, n_samples=3)
+        out = tmp_path / "scores.jsonl"
+        argv = ["score", "--skeleton", str(skeleton_path), "--params", str(model_path),
+                "--heatmaps", str(manifest_path), "--out", str(out)]
+        assert run_cli(argv) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        payload = (tmp_path / "sample-2.pshm").read_bytes()
+        (tmp_path / "sample-2.pshm").write_bytes(payload[:-8])
+        before["sample-2.pshm"] = payload[:-8]
+        assert run_cli(argv) == 4
+        assert "'s2'" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestOutputWrites:

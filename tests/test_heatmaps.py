@@ -18,6 +18,7 @@ from poselik import (
     SchemaError,
     TruncatedPayload,
     VersionUnsupported,
+    extract_peak_sets,
     extract_peaks,
     read_heatmap_file,
     read_manifest,
@@ -199,6 +200,22 @@ class TestLocalMaxima:
     def test_max_peaks_below_one_rejected(self):
         with pytest.raises(SchemaError):
             extract_peaks(heatmap_of(np.zeros((4, 4))), max_peaks=0)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.zeros((2, 4, 4), np.float32), np.zeros((1, 2, 4, 4)),
+            np.zeros((1, 0, 4, 4), np.float32), np.zeros((1, 2, 2, 4), np.float32),
+            np.zeros((1, 2, 4, 2), np.float32),
+        ],
+        ids=["3-D", "float64", "no joints", "2 rows", "2 columns"],
+    )
+    def test_a_stack_no_heatmap_can_hold_is_rejected(self, values):
+        with pytest.raises(SchemaError, match="float32 stack"):
+            extract_peak_sets(values)
+
+    def test_an_empty_stack_has_no_peak_sets(self):
+        assert extract_peak_sets(np.zeros((0, 2, 4, 4), np.float32)) == []
 
     def test_extract_peaks_all_joints(self):
         pose = Pose.of([[5.0, 5.0], [20.0, 20.0]])

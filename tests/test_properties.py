@@ -4,13 +4,16 @@ The fixed-seed tests and criterion 1 cover distance models; these
 properties add offset models and root priors, and check that a refined
 pose reports the same terms as scoring that pose directly and the same
 objective as scoring its selection, which no other selection beats. The
-batched DP over a padded pool, and stacked point scoring, must report bit
-for bit what each sample's own call reports. Peak extraction is checked
-bit for bit against a per-joint loop on grids full of ties, plateaus and
-negative maxima, the heatmap renderer (cached table windows and direct
-bumps) against its out-of-place formula, and the ranking AUC against its
-pairwise definition. Fuzzed manifests and heatmap
-files must read back exactly or raise only ``PoseLikError``s, and every
+batched DP over a padded pool, batched expected scoring (with
+zero-probability peaks and ``-inf`` densities) and stacked point scoring
+must report bit for bit what each sample's own call reports. Peak
+extraction is checked bit for bit against a per-joint loop and against a
+full-grid 8-comparison pass on grids full of ties, plateaus, border and
+negative maxima, and a stacked extraction against each sample's own, in
+candidate slices of any size; the heatmap renderer (cached table windows
+and direct bumps) against its out-of-place formula, and the ranking AUC
+against its pairwise definition. Fuzzed manifests and heatmap files must
+read back exactly or raise only ``PoseLikError``s, and every
 command must turn any bytes in any of its JSON inputs into a documented exit
 code with at most one stderr line and, on failure, no output.
 """
@@ -24,6 +27,7 @@ import json
 import math
 import os
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,6 +48,9 @@ from poselik import (
     VersionUnsupported,
     brute_force_best_pose,
     cli,
+    expected_log_likelihood,
+    expected_log_likelihoods,
+    extract_peak_sets,
     extract_peaks,
     multi_peak_entropy,
     ood_ranking_auc,
@@ -52,16 +59,19 @@ from poselik import (
     read_heatmap_file,
     read_manifest,
     refine_pose,
+    refine_poses,
     refinement_objective,
     render_gaussian_heatmap,
     score_pool,
     validate_skeleton,
     write_heatmap_file,
 )
+from poselik import heatmaps as heatmaps_module
 from poselik.heatmaps import _gaussian_table
-from poselik.likelihood import _finish, _max_sum, _stack, _terms
 
 from _helpers import (
+    assert_same_peaks,
+    eight_comparison_peaks,
     joint_peaks,
     oracle_auc,
     oracle_config_objective,
@@ -180,30 +190,12 @@ def test_refined_terms_equal_point_scoring_of_the_pose(instance, data):
     assert objective <= refined.objective + 1e-9
 
 
-def batched_refinements(peak_sets, model):
-    """Each sample's RefinedPose, read from one batched DP over the padded stack."""
-    locs, _, log_probs = _stack(peak_sets, model)
-    root_vector, link_matrices = _terms(locs, model)
-    indices = _max_sum(log_probs, root_vector, link_matrices, model.skeleton)
-    return [
-        _finish(
-            model,
-            [joint_locs[b : b + 1] for joint_locs in locs],
-            [logs[b : b + 1] for logs in log_probs],
-            root_vector[b : b + 1],
-            [m[b : b + 1] for m in link_matrices],
-            indices[b].tolist(),
-        )
-        for b in range(len(peak_sets))
-    ]
-
-
 @PROPERTY_SETTINGS
 @given(pools())
 def test_batched_refinement_equals_per_sample_refinement(pool_case):
     peak_sets, model = pool_case
     singles = [refine_pose(peaks, model) for peaks in peak_sets]
-    for batched, single in zip(batched_refinements(peak_sets, model), singles):
+    for batched, single in zip(refine_poses(peak_sets, model), singles):
         assert batched.chosen_peak_index == single.chosen_peak_index
         assert batched.pose.coordinates.tolist() == single.pose.coordinates.tolist()
         assert batched.log_likelihood == single.log_likelihood
@@ -280,13 +272,24 @@ def test_stacked_point_scoring_equals_per_pose_scoring(model, data):
 
 
 @st.composite
-def heatmaps(draw) -> Heatmap:
+def heatmaps(draw, shape=None) -> Heatmap:
     """Small grids of small integers (ties and plateaus everywhere), of
-    negative integers, of one constant, or of float32 scores."""
-    shape = (draw(st.integers(1, 4)), draw(st.integers(3, 7)), draw(st.integers(3, 7)))
+    negative integers, of one constant, of float32 scores, or of zeros with
+    maxima on the border, each of ``shape`` or of a drawn one."""
+    if shape is None:
+        shape = (draw(st.integers(1, 4)), draw(st.integers(3, 7)), draw(st.integers(3, 7)))
     size = int(np.prod(shape))
-    kind = draw(st.sampled_from(("small", "negative", "constant", "float")))
-    if kind == "constant":
+    kind = draw(st.sampled_from(("small", "negative", "constant", "float", "border")))
+    if kind == "border":
+        values = np.zeros(shape)
+        _, h, w = shape
+        for j in range(shape[0]):
+            cells = st.tuples(st.sampled_from((0, h - 1)), st.integers(0, w - 1)) | st.tuples(
+                st.integers(0, h - 1), st.sampled_from((0, w - 1))
+            )
+            for row, col in draw(st.lists(cells, min_size=1, max_size=4)):
+                values[j, row, col] = draw(st.integers(1, 3))
+    elif kind == "constant":
         values = [draw(st.integers(-3, 3))] * size
     elif kind == "float":
         values = draw(st.lists(st.floats(-50.0, 50.0, width=32), min_size=size, max_size=size))
@@ -309,6 +312,79 @@ def test_extract_peaks_matches_per_joint_reference(heatmap, threshold_ratio, max
     assert peaks.locs.tolist() == locs
     assert peaks.scores.tolist() == scores
     assert peaks.probs.tolist() == probs
+
+
+@PROPERTY_SETTINGS
+@given(heatmaps(), st.sampled_from((0.0, 0.05, 0.5, 1.0)), st.integers(1, 12))
+def test_extract_peaks_equals_eight_comparison_extraction(heatmap, threshold_ratio, max_peaks):
+    assert_same_peaks(
+        extract_peaks(heatmap, threshold_ratio, max_peaks),
+        eight_comparison_peaks(heatmap.values, threshold_ratio, max_peaks),
+    )
+
+
+@st.composite
+def heatmap_stacks(draw) -> list[Heatmap]:
+    """1-5 heatmaps of one shape, each of its own kind."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(3, 7)), draw(st.integers(3, 7)))
+    return draw(st.lists(heatmaps(shape), min_size=1, max_size=5))
+
+
+@PROPERTY_SETTINGS
+@given(
+    heatmap_stacks(),
+    st.sampled_from((0.0, 0.05, 0.5, 1.0)) | st.floats(-2.0, 2.0),
+    st.integers(1, 12),
+    st.sampled_from((1, 7, 64, heatmaps_module._CANDIDATE_SLICE)),
+)
+def test_extracting_a_stack_equals_extracting_each_sample(
+    stack, threshold_ratio, max_peaks, candidate_slice
+):
+    values = np.stack([heatmap.values for heatmap in stack])
+    # Small slices cut the grids of one stack into many slices.
+    with mock.patch.object(heatmaps_module, "_CANDIDATE_SLICE", candidate_slice):
+        stacked = extract_peak_sets(values, threshold_ratio, max_peaks)
+    assert len(stacked) == len(stack)
+    for peaks, heatmap in zip(stacked, stack):
+        assert_same_peaks(peaks, extract_peaks(heatmap, threshold_ratio, max_peaks))
+
+
+@st.composite
+def scoring_pools(draw):
+    """(peak sets, model) as :func:`pools` draws them, at times with a
+    distance law so narrow that far peaks get a ``-inf`` density (and a
+    zero-probability peak a NaN term)."""
+    peak_sets, model = draw(pools())
+    if model.model_kind == "distance" and draw(st.booleans()):
+        laws = tuple(
+            DistanceParams(law.mean_distance, 1e-160) if draw(st.booleans()) else law
+            for law in model.link_params
+        )
+        model = PoseModelParams(
+            skeleton=model.skeleton, link_params=laws, model_kind="distance",
+            root_params=model.root_params,
+        )
+    return peak_sets, model
+
+
+def report_bits(report) -> bytes:
+    """The bytes of every number of a report: NaN equals NaN, -0.0 is not 0.0."""
+    return np.array([report.total, report.root_term, *report.per_link_terms]).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(scoring_pools())
+def test_batched_expected_scoring_equals_its_batch_of_one(pool_case):
+    peak_sets, model = pool_case
+    with np.errstate(over="ignore", invalid="ignore"):
+        batched = expected_log_likelihoods(peak_sets, model)
+        singles = [expected_log_likelihood(peaks, model) for peaks in peak_sets]
+        pool = SamplePool(labeled={}, unlabeled={f"s{i}": p for i, p in enumerate(peak_sets)})
+        scores = score_pool(pool, "vl4pose", model, mode="expected")
+    assert [report_bits(r) for r in batched] == [report_bits(r) for r in singles]
+    assert np.array(list(scores.values())).tobytes() == np.array(
+        [r.total for r in singles]
+    ).tobytes()
 
 
 @PROPERTY_SETTINGS
