@@ -103,7 +103,7 @@ class SearchSpaceTooLarge(PoseLikError):
 # --- pool scoring and selection ---------------------------------------------
 
 class MissingHeatmap(PoseLikError):
-    """The unlabeled pool holds no sample with this id."""
+    """The unlabeled pool holds no sample, or no peaks, under this id."""
 
 
 class MissingParams(PoseLikError):

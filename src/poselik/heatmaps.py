@@ -58,10 +58,15 @@ class Heatmap:
         n, h, w = values.shape
         if n < 1 or h < 3 or w < 3:
             raise SchemaError(f"heatmap needs >=1 joint and a >=3x3 grid, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteValue("heatmap contains NaN or infinite scores")
+        require_finite(values)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+
+def require_finite(values: np.ndarray) -> None:
+    """Raise :class:`NonFiniteValue` unless every score of ``values`` is finite."""
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteValue("heatmap contains NaN or infinite scores")
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,40 +336,79 @@ def render_gaussian_heatmap(
 
     ``distractors`` adds extra bumps as (joint, (row, col), amplitude)
     entries. Values are clipped to [0, 1]. Coordinates are (row, col) at
-    grid resolution and must lie inside the grid. A bump on an integer cell
-    is a window of one cached table of bumps at integer offsets, whose
-    offsets ``rows - row`` are the same exact integers; other bumps are
-    computed directly. Both give the formula's values bit for bit.
+    grid resolution and must lie inside the grid. The grids are what
+    :func:`render_gaussian_into` writes, checked like any :class:`Heatmap`.
+    """
+    values = np.empty((pose.n_joints, height, width), dtype=np.float32)
+    render_gaussian_into(values, pose, peak_sigma, distractors)
+    return Heatmap(values=values)
+
+
+def render_gaussian_into(
+    out: np.ndarray,
+    pose: Pose,
+    peak_sigma: float,
+    distractors: Iterable[tuple[int, tuple[float, float], float]] | None = None,
+) -> None:
+    """Write the grids :func:`render_gaussian_heatmap` renders into ``out``,
+    a float32 ``(joints, height, width)`` array, without its finiteness check.
+
+    A bump on an integer cell is a window of one cached table of bumps at
+    integer offsets, whose offsets ``rows - row`` are the same exact
+    integers; other bumps are computed directly. Both give the formula's
+    values bit for bit. A bump lies in [0, 1], and ``0.0 + bump`` is the
+    bump, so a joint without a distractor is its bump cast on assignment,
+    which rounds like ``astype(np.float32)``. Only a joint with distractors
+    is summed in float64, in the given order, then clipped.
     """
     if pose.dimension != 2:
         raise OutOfBoundsCoordinate("rendering requires 2D poses")
     if peak_sigma <= 0:
         raise SchemaError(f"peak_sigma must be > 0, got {peak_sigma}")
+    if out.dtype != np.float32 or out.ndim != 3 or len(out) != pose.n_joints:
+        raise SchemaError(
+            f"expected a float32 ({pose.n_joints}, H, W) grid, got {out.dtype} {out.shape}"
+        )
+    n, height, width = out.shape
+    centres = pose.coordinates.tolist()
+    present = pose.present.tolist()
+    extra = [[] for _ in range(n)]  # each joint's distractors, in the given order
+
+    def check(row: float, col: float) -> None:
+        if not (0 <= row <= height - 1 and 0 <= col <= width - 1):
+            raise OutOfBoundsCoordinate(
+                f"coordinate ({row}, {col}) outside {height}x{width} grid"
+            )
+
+    for j in range(n):
+        if present[j]:
+            check(*centres[j])
+    for joint, (row, col), amplitude in distractors or ():
+        if not 0 <= joint < n:
+            raise JointOutOfRange(f"distractor joint {joint} outside [0, {n})")
+        check(row, col)
+        extra[joint].append((row, col, amplitude))
+
     rows = np.arange(height, dtype=np.float64)[:, None]
     cols = np.arange(width, dtype=np.float64)[None, :]
     inv = 1.0 / (2.0 * peak_sigma * peak_sigma)
     scratch = np.empty((height, width), dtype=np.float64)
 
     def bump(row: float, col: float) -> np.ndarray:
-        if not (0 <= row <= height - 1 and 0 <= col <= width - 1):
-            raise OutOfBoundsCoordinate(
-                f"coordinate ({row}, {col}) outside {height}x{width} grid"
-            )
         if float(row).is_integer() and float(col).is_integer():
             top, left = height - 1 - int(row), width - 1 - int(col)
             return _gaussian_table(height, width, inv)[top : top + height, left : left + width]
         return _gaussian(rows - row, cols - col, inv, scratch)
 
-    maps = np.zeros((pose.n_joints, height, width), dtype=np.float64)
-    for j in range(pose.n_joints):
-        if pose.present[j]:
-            row, col = pose.coordinates[j]
-            maps[j] += bump(row, col)
-    for joint, (row, col), amplitude in distractors or ():
-        if not 0 <= joint < pose.n_joints:
-            raise JointOutOfRange(f"distractor joint {joint} outside [0, {pose.n_joints})")
-        maps[joint] += np.multiply(amplitude, bump(row, col), out=scratch)
-    return Heatmap(values=np.clip(maps, 0.0, 1.0, out=maps).astype(np.float32))
+    total = np.empty((height, width), dtype=np.float64)  # a joint with distractors
+    for j in range(n):
+        if not extra[j]:
+            out[j] = bump(*centres[j]) if present[j] else 0.0
+            continue
+        np.copyto(total, bump(*centres[j]) if present[j] else 0.0)
+        for row, col, amplitude in extra[j]:
+            total += np.multiply(amplitude, bump(row, col), out=scratch)
+        out[j] = np.clip(total, 0.0, 1.0, out=total)
 
 
 # --- manifests ----------------------------------------------------------------

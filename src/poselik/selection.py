@@ -25,7 +25,10 @@ from .errors import (
     MissingParams,
     SchemaError,
 )
-from .heatmaps import Heatmap, PeakSet, extract_peaks
+from .heatmaps import (
+    PeakSet,
+    extract_peaks,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
+)
 from .likelihood import (
     expected_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it
     expected_log_likelihoods,
@@ -52,12 +55,14 @@ class SamplePool:
     """Labeled poses plus the peak sets of unlabeled samples.
 
     Every strategy reads only the peaks, so the pool keeps each unlabeled
-    sample's :class:`PeakSet` (default extraction settings) and never its
-    heatmap: memory grows with the peaks, not with the grids.
+    sample's :class:`PeakSet` and never its heatmap: memory grows with the
+    peaks, not with the grids. A sample stored with ``None`` has no peaks,
+    for a pool that only the ``random`` strategy ranks; asking for them
+    raises :class:`MissingHeatmap`.
     """
 
     labeled: dict[str, Pose]
-    unlabeled: dict[str, PeakSet]
+    unlabeled: dict[str, PeakSet | None]
 
     def __post_init__(self) -> None:
         overlap = set(self.labeled) & set(self.unlabeled)
@@ -69,16 +74,18 @@ class SamplePool:
     def clone(self) -> "SamplePool":
         return SamplePool(labeled=dict(self.labeled), unlabeled=dict(self.unlabeled))
 
-    def add_unlabeled(self, sample_id: str, heatmap: Heatmap) -> None:
-        """Store the peaks of ``heatmap`` under a new id; the heatmap is not kept."""
+    def add_unlabeled(self, sample_id: str, peaks: PeakSet | None) -> None:
+        """Store ``peaks`` (or no peaks) under a new id."""
         if sample_id in self.labeled or sample_id in self.unlabeled:
             raise SchemaError(f"sample {sample_id!r} is already in the pool")
-        self.unlabeled[sample_id] = extract_peaks(heatmap)
+        self.unlabeled[sample_id] = peaks
 
     def peaks_for(self, sample_id: str) -> PeakSet:
-        peaks = self.unlabeled.get(sample_id)
-        if peaks is None:
+        if sample_id not in self.unlabeled:
             raise MissingHeatmap(f"no unlabeled sample {sample_id!r}")
+        peaks = self.unlabeled[sample_id]
+        if peaks is None:
+            raise MissingHeatmap(f"unlabeled sample {sample_id!r} has no peaks")
         return peaks
 
     def move_to_labeled(self, sample_id: str, pose: Pose) -> None:
@@ -125,15 +132,15 @@ def score_pool(
         raise MissingParams("vl4pose scoring needs fitted model parameters")
     if not pool.unlabeled:
         raise EmptyInput("unlabeled pool is empty")
+    if strategy == "random":
+        return {sample_id: _random_score(seed, sample_id) for sample_id in pool.unlabeled}
+    peak_sets = [pool.peaks_for(sample_id) for sample_id in pool.unlabeled]
     if strategy == "vl4pose" and mode == "max":
-        scores = refined_log_likelihoods(list(pool.unlabeled.values()), params)
+        scores = refined_log_likelihoods(peak_sets, params)
     elif strategy == "vl4pose":
-        reports = expected_log_likelihoods(list(pool.unlabeled.values()), params)
-        scores = [report.total for report in reports]
-    elif strategy == "entropy":
-        scores = [multi_peak_entropy(peaks) for peaks in pool.unlabeled.values()]
+        scores = [report.total for report in expected_log_likelihoods(peak_sets, params)]
     else:
-        scores = [_random_score(seed, sample_id) for sample_id in pool.unlabeled]
+        scores = [multi_peak_entropy(peaks) for peaks in peak_sets]
     return dict(zip(pool.unlabeled, scores))
 
 

@@ -20,7 +20,12 @@ import numpy as np
 
 from .calibration import LabeledPoseSet, fit_model
 from .errors import ConfigInvalid
-from .heatmaps import render_gaussian_heatmap
+from .heatmaps import (
+    extract_peak_sets,
+    render_gaussian_heatmap,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
+    render_gaussian_into,
+    require_finite,
+)
 from .likelihood import (
     point_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     point_log_likelihoods,
@@ -37,6 +42,9 @@ from .selection import (
 )
 
 _MAX_POSE_ATTEMPTS = 1000
+# Unlabeled samples rendered into one reused float32 buffer and extracted by
+# one call: 8 of the bench's 8x96x96 grids take 2.4 MB.
+_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -289,13 +297,15 @@ def _sample_pose(rng: np.random.Generator, gen: GeneratorParams, cfg: Simulation
     """One chain pose with integer grid coordinates, rejection-sampled in-bounds."""
     h, w = cfg.height, cfg.width
     for _ in range(_MAX_POSE_ATTEMPTS):
-        coords = np.empty((cfg.joints, 2))
-        coords[0] = (rng.uniform(0.35 * h, 0.65 * h), rng.uniform(0.35 * w, 0.65 * w))
+        # The chain walks on Python floats, which add like float64 rows.
+        row, col = rng.uniform(0.35 * h, 0.65 * h), rng.uniform(0.35 * w, 0.65 * w)
+        coords = [(row, col)]
         for i in range(cfg.joints - 1):
             length = rng.normal(gen.link_means[i], gen.link_sds[i])
             angle = rng.uniform(*gen.angle_ranges[i])
-            coords[i + 1] = coords[i] + (length * math.sin(angle), length * math.cos(angle))
-        cells = np.rint(coords)
+            row, col = row + length * math.sin(angle), col + length * math.cos(angle)
+            coords.append((row, col))
+        cells = np.rint(np.array(coords))
         if np.all(cells >= 1) and np.all(cells[:, 0] <= h - 2) and np.all(cells[:, 1] <= w - 2):
             return Pose.of(cells)
     raise ConfigInvalid(
@@ -304,8 +314,8 @@ def _sample_pose(rng: np.random.Generator, gen: GeneratorParams, cfg: Simulation
     )
 
 
-def _render_sample(rng: np.random.Generator, pose: Pose, cfg: SimulationConfig):
-    """Heatmap for one pose, plus any configured distractor bumps."""
+def _draw_distractors(rng: np.random.Generator, pose: Pose, cfg: SimulationConfig) -> list:
+    """One pose's configured distractor bumps, as ``render_gaussian_into`` takes them."""
     distractors = []
     min_sep = 3.0 * cfg.peak_sigma + 1.0
     for _ in range(cfg.distractor_count):
@@ -324,19 +334,21 @@ def _render_sample(rng: np.random.Generator, pose: Pose, cfg: SimulationConfig):
                 f"{joint} after {_MAX_POSE_ATTEMPTS} draws; peak_sigma is too large for the grid"
             )
         distractors.append((joint, loc, cfg.distractor_amplitude))
-    return render_gaussian_heatmap(
-        pose, cfg.height, cfg.width, cfg.peak_sigma, distractors=distractors
-    )
+    return distractors
 
 
 def build_pool(cfg: SimulationConfig):
     """(pool, heldout poses, truth, is_ood) generated from the config seed.
 
-    Each unlabeled heatmap is rendered, reduced to its peaks by
-    :meth:`SamplePool.add_unlabeled` and dropped. ``truth`` maps each
-    unlabeled id to the pose its heatmap was rendered from, and ``is_ood``
-    flags the planted out-of-distribution ids; only the simulation reads
-    them, never the selection strategies.
+    Unlabeled heatmaps are rendered :data:`_CHUNK` at a time into one
+    float32 buffer, and each chunk's peaks are extracted by one call and
+    stored in id order; no grid is kept. Only ``vl4pose`` and ``entropy``
+    read peaks: without them nothing is rendered, and every unlabeled
+    sample is stored without peaks. The render generator is a stream of
+    its own, so skipping it changes no pose. ``truth`` maps each unlabeled
+    id to the pose its heatmap was rendered from, and ``is_ood`` flags the
+    planted out-of-distribution ids; only the simulation reads them, never
+    the selection strategies.
     """
     seq = np.random.SeedSequence(cfg.seed)
     pose_rng, render_rng = (np.random.default_rng(s) for s in seq.spawn(2))
@@ -351,6 +363,10 @@ def build_pool(cfg: SimulationConfig):
     }
     pool = SamplePool(labeled=labeled, unlabeled={})
     truth, is_ood = {}, {}
+    chunk, pending = None, []  # pending: the ids rendered into chunk's first rows
+    if not {"vl4pose", "entropy"}.isdisjoint(cfg.strategies):
+        shape = (min(_CHUNK, cfg.unlabeled_size), cfg.joints, cfg.height, cfg.width)
+        chunk = np.empty(shape, dtype=np.float32)
     n_id = cfg.unlabeled_size - cfg.ood_count
     for i in range(cfg.unlabeled_size):
         ood = i >= n_id
@@ -359,7 +375,18 @@ def build_pool(cfg: SimulationConfig):
         pose = _sample_pose(pose_rng, gen, cfg)
         truth[sample_id] = pose
         is_ood[sample_id] = ood
-        pool.add_unlabeled(sample_id, _render_sample(render_rng, pose, cfg))
+        if chunk is None:
+            pool.add_unlabeled(sample_id, None)
+            continue
+        distractors = _draw_distractors(render_rng, pose, cfg)
+        render_gaussian_into(chunk[len(pending)], pose, cfg.peak_sigma, distractors)
+        pending.append(sample_id)
+        if len(pending) == len(chunk) or i == cfg.unlabeled_size - 1:
+            rendered = chunk[: len(pending)]
+            require_finite(rendered)
+            for pending_id, peaks in zip(pending, extract_peak_sets(rendered)):
+                pool.add_unlabeled(pending_id, peaks)
+            pending.clear()
     return pool, heldout, truth, is_ood
 
 

@@ -25,7 +25,7 @@ from poselik import (
     render_gaussian_heatmap,
     write_heatmap_file,
 )
-from poselik.heatmaps import entropy_of_probs
+from poselik.heatmaps import entropy_of_probs, render_gaussian_into
 
 from _helpers import oracle_entropy, scan_strict_maxima
 
@@ -293,6 +293,16 @@ class TestRenderGaussianHeatmap:
             render_gaussian_heatmap(
                 Pose.of([[10.0, 10.0]]), 32, 32, 2.0, distractors=[(0, (-1.0, 5.0), 0.5)]
             )
+
+    def test_render_into_needs_a_float32_grid_per_joint(self):
+        pose = Pose.of([[10.0, 10.0], [20.0, 20.0]])
+        for out in (
+            np.zeros((2, 32, 32)),
+            np.zeros((1, 32, 32), np.float32),
+            np.zeros((2, 32), np.float32),
+        ):
+            with pytest.raises(SchemaError, match="float32"):
+                render_gaussian_into(out, pose, 2.0)
 
     def test_absent_joint_renders_empty(self):
         pose = Pose.of([[10.0, 10.0], [20.0, 20.0]], present=[True, False])

@@ -11,7 +11,8 @@ extraction is checked bit for bit against a per-joint loop and against a
 full-grid 8-comparison pass on grids full of ties, plateaus, border and
 negative maxima, and a stacked extraction against each sample's own, in
 candidate slices of any size; the heatmap renderer (cached table windows
-and direct bumps) against its out-of-place formula, and the ranking AUC
+and direct bumps, into a fresh grid or one row of a reused buffer) against
+its out-of-place formula, and the ranking AUC
 against its pairwise definition. Fuzzed manifests and heatmap files must
 read back exactly or raise only ``PoseLikError``s, and every
 command must turn any bytes in any of its JSON inputs into a documented exit
@@ -31,7 +32,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poselik import (
@@ -67,7 +68,7 @@ from poselik import (
     write_heatmap_file,
 )
 from poselik import heatmaps as heatmaps_module
-from poselik.heatmaps import _gaussian_table
+from poselik.heatmaps import _gaussian_table, render_gaussian_into
 
 from _helpers import (
     assert_same_peaks,
@@ -465,6 +466,35 @@ def test_render_matches_out_of_place_formula(case, other):
     # never serves other arguments.
     for each in (other, case, other):
         assert_renders_like_reference(each)
+
+
+@st.composite
+def row_render_cases(draw):
+    """A render case plus each joint's presence flag."""
+    coords, height, width, peak_sigma, distractors = draw(render_cases())
+    present = draw(st.lists(st.booleans(), min_size=len(coords), max_size=len(coords)))
+    return coords, present, height, width, peak_sigma, distractors
+
+
+@PROPERTY_SETTINGS
+@example(([(3.0, 3.0), (5.0, 6.5)], [True, True], 9, 9, 1.0, []))  # no distractor
+@example(  # two distractors on one joint
+    ([(3.0, 3.0), (5.0, 6.0)], [True, True], 9, 9, 1.0, [(1, (1.0, 1.0), 0.4), (1, (7.0, 2.5), 0.9)])
+)
+@example(  # absent joints, one of them with a distractor
+    ([(3.0, 3.0), (5.0, 6.0), (2.0, 2.0)], [False, True, False], 9, 9, 1.0, [(0, (4.0, 4.0), 0.5)])
+)
+@example(([(4.0, 4.0)], [True], 9, 9, 1.5, [(0, (4.0, 4.0), 0.8), (0, (4.0, 5.0), 1.0)]))  # 2.6 at (4, 4)
+@given(row_render_cases())
+def test_render_into_a_reused_row_matches_reference(case):
+    """Rendering into one row of a stale float32 buffer writes every cell of
+    the row, and only the row, with the out-of-place formula's values."""
+    coords, present, height, width, peak_sigma, distractors = case
+    buffer = np.full((3, len(coords), height, width), np.nan, dtype=np.float32)
+    render_gaussian_into(buffer[1], Pose.of(coords, present), peak_sigma, distractors)
+    expected = render_reference(coords, height, width, peak_sigma, distractors, present)
+    assert buffer[1].tobytes() == expected.tobytes()
+    assert np.isnan(buffer[[0, 2]]).all()
 
 
 # --- untrusted files --------------------------------------------------------------

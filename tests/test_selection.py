@@ -13,7 +13,6 @@ from poselik import (
     Heatmap,
     MissingHeatmap,
     MissingParams,
-    PeakSet,
     Pose,
     PoseModelParams,
     SamplePool,
@@ -30,7 +29,7 @@ from poselik import (
 )
 from poselik.selection import _random_score
 
-from _helpers import assert_same_peaks, oracle_auc, peakset_of
+from _helpers import oracle_auc, peakset_of
 
 
 def chain_model(n_joints=3, mean=6.0, sigma=1.0):
@@ -55,7 +54,7 @@ def render(pose, size=64):
 def make_pool(heatmaps, labeled=None):
     pool = SamplePool(labeled=dict(labeled or {}), unlabeled={})
     for sample_id, heatmap in heatmaps.items():
-        pool.add_unlabeled(sample_id, heatmap)
+        pool.add_unlabeled(sample_id, extract_peaks(heatmap))
     return pool
 
 
@@ -66,21 +65,38 @@ class TestSamplePool:
             SamplePool(labeled={"x": vertical_pose(3)}, unlabeled={"x": peaks})
 
     def test_add_unlabeled_stores_only_the_peaks(self):
-        hm = render(vertical_pose(3))
-        pool = make_pool({"a": hm})
-        assert isinstance(pool.unlabeled["a"], PeakSet)
-        assert_same_peaks(pool.unlabeled["a"], extract_peaks(hm))
+        peaks = extract_peaks(render(vertical_pose(3)))
+        pool = SamplePool(labeled={}, unlabeled={})
+        pool.add_unlabeled("a", peaks)
+        assert pool.unlabeled["a"] is peaks
+        assert pool.peaks_for("a") is peaks
         assert not any(isinstance(value, Heatmap) for value in vars(pool).values())
 
     def test_add_unlabeled_rejects_known_ids(self):
         pool = make_pool({"a": render(vertical_pose(3))}, labeled={"l": vertical_pose(3)})
         stored = pool.unlabeled["a"]
         with pytest.raises(SchemaError, match="'a'"):
-            pool.add_unlabeled("a", render(vertical_pose(3, step=9.0)))
+            pool.add_unlabeled("a", extract_peaks(render(vertical_pose(3, step=9.0))))
         with pytest.raises(SchemaError, match="'l'"):
-            pool.add_unlabeled("l", render(vertical_pose(3)))
+            pool.add_unlabeled("l", extract_peaks(render(vertical_pose(3))))
+        with pytest.raises(SchemaError, match="'a'"):
+            pool.add_unlabeled("a", None)
         assert pool.unlabeled == {"a": stored}  # a rejected add changes nothing
         assert list(pool.labeled) == ["l"]
+
+    def test_a_sample_without_peaks_has_none_to_give(self):
+        """A sample stored without peaks can be ranked at random and
+        labeled, but asking for its peaks raises, whoever asks."""
+        pool = make_pool({"a": render(vertical_pose(3))})
+        pool.add_unlabeled("b", None)
+        with pytest.raises(MissingHeatmap, match="'b' has no peaks"):
+            pool.peaks_for("b")
+        assert set(score_pool(pool, "random")) == {"a", "b"}
+        for strategy in ("vl4pose", "entropy"):
+            with pytest.raises(MissingHeatmap, match="'b' has no peaks"):
+                score_pool(pool, strategy, chain_model())
+        pool.move_to_labeled("b", vertical_pose(3))
+        assert score_pool(pool, "entropy").keys() == {"a"}
 
     def test_move_to_labeled(self):
         pool = make_pool({"a": render(vertical_pose(3))})

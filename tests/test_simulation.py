@@ -9,16 +9,32 @@ import pytest
 from poselik import (
     ConfigInvalid,
     Heatmap,
+    MissingHeatmap,
     PeakSet,
     SimulationConfig,
     build_pool,
     chain_skeleton,
     extract_peaks,
+    render_gaussian_heatmap,
     run_simulation,
 )
-from poselik.simulation import _render_sample
+from poselik import simulation
+from poselik.simulation import _draw_distractors
 
 from _helpers import assert_same_peaks
+
+
+def replayed_peaks(cfg, truth):
+    """Each unlabeled sample's peaks from a fresh render generator, drawn in
+    id order from the same poses and rendered one heatmap at a time."""
+    _, render_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    render_rng = np.random.default_rng(render_seed)
+    peaks = {}
+    for sample_id, pose in truth.items():
+        distractors = _draw_distractors(render_rng, pose, cfg)
+        heatmap = render_gaussian_heatmap(pose, cfg.height, cfg.width, cfg.peak_sigma, distractors)
+        peaks[sample_id] = extract_peaks(heatmap)
+    return peaks
 
 
 def base_doc():
@@ -159,11 +175,41 @@ class TestBuildPool:
         doc["heatmap"].update(distractors=2, distractor_amplitude=0.5)
         cfg = SimulationConfig.from_dict(doc)
         pool, _, truth, _ = build_pool(cfg)
-        _, render_seed = np.random.SeedSequence(cfg.seed).spawn(2)
-        render_rng = np.random.default_rng(render_seed)
-        for sample_id in sorted(truth):
-            heatmap = _render_sample(render_rng, truth[sample_id], cfg)
-            assert_same_peaks(pool.unlabeled[sample_id], extract_peaks(heatmap))
+        for sample_id, peaks in replayed_peaks(cfg, truth).items():
+            assert_same_peaks(pool.unlabeled[sample_id], peaks)
+
+    def test_chunk_size_changes_no_peak(self, monkeypatch):
+        """Chunks of 1, 3 and the default size store the replayed peaks,
+        byte for byte and in id order, on a pool of 13 samples, which
+        neither 3 nor the default size divides."""
+        doc = base_doc()
+        doc["pool"]["unlabeled"] = 13
+        doc["heatmap"].update(distractors=3, distractor_amplitude=0.5)
+        cfg = SimulationConfig.from_dict(doc)
+        assert cfg.unlabeled_size % 3 and cfg.unlabeled_size % simulation._CHUNK
+        expected = None
+        for size in (1, 3, simulation._CHUNK):
+            monkeypatch.setattr(simulation, "_CHUNK", size)
+            pool, _, truth, _ = build_pool(cfg)
+            expected = expected or replayed_peaks(cfg, truth)
+            assert list(pool.unlabeled) == list(expected)
+            for sample_id, peaks in expected.items():
+                stored = pool.unlabeled[sample_id]
+                for name in ("locs", "scores", "probs", "offsets"):
+                    assert getattr(stored, name).dtype == getattr(peaks, name).dtype
+                    assert getattr(stored, name).tobytes() == getattr(peaks, name).tobytes()
+
+    def test_a_random_only_pool_renders_nothing(self, monkeypatch):
+        """Only vl4pose and entropy read peaks: without them every sample is
+        stored without peaks, and no heatmap is rendered."""
+        doc = base_doc()
+        doc["strategies"] = ["random"]
+        monkeypatch.setattr(simulation, "render_gaussian_into", None)  # a call would fail
+        pool, _, truth, _ = build_pool(SimulationConfig.from_dict(doc))
+        assert list(pool.unlabeled) == list(truth)
+        assert all(peaks is None for peaks in pool.unlabeled.values())
+        with pytest.raises(MissingHeatmap, match="no peaks"):
+            pool.peaks_for("unl-0000")
 
     def test_distractors_add_extra_peaks(self):
         doc = base_doc()
@@ -195,6 +241,17 @@ class TestRunSimulation:
         second = run_simulation(cfg)
         assert first.report == second.report
         assert first.selections == second.selections
+
+    def test_random_alone_ranks_as_beside_the_others(self):
+        """A random-only run, which extracts no peaks, reports for random
+        what a run of every strategy reports for it."""
+        doc = base_doc()
+        every = run_simulation(SimulationConfig.from_dict(doc))
+        doc["strategies"] = ["random"]
+        alone = run_simulation(SimulationConfig.from_dict(doc))
+        for key in ("metrics", "selected"):
+            assert alone.report[key] == {"random": every.report[key]["random"]}
+        assert alone.selections == [r for r in every.selections if r["strategy"] == "random"]
 
     def test_report_structure_and_accounting(self):
         cfg = SimulationConfig.from_dict(base_doc())
