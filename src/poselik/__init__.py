@@ -48,6 +48,7 @@ from .heatmaps import (
     DEFAULT_THRESHOLD_RATIO,
     Heatmap,
     PeakSet,
+    bump_peak_sets,
     extract_peak_sets,
     extract_peaks,
     read_heatmap_file,

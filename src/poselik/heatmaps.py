@@ -185,9 +185,17 @@ def extract_peak_sets(
     ]
     kept.append((every, top, flat[every, top].astype(np.float64)))
     grid, cell, score = (np.concatenate(parts) for parts in zip(*kept))
+    return _peak_sets(grid, cell, score, n, w, max_peaks)
 
+
+def _peak_sets(grid, cell, score, joints, width, max_peaks) -> list[PeakSet]:
+    """One :class:`PeakSet` per ``joints`` consecutive grids, from the
+    (grid, flat cell, float64 score) of every grid's peaks, each listed
+    once: each grid's global maximum and its other kept strict maxima.
+    Every grid lists its maximum, so the grids are those ``grid`` counts."""
     order = np.lexsort((cell, -score, grid))
-    found = np.bincount(grid, minlength=grids)
+    found = np.bincount(grid)
+    grids = len(found)
     rank = np.arange(len(order)) - np.repeat(np.cumsum(found) - found, found)
     order = order[rank < max_peaks]
     cell, score = cell[order], score[order]
@@ -204,8 +212,8 @@ def extract_peak_sets(
         rows = np.flatnonzero(counts == k)
         sums[rows] = shifted[offsets[rows, None] + np.arange(k)].sum(axis=1)
     probs = shifted / np.repeat(sums, counts)
-    locs = np.stack(np.divmod(cell, w), axis=1)
-    starts = offsets[::n].tolist()  # each sample's first peak row, then the total
+    locs = np.stack(np.divmod(cell, width), axis=1)
+    starts = offsets[::joints].tolist()  # each sample's first peak row, then the total
     # Copies, not views: a peak set may outlive its chunk by far (a pool holds
     # thousands), and a view keeps a second array object and the whole
     # chunk's arrays alive.
@@ -214,7 +222,7 @@ def extract_peak_sets(
             locs=locs[a:z].copy(),
             scores=score[a:z].copy(),
             probs=probs[a:z].copy(),
-            offsets=offsets[i * n : (i + 1) * n + 1] - a,
+            offsets=offsets[i * joints : (i + 1) * joints + 1] - a,
         )
         for i, (a, z) in enumerate(zip(starts[:-1], starts[1:]))
     ]
@@ -336,22 +344,7 @@ def render_gaussian_heatmap(
 
     ``distractors`` adds extra bumps as (joint, (row, col), amplitude)
     entries. Values are clipped to [0, 1]. Coordinates are (row, col) at
-    grid resolution and must lie inside the grid. The grids are what
-    :func:`render_gaussian_into` writes, checked like any :class:`Heatmap`.
-    """
-    values = np.empty((pose.n_joints, height, width), dtype=np.float32)
-    render_gaussian_into(values, pose, peak_sigma, distractors)
-    return Heatmap(values=values)
-
-
-def render_gaussian_into(
-    out: np.ndarray,
-    pose: Pose,
-    peak_sigma: float,
-    distractors: Iterable[tuple[int, tuple[float, float], float]] | None = None,
-) -> None:
-    """Write the grids :func:`render_gaussian_heatmap` renders into ``out``,
-    a float32 ``(joints, height, width)`` array, without its finiteness check.
+    grid resolution and must lie inside the grid.
 
     A bump on an integer cell is a window of one cached table of bumps at
     integer offsets, whose offsets ``rows - row`` are the same exact
@@ -365,28 +358,17 @@ def render_gaussian_into(
         raise OutOfBoundsCoordinate("rendering requires 2D poses")
     if peak_sigma <= 0:
         raise SchemaError(f"peak_sigma must be > 0, got {peak_sigma}")
-    if out.dtype != np.float32 or out.ndim != 3 or len(out) != pose.n_joints:
-        raise SchemaError(
-            f"expected a float32 ({pose.n_joints}, H, W) grid, got {out.dtype} {out.shape}"
-        )
-    n, height, width = out.shape
+    n = pose.n_joints
     centres = pose.coordinates.tolist()
     present = pose.present.tolist()
     extra = [[] for _ in range(n)]  # each joint's distractors, in the given order
-
-    def check(row: float, col: float) -> None:
-        if not (0 <= row <= height - 1 and 0 <= col <= width - 1):
-            raise OutOfBoundsCoordinate(
-                f"coordinate ({row}, {col}) outside {height}x{width} grid"
-            )
-
     for j in range(n):
         if present[j]:
-            check(*centres[j])
+            _check_cell(*centres[j], height, width)
     for joint, (row, col), amplitude in distractors or ():
         if not 0 <= joint < n:
             raise JointOutOfRange(f"distractor joint {joint} outside [0, {n})")
-        check(row, col)
+        _check_cell(row, col, height, width)
         extra[joint].append((row, col, amplitude))
 
     rows = np.arange(height, dtype=np.float64)[:, None]
@@ -400,15 +382,192 @@ def render_gaussian_into(
             return _gaussian_table(height, width, inv)[top : top + height, left : left + width]
         return _gaussian(rows - row, cols - col, inv, scratch)
 
+    values = np.empty((n, height, width), dtype=np.float32)
     total = np.empty((height, width), dtype=np.float64)  # a joint with distractors
     for j in range(n):
         if not extra[j]:
-            out[j] = bump(*centres[j]) if present[j] else 0.0
+            values[j] = bump(*centres[j]) if present[j] else 0.0
             continue
         np.copyto(total, bump(*centres[j]) if present[j] else 0.0)
         for row, col, amplitude in extra[j]:
             total += np.multiply(amplitude, bump(row, col), out=scratch)
-        out[j] = np.clip(total, 0.0, 1.0, out=total)
+        values[j] = np.clip(total, 0.0, 1.0, out=total)
+    return Heatmap(values=values)
+
+
+def _check_cell(row: float, col: float, height: int, width: int) -> None:
+    if not (0 <= row <= height - 1 and 0 <= col <= width - 1):
+        raise OutOfBoundsCoordinate(f"coordinate ({row}, {col}) outside {height}x{width} grid")
+
+
+def bump_peak_sets(
+    centres,
+    distractors: Sequence[Iterable[tuple[int, tuple[float, float], float]]],
+    height: int,
+    width: int,
+    peak_sigma: float,
+    threshold_ratio: float = DEFAULT_THRESHOLD_RATIO,
+    max_peaks: int = DEFAULT_MAX_PEAKS,
+) -> list[PeakSet]:
+    """The peaks :func:`extract_peak_sets` finds in the grids
+    :func:`render_gaussian_heatmap` renders, found without rendering a grid.
+
+    ``centres`` is a ``(B, J, 2)`` array of each sample's joint cells, every
+    joint present, and ``distractors[b]`` lists sample ``b``'s
+    ``(joint, (row, col), amplitude)`` bumps. Every bump sits on an integer
+    cell of the grid, and every amplitude lies in [0, 1].
+
+    A cell's score is ``float32(clip(sum(a_k * T[cell - c_k]), 0, 1))``
+    over its joint's bumps ``c_k`` (its centre first, with ``a = 1``, then
+    its distractors in the given order), where ``T`` is the renderer's
+    table of bumps at integer offsets: the same float64 products and sums,
+    so the same bits. A joint's maximum is 1, at its centre. A cell farther
+    than :func:`_patch_radius` from each of its joint's bumps scores below
+    the threshold, so it is no peak and no maximum: only a square patch of
+    cells around each bump is scored, its strict maxima tested inside it,
+    and a peak found in several overlapping patches kept once.
+    """
+    if max_peaks < 1:
+        raise SchemaError(f"max_peaks must be >= 1, got {max_peaks}")
+    if peak_sigma <= 0:
+        raise SchemaError(f"peak_sigma must be > 0, got {peak_sigma}")
+    centres = np.asarray(centres, dtype=np.float64)
+    if not (centres.ndim == 3 and centres.shape[1] >= 1 and centres.shape[2] == 2
+            and len(distractors) == len(centres) and min(height, width) >= 3):
+        raise SchemaError(
+            f"expected (B, J, 2) centres, B distractor lists and a >=3x3 grid, got centres "
+            f"{centres.shape}, {len(distractors)} lists and a {height}x{width} grid"
+        )
+    b, n, _ = centres.shape
+    if not np.all(centres == np.rint(centres)):
+        raise SchemaError("bump_peak_sets takes joint centres on integer cells")
+    if not np.all((centres >= 0) & (centres <= (height - 1, width - 1))):
+        raise OutOfBoundsCoordinate(f"a joint centre lies outside the {height}x{width} grid")
+    if not b:
+        return []
+    # Each grid's bumps as (row, col, amplitude), its centre first.
+    bumps = [[(row, col, 1.0)] for row, col in centres.reshape(-1, 2).tolist()]
+    for i, sample in enumerate(distractors):
+        for joint, (row, col), amplitude in sample:
+            if not 0 <= joint < n:
+                raise JointOutOfRange(f"distractor joint {joint} outside [0, {n})")
+            _check_cell(row, col, height, width)
+            if not (float(row).is_integer() and float(col).is_integer()):
+                raise SchemaError(f"distractor ({row}, {col}) is not on an integer cell")
+            if not 0.0 <= amplitude <= 1.0:
+                raise SchemaError(f"distractor amplitude must be in [0, 1], got {amplitude}")
+            bumps[i * n + joint].append((row, col, amplitude))
+
+    inv = 1.0 / (2.0 * peak_sigma * peak_sigma)  # the renderer's, so its table
+    table = _gaussian_table(height, width, inv).reshape(-1)
+    by_count = {}  # grids with as many bumps go through one pass
+    for g, grid in enumerate(bumps):
+        by_count.setdefault(len(grid), []).append(g)
+    candidates, maxima = [], []
+    for count, grids in sorted(by_count.items()):
+        terms = np.array([bumps[g] for g in grids])  # (grids, count, 3)
+        radius = _patch_radius(
+            float(terms[:, :, 2].sum(axis=1).max()), inv, threshold_ratio, max(height, width)
+        )
+        # A patch runs at most one cell past the grid (see _patch_peaks). The
+        # whole grid is the same patch around every bump: one bump takes it.
+        side = (min(2 * radius + 1, height + 2), min(2 * radius + 1, width + 2))
+        patches = 1 if side == (height + 2, width + 2) else count
+        step = max(1, _CANDIDATE_SLICE // (patches * side[0] * side[1]))  # grids per pass
+        for lo in range(0, len(grids), step):
+            found, top = _patch_peaks(
+                np.array(grids[lo : lo + step]), terms[lo : lo + step], patches, side,
+                table, height, width, threshold_ratio,
+            )
+            candidates.append(found)
+            maxima.append(top)
+    # Overlapping patches find a candidate more than once: keep it once.
+    grid, cell, score = (np.concatenate(parts) for parts in zip(*candidates))
+    order = np.lexsort((cell, grid))
+    grid, cell, score = grid[order], cell[order], score[order]
+    once = np.ones(len(order), dtype=bool)
+    once[1:] = (grid[1:] != grid[:-1]) | (cell[1:] != cell[:-1])
+    grid, cell, score = (
+        np.concatenate([part[once], *parts])
+        for part, parts in zip((grid, cell, score), zip(*maxima))
+    )
+    return _peak_sets(grid, cell, score, n, width, max_peaks)
+
+
+def _patch_radius(total: float, inv: float, ratio: float, limit: int) -> int:
+    """Half-width of the square patch around each bump of a joint whose
+    amplitudes add up to ``total`` (at least its centre's 1), or ``limit``,
+    the grid's larger side, when any cell may be a candidate.
+
+    A candidate peak and the joint's maximum 1 both cast to float32 at or
+    above ``min(ratio, 1)``, so their float64 sums are at least ``floor``.
+    A cell farther than ``reach`` from every bump sums to less, so every
+    candidate lies within ``floor(reach)`` cells of a bump, and one more
+    cell holds its 8 neighbors.
+    """
+    if not (ratio > 0 and inv > 0):
+        return limit
+    # Room for rounding: 2**-20 relative, and a float32 subnormal step absolute.
+    floor = max(min(ratio, 1.0) * (1.0 - 2.0**-20) - 2.0**-149, 2.0**-151)
+    reach = math.sqrt(math.log(total / floor) / inv)
+    return limit if reach >= limit else math.floor(reach) + 1
+
+
+def _patch_peaks(grids, terms, patches, side, table, height, width, threshold_ratio):
+    """((grid, cell, score) of the candidate peaks, (grid, cell, score) of
+    the maximum) of ``grids``, whose bumps ``terms`` are (row, col,
+    amplitude) rows, from the ``side`` (rows, columns) patches centred on
+    their first ``patches`` bumps."""
+    bump_rows, bump_cols = terms[:, :, 0].astype(np.int64), terms[:, :, 1].astype(np.int64)
+    # A patch runs at most one cell past the grid, sliding inward where it
+    # would run further, so its inner cells all lie in the grid. Its cells
+    # outside the grid read a copy of the nearest cell inside, then -inf.
+    lines = []
+    for centre, size, length in (
+        (bump_rows[:, :patches], height, side[0]), (bump_cols[:, :patches], width, side[1])
+    ):
+        cell = np.clip(centre - length // 2, -1, size + 1 - length)[:, :, None] + np.arange(length)
+        lines.append((cell, np.clip(cell, 0, size - 1)))
+    (rows, rows_in), (cols, cols_in) = lines
+    span = 2 * width - 1  # the table's row stride
+    for k in range(terms.shape[1]):  # the renderer's order: centre first
+        dr = (height - 1 + rows_in - bump_rows[:, k, None, None]) * span
+        dc = width - 1 + cols_in - bump_cols[:, k, None, None]
+        bump = table[dr[..., :, None] + dc[..., None, :]]
+        if k:
+            total += terms[:, k, 2, None, None, None] * bump
+        else:
+            total = bump
+    values = np.clip(total, 0.0, 1.0, out=total).astype(np.float32)
+    require_finite(values)
+    values[np.nonzero(rows != rows_in)] = -np.inf
+    g, p, col = np.nonzero(cols != cols_in)
+    values[g, p, :, col] = -np.inf
+
+    m, size = len(grids), height * width
+    ids = ((rows_in * width)[..., :, None] + cols_in[..., None, :]).reshape(-1)
+    best = values.reshape(m, -1).max(axis=1)
+    at = np.flatnonzero(values == best[:, None, None, None])
+    top = np.full(m, size)
+    np.minimum.at(top, at // (values.size // m), ids[at])
+    best = best.astype(np.float64)
+    # The row neighbors and the threshold first: on a smooth bump they leave
+    # about one inner cell per row for the other six neighbors.
+    keep = np.zeros(values.shape, dtype=bool)
+    inner = values[..., 1:-1, 1:-1]
+    test = keep[..., 1:-1, 1:-1]
+    np.greater(inner, values[..., 1:-1, :-2], out=test)
+    test &= inner > values[..., 1:-1, 2:]
+    test &= inner >= (threshold_ratio * best)[:, None, None, None]
+    index = np.flatnonzero(keep)
+    flat = values.reshape(-1)
+    score = flat[index]
+    grid = index // (values.size // m)
+    line = values.shape[-1]
+    held = ids[index] != top[grid]
+    for step in (-line - 1, -line, 1 - line, line - 1, line, line + 1):
+        held &= score > flat[index + step]
+    return (grids[grid[held]], ids[index[held]], score[held].astype(np.float64)), (grids, top, best)
 
 
 # --- manifests ----------------------------------------------------------------

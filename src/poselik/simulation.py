@@ -21,10 +21,8 @@ import numpy as np
 from .calibration import LabeledPoseSet, fit_model
 from .errors import ConfigInvalid
 from .heatmaps import (
-    extract_peak_sets,
+    bump_peak_sets,
     render_gaussian_heatmap,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
-    render_gaussian_into,
-    require_finite,
 )
 from .likelihood import (
     point_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
@@ -42,9 +40,10 @@ from .selection import (
 )
 
 _MAX_POSE_ATTEMPTS = 1000
-# Unlabeled samples rendered into one reused float32 buffer and extracted by
-# one call: 8 of the bench's 8x96x96 grids take 2.4 MB.
-_CHUNK = 8
+# Unlabeled samples whose peaks one bump_peak_sets call finds. Larger chunks
+# share each call's fixed cost; at 32, simloop's peak RSS is within 0.1 MB of
+# chunks of 8.
+_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -305,8 +304,10 @@ def _sample_pose(rng: np.random.Generator, gen: GeneratorParams, cfg: Simulation
             angle = rng.uniform(*gen.angle_ranges[i])
             row, col = row + length * math.sin(angle), col + length * math.cos(angle)
             coords.append((row, col))
-        cells = np.rint(np.array(coords))
-        if np.all(cells >= 1) and np.all(cells[:, 0] <= h - 2) and np.all(cells[:, 1] <= w - 2):
+        if not all(math.isfinite(row) and math.isfinite(col) for row, col in coords):
+            continue  # round() takes finite floats only
+        cells = [(round(row), round(col)) for row, col in coords]  # halves to even, as np.rint
+        if all(1 <= row <= h - 2 and 1 <= col <= w - 2 for row, col in cells):
             return Pose.of(cells)
     raise ConfigInvalid(
         f"generator failed to place a pose inside the {h}x{w} grid after "
@@ -315,7 +316,7 @@ def _sample_pose(rng: np.random.Generator, gen: GeneratorParams, cfg: Simulation
 
 
 def _draw_distractors(rng: np.random.Generator, pose: Pose, cfg: SimulationConfig) -> list:
-    """One pose's configured distractor bumps, as ``render_gaussian_into`` takes them."""
+    """One pose's configured distractor bumps, as ``bump_peak_sets`` takes them."""
     distractors = []
     min_sep = 3.0 * cfg.peak_sigma + 1.0
     for _ in range(cfg.distractor_count):
@@ -340,13 +341,14 @@ def _draw_distractors(rng: np.random.Generator, pose: Pose, cfg: SimulationConfi
 def build_pool(cfg: SimulationConfig):
     """(pool, heldout poses, truth, is_ood) generated from the config seed.
 
-    Unlabeled heatmaps are rendered :data:`_CHUNK` at a time into one
-    float32 buffer, and each chunk's peaks are extracted by one call and
-    stored in id order; no grid is kept. Only ``vl4pose`` and ``entropy``
-    read peaks: without them nothing is rendered, and every unlabeled
-    sample is stored without peaks. The render generator is a stream of
-    its own, so skipping it changes no pose. ``truth`` maps each unlabeled
-    id to the pose its heatmap was rendered from, and ``is_ood`` flags the
+    Each unlabeled sample keeps the peaks of the heatmap rendered from its
+    pose and distractors. :func:`bump_peak_sets` finds them from the bumps
+    of :data:`_CHUNK` samples at a time, without rendering a grid, and they
+    are stored in id order. Only ``vl4pose`` and ``entropy`` read peaks:
+    without them no distractor is drawn and no peak found, and every
+    unlabeled sample is stored without peaks. The render generator is a
+    stream of its own, so skipping it changes no pose. ``truth`` maps each
+    unlabeled id to the pose its peaks come from, and ``is_ood`` flags the
     planted out-of-distribution ids; only the simulation reads them, never
     the selection strategies.
     """
@@ -363,10 +365,8 @@ def build_pool(cfg: SimulationConfig):
     }
     pool = SamplePool(labeled=labeled, unlabeled={})
     truth, is_ood = {}, {}
-    chunk, pending = None, []  # pending: the ids rendered into chunk's first rows
-    if not {"vl4pose", "entropy"}.isdisjoint(cfg.strategies):
-        shape = (min(_CHUNK, cfg.unlabeled_size), cfg.joints, cfg.height, cfg.width)
-        chunk = np.empty(shape, dtype=np.float32)
+    with_peaks = not {"vl4pose", "entropy"}.isdisjoint(cfg.strategies)
+    pending = []  # (id, pose, distractors) of the chunk being drawn
     n_id = cfg.unlabeled_size - cfg.ood_count
     for i in range(cfg.unlabeled_size):
         ood = i >= n_id
@@ -375,16 +375,17 @@ def build_pool(cfg: SimulationConfig):
         pose = _sample_pose(pose_rng, gen, cfg)
         truth[sample_id] = pose
         is_ood[sample_id] = ood
-        if chunk is None:
+        if not with_peaks:
             pool.add_unlabeled(sample_id, None)
             continue
-        distractors = _draw_distractors(render_rng, pose, cfg)
-        render_gaussian_into(chunk[len(pending)], pose, cfg.peak_sigma, distractors)
-        pending.append(sample_id)
-        if len(pending) == len(chunk) or i == cfg.unlabeled_size - 1:
-            rendered = chunk[: len(pending)]
-            require_finite(rendered)
-            for pending_id, peaks in zip(pending, extract_peak_sets(rendered)):
+        pending.append((sample_id, pose, _draw_distractors(render_rng, pose, cfg)))
+        if len(pending) == _CHUNK or i == cfg.unlabeled_size - 1:
+            ids, poses, distractors = zip(*pending)
+            centres = np.stack([p.coordinates for p in poses])
+            peak_sets = bump_peak_sets(
+                centres, distractors, cfg.height, cfg.width, cfg.peak_sigma
+            )
+            for pending_id, peaks in zip(ids, peak_sets):
                 pool.add_unlabeled(pending_id, peaks)
             pending.clear()
     return pool, heldout, truth, is_ood

@@ -3,7 +3,8 @@
 The fixed-seed tests and criterion 1 cover distance models; these
 properties add offset models and root priors, and check that a refined
 pose reports the same terms as scoring that pose directly and the same
-objective as scoring its selection, which no other selection beats. The
+objective as scoring its selection, which no other selection beats, and
+that expected scoring equals a full enumeration of joint assignments. The
 batched DP over a padded pool, batched expected scoring (with
 zero-probability peaks and ``-inf`` densities) and stacked point scoring
 must report bit for bit what each sample's own call reports. Peak
@@ -11,9 +12,10 @@ extraction is checked bit for bit against a per-joint loop and against a
 full-grid 8-comparison pass on grids full of ties, plateaus, border and
 negative maxima, and a stacked extraction against each sample's own, in
 candidate slices of any size; the heatmap renderer (cached table windows
-and direct bumps, into a fresh grid or one row of a reused buffer) against
-its out-of-place formula, and the ranking AUC
-against its pairwise definition. Fuzzed manifests and heatmap files must
+and direct bumps, present and absent joints) against its out-of-place
+formula; the peaks found from bumps on integer cells against those
+extracted from the rendered grids; and the ranking AUC against its
+pairwise definition. Fuzzed manifests and heatmap files must
 read back exactly or raise only ``PoseLikError``s, and every
 command must turn any bytes in any of its JSON inputs into a documented exit
 code with at most one stderr line and, on failure, no output.
@@ -39,6 +41,7 @@ from poselik import (
     BadMagic,
     DistanceParams,
     Heatmap,
+    NonFiniteValue,
     OffsetParams,
     PeakSet,
     Pose,
@@ -48,6 +51,7 @@ from poselik import (
     TruncatedPayload,
     VersionUnsupported,
     brute_force_best_pose,
+    bump_peak_sets,
     cli,
     expected_log_likelihood,
     expected_log_likelihoods,
@@ -68,7 +72,7 @@ from poselik import (
     write_heatmap_file,
 )
 from poselik import heatmaps as heatmaps_module
-from poselik.heatmaps import _gaussian_table, render_gaussian_into
+from poselik.heatmaps import _gaussian_table
 
 from _helpers import (
     assert_same_peaks,
@@ -76,6 +80,7 @@ from _helpers import (
     joint_peaks,
     oracle_auc,
     oracle_config_objective,
+    oracle_expected_ll_by_enumeration,
     oracle_peaks,
     peakset_of,
     render_reference,
@@ -101,10 +106,12 @@ def distance_params(draw) -> DistanceParams:
 
 
 @st.composite
-def peak_sets(draw, n_joints: int, max_peaks: int = 3, zero_probs: bool = False) -> PeakSet:
+def peak_sets(
+    draw, n_joints: int, max_peaks: int = 3, zero_probs: bool = False, distributions: bool = False
+) -> PeakSet:
     """Up to ``max_peaks`` distinct cells per joint with softmax probabilities;
-    with ``zero_probs``, some peaks (at times all of a joint's) get
-    probability zero."""
+    with ``zero_probs``, some peaks (at times all of a joint's, unless each
+    joint's ``distributions`` must add up to 1) get probability zero."""
     joints = []
     for _ in range(n_joints):
         cells = draw(
@@ -119,7 +126,9 @@ def peak_sets(draw, n_joints: int, max_peaks: int = 3, zero_probs: bool = False)
         )
         weights = np.exp(np.array(scores) - max(scores))
         if zero_probs:
-            weights *= draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+            kept = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+            kept[0] = kept[0] or (distributions and not any(kept))
+            weights *= kept
         probs = weights / weights.sum() if weights.any() else weights
         joints.append(list(zip(cells, scores, probs.tolist())))
     return peakset_of(joints)
@@ -155,13 +164,15 @@ def instances(draw, kinds=("distance", "offset")):
 
 
 @st.composite
-def pools(draw):
+def pools(draw, distributions: bool = False):
     """(peak sets, model): 1-6 samples of one random model whose peak counts
-    differ from sample to sample (1-4 per joint), some at probability zero."""
+    differ from sample to sample (1-4 per joint), some at probability zero
+    (with ``distributions``, never all of a joint's)."""
     model = draw(models())
     n_joints = model.skeleton.n_joints
     samples = draw(st.integers(1, 6))
-    return [draw(peak_sets(n_joints, 4, zero_probs=True)) for _ in range(samples)], model
+    peaks = peak_sets(n_joints, 4, zero_probs=True, distributions=distributions)
+    return [draw(peaks) for _ in range(samples)], model
 
 
 @PROPERTY_SETTINGS
@@ -208,6 +219,21 @@ def test_batched_refinement_equals_per_sample_refinement(pool_case):
     assert list(scores.items()) == [
         (f"s{i}", single.log_likelihood) for i, single in enumerate(singles)
     ]
+
+
+@PROPERTY_SETTINGS
+@given(pools(distributions=True))
+def test_expected_log_likelihood_equals_enumeration(pool_case):
+    """Expectation equals enumeration, within 1e-9 relative (1e-9 absolute
+    near 0), on distance and offset models, with and without a root prior,
+    with zero-probability peaks. The identity needs each joint's
+    probabilities to add up to 1: were all of a joint's 0, every full
+    assignment would weigh 0."""
+    peak_sets, model = pool_case
+    for peaks in peak_sets:
+        assert expected_log_likelihood(peaks, model).total == pytest.approx(
+            oracle_expected_ll_by_enumeration(peaks, model), rel=1e-9, abs=1e-9
+        )
 
 
 @st.composite
@@ -469,7 +495,7 @@ def test_render_matches_out_of_place_formula(case, other):
 
 
 @st.composite
-def row_render_cases(draw):
+def presence_render_cases(draw):
     """A render case plus each joint's presence flag."""
     coords, height, width, peak_sigma, distractors = draw(render_cases())
     present = draw(st.lists(st.booleans(), min_size=len(coords), max_size=len(coords)))
@@ -485,16 +511,103 @@ def row_render_cases(draw):
     ([(3.0, 3.0), (5.0, 6.0), (2.0, 2.0)], [False, True, False], 9, 9, 1.0, [(0, (4.0, 4.0), 0.5)])
 )
 @example(([(4.0, 4.0)], [True], 9, 9, 1.5, [(0, (4.0, 4.0), 0.8), (0, (4.0, 5.0), 1.0)]))  # 2.6 at (4, 4)
-@given(row_render_cases())
-def test_render_into_a_reused_row_matches_reference(case):
-    """Rendering into one row of a stale float32 buffer writes every cell of
-    the row, and only the row, with the out-of-place formula's values."""
+@given(presence_render_cases())
+def test_render_with_absent_joints_matches_reference(case):
+    """Every cell of every joint, present or absent, with or without
+    distractors, holds the out-of-place formula's value."""
     coords, present, height, width, peak_sigma, distractors = case
-    buffer = np.full((3, len(coords), height, width), np.nan, dtype=np.float32)
-    render_gaussian_into(buffer[1], Pose.of(coords, present), peak_sigma, distractors)
+    rendered = render_gaussian_heatmap(
+        Pose.of(coords, present), height, width, peak_sigma, distractors
+    )
     expected = render_reference(coords, height, width, peak_sigma, distractors, present)
-    assert buffer[1].tobytes() == expected.tobytes()
-    assert np.isnan(buffer[[0, 2]]).all()
+    assert rendered.values.tobytes() == expected.tobytes()
+
+
+@st.composite
+def bump_cases(draw):
+    """(centres, distractors, height, width, peak_sigma, threshold_ratio,
+    max_peaks) as ``bump_peak_sets`` takes them: 1-3 samples of 1-3 joints
+    on integer cells of an 8x8 or larger grid, often on its edges, with up
+    to 6 distractors a sample, at times all on one joint. Some ratios are so
+    small (or 0) that a patch covers the whole grid."""
+    height, width = draw(st.integers(8, 40)), draw(st.integers(8, 40))
+    samples, joints = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def axis(size):
+        return st.sampled_from((0, size - 1)) | st.integers(0, size - 1)
+
+    cell = st.tuples(axis(height), axis(width))
+    centres = draw(st.lists(
+        st.lists(cell, min_size=joints, max_size=joints), min_size=samples, max_size=samples
+    ))
+    distractor = st.tuples(
+        st.just(0) | st.integers(0, joints - 1),
+        cell,
+        st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True),
+    )
+    distractors = draw(st.lists(
+        st.lists(distractor, max_size=6), min_size=samples, max_size=samples
+    ))
+    ratio = draw(
+        st.sampled_from((0.05, 0.5, 1.0, 1e-12, 1e-44, 1e-300, 0.0)) | st.floats(1e-45, 1.0)
+    )
+    return (centres, distractors, height, width, draw(st.floats(0.3, 8.0)), ratio,
+            draw(st.integers(1, 12)))
+
+
+def peaks_or_error(call):
+    """What ``call`` returns, or the type and message of the
+    ``PoseLikError`` it raises."""
+    try:
+        with np.errstate(invalid="ignore"):  # an overflowing 1 / (2 sigma**2)
+            return call()
+    except PoseLikError as exc:
+        return type(exc), str(exc)
+
+
+def rendered_peak_sets(centres, distractors, height, width, peak_sigma, ratio, max_peaks):
+    values = np.stack([
+        render_gaussian_heatmap(Pose.of(c), height, width, peak_sigma, d).values
+        for c, d in zip(centres, distractors)
+    ])
+    return extract_peak_sets(values, ratio, max_peaks)
+
+
+@PROPERTY_SETTINGS
+@example(  # two amplitude-1 distractors on one cell: a plateau clipped at 1
+    ([[(4, 4)]], [[(0, (9, 9), 1.0), (0, (9, 9), 1.0)]], 16, 16, 1.5, 0.05, 10), 64
+)
+@example(  # bumps on the grid's corners and edges
+    ([[(0, 0), (0, 15), (15, 7)]], [[(1, (15, 15), 0.7), (2, (7, 0), 0.4)]], 16, 16, 2.0,
+     0.05, 10), 1
+)
+@example(([[(3, 4), (6, 1)]], [[(0, (7, 7), 0.9)]], 8, 8, 8.0, 0.05, 10), 64)  # wider than the grid
+@given(bump_cases(), st.sampled_from((1, 64, heatmaps_module._CANDIDATE_SLICE)))
+def test_bump_peak_sets_equal_peaks_of_the_rendered_grids(case, cells_per_pass):
+    """The peaks found from the bumps are those extracted from the rendered
+    grids: the same dtypes and bytes, or the same error, whatever number
+    of patch cells one pass takes."""
+    centres, distractors, height, width, peak_sigma, ratio, max_peaks = case
+    with mock.patch.object(heatmaps_module, "_CANDIDATE_SLICE", cells_per_pass):
+        bumped = peaks_or_error(lambda: bump_peak_sets(
+            np.array(centres), distractors, height, width, peak_sigma, ratio, max_peaks
+        ))
+    rendered = peaks_or_error(lambda: rendered_peak_sets(*case))
+    if isinstance(rendered, tuple):
+        assert bumped == rendered
+        return
+    assert len(bumped) == len(rendered)
+    for a, b in zip(bumped, rendered):
+        assert_same_peaks(a, b)
+
+
+def test_an_overflowing_bump_raises_non_finite_on_both_paths():
+    """With ``2 * sigma**2`` subnormal, ``1 / (2 * sigma**2)`` overflows and
+    each bump's centre cell is NaN."""
+    case = ([[(3, 4), (6, 1)]], [[(1, (2, 2), 0.5)]], 8, 8, 1e-160, 0.05, 10)
+    expected = (NonFiniteValue, "heatmap contains NaN or infinite scores")
+    assert peaks_or_error(lambda: rendered_peak_sets(*case)) == expected
+    assert peaks_or_error(lambda: bump_peak_sets(np.array(case[0]), *case[1:])) == expected
 
 
 # --- untrusted files --------------------------------------------------------------

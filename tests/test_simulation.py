@@ -1,7 +1,12 @@
 """Tests for the seeded active-learning simulation harness."""
 
 import copy
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from poselik import (
     render_gaussian_heatmap,
     run_simulation,
 )
+import poselik
 from poselik import simulation
 from poselik.simulation import _draw_distractors
 
@@ -179,16 +185,17 @@ class TestBuildPool:
             assert_same_peaks(pool.unlabeled[sample_id], peaks)
 
     def test_chunk_size_changes_no_peak(self, monkeypatch):
-        """Chunks of 1, 3 and the default size store the replayed peaks,
-        byte for byte and in id order, on a pool of 13 samples, which
-        neither 3 nor the default size divides."""
+        """Chunks of 1, 3, 8 and the default size store the replayed peaks,
+        byte for byte and in id order, on a pool of 13 samples, which none
+        of 3, 8 and the default size divides."""
         doc = base_doc()
         doc["pool"]["unlabeled"] = 13
         doc["heatmap"].update(distractors=3, distractor_amplitude=0.5)
         cfg = SimulationConfig.from_dict(doc)
-        assert cfg.unlabeled_size % 3 and cfg.unlabeled_size % simulation._CHUNK
+        sizes = (1, 3, 8, simulation._CHUNK)
+        assert all(cfg.unlabeled_size % size for size in sizes[1:])
         expected = None
-        for size in (1, 3, simulation._CHUNK):
+        for size in sizes:
             monkeypatch.setattr(simulation, "_CHUNK", size)
             pool, _, truth, _ = build_pool(cfg)
             expected = expected or replayed_peaks(cfg, truth)
@@ -201,10 +208,10 @@ class TestBuildPool:
 
     def test_a_random_only_pool_renders_nothing(self, monkeypatch):
         """Only vl4pose and entropy read peaks: without them every sample is
-        stored without peaks, and no heatmap is rendered."""
+        stored without peaks, and no peak is computed."""
         doc = base_doc()
         doc["strategies"] = ["random"]
-        monkeypatch.setattr(simulation, "render_gaussian_into", None)  # a call would fail
+        monkeypatch.setattr(simulation, "bump_peak_sets", None)  # a call would fail
         pool, _, truth, _ = build_pool(SimulationConfig.from_dict(doc))
         assert list(pool.unlabeled) == list(truth)
         assert all(peaks is None for peaks in pool.unlabeled.values())
@@ -322,3 +329,25 @@ class TestRunSimulation:
         doc.update(rounds=1, ranking_mode="max", strategies=["vl4pose"])
         out = run_simulation(SimulationConfig.from_dict(doc))
         assert out.report["metrics"]["vl4pose"]["ood_recall"] == [1.0]
+
+
+def test_simulate_imports_no_numpy_ma(tmp_path):
+    """``np.unique`` imports ``numpy.ma`` (about 1.4 MB of RSS and 15 ms of
+    start-up): a whole ``simulate`` run, peaks and all, never loads it."""
+    doc = base_doc()
+    doc["heatmap"].update(distractors=3, distractor_amplitude=0.5)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    script = (
+        "import json, sys\n"
+        "from poselik import cli\n"
+        "code = cli.main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'])]))\n"
+    )
+    src = str(Path(poselik.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(config), str(tmp_path / "report.json")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert json.loads(run.stdout.splitlines()[-1]) == [0, []]
