@@ -54,6 +54,7 @@ from .heatmaps import (
     read_heatmap_file,
     read_manifest,
     render_gaussian_heatmap,
+    require_finite,
     write_heatmap_file,
 )
 from .likelihood import (

@@ -35,7 +35,14 @@ import numpy as np
 
 from . import __version__
 from .calibration import LabeledPoseSet, fit_model, load_image_params, read_labeled_poses
-from .errors import ConfigInvalid, MissingJoint, MissingParams, PoseLikError, SchemaError
+from .errors import (
+    ConfigInvalid,
+    MissingJoint,
+    MissingParams,
+    NonFiniteValue,
+    PoseLikError,
+    SchemaError,
+)
 from .heatmaps import (
     DEFAULT_MAX_PEAKS,
     DEFAULT_THRESHOLD_RATIO,
@@ -43,6 +50,7 @@ from .heatmaps import (
     extract_peaks,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     read_heatmap_file,
     read_manifest,
+    require_finite,
 )
 from .likelihood import (
     expected_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it
@@ -110,9 +118,10 @@ class _Command:
     exit 3). ``compute(args, ctx, timings, stage)`` writes each output to
     the temporary file ``stage(path)`` names and returns the sample count
     (failures exit 4, failed writes exit 3); it adds the time of any file
-    reads to ``timings["io"]``. ``config`` and ``seed`` fill the run
-    manifest; ``inputs`` names the arguments whose files it hashes (unset
-    ones are skipped).
+    reads to ``timings["io"]``, and may put a per-stage breakdown in
+    ``ctx["stages"]``. ``config`` and ``seed`` fill the run manifest;
+    ``inputs`` names the arguments whose files it hashes (unset ones are
+    skipped).
     """
 
     load: Callable[[argparse.Namespace], dict]
@@ -133,57 +142,123 @@ CHUNK_BYTES = 1 << 22
 _DEFAULT_EXTRACTION = (DEFAULT_THRESHOLD_RATIO, DEFAULT_MAX_PEAKS)
 
 
+def _clock() -> tuple[float, float]:
+    return time.perf_counter(), time.process_time()
+
+
+class _Stages:
+    """Wall (``perf_counter``) and CPU (``process_time``) time of each stage
+    of a chunked run, and its chunk count, for the run manifest."""
+
+    NAMES = ("read", "check", "peaks", "records", "write")
+
+    def __init__(self):
+        self.wall = dict.fromkeys(self.NAMES, 0.0)
+        self.cpu = dict.fromkeys(self.NAMES, 0.0)
+        self.chunks = 0
+
+    def since(self, name: str, start: tuple[float, float]) -> tuple[float, float]:
+        """Add the time from the :func:`_clock` reading ``start`` to now to
+        stage ``name``; return now."""
+        now = _clock()
+        self.wall[name] += now[0] - start[0]
+        self.cpu[name] += now[1] - start[1]
+        return now
+
+    def to_json_dict(self) -> dict:
+        return {
+            "chunks": self.chunks,
+            "wall_ms": {name: 1000.0 * t for name, t in self.wall.items()},
+            "cpu_ms": {name: 1000.0 * t for name, t in self.cpu.items()},
+        }
+
+
 def _chunked(records: Callable, extraction: Callable) -> Callable:
     """``compute`` for a command that turns each chunk of the heatmap
-    manifest into JSONL records with ``records(args, ctx, ids, peak_sets)``
-    and streams them to its output, in manifest order.
+    manifest into JSONL text with ``records(args, ctx, ids, peak_sets)``
+    and streams it to its output, in manifest order.
 
     ``extraction(args)`` gives the ``(threshold_ratio, max_peaks)`` that the
     command extracts peaks with, or ``None`` if it reads no heatmap (its
-    ``peak_sets`` are then ``None``). Heatmaps are read into one reused
-    ``(chunk, J, H, W)`` buffer sized for the first heatmap of its shape,
-    and a change of shape starts a new chunk.
+    ``peak_sets`` are then ``None``). Each heatmap is read straight into its
+    row of one reused ``(chunk, J, H, W)`` buffer sized for the first
+    heatmap of its shape, and a change of shape starts a new chunk. Scores
+    are checked for finiteness once per chunk.
     The first failure in manifest order aborts the run, naming its sample.
+    The time of each stage goes to ``ctx["stages"]``.
     """
 
     def compute(args, ctx, timings, stage):
         entries, settings = ctx["entries"], extraction(args)
+        stages = _Stages()
         ids: list[str] = []
-        buffer = None
+        chunk = fresh = None  # the buffer of ids' heatmaps; one for a new shape
+
+        def row(shape):
+            nonlocal fresh
+            if chunk is not None and chunk.shape[1:] == shape:
+                return chunk[len(ids)]
+            size = min(CHUNK, max(1, CHUNK_BYTES // (4 * math.prod(shape))), len(entries))
+            fresh = np.empty((size, *shape), np.float32)
+            return fresh[0]
+
         with open(stage(args.out), "w", encoding="utf-8") as out:
 
+            def emit(sample_ids, values):
+                t = _clock()
+                peak_sets = None
+                if values is not None:
+                    peak_sets = extract_peak_sets(values, *settings)
+                    t = stages.since("peaks", t)
+                text = _chunk_records(records, args, ctx, sample_ids, peak_sets)
+                t = stages.since("records", t)
+                out.write(text)
+                stages.since("write", t)
+                stages.chunks += 1
+
             def flush():
-                if ids:
-                    peak_sets = None if settings is None else extract_peak_sets(
-                        buffer[: len(ids)], *settings
-                    )
-                    out.write(_jsonl(_chunk_records(records, args, ctx, ids, peak_sets)))
-                    ids.clear()
+                if not ids:
+                    return
+                values = None
+                if settings is not None:
+                    values = chunk[: len(ids)]
+                    t = _clock()
+                    try:
+                        require_finite(values)
+                    except NonFiniteValue as exc:
+                        # The samples before the first non-finite one may fail first.
+                        bad = int(np.isfinite(values).reshape(len(ids), -1).all(axis=1).argmin())
+                        if bad:
+                            emit(ids[:bad], values[:bad])
+                        raise PoseLikError(f"sample {ids[bad]!r}: {exc}") from exc
+                    stages.since("check", t)
+                emit(ids, values)
+                ids.clear()
 
             for sample_id, path in entries:
                 if settings is not None:
                     try:
-                        t0 = time.perf_counter()
-                        values = read_heatmap_file(path).values
-                        timings["io"] += (time.perf_counter() - t0) * 1000.0
+                        t = _clock()
+                        read_heatmap_file(path, into=row)
+                        stages.since("read", t)
                     except (PoseLikError, OSError) as exc:
                         flush()  # a sample before it may fail first
                         raise PoseLikError(f"sample {sample_id!r}: {exc}") from exc
-                    if buffer is None or buffer.shape[1:] != values.shape:
+                    if fresh is not None:  # a new shape: the chunk so far goes first
                         flush()
-                        size = min(CHUNK, max(1, CHUNK_BYTES // values.nbytes), len(entries))
-                        buffer = np.empty((size, *values.shape), np.float32)
-                    buffer[len(ids)] = values
+                        chunk, fresh = fresh, None
                 ids.append(sample_id)
-                if len(ids) == (CHUNK if buffer is None else len(buffer)):
+                if len(ids) == (CHUNK if chunk is None else len(chunk)):
                     flush()
             flush()
+        timings["io"] += 1000.0 * stages.wall["read"]
+        ctx["stages"] = stages.to_json_dict()
         return len(entries)
 
     return compute
 
 
-def _chunk_records(records: Callable, args, ctx, ids: list[str], peak_sets) -> list[dict]:
+def _chunk_records(records: Callable, args, ctx, ids: list[str], peak_sets) -> str:
     """``records`` of one chunk. If the chunk fails, its samples run alone in
     turn, so that the error names the first failing sample and says what
     that sample's own run says."""
@@ -228,13 +303,13 @@ def _params_for(ctx, sample_id: str) -> PoseModelParams:
     return params
 
 
-def _score_records(args, ctx, ids, peak_sets) -> list[dict]:
+def _score_records(args, ctx, ids, peak_sets) -> str:
     if args.mode == "point":
-        return [
+        return _jsonl(
             point_log_likelihood(_pose_for(ctx, sample_id), _params_for(ctx, sample_id))
             .to_json_dict(sample_id)
             for sample_id in ids
-        ]
+        )
     # One batch per run of samples that share parameters (each image has its
     # own under --per-image).
     samples = zip(ids, peak_sets, [_params_for(ctx, sample_id) for sample_id in ids])
@@ -243,7 +318,7 @@ def _score_records(args, ctx, ids, peak_sets) -> list[dict]:
         run_ids, run_peaks, run_params = zip(*run)
         reports = expected_log_likelihoods(list(run_peaks), run_params[0])
         records += [report.to_json_dict(i) for report, i in zip(reports, run_ids)]
-    return records
+    return _jsonl(records)
 
 
 def _pose_for(ctx, sample_id: str):
@@ -253,27 +328,35 @@ def _pose_for(ctx, sample_id: str):
     return pose
 
 
-def _refine_records(args, ctx, ids, peak_sets) -> list[dict]:
+def _refine_records(args, ctx, ids, peak_sets) -> str:
     refined = refine_poses(peak_sets, ctx["params"])
-    return [pose.to_json_dict(sample_id) for pose, sample_id in zip(refined, ids)]
+    return _jsonl(pose.to_json_dict(sample_id) for pose, sample_id in zip(refined, ids))
 
 
-def _maxima_records(args, ctx, ids, peak_sets) -> list[dict]:
-    records = []
+# One peak of a ``maxima`` line. For a finite float, ``%r`` writes what the
+# JSON encoder writes.
+_PEAK = '{"loc": [%d, %d], "prob": %r, "score": %r}'
+
+
+def _maxima_records(args, ctx, ids, peak_sets) -> str:
+    """One line per sample, each ``json.dumps(record, sort_keys=True)`` of
+    ``{"id", "entropy", "peaks": [[{"loc", "score", "prob"}, ...], ...]}``
+    (a list of peaks per joint), written without building the record: its
+    scores, probabilities and entropy are all finite."""
+    lines = []
     for sample_id, peaks in zip(ids, peak_sets):
         rows = [
-            {"loc": loc, "score": score, "prob": prob}
-            for loc, score, prob in zip(
-                peaks.locs.tolist(), peaks.scores.tolist(), peaks.probs.tolist()
+            _PEAK % (r, c, prob, score)
+            for (r, c), prob, score in zip(
+                peaks.locs.tolist(), peaks.probs.tolist(), peaks.scores.tolist()
             )
         ]
         bounds = peaks.offsets.tolist()
-        records.append({
-            "id": sample_id,
-            "entropy": multi_peak_entropy(peaks),
-            "peaks": [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])],
-        })
-    return records
+        joints = "], [".join(", ".join(rows[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+        lines.append('{"entropy": %r, "id": %s, "peaks": [[%s]]}\n' % (
+            multi_peak_entropy(peaks), json.dumps(sample_id), joints,
+        ))
+    return "".join(lines)
 
 
 def _score_from_record(record: dict, strategy: str, where: str) -> float:
@@ -474,6 +557,8 @@ def _run(command: str, args: argparse.Namespace) -> int:
                 "timings_ms": timings,
                 "samples": samples,
             }
+            if "stages" in ctx:
+                manifest["stages"] = ctx["stages"]
             path = manifest_path
             _write_atomic(path, lambda tmp: write_json(tmp, manifest))
         except OSError as exc:

@@ -13,8 +13,9 @@ import functools
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -55,12 +56,16 @@ class Heatmap:
         values = np.asarray(self.values, dtype=np.float32)
         if values.ndim != 3:
             raise SchemaError(f"heatmap must be (joints, H, W), got shape {values.shape}")
-        n, h, w = values.shape
-        if n < 1 or h < 3 or w < 3:
-            raise SchemaError(f"heatmap needs >=1 joint and a >=3x3 grid, got {values.shape}")
+        _check_grid(values.shape)
         require_finite(values)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+
+def _check_grid(shape: tuple[int, int, int]) -> None:
+    n, h, w = shape
+    if n < 1 or h < 3 or w < 3:
+        raise SchemaError(f"heatmap needs >=1 joint and a >=3x3 grid, got {shape}")
 
 
 def require_finite(values: np.ndarray) -> None:
@@ -283,23 +288,51 @@ def write_heatmap_file(heatmap: Heatmap, path) -> None:
         fh.write(payload)
 
 
-def read_heatmap_file(path) -> Heatmap:
-    """Read a PSHM file, validating header fields against the payload."""
+def read_heatmap_file(path, into: Callable[[tuple[int, int, int]], np.ndarray] | None = None):
+    """Read a PSHM file, validating its header against its payload.
+
+    Without ``into``, return the checked :class:`Heatmap`. With ``into``, a
+    callable that takes the ``(joints, H, W)`` shape and returns a writable
+    C-contiguous float32 array of that shape, read the payload straight
+    into that array and return ``None``; the caller checks its scores with
+    :func:`require_finite`. ``into`` is called only once the header,
+    payload length and grid shape are valid, so a bad file is never given
+    an array.
+
+    Errors come in this order: bad magic, version, payload length (short or
+    trailing bytes), grid shape. Only a file whose size disagrees with its
+    header (or that has no size, such as a pipe) is read to its end.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
-        payload = fh.read()
-    if len(header) < _HEADER.size or header[:4] != _MAGIC:
-        raise BadMagic(f"{path}: not a PSHM heatmap file")
-    _, version, n, h, w = _HEADER.unpack(header)
-    if version != _VERSION:
-        raise VersionUnsupported(f"{path}: version {version} unsupported (expected {_VERSION})")
-    expected = n * h * w * 4
-    if len(payload) != expected:
-        raise TruncatedPayload(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
-        )
-    values = np.frombuffer(payload, dtype="<f4").reshape(n, h, w)
-    return Heatmap(values=values)
+        if len(header) < _HEADER.size or header[:4] != _MAGIC:
+            raise BadMagic(f"{path}: not a PSHM heatmap file")
+        _, version, n, h, w = _HEADER.unpack(header)
+        if version != _VERSION:
+            raise VersionUnsupported(
+                f"{path}: version {version} unsupported (expected {_VERSION})"
+            )
+        expected = n * h * w * 4
+        payload = None
+        if os.fstat(fh.fileno()).st_size != _HEADER.size + expected:
+            payload = fh.read()
+            if len(payload) != expected:
+                raise TruncatedPayload(
+                    f"{path}: payload is {len(payload)} bytes, header implies {expected}"
+                )
+        _check_grid((n, h, w))
+        values = np.empty((n, h, w), np.float32) if into is None else into((n, h, w))
+        if payload is not None:
+            values[...] = np.frombuffer(payload, dtype="<f4").reshape(n, h, w)
+        else:
+            got = fh.readinto(values)  # byte count: the file may shrink while read
+            if got != expected:
+                raise TruncatedPayload(
+                    f"{path}: payload is {got} bytes, header implies {expected}"
+                )
+            if sys.byteorder == "big":
+                values.byteswap(inplace=True)
+    return Heatmap(values=values) if into is None else None
 
 
 # --- synthetic rendering ----------------------------------------------------
@@ -310,10 +343,16 @@ def _gaussian(dr: np.ndarray, dc: np.ndarray, inv: float, out: np.ndarray) -> np
 
     Each step writes into ``out`` in the formula's order, so values match
     it bit for bit without a fresh temporary per step.
+
+    A tiny sigma makes ``inv`` huge or infinite. The product then overflows
+    to ``-inf``, whose ``exp`` is the bump's true 0, or is ``-0.0 * inf``,
+    a NaN at the centre that :func:`require_finite` reports. Neither is
+    worth a numpy warning.
     """
     np.add(dr ** 2, dc ** 2, out=out)
     np.negative(out, out=out)
-    np.multiply(out, inv, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(out, inv, out=out)
     return np.exp(out, out=out)
 
 

@@ -9,16 +9,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from collections import deque
 
 import numpy as np
 
 from poselik import (
+    BadMagic,
     DistanceParams,
+    Heatmap,
     OffsetParams,
     PeakSet,
     PoseModelParams,
     Skeleton,
+    TruncatedPayload,
+    VersionUnsupported,
     validate_skeleton,
 )
 
@@ -412,3 +417,34 @@ def oracle_weighted_mean_sd(values, weights):
     mean = sum(w * v for v, w in zip(values, weights)) / total_weight
     var = sum(w * (v - mean) ** 2 for v, w in zip(values, weights)) / total_weight
     return mean, math.sqrt(var)
+
+
+# --- PSHM files ------------------------------------------------------------------
+
+PSHM_HEADER = struct.Struct("<4sIIII")  # magic, version, joints, height, width
+
+
+def pshm_bytes(values, magic: bytes = b"PSHM", version: int = 1) -> bytes:
+    """A PSHM file holding ``values`` (float32 little-endian, finite or not)."""
+    values = np.asarray(values, dtype="<f4")
+    return PSHM_HEADER.pack(magic, version, *values.shape) + values.tobytes()
+
+
+def reference_read_heatmap_file(path) -> Heatmap:
+    """The PSHM reader as it was before it read into a caller's buffer: the
+    whole file into bytes, then a checked :class:`Heatmap` of a view of them."""
+    with open(path, "rb") as fh:
+        header = fh.read(PSHM_HEADER.size)
+        payload = fh.read()
+    if len(header) < PSHM_HEADER.size or header[:4] != b"PSHM":
+        raise BadMagic(f"{path}: not a PSHM heatmap file")
+    _, version, n, h, w = PSHM_HEADER.unpack(header)
+    if version != 1:
+        raise VersionUnsupported(f"{path}: version {version} unsupported (expected 1)")
+    expected = n * h * w * 4
+    if len(payload) != expected:
+        raise TruncatedPayload(
+            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
+        )
+    values = np.frombuffer(payload, dtype="<f4").reshape(n, h, w)
+    return Heatmap(values=values)

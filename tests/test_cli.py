@@ -32,6 +32,8 @@ from poselik import (
 )
 from poselik.selection import _random_score
 
+from _helpers import pshm_bytes
+
 SKELETON_DOC = {
     "joints": ["j0", "j1", "j2"],
     "root": 0,
@@ -119,6 +121,39 @@ class TestScoreCommand:
         timings = manifest["timings_ms"]
         assert set(timings) == {"io", "compute", "total"}
         assert timings["total"] >= 0.0
+
+    @pytest.mark.parametrize("command", ["score", "refine", "maxima", "point"])
+    def test_run_manifest_stage_times(self, tmp_path, monkeypatch, command):
+        skeleton_path, model_path, manifest_path, _ = write_inputs(tmp_path, n_samples=5)
+        model = ["--skeleton", str(skeleton_path), "--params", str(model_path)]
+        argv = {
+            "score": ["score", *model, "--heatmaps", str(manifest_path)],
+            "refine": ["refine", *model, "--heatmaps", str(manifest_path)],
+            "maxima": ["maxima", "--heatmaps", str(manifest_path)],
+            "point": ["score", *model, "--heatmaps", str(tmp_path / "dangling.jsonl"),
+                      "--mode", "point", "--poses", str(tmp_path / "poses.jsonl")],
+        }[command]
+        (tmp_path / "dangling.jsonl").write_text("".join(
+            json.dumps({"id": f"s{i}", "path": "missing.pshm"}) + "\n" for i in range(5)
+        ))
+        (tmp_path / "poses.jsonl").write_text("".join(
+            json.dumps({"id": f"s{i}", "pose": [[20, 14], [20, 20], [20, 26]]}) + "\n"
+            for i in range(5)
+        ))
+        monkeypatch.setattr(cli, "CHUNK", 2)
+        out = tmp_path / "out.jsonl"
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
+        stages = manifest["stages"]
+        assert stages["chunks"] == 3
+        names = {"read", "check", "peaks", "records", "write"}
+        assert set(stages) == {"chunks", "wall_ms", "cpu_ms"}
+        assert set(stages["wall_ms"]) == set(stages["cpu_ms"]) == names
+        assert all(t >= 0.0 for t in [*stages["wall_ms"].values(), *stages["cpu_ms"].values()])
+        assert sum(stages["wall_ms"].values()) <= manifest["timings_ms"]["total"]
+        read = stages["wall_ms"]["read"]
+        assert (read == 0.0) == (command == "point")
+        assert manifest["timings_ms"]["io"] >= read
 
     def test_point_mode_scores_poses_without_reading_heatmaps(self, tmp_path):
         skeleton_path, model_path, _, model = write_inputs(tmp_path)
@@ -734,6 +769,25 @@ class TestChunkedRunner:
         )
         payload = (tmp_path / "sample-2.pshm").read_bytes()
         (tmp_path / "sample-2.pshm").write_bytes(payload[:-8])  # s2: truncated
+        assert run_cli(
+            ["score", "--skeleton", str(skeleton_path), "--params", str(params_path),
+             "--per-image", "--heatmaps", str(manifest_path),
+             "--out", str(tmp_path / "x.jsonl")]
+        ) == 4
+        assert capsys.readouterr().err == (
+            "poselik: error: sample 's1': no model parameters for sample 's1'\n"
+        )
+
+    def test_scoring_error_before_later_non_finite_heatmap_names_the_earlier_sample(
+        self, tmp_path, capsys
+    ):
+        skeleton_path, _, manifest_path, _ = write_inputs(tmp_path, n_samples=4)
+        params_path = per_image_params(
+            tmp_path / "per-image.json", {"s0": 6.0, "s2": 6.0, "s3": 6.0}
+        )
+        heatmap = read_heatmap_file(tmp_path / "sample-2.pshm").values.copy()
+        heatmap[1, 5, 7] = np.nan  # s2: read whole, but not finite
+        (tmp_path / "sample-2.pshm").write_bytes(pshm_bytes(heatmap))
         assert run_cli(
             ["score", "--skeleton", str(skeleton_path), "--params", str(params_path),
              "--per-image", "--heatmaps", str(manifest_path),

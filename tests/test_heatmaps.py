@@ -4,6 +4,7 @@ import json
 import math
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -269,6 +270,44 @@ class TestHeatmapFileFormat:
         path.write_bytes(raw[:-8])
         with pytest.raises(TruncatedPayload):
             read_heatmap_file(path)
+
+    def test_read_into_a_caller_row(self, tmp_path):
+        rng = np.random.default_rng(3)
+        hm = Heatmap(values=rng.uniform(-2, 2, size=(3, 5, 7)).astype(np.float32))
+        path = tmp_path / "maps.pshm"
+        write_heatmap_file(hm, path)
+        buffer = np.full((2, 3, 5, 7), np.nan, dtype=np.float32)
+        shapes = []
+
+        def into(shape):
+            shapes.append(shape)
+            return buffer[1]
+
+        assert read_heatmap_file(path, into=into) is None
+        assert shapes == [(3, 5, 7)]
+        assert buffer[1].tobytes() == hm.values.tobytes()
+        assert np.isnan(buffer[0]).all()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_file_without_a_size_is_read_whole(self, tmp_path):
+        """A pipe reports no size, so its payload is read and counted first."""
+        hm = Heatmap(values=np.arange(2 * 4 * 4, dtype=np.float32).reshape(2, 4, 4))
+        write_heatmap_file(hm, tmp_path / "maps.pshm")
+        data = (tmp_path / "maps.pshm").read_bytes()
+        pipe = tmp_path / "maps.fifo"
+        for payload, expected in ((data, None), (data[:-4], "payload is 124 bytes")):
+            os.mkfifo(pipe)
+            writer = threading.Thread(target=pipe.write_bytes, args=(payload,))
+            writer.start()
+            try:
+                if expected is None:
+                    assert read_heatmap_file(pipe).values.tobytes() == hm.values.tobytes()
+                else:
+                    with pytest.raises(TruncatedPayload, match=expected):
+                        read_heatmap_file(pipe)
+            finally:
+                writer.join()
+                pipe.unlink()
 
 
 class TestRenderGaussianHeatmap:

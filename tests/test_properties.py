@@ -67,6 +67,7 @@ from poselik import (
     refine_poses,
     refinement_objective,
     render_gaussian_heatmap,
+    require_finite,
     score_pool,
     validate_skeleton,
     write_heatmap_file,
@@ -83,6 +84,8 @@ from _helpers import (
     oracle_expected_ll_by_enumeration,
     oracle_peaks,
     peakset_of,
+    pshm_bytes,
+    reference_read_heatmap_file,
     render_reference,
 )
 
@@ -559,8 +562,7 @@ def peaks_or_error(call):
     """What ``call`` returns, or the type and message of the
     ``PoseLikError`` it raises."""
     try:
-        with np.errstate(invalid="ignore"):  # an overflowing 1 / (2 sigma**2)
-            return call()
+        return call()
     except PoseLikError as exc:
         return type(exc), str(exc)
 
@@ -608,6 +610,16 @@ def test_an_overflowing_bump_raises_non_finite_on_both_paths():
     expected = (NonFiniteValue, "heatmap contains NaN or infinite scores")
     assert peaks_or_error(lambda: rendered_peak_sets(*case)) == expected
     assert peaks_or_error(lambda: bump_peak_sets(np.array(case[0]), *case[1:])) == expected
+
+
+def test_a_tiny_sigma_off_the_cells_renders_zeros_without_warnings():
+    """A bump between cells is 0 on every cell when ``1 / (2 * sigma**2)``
+    overflows (no centre cell to turn NaN), and on a wide grid when only
+    the products with the larger offsets overflow."""
+    zeros = render_gaussian_heatmap(Pose.of([[3.5, 4.0]]), 8, 8, 1e-160).values
+    assert not zeros.any()
+    wide = render_gaussian_heatmap(Pose.of([[3.0, 3.0]]), 64, 64, 1e-153).values
+    assert wide[0, 3, 3] == 1.0 and np.count_nonzero(wide) == 1
 
 
 # --- untrusted files --------------------------------------------------------------
@@ -731,6 +743,53 @@ def test_corrupt_heatmap_files_raise_only_poselik_errors(scratch, corrupted):
         read_heatmap_file(path)
     except PoseLikError:
         pass
+
+
+@st.composite
+def pshm_files(draw) -> bytes:
+    """A valid PSHM file, some with one NaN or infinite score, or a corrupted one."""
+    if draw(st.booleans()):
+        return draw(corrupted_files())[0]
+    values = draw(float32_grids()).values.copy()
+    if draw(st.booleans()):
+        cell = draw(st.integers(0, values.size - 1))
+        values.reshape(-1)[cell] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    return pshm_bytes(values)
+
+
+def read_outcome(read):
+    """(dtype, shape, bytes) of the scores ``read`` returns, or the type and
+    message of the ``PoseLikError`` it raises."""
+    try:
+        values = read()
+    except PoseLikError as exc:
+        return type(exc), str(exc)
+    return values.dtype.str, values.shape, values.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(pshm_files())
+def test_both_reader_paths_match_the_reference_reader(scratch, data):
+    """Read into a new :class:`Heatmap` or into a caller's row (whose scores
+    the caller checks), a file gives the reference reader's scores or error,
+    and the row is asked for only once the header and length are valid."""
+    path = scratch / "reader.pshm"
+    path.write_bytes(data)
+    expected = read_outcome(lambda: reference_read_heatmap_file(path).values)
+    assert read_outcome(lambda: read_heatmap_file(path).values) == expected
+    rows = []
+
+    def into(shape):
+        rows.append(np.full(shape, np.nan, dtype=np.float32))  # each byte must be read
+        return rows[-1]
+
+    def read_into():
+        assert read_heatmap_file(path, into=into) is None
+        require_finite(rows[0])
+        return rows[0]
+
+    assert read_outcome(read_into) == expected
+    assert len(rows) == (expected[0] in ("<f4", NonFiniteValue))
 
 
 # --- every JSON input of every command ---------------------------------------------
@@ -876,3 +935,115 @@ def test_every_command_survives_any_json_input(cli_dir, corrupted):
                 leftover.unlink()
     finally:
         (cli_dir / name).write_bytes(VALID_INPUTS[name])
+
+# --- chunked runs and their output lines -------------------------------------------
+
+_FAILURES = ("magic", "version", "short", "trailing", "small", "nan", "inf", "-inf", "params")
+
+
+def _sample_file(shape, failure, seed) -> bytes:
+    """A heatmap file of random scores, made to fail in the given way."""
+    if failure == "small":
+        shape = (shape[0], 2, shape[2])
+    values = np.random.default_rng(seed).random(shape, dtype=np.float32)
+    if failure in ("nan", "inf", "-inf"):
+        values.reshape(-1)[seed % values.size] = float(failure)
+    data = pshm_bytes(values, magic=b"PSHX" if failure == "magic" else b"PSHM",
+                      version=2 if failure == "version" else 1)
+    return {"short": data[:-4], "trailing": data + bytes(4)}.get(failure, data)
+
+
+@pytest.fixture(scope="module")
+def chunk_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("chunks")
+    (directory / "skeleton.json").write_text(json.dumps(_SKELETON), encoding="utf-8")
+    return directory
+
+
+@settings(PROPERTY_SETTINGS, max_examples=80)  # each example runs up to 8 commands
+@given(
+    st.integers(2, 4),
+    st.lists(
+        st.tuples(
+            st.sampled_from(((3, 5, 5), (3, 4, 6))),
+            st.sampled_from((None,) * 4 + _FAILURES),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=1, max_size=7,
+    ),
+)
+def test_a_chunked_run_fails_as_its_first_failing_sample_alone(chunk_dir, chunk, samples):
+    """In chunks of 2-4 (and new chunks at each change of grid shape), a run
+    of ``score --per-image`` exits and reports as the first sample that
+    fails on its own; a run where none fails writes each sample's own line."""
+    ids = [f"s{i}" for i in range(len(samples))]
+    for sample_id, (shape, failure, seed) in zip(ids, samples):
+        (chunk_dir / f"{sample_id}.pshm").write_bytes(_sample_file(shape, failure, seed))
+    (chunk_dir / "params.json").write_text(json.dumps({"model_kind": "distance", "per_image": {
+        sample_id: {"links": [{"mean": 2.0, "sigma": 1.0}] * 2}
+        for sample_id, (_, failure, _) in zip(ids, samples) if failure != "params"
+    }}), encoding="utf-8")
+
+    def run(run_ids):
+        manifest, out = chunk_dir / "manifest.jsonl", chunk_dir / "out.jsonl"
+        manifest.write_text("".join(
+            json.dumps({"id": i, "path": f"{i}.pshm"}) + "\n" for i in run_ids
+        ), encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), mock.patch.object(cli, "CHUNK", chunk):
+            code = cli.main(["score", "--skeleton", str(chunk_dir / "skeleton.json"),
+                             "--params", str(chunk_dir / "params.json"), "--per-image",
+                             "--heatmaps", str(manifest), "--out", str(out)])
+        return code, stderr.getvalue(), out.read_text(encoding="utf-8") if code == 0 else None
+
+    alone = [run([sample_id]) for sample_id in ids]
+    failed = [result for result in alone if result[0] != 0]
+    code, err, text = run(ids)
+    if failed:
+        assert (code, err) == failed[0][:2]
+    else:
+        assert (code, err, text) == (0, "", "".join(result[2] for result in alone))
+
+
+def maxima_record(sample_id: str, peaks: PeakSet) -> dict:
+    """A ``maxima`` output record as a dict: the peaks of each joint, in order."""
+    rows = [
+        {"loc": loc, "score": score, "prob": prob}
+        for loc, score, prob in zip(
+            peaks.locs.tolist(), peaks.scores.tolist(), peaks.probs.tolist()
+        )
+    ]
+    bounds = peaks.offsets.tolist()
+    return {
+        "id": sample_id,
+        "entropy": multi_peak_entropy(peaks),
+        "peaks": [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])],
+    }
+
+
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+odd_id = st.text() | st.sampled_from(
+    ('"', "\\", "\x00\x1f\x7f", "é\u2028\U0001f600", 'a"b\\c\nd')
+)
+maxima_peak = st.tuples(
+    st.tuples(st.integers(0, 2**31), st.integers(0, 2**31)),
+    st.floats(width=32, allow_nan=False, allow_infinity=False)
+    | st.sampled_from((FLOAT32_MAX, -FLOAT32_MAX, -0.0)),
+    st.floats(0.0, 1.0) | st.sampled_from((5e-324, 1e-310, 2.2250738585072014e-308, 1.0)),
+)
+maxima_sample = st.tuples(
+    odd_id, st.lists(st.lists(maxima_peak, min_size=1, max_size=3), min_size=1, max_size=4)
+)
+
+
+@PROPERTY_SETTINGS
+@example([("a\"\\", [[((0, 1), FLOAT32_MAX, 5e-324)], [((2, 3), -0.0, 1.0)]])])  # single peaks
+@given(st.lists(maxima_sample, min_size=1, max_size=3))
+def test_maxima_lines_are_the_json_of_their_records(samples):
+    ids = [sample_id for sample_id, _ in samples]
+    peak_sets = [peakset_of(joints) for _, joints in samples]
+    expected = "".join(
+        json.dumps(maxima_record(sample_id, peaks), sort_keys=True) + "\n"
+        for sample_id, peaks in zip(ids, peak_sets)
+    )
+    assert cli._maxima_records(None, None, ids, peak_sets) == expected
