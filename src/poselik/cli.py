@@ -39,7 +39,6 @@ from .errors import (
     ConfigInvalid,
     MissingJoint,
     MissingParams,
-    NonFiniteValue,
     PoseLikError,
     SchemaError,
 )
@@ -53,9 +52,10 @@ from .heatmaps import (
     require_finite,
 )
 from .likelihood import (
+    entropy_sum,
     expected_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it
     expected_log_likelihoods,
-    multi_peak_entropy,
+    multi_peak_entropy,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     point_log_likelihood,
     refine_pose,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     refine_poses,
@@ -94,18 +94,6 @@ def _jsonl(records) -> str:
 def _write_jsonl(path: str, records: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_jsonl(records))
-
-
-def _write_atomic(path: str, write: Callable[[str], None]) -> None:
-    """Run ``write`` on a temporary file beside ``path``, then rename it over
-    ``path``, so a failed write never leaves a partial file."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
 
 
 # --- commands ---------------------------------------------------------------------
@@ -182,8 +170,9 @@ def _chunked(records: Callable, extraction: Callable) -> Callable:
     command extracts peaks with, or ``None`` if it reads no heatmap (its
     ``peak_sets`` are then ``None``). Each heatmap is read straight into its
     row of one reused ``(chunk, J, H, W)`` buffer sized for the first
-    heatmap of its shape, and a change of shape starts a new chunk. Scores
-    are checked for finiteness once per chunk.
+    heatmap of its shape, and a change of shape starts a new chunk. Each
+    chunk's scores are checked for finiteness at once, then its peaks are
+    extracted and its records made, all through :func:`_chunk_records`.
     The first failure in manifest order aborts the run, naming its sample.
     The time of each stage goes to ``ctx["stages"]``.
     """
@@ -202,38 +191,28 @@ def _chunked(records: Callable, extraction: Callable) -> Callable:
             fresh = np.empty((size, *shape), np.float32)
             return fresh[0]
 
+        def text(sample_ids, values) -> str:
+            t = _clock()
+            peak_sets = None
+            if values is not None:
+                require_finite(values)
+                t = stages.since("check", t)
+                peak_sets = extract_peak_sets(values, *settings)
+                t = stages.since("peaks", t)
+            lines = records(args, ctx, sample_ids, peak_sets)
+            stages.since("records", t)
+            return lines
+
         with open(stage(args.out), "w", encoding="utf-8") as out:
 
-            def emit(sample_ids, values):
-                t = _clock()
-                peak_sets = None
-                if values is not None:
-                    peak_sets = extract_peak_sets(values, *settings)
-                    t = stages.since("peaks", t)
-                text = _chunk_records(records, args, ctx, sample_ids, peak_sets)
-                t = stages.since("records", t)
-                out.write(text)
-                stages.since("write", t)
-                stages.chunks += 1
-
             def flush():
-                if not ids:
-                    return
-                values = None
-                if settings is not None:
-                    values = chunk[: len(ids)]
+                if ids:
+                    lines = _chunk_records(text, ids, chunk[: len(ids)] if settings else None)
                     t = _clock()
-                    try:
-                        require_finite(values)
-                    except NonFiniteValue as exc:
-                        # The samples before the first non-finite one may fail first.
-                        bad = int(np.isfinite(values).reshape(len(ids), -1).all(axis=1).argmin())
-                        if bad:
-                            emit(ids[:bad], values[:bad])
-                        raise PoseLikError(f"sample {ids[bad]!r}: {exc}") from exc
-                    stages.since("check", t)
-                emit(ids, values)
-                ids.clear()
+                    out.write(lines)
+                    stages.since("write", t)
+                    stages.chunks += 1
+                    ids.clear()
 
             for sample_id, path in entries:
                 if settings is not None:
@@ -258,17 +237,16 @@ def _chunked(records: Callable, extraction: Callable) -> Callable:
     return compute
 
 
-def _chunk_records(records: Callable, args, ctx, ids: list[str], peak_sets) -> str:
-    """``records`` of one chunk. If the chunk fails, its samples run alone in
-    turn, so that the error names the first failing sample and says what
-    that sample's own run says."""
+def _chunk_records(text: Callable, ids: list[str], values) -> str:
+    """``text(ids, values)`` of one chunk. If the chunk fails, its samples run
+    alone in turn, so that the error names the first failing sample and says
+    what that sample's own run says."""
     try:
-        return records(args, ctx, ids, peak_sets)
+        return text(ids, values)
     except PoseLikError:
         for i, sample_id in enumerate(ids):
             try:
-                alone = None if peak_sets is None else peak_sets[i : i + 1]
-                records(args, ctx, ids[i : i + 1], alone)
+                text(ids[i : i + 1], None if values is None else values[i : i + 1])
             except PoseLikError as exc:
                 raise PoseLikError(f"sample {sample_id!r}: {exc}") from exc
         raise
@@ -345,16 +323,14 @@ def _maxima_records(args, ctx, ids, peak_sets) -> str:
     scores, probabilities and entropy are all finite."""
     lines = []
     for sample_id, peaks in zip(ids, peak_sets):
+        probs, bounds = peaks.probs.tolist(), peaks.offsets.tolist()
         rows = [
             _PEAK % (r, c, prob, score)
-            for (r, c), prob, score in zip(
-                peaks.locs.tolist(), peaks.probs.tolist(), peaks.scores.tolist()
-            )
+            for (r, c), prob, score in zip(peaks.locs.tolist(), probs, peaks.scores.tolist())
         ]
-        bounds = peaks.offsets.tolist()
         joints = "], [".join(", ".join(rows[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
         lines.append('{"entropy": %r, "id": %s, "peaks": [[%s]]}\n' % (
-            multi_peak_entropy(peaks), json.dumps(sample_id), joints,
+            entropy_sum(bounds, probs), json.dumps(sample_id), joints,
         ))
     return "".join(lines)
 
@@ -482,15 +458,16 @@ def _error(message) -> None:
 
 
 def _run(command: str, args: argparse.Namespace) -> int:
-    """Load, compute the outputs into temporary files, rename each over its
-    output, then write the run manifest last.
+    """Load, compute the outputs, then write the run manifest, each into a
+    temporary file, and rename each over its output, the manifest last.
 
     Each output goes to a temporary file beside it (per-sample commands
     stream their records there chunk by chunk), which is renamed into place
-    only once every sample has succeeded and every input is hashed. So no
-    failure leaves a partial file, and no temporary file outlives the run.
-    The old manifest is removed before any output is replaced, so a
-    manifest exists only beside the outputs of the run that wrote it.
+    only once every sample has succeeded, every input is hashed and the
+    manifest is written. So no failure leaves a partial file, and no
+    temporary file outlives the run. The old manifest is removed before any
+    output is replaced, so a manifest exists only beside the outputs of the
+    run that wrote it.
     """
     spec = _COMMANDS[command]
     started = time.perf_counter()
@@ -538,14 +515,8 @@ def _run(command: str, args: argparse.Namespace) -> int:
             _error(exc)
             return 3
 
-        manifest_path = f"{args.out}.manifest.json"
-        path = manifest_path
+        path = f"{args.out}.manifest.json"
         try:
-            # An old manifest must not outlive the outputs it describes.
-            with contextlib.suppress(FileNotFoundError, IsADirectoryError):
-                os.unlink(manifest_path)
-            for path, tmp in staged:
-                os.replace(tmp, path)
             timings["total"] = (time.perf_counter() - started) * 1000.0
             manifest = {
                 "tool": TOOL_NAME,
@@ -559,8 +530,12 @@ def _run(command: str, args: argparse.Namespace) -> int:
             }
             if "stages" in ctx:
                 manifest["stages"] = ctx["stages"]
-            path = manifest_path
-            _write_atomic(path, lambda tmp: write_json(tmp, manifest))
+            write_json(stage(path), manifest)
+            # An old manifest must not outlive the outputs it describes.
+            with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+                os.unlink(path)
+            for path, tmp in staged:  # the manifest last
+                os.replace(tmp, path)
         except OSError as exc:
             _error(f"cannot write {path}: {exc.strerror or exc}")
             return 3
@@ -631,6 +606,8 @@ def main(argv=None) -> int:
         parser.error(f"--budget must be non-negative, got {args.budget}")
     if args.command == "maxima" and args.max_peaks < 1:
         parser.error(f"--max-peaks must be >= 1, got {args.max_peaks}")
+    if args.command == "maxima" and not math.isfinite(args.threshold):
+        parser.error(f"--threshold must be finite, got {args.threshold}")
     return _run(args.command, args)
 
 

@@ -363,7 +363,7 @@ def _gaussian_table(height: int, width: int, inv: float) -> np.ndarray:
 
     Keyed by ``inv``, not ``peak_sigma``: the table depends on nothing else,
     and equal sigmas of different dtypes can give different ``inv``. Read-only,
-    because every render of this shape shares it.
+    because every :func:`bump_peak_sets` call of this shape shares it.
     """
     dr = np.arange(1 - height, height, dtype=np.float64)[:, None]
     dc = np.arange(1 - width, width, dtype=np.float64)[None, :]
@@ -385,13 +385,8 @@ def render_gaussian_heatmap(
     entries. Values are clipped to [0, 1]. Coordinates are (row, col) at
     grid resolution and must lie inside the grid.
 
-    A bump on an integer cell is a window of one cached table of bumps at
-    integer offsets, whose offsets ``rows - row`` are the same exact
-    integers; other bumps are computed directly. Both give the formula's
-    values bit for bit. A bump lies in [0, 1], and ``0.0 + bump`` is the
-    bump, so a joint without a distractor is its bump cast on assignment,
-    which rounds like ``astype(np.float32)``. Only a joint with distractors
-    is summed in float64, in the given order, then clipped.
+    Each joint's bumps are summed in float64, its own first, then its
+    distractors in the given order, clipped and cast to float32.
     """
     if pose.dimension != 2:
         raise OutOfBoundsCoordinate("rendering requires 2D poses")
@@ -400,38 +395,20 @@ def render_gaussian_heatmap(
     n = pose.n_joints
     centres = pose.coordinates.tolist()
     present = pose.present.tolist()
-    extra = [[] for _ in range(n)]  # each joint's distractors, in the given order
+    rows = np.arange(height, dtype=np.float64)[:, None]
+    cols = np.arange(width, dtype=np.float64)[None, :]
+    inv = 1.0 / (2.0 * peak_sigma * peak_sigma)
+    maps = np.zeros((n, height, width), dtype=np.float64)
     for j in range(n):
         if present[j]:
             _check_cell(*centres[j], height, width)
+            _gaussian(rows - centres[j][0], cols - centres[j][1], inv, maps[j])
     for joint, (row, col), amplitude in distractors or ():
         if not 0 <= joint < n:
             raise JointOutOfRange(f"distractor joint {joint} outside [0, {n})")
         _check_cell(row, col, height, width)
-        extra[joint].append((row, col, amplitude))
-
-    rows = np.arange(height, dtype=np.float64)[:, None]
-    cols = np.arange(width, dtype=np.float64)[None, :]
-    inv = 1.0 / (2.0 * peak_sigma * peak_sigma)
-    scratch = np.empty((height, width), dtype=np.float64)
-
-    def bump(row: float, col: float) -> np.ndarray:
-        if float(row).is_integer() and float(col).is_integer():
-            top, left = height - 1 - int(row), width - 1 - int(col)
-            return _gaussian_table(height, width, inv)[top : top + height, left : left + width]
-        return _gaussian(rows - row, cols - col, inv, scratch)
-
-    values = np.empty((n, height, width), dtype=np.float32)
-    total = np.empty((height, width), dtype=np.float64)  # a joint with distractors
-    for j in range(n):
-        if not extra[j]:
-            values[j] = bump(*centres[j]) if present[j] else 0.0
-            continue
-        np.copyto(total, bump(*centres[j]) if present[j] else 0.0)
-        for row, col, amplitude in extra[j]:
-            total += np.multiply(amplitude, bump(row, col), out=scratch)
-        values[j] = np.clip(total, 0.0, 1.0, out=total)
-    return Heatmap(values=values)
+        maps[joint] += amplitude * _gaussian(rows - row, cols - col, inv, np.empty((height, width)))
+    return Heatmap(values=np.clip(maps, 0.0, 1.0, out=maps).astype(np.float32))
 
 
 def _check_cell(row: float, col: float, height: int, width: int) -> None:
@@ -458,9 +435,10 @@ def bump_peak_sets(
 
     A cell's score is ``float32(clip(sum(a_k * T[cell - c_k]), 0, 1))``
     over its joint's bumps ``c_k`` (its centre first, with ``a = 1``, then
-    its distractors in the given order), where ``T`` is the renderer's
-    table of bumps at integer offsets: the same float64 products and sums,
-    so the same bits. A joint's maximum is 1, at its centre. A cell farther
+    its distractors in the given order), where ``T`` is the table of the
+    bump at every integer offset: the renderer's values for a bump on a
+    cell, and its float64 products and sums, so the same bits. A joint's
+    maximum is 1, at its centre. A cell farther
     than :func:`_patch_radius` from each of its joint's bumps scores below
     the threshold, so it is no peak and no maximum: only a square patch of
     cells around each bump is scored, its strict maxima tested inside it,
@@ -497,7 +475,7 @@ def bump_peak_sets(
                 raise SchemaError(f"distractor amplitude must be in [0, 1], got {amplitude}")
             bumps[i * n + joint].append((row, col, amplitude))
 
-    inv = 1.0 / (2.0 * peak_sigma * peak_sigma)  # the renderer's, so its table
+    inv = 1.0 / (2.0 * peak_sigma * peak_sigma)  # the renderer's, so its bump values
     table = _gaussian_table(height, width, inv).reshape(-1)
     by_count = {}  # grids with as many bumps go through one pass
     for g, grid in enumerate(bumps):

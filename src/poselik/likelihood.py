@@ -320,7 +320,12 @@ def multi_peak_entropy(peaks: PeakSet) -> float:
     counts = peaks.counts()
     if 0 in counts:
         raise EmptyPeakSet(f"joint #{counts.index(0)} has no candidate peaks")
-    bounds, probs = peaks.offsets.tolist(), peaks.probs.tolist()
+    return entropy_sum(peaks.offsets.tolist(), peaks.probs.tolist())
+
+
+def entropy_sum(bounds: list[int], probs: list[float]) -> float:
+    """Sum over joints ``j`` of the entropy of ``probs[bounds[j]:bounds[j + 1]]``:
+    :func:`multi_peak_entropy` of a peak set's listed offsets and probs."""
     total = 0.0
     for a, b in zip(bounds[:-1], bounds[1:]):
         total += entropy_of_probs(probs[a:b])

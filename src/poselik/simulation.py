@@ -14,7 +14,7 @@ Everything downstream of the config is reproducible from its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -48,125 +48,193 @@ _CHUNK = 32
 
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Chain-pose generator: one (length, angle-range) law per link."""
+    """Chain-pose generator: one (length, angle-range) law per link. The
+    field names are the keys of its JSON object."""
 
     link_means: tuple[float, ...]
     link_sds: tuple[float, ...]
     angle_ranges: tuple[tuple[float, float], ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "link_means": list(self.link_means),
-            "link_sds": list(self.link_sds),
-            "angle_ranges": [list(r) for r in self.angle_ranges],
-        }
+
+def _key(path: str, parse, default=MISSING):
+    """A config field read from the JSON key at the dotted ``path`` by
+    ``parse(value, where, get)``, where ``get(name)`` gives another field's
+    parsed value. A key with a default may be left out."""
+    return field(default=default, metadata={"path": path, "parse": parse})
 
 
-@dataclass(frozen=True)
+def _take_keys(doc, required, optional, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigInvalid(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - set(required) - set(optional))
+    if unknown:
+        raise ConfigInvalid(f"{where}: unknown keys {unknown}")
+    missing = sorted(set(required) - set(doc))
+    if missing:
+        raise ConfigInvalid(f"{where}: missing keys {missing}")
+    return doc
+
+
+def _int(minimum: int):
+    def parse(value, where, get) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigInvalid(f"{where} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigInvalid(f"{where} must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _as_float(value, where: str, positive: bool = False) -> float:
+    if not is_number(value):
+        raise ConfigInvalid(f"{where} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
+        raise ConfigInvalid(f"{where} must be finite, got {value}")
+    if positive and value <= 0.0:
+        raise ConfigInvalid(f"{where} must be > 0, got {value}")
+    return value
+
+
+def _positive(value, where, get) -> float:
+    return _as_float(value, where, positive=True)
+
+
+def _float_list(value, expected_len: int, where: str) -> list[float]:
+    if not isinstance(value, list) or len(value) != expected_len:
+        raise ConfigInvalid(f"{where} must be a list of {expected_len} numbers")
+    return [_as_float(item, f"{where}[{i}]") for i, item in enumerate(value)]
+
+
+def _generator(doc, where: str, get) -> GeneratorParams:
+    doc = _take_keys(
+        doc, required=[f.name for f in fields(GeneratorParams)], optional=(), where=where
+    )
+    n_links = get("joints") - 1
+    means = _float_list(doc["link_means"], n_links, f"{where}.link_means")
+    sds = _float_list(doc["link_sds"], n_links, f"{where}.link_sds")
+    for i, (mean, sd) in enumerate(zip(means, sds)):
+        if mean <= 0.0:
+            raise ConfigInvalid(f"{where}.link_means[{i}] must be > 0, got {mean}")
+        if sd <= 0.0:
+            raise ConfigInvalid(f"{where}.link_sds[{i}] must be > 0, got {sd}")
+    ranges = doc["angle_ranges"]
+    if not isinstance(ranges, list) or len(ranges) != n_links:
+        raise ConfigInvalid(f"{where}.angle_ranges must be a list of {n_links} [lo, hi] pairs")
+    parsed_ranges = []
+    for i, pair in enumerate(ranges):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigInvalid(f"{where}.angle_ranges[{i}] must be a [lo, hi] pair")
+        lo = _as_float(pair[0], f"{where}.angle_ranges[{i}][0]")
+        hi = _as_float(pair[1], f"{where}.angle_ranges[{i}][1]")
+        if lo > hi:
+            raise ConfigInvalid(f"{where}.angle_ranges[{i}]: lo {lo} > hi {hi}")
+        parsed_ranges.append((lo, hi))
+    return GeneratorParams(
+        link_means=tuple(means), link_sds=tuple(sds), angle_ranges=tuple(parsed_ranges)
+    )
+
+
+def _ood_generator(value, where, get) -> GeneratorParams:
+    generator = _generator(value, where, get)
+    if generator == get("generator"):
+        raise ConfigInvalid(
+            "config.ood_generator must differ from config.generator in at "
+            "least one field"
+        )
+    return generator
+
+
+def _strategies(value, where, get) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ConfigInvalid(f"{where} must be a list of names, got {value!r}")
+    strategies = tuple(value)
+    if not strategies:
+        raise ConfigInvalid(f"{where} must not be empty")
+    if len(set(strategies)) != len(strategies):
+        raise ConfigInvalid(f"{where} contains duplicates")
+    for name in strategies:
+        if name not in STRATEGIES:
+            raise ConfigInvalid(
+                f"{where}: unknown strategy {name!r}; expected a subset of {list(STRATEGIES)}"
+            )
+    return strategies
+
+
+def _ranking_mode(value, where, get) -> str:
+    if value not in ("expected", "max"):
+        raise ConfigInvalid(f"{where} must be 'expected' or 'max', got {value!r}")
+    return value
+
+
+def _fraction(value, where, get) -> float:
+    fraction = _as_float(value, where)
+    if not 0.0 <= fraction <= 1.0:
+        raise ConfigInvalid(f"{where} must be in [0, 1], got {fraction}")
+    return fraction
+
+
+@dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
-    seed: int
-    rounds: int
-    budget: int
-    joints: int
-    labeled_size: int
-    unlabeled_size: int
-    ood_count: int
-    heldout_size: int
-    generator: GeneratorParams
-    ood_generator: GeneratorParams
-    height: int
-    width: int
-    peak_sigma: float
-    distractor_count: int
-    distractor_amplitude: float
-    ranking_mode: str = "expected"
-    initial_random_fraction: float = 0.0
-    strategies: tuple[str, ...] = STRATEGIES
+    """A ``simulate`` config. Each field declares its key of the JSON
+    layout once, with its check and its default; :meth:`from_dict` and
+    :meth:`to_json_dict` both walk these declarations.
+
+    ``from_dict`` checks the keys of each JSON object (``config``, then its
+    objects in the order their fields first appear), then parses the fields
+    in order, so the field order decides which fault a document with
+    several reports; a generator parses the joint count first.
+    """
+
+    generator: GeneratorParams = _key("generator", _generator)
+    ood_generator: GeneratorParams = _key("ood_generator", _ood_generator)
+    strategies: tuple[str, ...] = _key("strategies", _strategies, STRATEGIES)
+    ranking_mode: str = _key("ranking_mode", _ranking_mode, "expected")
+    initial_random_fraction: float = _key("initial_random_fraction", _fraction, 0.0)
+    seed: int = _key("seed", _int(0))
+    rounds: int = _key("rounds", _int(1))
+    budget: int = _key("budget", _int(1))
+    labeled_size: int = _key("pool.labeled", _int(2))
+    unlabeled_size: int = _key("pool.unlabeled", _int(1))
+    ood_count: int = _key("pool.ood", _int(0))
+    heldout_size: int = _key("pool.heldout", _int(1))
+    joints: int = _key("skeleton.joints", _int(2))
+    height: int = _key("heatmap.height", _int(8))
+    width: int = _key("heatmap.width", _int(8))
+    peak_sigma: float = _key("heatmap.peak_sigma", _positive)
+    distractor_count: int = _key("heatmap.distractors", _int(0), 0)
+    distractor_amplitude: float = _key("heatmap.distractor_amplitude", _positive, 0.6)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimulationConfig":
-        top = _take_keys(
-            doc,
-            required=("seed", "rounds", "budget", "pool", "skeleton",
-                      "generator", "ood_generator", "heatmap"),
-            optional=("ranking_mode", "initial_random_fraction", "strategies"),
-            where="config",
-        )
-        pool = _take_keys(
-            top["pool"],
-            required=("labeled", "unlabeled", "ood", "heldout"),
-            optional=(),
-            where="config.pool",
-        )
-        skeleton = _take_keys(
-            top["skeleton"], required=("joints",), optional=(), where="config.skeleton"
-        )
-        heatmap = _take_keys(
-            top["heatmap"],
-            required=("height", "width", "peak_sigma"),
-            optional=("distractors", "distractor_amplitude"),
-            where="config.heatmap",
-        )
-        joints = _as_int(skeleton["joints"], "config.skeleton.joints", minimum=2)
-        generator = _parse_generator(top["generator"], joints, "config.generator")
-        ood_generator = _parse_generator(top["ood_generator"], joints, "config.ood_generator")
-        if generator == ood_generator:
-            raise ConfigInvalid(
-                "config.ood_generator must differ from config.generator in at "
-                "least one field"
-            )
-        strategies = top.get("strategies", list(STRATEGIES))
-        if not isinstance(strategies, list) or not all(isinstance(s, str) for s in strategies):
-            raise ConfigInvalid(f"config.strategies must be a list of names, got {strategies!r}")
-        strategies = tuple(strategies)
-        if not strategies:
-            raise ConfigInvalid("config.strategies must not be empty")
-        if len(set(strategies)) != len(strategies):
-            raise ConfigInvalid("config.strategies contains duplicates")
-        for name in strategies:
-            if name not in STRATEGIES:
-                raise ConfigInvalid(
-                    f"config.strategies: unknown strategy {name!r}; "
-                    f"expected a subset of {list(STRATEGIES)}"
+        keys = {"config": ([], [])}  # each JSON object's (required, optional) keys
+        for f in fields(cls):
+            where, _, key = f"config.{f.metadata['path']}".rpartition(".")
+            if where != "config":  # a key of one of config's objects, which are required
+                keys["config"][0].append(where.removeprefix("config."))
+            keys.setdefault(where, ([], []))[f.default is not MISSING].append(key)
+        objects = {"": {"config": doc}}  # each checked JSON object by its path
+        for where, (required, optional) in keys.items():
+            parent, _, name = where.rpartition(".")
+            objects[where] = _take_keys(objects[parent][name], required, optional, where)
+        by_name, values = {f.name: f for f in fields(cls)}, {}
+
+        def get(name: str):
+            if name not in values:
+                f = by_name[name]
+                where, _, key = f"config.{f.metadata['path']}".rpartition(".")
+                found = objects[where]
+                values[name] = (
+                    f.metadata["parse"](found[key], f"{where}.{key}", get)
+                    if key in found else f.default
                 )
-        ranking_mode = top.get("ranking_mode", "expected")
-        if ranking_mode not in ("expected", "max"):
-            raise ConfigInvalid(
-                f"config.ranking_mode must be 'expected' or 'max', got {ranking_mode!r}"
-            )
-        fraction = _as_float(
-            top.get("initial_random_fraction", 0.0), "config.initial_random_fraction"
-        )
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigInvalid(
-                f"config.initial_random_fraction must be in [0, 1], got {fraction}"
-            )
-        cfg = cls(
-            seed=_as_int(top["seed"], "config.seed", minimum=0),
-            rounds=_as_int(top["rounds"], "config.rounds", minimum=1),
-            budget=_as_int(top["budget"], "config.budget", minimum=1),
-            joints=joints,
-            labeled_size=_as_int(pool["labeled"], "config.pool.labeled", minimum=2),
-            unlabeled_size=_as_int(pool["unlabeled"], "config.pool.unlabeled", minimum=1),
-            ood_count=_as_int(pool["ood"], "config.pool.ood", minimum=0),
-            heldout_size=_as_int(pool["heldout"], "config.pool.heldout", minimum=1),
-            generator=generator,
-            ood_generator=ood_generator,
-            height=_as_int(heatmap["height"], "config.heatmap.height", minimum=8),
-            width=_as_int(heatmap["width"], "config.heatmap.width", minimum=8),
-            peak_sigma=_as_float(heatmap["peak_sigma"], "config.heatmap.peak_sigma", positive=True),
-            distractor_count=_as_int(
-                heatmap.get("distractors", 0), "config.heatmap.distractors", minimum=0
-            ),
-            distractor_amplitude=_as_float(
-                heatmap.get("distractor_amplitude", 0.6),
-                "config.heatmap.distractor_amplitude",
-                positive=True,
-            ),
-            ranking_mode=ranking_mode,
-            initial_random_fraction=fraction,
-            strategies=strategies,
-        )
+            return values[name]
+
+        cfg = cls(**{name: get(name) for name in by_name})
         if cfg.ood_count > cfg.unlabeled_size:
             raise ConfigInvalid(
                 f"config.pool.ood ({cfg.ood_count}) exceeds config.pool.unlabeled "
@@ -185,98 +253,19 @@ class SimulationConfig:
         return cfg
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "rounds": self.rounds,
-            "budget": self.budget,
-            "pool": {
-                "labeled": self.labeled_size,
-                "unlabeled": self.unlabeled_size,
-                "ood": self.ood_count,
-                "heldout": self.heldout_size,
-            },
-            "skeleton": {"joints": self.joints},
-            "generator": self.generator.to_json_dict(),
-            "ood_generator": self.ood_generator.to_json_dict(),
-            "heatmap": {
-                "height": self.height,
-                "width": self.width,
-                "peak_sigma": self.peak_sigma,
-                "distractors": self.distractor_count,
-                "distractor_amplitude": self.distractor_amplitude,
-            },
-            "ranking_mode": self.ranking_mode,
-            "initial_random_fraction": self.initial_random_fraction,
-            "strategies": list(self.strategies),
-        }
+        doc = {}
+        for f in fields(self):
+            parent, _, key = f.metadata["path"].rpartition(".")
+            (doc.setdefault(parent, {}) if parent else doc)[key] = _json(getattr(self, f.name))
+        return doc
 
 
-def _take_keys(doc, required, optional, where: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ConfigInvalid(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - set(required) - set(optional))
-    if unknown:
-        raise ConfigInvalid(f"{where}: unknown keys {unknown}")
-    missing = sorted(set(required) - set(doc))
-    if missing:
-        raise ConfigInvalid(f"{where}: missing keys {missing}")
-    return doc
-
-
-def _as_int(value, where: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigInvalid(f"{where} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigInvalid(f"{where} must be >= {minimum}, got {value}")
-    return value
-
-def _as_float(value, where: str, positive: bool = False) -> float:
-    if not is_number(value):
-        raise ConfigInvalid(f"{where} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf if value > 0 else -math.inf
-    if not math.isfinite(value):
-        raise ConfigInvalid(f"{where} must be finite, got {value}")
-    if positive and value <= 0.0:
-        raise ConfigInvalid(f"{where} must be > 0, got {value}")
-    return value
-
-
-def _parse_generator(doc, joints: int, where: str) -> GeneratorParams:
-    fields = _take_keys(
-        doc, required=("link_means", "link_sds", "angle_ranges"), optional=(), where=where
-    )
-    n_links = joints - 1
-    means = _float_list(fields["link_means"], n_links, f"{where}.link_means")
-    sds = _float_list(fields["link_sds"], n_links, f"{where}.link_sds")
-    for i, (mean, sd) in enumerate(zip(means, sds)):
-        if mean <= 0.0:
-            raise ConfigInvalid(f"{where}.link_means[{i}] must be > 0, got {mean}")
-        if sd <= 0.0:
-            raise ConfigInvalid(f"{where}.link_sds[{i}] must be > 0, got {sd}")
-    ranges = fields["angle_ranges"]
-    if not isinstance(ranges, list) or len(ranges) != n_links:
-        raise ConfigInvalid(f"{where}.angle_ranges must be a list of {n_links} [lo, hi] pairs")
-    parsed_ranges = []
-    for i, pair in enumerate(ranges):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigInvalid(f"{where}.angle_ranges[{i}] must be a [lo, hi] pair")
-        lo = _as_float(pair[0], f"{where}.angle_ranges[{i}][0]")
-        hi = _as_float(pair[1], f"{where}.angle_ranges[{i}][1]")
-        if lo > hi:
-            raise ConfigInvalid(f"{where}.angle_ranges[{i}]: lo {lo} > hi {hi}")
-        parsed_ranges.append((lo, hi))
-    return GeneratorParams(
-        link_means=tuple(means), link_sds=tuple(sds), angle_ranges=tuple(parsed_ranges)
-    )
-
-
-def _float_list(value, expected_len: int, where: str) -> list[float]:
-    if not isinstance(value, list) or len(value) != expected_len:
-        raise ConfigInvalid(f"{where} must be a list of {expected_len} numbers")
-    return [_as_float(item, f"{where}[{i}]") for i, item in enumerate(value)]
+def _json(value):
+    """A field's value as the JSON it is read from: a generator as the
+    object of its fields, a tuple as a list."""
+    if isinstance(value, GeneratorParams):
+        return {f.name: _json(getattr(value, f.name)) for f in fields(value)}
+    return [_json(item) for item in value] if isinstance(value, tuple) else value
 
 
 # --- pose and pool generation ---------------------------------------------------

@@ -15,17 +15,22 @@ from collections import deque
 import numpy as np
 
 from poselik import (
+    STRATEGIES,
     BadMagic,
+    ConfigInvalid,
     DistanceParams,
+    GeneratorParams,
     Heatmap,
     OffsetParams,
     PeakSet,
     PoseModelParams,
+    SimulationConfig,
     Skeleton,
     TruncatedPayload,
     VersionUnsupported,
     validate_skeleton,
 )
+from poselik.model import is_number
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -448,3 +453,214 @@ def reference_read_heatmap_file(path) -> Heatmap:
         )
     values = np.frombuffer(payload, dtype="<f4").reshape(n, h, w)
     return Heatmap(values=values)
+
+
+# --- the simulate config parser before its keys were declared once --------------
+# SimulationConfig.from_dict and to_json_dict as they were when every key of
+# the config layout was written out by hand, with their helpers, kept as a
+# reference: for any document the declared parser must raise what this one
+# raises, or give an equal config and an equal JSON dict.
+
+def reference_config_from_dict(doc: dict) -> SimulationConfig:
+    cls = SimulationConfig
+    top = _take_keys(
+        doc,
+        required=("seed", "rounds", "budget", "pool", "skeleton",
+                  "generator", "ood_generator", "heatmap"),
+        optional=("ranking_mode", "initial_random_fraction", "strategies"),
+        where="config",
+    )
+    pool = _take_keys(
+        top["pool"],
+        required=("labeled", "unlabeled", "ood", "heldout"),
+        optional=(),
+        where="config.pool",
+    )
+    skeleton = _take_keys(
+        top["skeleton"], required=("joints",), optional=(), where="config.skeleton"
+    )
+    heatmap = _take_keys(
+        top["heatmap"],
+        required=("height", "width", "peak_sigma"),
+        optional=("distractors", "distractor_amplitude"),
+        where="config.heatmap",
+    )
+    joints = _as_int(skeleton["joints"], "config.skeleton.joints", minimum=2)
+    generator = _parse_generator(top["generator"], joints, "config.generator")
+    ood_generator = _parse_generator(top["ood_generator"], joints, "config.ood_generator")
+    if generator == ood_generator:
+        raise ConfigInvalid(
+            "config.ood_generator must differ from config.generator in at "
+            "least one field"
+        )
+    strategies = top.get("strategies", list(STRATEGIES))
+    if not isinstance(strategies, list) or not all(isinstance(s, str) for s in strategies):
+        raise ConfigInvalid(f"config.strategies must be a list of names, got {strategies!r}")
+    strategies = tuple(strategies)
+    if not strategies:
+        raise ConfigInvalid("config.strategies must not be empty")
+    if len(set(strategies)) != len(strategies):
+        raise ConfigInvalid("config.strategies contains duplicates")
+    for name in strategies:
+        if name not in STRATEGIES:
+            raise ConfigInvalid(
+                f"config.strategies: unknown strategy {name!r}; "
+                f"expected a subset of {list(STRATEGIES)}"
+            )
+    ranking_mode = top.get("ranking_mode", "expected")
+    if ranking_mode not in ("expected", "max"):
+        raise ConfigInvalid(
+            f"config.ranking_mode must be 'expected' or 'max', got {ranking_mode!r}"
+        )
+    fraction = _as_float(
+        top.get("initial_random_fraction", 0.0), "config.initial_random_fraction"
+    )
+    if not 0.0 <= fraction <= 1.0:
+        raise ConfigInvalid(
+            f"config.initial_random_fraction must be in [0, 1], got {fraction}"
+        )
+    cfg = cls(
+        seed=_as_int(top["seed"], "config.seed", minimum=0),
+        rounds=_as_int(top["rounds"], "config.rounds", minimum=1),
+        budget=_as_int(top["budget"], "config.budget", minimum=1),
+        joints=joints,
+        labeled_size=_as_int(pool["labeled"], "config.pool.labeled", minimum=2),
+        unlabeled_size=_as_int(pool["unlabeled"], "config.pool.unlabeled", minimum=1),
+        ood_count=_as_int(pool["ood"], "config.pool.ood", minimum=0),
+        heldout_size=_as_int(pool["heldout"], "config.pool.heldout", minimum=1),
+        generator=generator,
+        ood_generator=ood_generator,
+        height=_as_int(heatmap["height"], "config.heatmap.height", minimum=8),
+        width=_as_int(heatmap["width"], "config.heatmap.width", minimum=8),
+        peak_sigma=_as_float(heatmap["peak_sigma"], "config.heatmap.peak_sigma", positive=True),
+        distractor_count=_as_int(
+            heatmap.get("distractors", 0), "config.heatmap.distractors", minimum=0
+        ),
+        distractor_amplitude=_as_float(
+            heatmap.get("distractor_amplitude", 0.6),
+            "config.heatmap.distractor_amplitude",
+            positive=True,
+        ),
+        ranking_mode=ranking_mode,
+        initial_random_fraction=fraction,
+        strategies=strategies,
+    )
+    if cfg.ood_count > cfg.unlabeled_size:
+        raise ConfigInvalid(
+            f"config.pool.ood ({cfg.ood_count}) exceeds config.pool.unlabeled "
+            f"({cfg.unlabeled_size})"
+        )
+    if cfg.rounds * cfg.budget > cfg.unlabeled_size:
+        raise ConfigInvalid(
+            f"rounds x budget ({cfg.rounds} x {cfg.budget}) exceeds the "
+            f"unlabeled pool size ({cfg.unlabeled_size})"
+        )
+    if cfg.distractor_amplitude > 1.0:
+        raise ConfigInvalid(
+            f"config.heatmap.distractor_amplitude must be <= 1, "
+            f"got {cfg.distractor_amplitude}"
+        )
+    return cfg
+
+
+def reference_config_to_json_dict(self: SimulationConfig) -> dict:
+    return {
+        "seed": self.seed,
+        "rounds": self.rounds,
+        "budget": self.budget,
+        "pool": {
+            "labeled": self.labeled_size,
+            "unlabeled": self.unlabeled_size,
+            "ood": self.ood_count,
+            "heldout": self.heldout_size,
+        },
+        "skeleton": {"joints": self.joints},
+        "generator": _reference_generator_to_json_dict(self.generator),
+        "ood_generator": _reference_generator_to_json_dict(self.ood_generator),
+        "heatmap": {
+            "height": self.height,
+            "width": self.width,
+            "peak_sigma": self.peak_sigma,
+            "distractors": self.distractor_count,
+            "distractor_amplitude": self.distractor_amplitude,
+        },
+        "ranking_mode": self.ranking_mode,
+        "initial_random_fraction": self.initial_random_fraction,
+        "strategies": list(self.strategies),
+    }
+
+
+def _reference_generator_to_json_dict(self: GeneratorParams) -> dict:
+    return {
+        "link_means": list(self.link_means),
+        "link_sds": list(self.link_sds),
+        "angle_ranges": [list(r) for r in self.angle_ranges],
+    }
+
+
+def _take_keys(doc, required, optional, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigInvalid(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - set(required) - set(optional))
+    if unknown:
+        raise ConfigInvalid(f"{where}: unknown keys {unknown}")
+    missing = sorted(set(required) - set(doc))
+    if missing:
+        raise ConfigInvalid(f"{where}: missing keys {missing}")
+    return doc
+
+
+def _as_int(value, where: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigInvalid(f"{where} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigInvalid(f"{where} must be >= {minimum}, got {value}")
+    return value
+
+def _as_float(value, where: str, positive: bool = False) -> float:
+    if not is_number(value):
+        raise ConfigInvalid(f"{where} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
+        raise ConfigInvalid(f"{where} must be finite, got {value}")
+    if positive and value <= 0.0:
+        raise ConfigInvalid(f"{where} must be > 0, got {value}")
+    return value
+
+
+def _parse_generator(doc, joints: int, where: str) -> GeneratorParams:
+    fields = _take_keys(
+        doc, required=("link_means", "link_sds", "angle_ranges"), optional=(), where=where
+    )
+    n_links = joints - 1
+    means = _float_list(fields["link_means"], n_links, f"{where}.link_means")
+    sds = _float_list(fields["link_sds"], n_links, f"{where}.link_sds")
+    for i, (mean, sd) in enumerate(zip(means, sds)):
+        if mean <= 0.0:
+            raise ConfigInvalid(f"{where}.link_means[{i}] must be > 0, got {mean}")
+        if sd <= 0.0:
+            raise ConfigInvalid(f"{where}.link_sds[{i}] must be > 0, got {sd}")
+    ranges = fields["angle_ranges"]
+    if not isinstance(ranges, list) or len(ranges) != n_links:
+        raise ConfigInvalid(f"{where}.angle_ranges must be a list of {n_links} [lo, hi] pairs")
+    parsed_ranges = []
+    for i, pair in enumerate(ranges):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigInvalid(f"{where}.angle_ranges[{i}] must be a [lo, hi] pair")
+        lo = _as_float(pair[0], f"{where}.angle_ranges[{i}][0]")
+        hi = _as_float(pair[1], f"{where}.angle_ranges[{i}][1]")
+        if lo > hi:
+            raise ConfigInvalid(f"{where}.angle_ranges[{i}]: lo {lo} > hi {hi}")
+        parsed_ranges.append((lo, hi))
+    return GeneratorParams(
+        link_means=tuple(means), link_sds=tuple(sds), angle_ranges=tuple(parsed_ranges)
+    )
+
+
+def _float_list(value, expected_len: int, where: str) -> list[float]:
+    if not isinstance(value, list) or len(value) != expected_len:
+        raise ConfigInvalid(f"{where} must be a list of {expected_len} numbers")
+    return [_as_float(item, f"{where}[{i}]") for i, item in enumerate(value)]

@@ -608,6 +608,31 @@ class TestMaximaCommand:
         assert "--max-peaks" in capsys.readouterr().err
         assert not (tmp_path / "x.jsonl").exists()
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_threshold_is_a_usage_error(self, tmp_path, capsys, threshold):
+        manifest_path = self.two_bump_inputs(tmp_path)
+        out = tmp_path / "x.jsonl"
+        assert run_cli(
+            ["maxima", "--heatmaps", str(manifest_path), f"--threshold={threshold}",
+             "--out", str(out)]
+        ) == 2
+        assert "--threshold must be finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hm.pshm", "m.jsonl"]
+
+    def test_manifest_is_strict_json(self, tmp_path):
+        manifest_path = self.two_bump_inputs(tmp_path)
+        out = tmp_path / "peaks.jsonl"
+        assert run_cli(
+            ["maxima", "--heatmaps", str(manifest_path), "--threshold", "0.25", "--out", str(out)]
+        ) == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        text = (tmp_path / "peaks.jsonl.manifest.json").read_text(encoding="utf-8")
+        manifest = json.loads(text, parse_constant=reject)
+        assert manifest["config"] == {"threshold": 0.25, "max_peaks": 10, "out": str(out)}
+
     def test_truncated_heatmap_exits_4(self, tmp_path, capsys):
         manifest_path = self.two_bump_inputs(tmp_path)
         payload = (tmp_path / "hm.pshm").read_bytes()
@@ -885,19 +910,29 @@ class TestOutputWrites:
         assert len(read_jsonl(out)) == 2
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
-    def test_interrupted_write_keeps_the_previous_file(self, tmp_path):
-        target = tmp_path / "out.jsonl"
-        target.write_text("old\n", encoding="utf-8")
+    def test_interrupted_manifest_write_keeps_the_previous_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        skeleton_path, model_path, manifest_path, _ = write_inputs(tmp_path, n_samples=2)
+        out = tmp_path / "scores.jsonl"
+        out.write_text("old\n", encoding="utf-8")
 
-        def write(tmp):
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write("partial")
+        def write_json(path, doc):  # the disk fills up part way through the manifest
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("{\"partial")
             raise OSError(28, "No space left on device")
 
-        with pytest.raises(OSError):
-            cli._write_atomic(str(target), write)
-        assert target.read_text(encoding="utf-8") == "old\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+        monkeypatch.setattr(cli, "write_json", write_json)
+        assert run_cli(
+            ["score", "--skeleton", str(skeleton_path), "--params", str(model_path),
+             "--heatmaps", str(manifest_path), "--out", str(out)]
+        ) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "scores.jsonl.manifest.json" in err[0]
+        assert "No space left on device" in err[0]
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert not (tmp_path / "scores.jsonl.manifest.json").exists()
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
 class TestThreadsAndParser:

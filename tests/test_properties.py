@@ -11,8 +11,8 @@ must report bit for bit what each sample's own call reports. Peak
 extraction is checked bit for bit against a per-joint loop and against a
 full-grid 8-comparison pass on grids full of ties, plateaus, border and
 negative maxima, and a stacked extraction against each sample's own, in
-candidate slices of any size; the heatmap renderer (cached table windows
-and direct bumps, present and absent joints) against its out-of-place
+candidate slices of any size; the heatmap renderer (bumps on cells and
+between them, present and absent joints) against its out-of-place
 formula; the peaks found from bumps on integer cells against those
 extracted from the rendered grids; and the ranking AUC against its
 pairwise definition. Fuzzed manifests and heatmap files must
