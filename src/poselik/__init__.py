@@ -65,8 +65,7 @@ from .likelihood import (
     expected_log_likelihood,
     expected_log_likelihoods,
     link_log_density,
-    link_log_density_distance,
-    link_log_density_offset,
+    multi_peak_entropies,
     multi_peak_entropy,
     point_log_likelihood,
     point_log_likelihoods,

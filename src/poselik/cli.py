@@ -52,9 +52,9 @@ from .heatmaps import (
     require_finite,
 )
 from .likelihood import (
-    entropy_sum,
     expected_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it
     expected_log_likelihoods,
+    multi_peak_entropies,
     multi_peak_entropy,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     point_log_likelihood,
     refine_pose,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
@@ -163,12 +163,12 @@ class _Stages:
 
 def _chunked(records: Callable, extraction: Callable) -> Callable:
     """``compute`` for a command that turns each chunk of the heatmap
-    manifest into JSONL text with ``records(args, ctx, ids, peak_sets)``
+    manifest into JSONL text with ``records(args, ctx, ids, peaks)``
     and streams it to its output, in manifest order.
 
     ``extraction(args)`` gives the ``(threshold_ratio, max_peaks)`` that the
     command extracts peaks with, or ``None`` if it reads no heatmap (its
-    ``peak_sets`` are then ``None``). Each heatmap is read straight into its
+    ``peaks`` are then ``None``). Each heatmap is read straight into its
     row of one reused ``(chunk, J, H, W)`` buffer sized for the first
     heatmap of its shape, and a change of shape starts a new chunk. Each
     chunk's scores are checked for finiteness at once, then its peaks are
@@ -193,13 +193,13 @@ def _chunked(records: Callable, extraction: Callable) -> Callable:
 
         def text(sample_ids, values) -> str:
             t = _clock()
-            peak_sets = None
+            peaks = None
             if values is not None:
                 require_finite(values)
                 t = stages.since("check", t)
-                peak_sets = extract_peak_sets(values, *settings)
+                peaks = extract_peak_sets(values, *settings)
                 t = stages.since("peaks", t)
-            lines = records(args, ctx, sample_ids, peak_sets)
+            lines = records(args, ctx, sample_ids, peaks)
             stages.since("records", t)
             return lines
 
@@ -281,7 +281,7 @@ def _params_for(ctx, sample_id: str) -> PoseModelParams:
     return params
 
 
-def _score_records(args, ctx, ids, peak_sets) -> str:
+def _score_records(args, ctx, ids, peaks) -> str:
     if args.mode == "point":
         return _jsonl(
             point_log_likelihood(_pose_for(ctx, sample_id), _params_for(ctx, sample_id))
@@ -290,12 +290,12 @@ def _score_records(args, ctx, ids, peak_sets) -> str:
         )
     # One batch per run of samples that share parameters (each image has its
     # own under --per-image).
-    samples = zip(ids, peak_sets, [_params_for(ctx, sample_id) for sample_id in ids])
+    params = [_params_for(ctx, sample_id) for sample_id in ids]
     records = []
-    for _, run in itertools.groupby(samples, key=lambda sample: id(sample[2])):
-        run_ids, run_peaks, run_params = zip(*run)
-        reports = expected_log_likelihoods(list(run_peaks), run_params[0])
-        records += [report.to_json_dict(i) for report, i in zip(reports, run_ids)]
+    for _, run in itertools.groupby(range(len(ids)), key=lambda i: id(params[i])):
+        rows = list(run)
+        reports = expected_log_likelihoods(peaks.take(rows), params[rows[0]])
+        records += [report.to_json_dict(ids[i]) for report, i in zip(reports, rows)]
     return _jsonl(records)
 
 
@@ -306,8 +306,8 @@ def _pose_for(ctx, sample_id: str):
     return pose
 
 
-def _refine_records(args, ctx, ids, peak_sets) -> str:
-    refined = refine_poses(peak_sets, ctx["params"])
+def _refine_records(args, ctx, ids, peaks) -> str:
+    refined = refine_poses(peaks, ctx["params"])
     return _jsonl(pose.to_json_dict(sample_id) for pose, sample_id in zip(refined, ids))
 
 
@@ -316,23 +316,21 @@ def _refine_records(args, ctx, ids, peak_sets) -> str:
 _PEAK = '{"loc": [%d, %d], "prob": %r, "score": %r}'
 
 
-def _maxima_records(args, ctx, ids, peak_sets) -> str:
+def _maxima_records(args, ctx, ids, peaks) -> str:
     """One line per sample, each ``json.dumps(record, sort_keys=True)`` of
     ``{"id", "entropy", "peaks": [[{"loc", "score", "prob"}, ...], ...]}``
     (a list of peaks per joint), written without building the record: its
     scores, probabilities and entropy are all finite."""
-    lines = []
-    for sample_id, peaks in zip(ids, peak_sets):
-        probs, bounds = peaks.probs.tolist(), peaks.offsets.tolist()
-        rows = [
-            _PEAK % (r, c, prob, score)
-            for (r, c), prob, score in zip(peaks.locs.tolist(), probs, peaks.scores.tolist())
-        ]
-        joints = "], [".join(", ".join(rows[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
-        lines.append('{"entropy": %r, "id": %s, "peaks": [[%s]]}\n' % (
-            entropy_sum(bounds, probs), json.dumps(sample_id), joints,
-        ))
-    return "".join(lines)
+    probs, scores, bounds = peaks.probs.tolist(), peaks.scores.tolist(), peaks.offsets.tolist()
+    rows = [_PEAK % (r, c, p, s) for (r, c), p, s in zip(peaks.locs.tolist(), probs, scores)]
+    joints = ["[%s]" % ", ".join(rows[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    n = peaks.joint_count
+    return "".join(
+        '{"entropy": %r, "id": %s, "peaks": [%s]}\n' % (
+            entropy, json.dumps(sample_id), ", ".join(joints[i * n : (i + 1) * n])
+        )
+        for i, (sample_id, entropy) in enumerate(zip(ids, multi_peak_entropies(peaks)))
+    )
 
 
 def _score_from_record(record: dict, strategy: str, where: str) -> float:
@@ -606,8 +604,8 @@ def main(argv=None) -> int:
         parser.error(f"--budget must be non-negative, got {args.budget}")
     if args.command == "maxima" and args.max_peaks < 1:
         parser.error(f"--max-peaks must be >= 1, got {args.max_peaks}")
-    if args.command == "maxima" and not math.isfinite(args.threshold):
-        parser.error(f"--threshold must be finite, got {args.threshold}")
+    if args.command == "maxima" and not 0.0 <= args.threshold <= 1.0:  # NaN too
+        parser.error(f"--threshold must be finite and in [0, 1], got {args.threshold}")
     return _run(args.command, args)
 
 

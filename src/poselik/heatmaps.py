@@ -76,18 +76,20 @@ def require_finite(values: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PeakSet:
-    """Per-joint candidate peaks in flat arrays (compressed sparse rows).
+    """Candidate peaks of a batch of samples in flat arrays (compressed sparse rows).
 
-    Joint ``j`` owns rows ``offsets[j]:offsets[j + 1]`` of ``locs`` (int
+    The batch holds ``joint_count`` grids per sample (left out: one sample).
+    Grid ``g`` owns rows ``offsets[g]:offsets[g + 1]`` of ``locs`` (int
     (row, col) grid cells), ``scores`` (raw heatmap scores) and ``probs``
-    (their per-joint softmax). Within a joint, rows are sorted by
-    descending score, ties by row-major cell.
+    (their per-grid softmax). Within a grid, rows are sorted by descending
+    score, ties by row-major cell.
     """
 
     locs: np.ndarray  # (K, 2) int64
     scores: np.ndarray  # (K,) float64
     probs: np.ndarray  # (K,) float64
-    offsets: np.ndarray  # (joints + 1,) int64, offsets[0] == 0, offsets[-1] == K
+    offsets: np.ndarray  # (grids + 1,) int64, offsets[0] == 0, offsets[-1] == K
+    joint_count: int | None = None
 
     def __post_init__(self):
         names = ("locs", "scores", "probs", "offsets")
@@ -98,28 +100,48 @@ class PeakSet:
         for name, array in (("scores", scores), ("probs", probs)):
             if array.shape != (len(locs),):
                 raise SchemaError(f"peak {name} must be ({len(locs)},), got {array.shape}")
-        bounds = offsets.ravel().tolist()
         if not (
             offsets.ndim == 1
             and offsets.dtype.kind in "iu"
-            and bounds[:1] == [0]
-            and bounds[-1] == len(locs)
-            and bounds == sorted(bounds)  # never decreases
+            and offsets[:1].tolist() == [0]
+            and offsets[-1] == len(locs)
+            and (offsets[1:] >= offsets[:-1]).all()  # never decreases
         ):
             raise SchemaError(
                 f"peak offsets must be a 1-D integer array that starts at 0, never "
-                f"decreases and ends at {len(locs)}, got {bounds!r:.60}"
+                f"decreases and ends at {len(locs)}, got {offsets.ravel()[:10].tolist()}"
             )
+        grids = len(offsets) - 1
+        joints = grids if self.joint_count is None else self.joint_count
+        if not (joints >= 1 and grids % joints == 0 or joints == grids == 0):
+            raise SchemaError(f"{grids} peak grids are no batch of {joints}-joint samples")
         for name, array in zip(names, arrays):
             array.flags.writeable = False  # one peak set is shared by every scorer
             object.__setattr__(self, name, array)
+        object.__setattr__(self, "joint_count", int(joints))
 
-    @property
-    def joint_count(self) -> int:
-        return len(self.offsets) - 1
+    def __len__(self) -> int:  # samples; a set of no joints holds one
+        return (len(self.offsets) - 1) // self.joint_count if self.joint_count else 1
 
     def counts(self) -> tuple[int, ...]:
+        """Peaks per grid, in grid order."""
         return tuple(np.diff(self.offsets).tolist())
+
+    def take(self, samples) -> "PeakSet":
+        """The samples at indices ``samples``, in that order, as a new batch."""
+        samples = np.asarray(samples, dtype=np.int64).reshape(-1)
+        if np.array_equal(samples, np.arange(len(self))):
+            return self  # read-only arrays: every sample in order is this batch
+        if samples.size and not (samples.min() >= 0 and samples.max() < len(self)):
+            raise IndexError(f"sample indices must be in [0, {len(self)})")
+        n = self.joint_count
+        grids = (samples[:, None] * n + np.arange(n)).ravel()
+        counts = self.offsets[grids + 1] - self.offsets[grids]
+        ends = np.cumsum(counts)
+        # Each new row: its grid's first old row plus its rank in the grid.
+        rows = np.repeat(self.offsets[grids] + counts - ends, counts) + np.arange(counts.sum())
+        offsets = np.concatenate([[0], ends])
+        return PeakSet(self.locs[rows], self.scores[rows], self.probs[rows], offsets, n)
 
 
 def extract_peaks(
@@ -127,7 +149,7 @@ def extract_peaks(
     threshold_ratio: float = DEFAULT_THRESHOLD_RATIO,
     max_peaks: int = DEFAULT_MAX_PEAKS,
 ) -> PeakSet:
-    """Candidate peaks of every joint of one heatmap: a stack of one for
+    """Candidate peaks of every joint of one heatmap: a batch of one from
     :func:`extract_peak_sets`.
 
     A peak is a cell strictly greater than its 8-connected neighbors
@@ -138,18 +160,18 @@ def extract_peaks(
     by descending score, ties by row-major location, and truncated to the
     top ``max_peaks`` before softmax normalization.
     """
-    return extract_peak_sets(heatmap.values[None], threshold_ratio, max_peaks)[0]
+    return extract_peak_sets(heatmap.values[None], threshold_ratio, max_peaks)
 
 
 def extract_peak_sets(
     values: np.ndarray,
     threshold_ratio: float = DEFAULT_THRESHOLD_RATIO,
     max_peaks: int = DEFAULT_MAX_PEAKS,
-) -> list[PeakSet]:
-    """The peaks of each sample of a ``(B, J, H, W)`` float32 stack of
-    :class:`Heatmap` values, found in one pass over all ``B * J`` grids.
+) -> PeakSet:
+    """The peaks of a ``(B, J, H, W)`` float32 stack of :class:`Heatmap`
+    values, a batch of ``B``, found in one pass over all ``B * J`` grids.
 
-    Each sample's peak set is what :func:`extract_peaks` defines, whatever
+    Each sample's peaks are what :func:`extract_peaks` defines, whatever
     the other samples of the stack hold. The threshold is applied first, so
     the 8-neighbor test reads only the cells at or above it, in slices of
     about :data:`_CANDIDATE_SLICE` cells: the grid maxima and the threshold
@@ -193,9 +215,9 @@ def extract_peak_sets(
     return _peak_sets(grid, cell, score, n, w, max_peaks)
 
 
-def _peak_sets(grid, cell, score, joints, width, max_peaks) -> list[PeakSet]:
-    """One :class:`PeakSet` per ``joints`` consecutive grids, from the
-    (grid, flat cell, float64 score) of every grid's peaks, each listed
+def _peak_sets(grid, cell, score, joints, width, max_peaks) -> PeakSet:
+    """The batch of the samples of ``joints`` consecutive grids each, from
+    the (grid, flat cell, float64 score) of every grid's peaks, each listed
     once: each grid's global maximum and its other kept strict maxima.
     Every grid lists its maximum, so the grids are those ``grid`` counts."""
     order = np.lexsort((cell, -score, grid))
@@ -216,21 +238,13 @@ def _peak_sets(grid, cell, score, joints, width, max_peaks) -> list[PeakSet]:
     for k in np.flatnonzero(np.bincount(counts)).tolist():
         rows = np.flatnonzero(counts == k)
         sums[rows] = shifted[offsets[rows, None] + np.arange(k)].sum(axis=1)
-    probs = shifted / np.repeat(sums, counts)
-    locs = np.stack(np.divmod(cell, width), axis=1)
-    starts = offsets[::joints].tolist()  # each sample's first peak row, then the total
-    # Copies, not views: a peak set may outlive its chunk by far (a pool holds
-    # thousands), and a view keeps a second array object and the whole
-    # chunk's arrays alive.
-    return [
-        PeakSet(
-            locs=locs[a:z].copy(),
-            scores=score[a:z].copy(),
-            probs=probs[a:z].copy(),
-            offsets=offsets[i * joints : (i + 1) * joints + 1] - a,
-        )
-        for i, (a, z) in enumerate(zip(starts[:-1], starts[1:]))
-    ]
+    return PeakSet(
+        locs=np.stack(np.divmod(cell, width), axis=1),
+        scores=score,
+        probs=shifted / np.repeat(sums, counts),
+        offsets=offsets,
+        joint_count=joints,
+    )
 
 
 def _strict_maxima(flat, candidate, lo, hi, threshold, w):
@@ -424,8 +438,8 @@ def bump_peak_sets(
     peak_sigma: float,
     threshold_ratio: float = DEFAULT_THRESHOLD_RATIO,
     max_peaks: int = DEFAULT_MAX_PEAKS,
-) -> list[PeakSet]:
-    """The peaks :func:`extract_peak_sets` finds in the grids
+) -> PeakSet:
+    """The batch :func:`extract_peak_sets` finds in the grids
     :func:`render_gaussian_heatmap` renders, found without rendering a grid.
 
     ``centres`` is a ``(B, J, 2)`` array of each sample's joint cells, every
@@ -460,8 +474,6 @@ def bump_peak_sets(
         raise SchemaError("bump_peak_sets takes joint centres on integer cells")
     if not np.all((centres >= 0) & (centres <= (height - 1, width - 1))):
         raise OutOfBoundsCoordinate(f"a joint centre lies outside the {height}x{width} grid")
-    if not b:
-        return []
     # Each grid's bumps as (row, col, amplitude), its centre first.
     bumps = [[(row, col, 1.0)] for row, col in centres.reshape(-1, 2).tolist()]
     for i, sample in enumerate(distractors):
@@ -480,7 +492,8 @@ def bump_peak_sets(
     by_count = {}  # grids with as many bumps go through one pass
     for g, grid in enumerate(bumps):
         by_count.setdefault(len(grid), []).append(g)
-    candidates, maxima = [], []
+    none = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))  # of an empty batch
+    candidates, maxima = [none], [none]
     for count, grids in sorted(by_count.items()):
         terms = np.array([bumps[g] for g in grids])  # (grids, count, 3)
         radius = _patch_radius(
@@ -611,12 +624,3 @@ def _file_path(value, where: str) -> str:
         except UnicodeEncodeError:
             pass
     raise SchemaError(f"{where}: 'path' must be a file name string, got {value!r:.60}")
-
-
-def entropy_of_probs(probs: Sequence[float]) -> float:
-    """Shannon entropy in nats; zero-probability entries contribute 0."""
-    total = 0.0
-    for p in probs:
-        if p > 0.0:
-            total -= p * math.log(p)
-    return total

@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     SearchSpaceTooLarge,
 )
-from .heatmaps import PeakSet, entropy_of_probs
+from .heatmaps import PeakSet
 from .model import DistanceParams, LinkParams, OffsetParams, Pose, PoseModelParams
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -143,16 +143,6 @@ def link_log_density(parent_loc, child_loc, params: LinkParams) -> float:
     return float(_log_density(child - parent, params))
 
 
-def link_log_density_distance(parent_loc, child_loc, params: DistanceParams) -> float:
-    """Log-density of the univariate normal over the parent-child distance."""
-    return link_log_density(parent_loc, child_loc, params)
-
-
-def link_log_density_offset(parent_loc, child_loc, params: OffsetParams) -> float:
-    """Log-density of the multivariate normal over the child displacement."""
-    return link_log_density(parent_loc, child_loc, params)
-
-
 def root_log_density(loc, params: LinkParams | None) -> float:
     """Root prior term: 0 under the default uniform prior.
 
@@ -211,11 +201,18 @@ def _log(probs: np.ndarray) -> np.ndarray:
         return np.log(probs)  # log(0) -> -inf: a zero-probability peak is never chosen
 
 
-def _stack(peak_sets, params: PoseModelParams):
+def _one(peaks: PeakSet) -> PeakSet:
+    """``peaks``, if it holds one sample: what a one-sample scorer reads."""
+    if len(peaks) != 1:
+        raise SchemaError(f"expected the peaks of one sample, got a batch of {len(peaks)}")
+    return peaks
+
+
+def _stack(peaks: PeakSet, params: PoseModelParams):
     """The peaks of a batch as padded per-joint arrays: what every peak
     likelihood reads, and the only place peak sets meet the skeleton.
 
-    The batch is checked at once, and raises what checking the samples one
+    The batch is checked at once, and raises what checking its samples one
     by one in batch order would: a wrong joint count, a skeleton that is not
     2-D, then a joint with no peaks. Every peak is then scattered once into
     ``(B, J, K)`` grids. Joint ``j`` gets views of locations ``(B, K_j, 2)``
@@ -226,29 +223,24 @@ def _stack(peak_sets, params: PoseModelParams):
     the lowest real peak index.
     """
     skel = params.skeleton
-    joints = [peaks.joint_count for peaks in peak_sets]
-    # Samples before the first wrong joint count have every joint.
-    whole = next((b for b, n in enumerate(joints) if n != skel.n_joints), len(joints))
-    if whole and skel.dimension != 2:
+    if peaks.joint_count != skel.n_joints:
+        raise DimensionMismatch(
+            f"peak set covers {peaks.joint_count} joints, skeleton has {skel.n_joints}"
+        )
+    if skel.dimension != 2:
         raise DimensionMismatch("peak-based scoring operates on 2D grid locations")
-    offsets = np.array([peaks.offsets for peaks in peak_sets[:whole]], dtype=np.int64)
-    offsets = offsets.reshape(whole, skel.n_joints + 1)
-    counts = offsets[:, 1:] - offsets[:, :-1]  # (B, J)
+    counts = np.diff(peaks.offsets).reshape(len(peaks), skel.n_joints)  # (B, J)
     if not counts.all():
         first = np.argmin(counts.min(axis=1))  # the first sample with an empty joint
         joint = skel.joints[np.argmin(counts[first])]
         raise EmptyPeakSet(f"joint {joint!r} has no candidate peaks")
-    if whole < len(joints):
-        raise DimensionMismatch(
-            f"peak set covers {joints[whole]} joints, skeleton has {skel.n_joints}"
-        )
-    widths = counts.max(axis=0).tolist()
+    widths = counts.max(axis=0, initial=1).tolist()  # 1 for an empty batch
     # The real cells of the grids, in C order, are the peaks in CSR order.
     real = np.arange(max(widths)) < counts[:, :, None]
     locs = np.zeros(real.shape + (2,), dtype=np.int64)
-    locs[real] = np.concatenate([peaks.locs for peaks in peak_sets])
+    locs[real] = peaks.locs
     probs = np.zeros(real.shape)
-    probs[real] = np.concatenate([peaks.probs for peaks in peak_sets])
+    probs[real] = peaks.probs
     return tuple(
         [grid[:, j, :k] for j, k in enumerate(widths)]
         for grid in (locs, probs, _log(probs), real)
@@ -283,7 +275,7 @@ def _reports(root: np.ndarray, links: list[np.ndarray], mode: str) -> list[Likel
     return reports
 
 
-def expected_log_likelihoods(peak_sets, params: PoseModelParams) -> list[LikelihoodReport]:
+def expected_log_likelihoods(peaks: PeakSet, params: PoseModelParams) -> list[LikelihoodReport]:
     """Link terms averaged over each joint's peak distribution, for every
     sample of a batch from one stack.
 
@@ -294,9 +286,8 @@ def expected_log_likelihoods(peak_sets, params: PoseModelParams) -> list[Likelih
     log-likelihood of the argmax pose. Each sample's report is bit for bit
     what it gets alone.
     """
-    if not peak_sets:
-        return []
-    locs, probs, _, real = _stack(peak_sets, params)
+    locs, probs, _, real = _stack(peaks, params)
+    del peaks  # the sums read only the stack: a batch gathered for this call goes now
     root_vector, link_matrices = _terms(locs, params)
     skel = params.skeleton
     links = [
@@ -310,26 +301,33 @@ def expected_log_likelihoods(peak_sets, params: PoseModelParams) -> list[Likelih
 def expected_log_likelihood(peaks: PeakSet, params: PoseModelParams) -> LikelihoodReport:
     """The expected log-likelihood of one sample: a batch of one for
     :func:`expected_log_likelihoods`."""
-    return expected_log_likelihoods([peaks], params)[0]
+    return expected_log_likelihoods(_one(peaks), params)[0]
 
 
 def multi_peak_entropy(peaks: PeakSet) -> float:
-    """Sum over joints of the Shannon entropy of the peak probabilities."""
-    if peaks.joint_count == 0:
-        raise EmptyPeakSet("peak set has no joints")
-    counts = peaks.counts()
-    if 0 in counts:
-        raise EmptyPeakSet(f"joint #{counts.index(0)} has no candidate peaks")
-    return entropy_sum(peaks.offsets.tolist(), peaks.probs.tolist())
+    """:func:`multi_peak_entropies` of the peaks of one sample."""
+    return multi_peak_entropies(_one(peaks))[0]
 
 
-def entropy_sum(bounds: list[int], probs: list[float]) -> float:
-    """Sum over joints ``j`` of the entropy of ``probs[bounds[j]:bounds[j + 1]]``:
-    :func:`multi_peak_entropy` of a peak set's listed offsets and probs."""
-    total = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        total += entropy_of_probs(probs[a:b])
-    return total
+def multi_peak_entropies(peaks: PeakSet) -> list[float]:
+    """Sum over joints of the Shannon entropy (nats) of the peak probabilities
+    of each sample of a batch, zero-probability peaks adding 0. Each joint
+    subtracts ``p * math.log(p)`` from 0 peak by peak, and each sample adds
+    its joints to 0 in order: a sample's entropy has the same bits in any batch.
+    """
+    counts = np.diff(peaks.offsets)
+    if not (peaks.joint_count and counts.all()):
+        raise EmptyPeakSet("a peak set needs a joint, and each joint a candidate peak")
+    probs = np.where(peaks.probs > 0.0, peaks.probs, 1.0)  # 1 adds 1 * log(1) = 0
+    terms = probs * np.fromiter(map(math.log, probs), float, len(probs))  # np.log may differ
+    joints = np.zeros(len(counts))
+    for k in range(counts.max(initial=0)):  # each grid's k-th peak
+        deep = np.flatnonzero(counts > k)
+        joints[deep] -= terms[peaks.offsets[deep] + k]
+    totals = np.zeros(len(peaks))
+    for column in joints.reshape(len(peaks), peaks.joint_count).T:
+        totals += column
+    return totals.tolist()
 
 
 # --- max-likelihood refinement --------------------------------------------------
@@ -367,16 +365,6 @@ def _max_sum(log_probs, root_vector, link_matrices, skeleton) -> np.ndarray:
         for _, child in skeleton.children_links[j]:
             chosen[child] = choice[child][rows, chosen[j]]
     return np.stack(chosen, axis=1)
-
-
-def _refine(peak_sets, params: PoseModelParams):
-    """Stack, term table and tree DP of a batch: the padded locations and log
-    peak probabilities, the root vector and link matrices, and the chosen
-    peak indices ``(B, J)``."""
-    locs, _, log_probs, _ = _stack(peak_sets, params)
-    root_vector, link_matrices = _terms(locs, params)
-    indices = _max_sum(log_probs, root_vector, link_matrices, params.skeleton)
-    return locs, log_probs, root_vector, link_matrices, indices
 
 
 def _finish(
@@ -421,7 +409,7 @@ def refinement_objective(
 ) -> float:
     """Score of one peak selection: log peak probabilities + root and link
     densities, exactly as :func:`refine_pose` reports it for that selection."""
-    locs, _, log_probs, _ = _stack([peaks], params)
+    locs, _, log_probs, _ = _stack(_one(peaks), params)
     skel = params.skeleton
     if len(indices) != skel.n_joints:
         raise DimensionMismatch(
@@ -437,27 +425,31 @@ def refinement_objective(
     return _finish(params, locs, log_probs, *terms, list(indices), 0).objective
 
 
-def refine_poses(peak_sets, params: PoseModelParams) -> list[RefinedPose]:
+def refine_poses(peaks: PeakSet, params: PoseModelParams) -> list[RefinedPose]:
     """The maximizing peak selection of each sample of a batch, from one
     batched tree DP; each is bit for bit what the sample gets alone."""
-    if not peak_sets:
-        return []
-    *arrays, indices = _refine(peak_sets, params)
-    return [_finish(params, *arrays, chosen, b) for b, chosen in enumerate(indices.tolist())]
+    locs, _, log_probs, _ = _stack(peaks, params)
+    root_vector, link_matrices = _terms(locs, params)
+    indices = _max_sum(log_probs, root_vector, link_matrices, params.skeleton)
+    return [
+        _finish(params, locs, log_probs, root_vector, link_matrices, chosen, b)
+        for b, chosen in enumerate(indices.tolist())
+    ]
 
 
 def refine_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
     """The maximizing peak selection of one sample: a batch of one for
     :func:`refine_poses`."""
-    return refine_poses([peaks], params)[0]
+    return refine_poses(_one(peaks), params)[0]
 
 
-def refined_log_likelihoods(peak_sets, params: PoseModelParams) -> list[float]:
-    """``refine_pose(peaks, params).log_likelihood`` of each peak set, from one
-    batched tree DP over the padded stack of all of them."""
-    if not peak_sets:
-        return []
-    _, _, root_vector, link_matrices, indices = _refine(peak_sets, params)
+def refined_log_likelihoods(peaks: PeakSet, params: PoseModelParams) -> list[float]:
+    """``refine_pose(peaks, params).log_likelihood`` of each sample of a batch,
+    from one batched tree DP over its padded stack."""
+    locs, _, log_probs, _ = _stack(peaks, params)
+    del peaks  # the DP reads only the stack: a batch gathered for this call goes now
+    root_vector, link_matrices = _terms(locs, params)
+    indices = _max_sum(log_probs, root_vector, link_matrices, params.skeleton)
     skel = params.skeleton
     rows = np.arange(len(indices))
     link_terms = [
@@ -475,7 +467,7 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
     refinement tie-break. Guarded to :data:`BRUTE_FORCE_GUARD`
     configurations.
     """
-    locs, _, log_probs, _ = _stack([peaks], params)
+    locs, _, log_probs, _ = _stack(_one(peaks), params)
     skel = params.skeleton
     counts = [joint_locs.shape[1] for joint_locs in locs]
     space = math.prod(counts)

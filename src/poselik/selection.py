@@ -32,7 +32,8 @@ from .heatmaps import (
 from .likelihood import (
     expected_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it
     expected_log_likelihoods,
-    multi_peak_entropy,
+    multi_peak_entropies,
+    multi_peak_entropy,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     refine_pose,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     refined_log_likelihoods,
 )
@@ -52,17 +53,18 @@ def _check_strategy(strategy: str) -> None:
 
 @dataclass
 class SamplePool:
-    """Labeled poses plus the peak sets of unlabeled samples.
+    """Labeled poses plus the peaks of unlabeled samples.
 
-    Every strategy reads only the peaks, so the pool keeps each unlabeled
-    sample's :class:`PeakSet` and never its heatmap: memory grows with the
-    peaks, not with the grids. A sample stored with ``None`` has no peaks,
-    for a pool that only the ``random`` strategy ranks; asking for them
-    raises :class:`MissingHeatmap`.
+    Every strategy reads only the peaks, so the pool keeps one batch of
+    them and never a heatmap: memory grows with the peaks, not the grids.
+    ``unlabeled`` maps each id to its sample in ``peaks``. A pool without
+    ``peaks`` is one that only the ``random`` strategy ranks; asking for
+    them raises :class:`MissingHeatmap`.
     """
 
     labeled: dict[str, Pose]
-    unlabeled: dict[str, PeakSet | None]
+    unlabeled: dict[str, int]
+    peaks: PeakSet | None = None
 
     def __post_init__(self) -> None:
         overlap = set(self.labeled) & set(self.unlabeled)
@@ -72,21 +74,18 @@ class SamplePool:
             )
 
     def clone(self) -> "SamplePool":
-        return SamplePool(labeled=dict(self.labeled), unlabeled=dict(self.unlabeled))
+        return SamplePool(dict(self.labeled), dict(self.unlabeled), self.peaks)
 
-    def add_unlabeled(self, sample_id: str, peaks: PeakSet | None) -> None:
-        """Store ``peaks`` (or no peaks) under a new id."""
-        if sample_id in self.labeled or sample_id in self.unlabeled:
-            raise SchemaError(f"sample {sample_id!r} is already in the pool")
-        self.unlabeled[sample_id] = peaks
-
-    def peaks_for(self, sample_id: str) -> PeakSet:
-        if sample_id not in self.unlabeled:
-            raise MissingHeatmap(f"no unlabeled sample {sample_id!r}")
-        peaks = self.unlabeled[sample_id]
-        if peaks is None:
-            raise MissingHeatmap(f"unlabeled sample {sample_id!r} has no peaks")
-        return peaks
+    def peaks_for(self, *sample_ids: str) -> PeakSet:
+        """The peaks of the unlabeled ``sample_ids``, in that order, as one batch."""
+        try:
+            rows = [self.unlabeled[sample_id] for sample_id in sample_ids]
+        except KeyError as exc:
+            raise MissingHeatmap(f"no unlabeled sample {exc.args[0]!r}") from None
+        if self.peaks is None:
+            holder = f"unlabeled sample {sample_ids[0]!r}" if sample_ids else "the pool"
+            raise MissingHeatmap(f"{holder} has no peaks")
+        return self.peaks.take(rows)
 
     def move_to_labeled(self, sample_id: str, pose: Pose) -> None:
         if sample_id not in self.unlabeled:
@@ -134,13 +133,14 @@ def score_pool(
         raise EmptyInput("unlabeled pool is empty")
     if strategy == "random":
         return {sample_id: _random_score(seed, sample_id) for sample_id in pool.unlabeled}
-    peak_sets = [pool.peaks_for(sample_id) for sample_id in pool.unlabeled]
+    # Each scorer gets the gathered batch as its only holder, to drop it once stacked.
     if strategy == "vl4pose" and mode == "max":
-        scores = refined_log_likelihoods(peak_sets, params)
+        scores = refined_log_likelihoods(pool.peaks_for(*pool.unlabeled), params)
     elif strategy == "vl4pose":
-        scores = [report.total for report in expected_log_likelihoods(peak_sets, params)]
+        reports = expected_log_likelihoods(pool.peaks_for(*pool.unlabeled), params)
+        scores = [report.total for report in reports]
     else:
-        scores = [multi_peak_entropy(peaks) for peaks in peak_sets]
+        scores = multi_peak_entropies(pool.peaks_for(*pool.unlabeled))
     return dict(zip(pool.unlabeled, scores))
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .calibration import LabeledPoseSet, fit_model
 from .errors import ConfigInvalid
 from .heatmaps import (
+    PeakSet,
     bump_peak_sets,
     render_gaussian_heatmap,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
 )
@@ -42,7 +43,7 @@ from .selection import (
 _MAX_POSE_ATTEMPTS = 1000
 # Unlabeled samples whose peaks one bump_peak_sets call finds. Larger chunks
 # share each call's fixed cost; at 32, simloop's peak RSS is within 0.1 MB of
-# chunks of 8.
+# chunks of 8 and below one call over the whole pool, which holds every bump.
 _CHUNK = 32
 
 
@@ -332,14 +333,14 @@ def build_pool(cfg: SimulationConfig):
 
     Each unlabeled sample keeps the peaks of the heatmap rendered from its
     pose and distractors. :func:`bump_peak_sets` finds them from the bumps
-    of :data:`_CHUNK` samples at a time, without rendering a grid, and they
-    are stored in id order. Only ``vl4pose`` and ``entropy`` read peaks:
-    without them no distractor is drawn and no peak found, and every
-    unlabeled sample is stored without peaks. The render generator is a
-    stream of its own, so skipping it changes no pose. ``truth`` maps each
-    unlabeled id to the pose its peaks come from, and ``is_ood`` flags the
-    planted out-of-distribution ids; only the simulation reads them, never
-    the selection strategies.
+    of :data:`_CHUNK` samples at a time, without rendering a grid, and the
+    chunks are joined once into the pool's one batch, in id order. Only
+    ``vl4pose`` and ``entropy`` read peaks: without them no distractor is
+    drawn and no peak found, and the pool holds no peaks. The render
+    generator is a stream of its own, so skipping it changes no pose.
+    ``truth`` maps each unlabeled id to the pose its peaks come from, and
+    ``is_ood`` flags the planted out-of-distribution ids; only the
+    simulation reads them, never the selection strategies.
     """
     seq = np.random.SeedSequence(cfg.seed)
     pose_rng, render_rng = (np.random.default_rng(s) for s in seq.spawn(2))
@@ -352,10 +353,9 @@ def build_pool(cfg: SimulationConfig):
         f"held-{i:04d}": _sample_pose(pose_rng, cfg.generator, cfg)
         for i in range(cfg.heldout_size)
     }
-    pool = SamplePool(labeled=labeled, unlabeled={})
-    truth, is_ood = {}, {}
+    truth, is_ood, chunks = {}, {}, []
     with_peaks = not {"vl4pose", "entropy"}.isdisjoint(cfg.strategies)
-    pending = []  # (id, pose, distractors) of the chunk being drawn
+    pending = []  # (pose, distractors) of the chunk being drawn
     n_id = cfg.unlabeled_size - cfg.ood_count
     for i in range(cfg.unlabeled_size):
         ood = i >= n_id
@@ -365,19 +365,25 @@ def build_pool(cfg: SimulationConfig):
         truth[sample_id] = pose
         is_ood[sample_id] = ood
         if not with_peaks:
-            pool.add_unlabeled(sample_id, None)
             continue
-        pending.append((sample_id, pose, _draw_distractors(render_rng, pose, cfg)))
+        pending.append((pose.coordinates, _draw_distractors(render_rng, pose, cfg)))
         if len(pending) == _CHUNK or i == cfg.unlabeled_size - 1:
-            ids, poses, distractors = zip(*pending)
-            centres = np.stack([p.coordinates for p in poses])
-            peak_sets = bump_peak_sets(
-                centres, distractors, cfg.height, cfg.width, cfg.peak_sigma
-            )
-            for pending_id, peaks in zip(ids, peak_sets):
-                pool.add_unlabeled(pending_id, peaks)
+            centres, distractors = zip(*pending)
+            chunks.append(bump_peak_sets(
+                np.stack(centres), distractors, cfg.height, cfg.width, cfg.peak_sigma
+            ))
             pending.clear()
+    unlabeled = {sample_id: i for i, sample_id in enumerate(truth)}
+    pool = SamplePool(labeled, unlabeled, _join(chunks) if chunks else None)
     return pool, heldout, truth, is_ood
+
+
+def _join(batches: list[PeakSet]) -> PeakSet:
+    """The samples of ``batches`` of one joint count, in order, as one batch."""
+    starts = np.cumsum([0] + [len(batch.locs) for batch in batches])
+    parts = zip(*((batch.locs, batch.scores, batch.probs) for batch in batches))
+    offsets = np.concatenate([[0]] + [b.offsets[1:] + s for b, s in zip(batches, starts)])
+    return PeakSet(*map(np.concatenate, parts), offsets, batches[0].joint_count)
 
 
 # --- the simulation loop --------------------------------------------------------

@@ -70,6 +70,22 @@ def peakset_of(joints) -> PeakSet:
     )
 
 
+def batch_of(peak_sets, joint_count: int | None = None) -> PeakSet:
+    """One batch of the samples of one-sample peak sets, in order, built row
+    by row from their arrays; ``joint_count`` is needed for no peak sets."""
+    rows, counts = [], []
+    for peaks in peak_sets:
+        rows += zip(peaks.locs.tolist(), peaks.scores.tolist(), peaks.probs.tolist())
+        counts += np.diff(peaks.offsets).tolist()
+    return PeakSet(
+        locs=np.array([loc for loc, _, _ in rows], dtype=np.int64).reshape(-1, 2),
+        scores=np.array([score for _, score, _ in rows], dtype=np.float64),
+        probs=np.array([prob for _, _, prob in rows], dtype=np.float64),
+        offsets=np.cumsum([0] + counts),
+        joint_count=peak_sets[0].joint_count if joint_count is None else joint_count,
+    )
+
+
 def joint_peaks(peaks: PeakSet, joint: int) -> list[tuple[tuple[int, int], float]]:
     """(loc, prob) pairs of one joint, read row by row from the arrays."""
     a, b = int(peaks.offsets[joint]), int(peaks.offsets[joint + 1])

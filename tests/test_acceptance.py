@@ -22,8 +22,7 @@ from poselik import (
     cli,
     expected_log_likelihood,
     fit_model,
-    link_log_density_distance,
-    link_log_density_offset,
+    link_log_density,
     multi_peak_entropy,
     point_log_likelihood,
     refine_pose,
@@ -114,7 +113,7 @@ def test_criterion_3_analytic_gaussian_anchors():
         3, "zero-residual unit-sigma link terms hit analytic constants within 1e-12"
     ):
         half_log_2pi = 0.5 * math.log(2.0 * math.pi)
-        univariate = link_log_density_distance(
+        univariate = link_log_density(
             (0.0, 0.0), (0.0, 7.0), DistanceParams(7.0, 1.0)
         )
         assert abs(univariate - (-half_log_2pi)) <= 1e-12
@@ -122,7 +121,7 @@ def test_criterion_3_analytic_gaussian_anchors():
             params = OffsetParams(
                 offset=np.arange(1.0, dim + 1.0), covariance=np.eye(dim)
             )
-            multivariate = link_log_density_offset(
+            multivariate = link_log_density(
                 np.zeros(dim), np.arange(1.0, dim + 1.0), params
             )
             assert abs(multivariate - (-dim * half_log_2pi)) <= 1e-12

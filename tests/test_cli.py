@@ -608,7 +608,7 @@ class TestMaximaCommand:
         assert "--max-peaks" in capsys.readouterr().err
         assert not (tmp_path / "x.jsonl").exists()
 
-    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "1e999", "-0.5", "1.5"])
     def test_non_finite_threshold_is_a_usage_error(self, tmp_path, capsys, threshold):
         manifest_path = self.two_bump_inputs(tmp_path)
         out = tmp_path / "x.jsonl"

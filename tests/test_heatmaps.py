@@ -21,14 +21,14 @@ from poselik import (
     VersionUnsupported,
     extract_peak_sets,
     extract_peaks,
+    multi_peak_entropy,
     read_heatmap_file,
     read_manifest,
     render_gaussian_heatmap,
     write_heatmap_file,
 )
-from poselik.heatmaps import entropy_of_probs
 
-from _helpers import oracle_entropy, scan_strict_maxima
+from _helpers import oracle_entropy, peakset_of, scan_strict_maxima
 
 
 def heatmap_of(grid) -> Heatmap:
@@ -69,8 +69,18 @@ class TestPeakSetLayout:
     def test_valid_layout_is_frozen(self):
         peaks = PeakSet(**two_joint_layout(offsets=[0, 1, 2]))  # lists become arrays
         assert peaks.counts() == (1, 1)
+        assert (len(peaks), peaks.joint_count) == (1, 2)  # one sample by default
+        assert len(PeakSet(**two_joint_layout(joint_count=1))) == 2
         for array in (peaks.locs, peaks.scores, peaks.probs, peaks.offsets):
             assert not array.flags.writeable
+
+    def test_take_rejects_indices_outside_the_batch(self):
+        peaks = PeakSet(**two_joint_layout(joint_count=1))
+        for rows in ([2], [-1], [0, 5]):
+            with pytest.raises(IndexError, match=r"\[0, 2\)"):
+                peaks.take(rows)
+        assert (len(peaks.take([])), peaks.take([]).offsets.tolist()) == (0, [0])
+        assert peaks.take([1, 1]).locs.tolist() == [[3, 4], [3, 4]]
 
     @pytest.mark.parametrize(
         "changes, message",
@@ -87,6 +97,9 @@ class TestPeakSetLayout:
             ({"scores": np.array([0.9])}, r"scores must be \(2,\)"),
             ({"probs": np.array([1.0])}, r"probs must be \(2,\)"),
             ({"probs": np.ones((2, 1))}, r"probs must be \(2,\)"),
+            ({"joint_count": 3}, "2 peak grids are no batch of 3-joint samples"),
+            ({"joint_count": 0}, "no batch of 0-joint"),
+            ({"joint_count": -1}, "no batch of -1-joint"),
         ],
     )
     def test_rejects_a_layout_its_arrays_cannot_hold(self, changes, message):
@@ -216,7 +229,8 @@ class TestLocalMaxima:
             extract_peak_sets(values)
 
     def test_an_empty_stack_has_no_peak_sets(self):
-        assert extract_peak_sets(np.zeros((0, 2, 4, 4), np.float32)) == []
+        peaks = extract_peak_sets(np.zeros((0, 2, 4, 4), np.float32))
+        assert (len(peaks), peaks.joint_count, peaks.offsets.tolist()) == (0, 2, [0])
 
     def test_extract_peaks_all_joints(self):
         pose = Pose.of([[5.0, 5.0], [20.0, 20.0]])
@@ -390,6 +404,11 @@ class TestManifest:
             manifest.write_text(json.dumps({"id": "a", "path": path}) + "\n", encoding="utf-8")
             with pytest.raises(SchemaError, match=":1: 'path'"):
                 read_manifest(manifest)
+
+
+def entropy_of_probs(probs) -> float:
+    """The entropy of one joint's peak probabilities, as a one-joint peak set."""
+    return multi_peak_entropy(peakset_of([[((0, k), p, p) for k, p in enumerate(probs)]]))
 
 
 class TestEntropyHelper:

@@ -18,8 +18,6 @@ from poselik import (
     brute_force_best_pose,
     expected_log_likelihood,
     link_log_density,
-    link_log_density_distance,
-    link_log_density_offset,
     multi_peak_entropy,
     point_log_likelihood,
     refine_pose,
@@ -67,21 +65,21 @@ class TestLinkDensities:
     """Scalar Gaussian log-density anchors and oracle agreement."""
 
     def test_distance_zero_residual_unit_sigma(self):
-        value = link_log_density_distance((0.0, 0.0), (5.0, 0.0), DistanceParams(5.0, 1.0))
+        value = link_log_density((0.0, 0.0), (5.0, 0.0), DistanceParams(5.0, 1.0))
         assert value == pytest.approx(-HALF_LOG_2PI, abs=1e-12)
 
     def test_distance_known_sigma_two(self):
-        value = link_log_density_distance((0.0, 0.0), (3.0, 4.0), DistanceParams(5.0, 2.0))
+        value = link_log_density((0.0, 0.0), (3.0, 4.0), DistanceParams(5.0, 2.0))
         assert value == pytest.approx(-1.612085713764618, abs=1e-12)
 
     def test_offset_identity_covariance_zero_residual(self):
         params = OffsetParams(offset=np.array([2.0, 3.0]), covariance=np.eye(2))
-        value = link_log_density_offset((1.0, 1.0), (3.0, 4.0), params)
+        value = link_log_density((1.0, 1.0), (3.0, 4.0), params)
         assert value == pytest.approx(-2 * HALF_LOG_2PI, abs=1e-12)
 
     def test_offset_identity_covariance_3d(self):
         params = OffsetParams(offset=np.zeros(3), covariance=np.eye(3))
-        value = link_log_density_offset((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), params)
+        value = link_log_density((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), params)
         assert value == pytest.approx(-3 * HALF_LOG_2PI, abs=1e-12)
 
     def test_distance_matches_oracle(self):
@@ -114,7 +112,7 @@ class TestLinkDensities:
     def test_offset_dimension_checked(self):
         params = OffsetParams(offset=np.zeros(2), covariance=np.eye(2))
         with pytest.raises(DimensionMismatch):
-            link_log_density_offset((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), params)
+            link_log_density((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), params)
 
     def test_root_density_variants(self):
         assert root_log_density((3.0, 4.0), None) == 0.0
@@ -435,6 +433,26 @@ class TestMultiPeakEntropy:
             multi_peak_entropy(peakset_of([]))
         with pytest.raises(EmptyPeakSet):
             multi_peak_entropy(peakset_of([[]]))
+
+
+@pytest.mark.parametrize("samples", [0, 2, 3])
+def test_one_sample_scorers_reject_any_other_batch(samples):
+    """A one-sample scorer given a batch of 0 or of 2 or more samples raises,
+    rather than score the batch's first sample."""
+    model = PoseModelParams(
+        skeleton=chain(2), link_params=(DistanceParams(5.0, 1.0),), model_kind="distance"
+    )
+    batch = peakset_from([[((0, 0), 1.0)], [((0, 5), 1.0)]]).take([0] * samples)
+    calls = [
+        lambda: expected_log_likelihood(batch, model),
+        lambda: refine_pose(batch, model),
+        lambda: brute_force_best_pose(batch, model),
+        lambda: refinement_objective(batch, model, [0, 0]),
+        lambda: multi_peak_entropy(batch),
+    ]
+    for call in calls:
+        with pytest.raises(SchemaError, match=f"one sample, got a batch of {samples}"):
+            call()
 
 
 class TestSerialization:

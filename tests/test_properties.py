@@ -7,7 +7,11 @@ objective as scoring its selection, which no other selection beats, and
 that expected scoring equals a full enumeration of joint assignments. The
 batched DP over a padded pool, batched expected scoring (with
 zero-probability peaks and ``-inf`` densities) and stacked point scoring
-must report bit for bit what each sample's own call reports. Peak
+must report bit for bit what each sample's own call reports, and so must
+every batched score of a batch's ``take`` of any rows, whose arrays are
+those of the samples built alone. The closed-form link fits beat every
+perturbation on generated weighted pose sets (two poses, a weight near 0,
+collinear displacements), up to the ridge's share for a covariance. Peak
 extraction is checked bit for bit against a per-joint loop and against a
 full-grid 8-comparison pass on grids full of ties, plateaus, border and
 negative maxima, and a stacked extraction against each sample's own, in
@@ -38,9 +42,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poselik import (
+    SIGMA_FLOOR,
     BadMagic,
     DistanceParams,
     Heatmap,
+    LabeledPoseSet,
     NonFiniteValue,
     OffsetParams,
     PeakSet,
@@ -57,6 +63,10 @@ from poselik import (
     expected_log_likelihoods,
     extract_peak_sets,
     extract_peaks,
+    fit_distance_params,
+    fit_offset_params,
+    link_log_density,
+    multi_peak_entropies,
     multi_peak_entropy,
     ood_ranking_auc,
     point_log_likelihood,
@@ -65,6 +75,7 @@ from poselik import (
     read_manifest,
     refine_pose,
     refine_poses,
+    refined_log_likelihoods,
     refinement_objective,
     render_gaussian_heatmap,
     require_finite,
@@ -73,10 +84,12 @@ from poselik import (
     write_heatmap_file,
 )
 from poselik import heatmaps as heatmaps_module
+from poselik.calibration import RIDGE_START
 from poselik.heatmaps import _gaussian_table
 
 from _helpers import (
     assert_same_peaks,
+    batch_of,
     eight_comparison_peaks,
     joint_peaks,
     oracle_auc,
@@ -178,6 +191,12 @@ def pools(draw, distributions: bool = False):
     return [draw(peaks) for _ in range(samples)], model
 
 
+def pool_of(peak_sets) -> SamplePool:
+    """An unlabeled pool ``s0``, ``s1``, ... of one-sample peak sets."""
+    unlabeled = {f"s{i}": i for i in range(len(peak_sets))}
+    return SamplePool(labeled={}, unlabeled=unlabeled, peaks=batch_of(peak_sets))
+
+
 @PROPERTY_SETTINGS
 @given(instances(kinds=("offset",)))
 def test_refinement_matches_exhaustive_search_for_offset_models(instance):
@@ -210,15 +229,14 @@ def test_refined_terms_equal_point_scoring_of_the_pose(instance, data):
 def test_batched_refinement_equals_per_sample_refinement(pool_case):
     peak_sets, model = pool_case
     singles = [refine_pose(peaks, model) for peaks in peak_sets]
-    for batched, single in zip(refine_poses(peak_sets, model), singles):
+    for batched, single in zip(refine_poses(batch_of(peak_sets), model), singles):
         assert batched.chosen_peak_index == single.chosen_peak_index
         assert batched.pose.coordinates.tolist() == single.pose.coordinates.tolist()
         assert batched.log_likelihood == single.log_likelihood
         assert batched.objective == single.objective
         assert batched.per_link_terms == single.per_link_terms
         assert batched.root_term == single.root_term
-    pool = SamplePool(labeled={}, unlabeled={f"s{i}": p for i, p in enumerate(peak_sets)})
-    scores = score_pool(pool, "vl4pose", model, mode="max")
+    scores = score_pool(pool_of(peak_sets), "vl4pose", model, mode="max")
     assert list(scores.items()) == [
         (f"s{i}", single.log_likelihood) for i, single in enumerate(singles)
     ]
@@ -241,9 +259,10 @@ def test_expected_log_likelihood_equals_enumeration(pool_case):
 
 @st.composite
 def faulty_pools(draw):
-    """(peak sets, model): a pool in which samples at random positions have
-    a joint with no peaks or the wrong number of joints, under a distance
-    model whose skeleton is at times 3-D, which no peak set can be scored on."""
+    """(peak sets, model): a pool of one joint count, at times not the
+    skeleton's, in which samples at random positions have a joint with no
+    peaks, under a distance model whose skeleton is at times 3-D, which no
+    peak set can be scored on."""
     model = draw(models(kinds=("distance",)))
     skel = model.skeleton
     if draw(st.booleans()):
@@ -253,14 +272,13 @@ def faulty_pools(draw):
             skeleton=validate_skeleton(doc), link_params=model.link_params,
             model_kind="distance", root_params=model.root_params,
         )
+    n_joints = skel.n_joints
+    if draw(st.integers(0, 3)) == 0:  # a batch of 0 joints would hold one sample
+        n_joints = draw(st.sampled_from([n for n in (n_joints - 1, n_joints + 1) if n]))
     samples = []
     for _ in range(draw(st.integers(1, 6))):
-        fault = draw(st.sampled_from(("none", "none", "empty", "joints")))
-        n_joints = skel.n_joints
-        if fault == "joints":
-            n_joints = draw(st.sampled_from((0, n_joints - 1, n_joints + 1)))
         peaks = draw(peak_sets(n_joints, 2))
-        if fault == "empty":
+        if draw(st.sampled_from(("none", "none", "empty"))) == "empty":
             bare = draw(st.integers(0, n_joints - 1))
             joints = [joint_peaks(peaks, j) for j in range(n_joints)]
             joints[bare] = []
@@ -282,7 +300,7 @@ def raised_by(call):
 def test_batch_check_raises_what_the_first_failing_sample_raises(pool_case):
     peak_sets, model = pool_case
     alone = [raised_by(functools.partial(refine_pose, peaks, model)) for peaks in peak_sets]
-    pool = SamplePool(labeled={}, unlabeled={f"s{i}": p for i, p in enumerate(peak_sets)})
+    pool = pool_of(peak_sets)
     batched = raised_by(functools.partial(score_pool, pool, "vl4pose", model, mode="max"))
     assert batched == next((error for error in alone if error), None)
 
@@ -375,8 +393,8 @@ def test_extracting_a_stack_equals_extracting_each_sample(
     with mock.patch.object(heatmaps_module, "_CANDIDATE_SLICE", candidate_slice):
         stacked = extract_peak_sets(values, threshold_ratio, max_peaks)
     assert len(stacked) == len(stack)
-    for peaks, heatmap in zip(stacked, stack):
-        assert_same_peaks(peaks, extract_peaks(heatmap, threshold_ratio, max_peaks))
+    for i, heatmap in enumerate(stack):
+        assert_same_peaks(stacked.take([i]), extract_peaks(heatmap, threshold_ratio, max_peaks))
 
 
 @st.composite
@@ -407,13 +425,40 @@ def report_bits(report) -> bytes:
 def test_batched_expected_scoring_equals_its_batch_of_one(pool_case):
     peak_sets, model = pool_case
     with np.errstate(over="ignore", invalid="ignore"):
-        batched = expected_log_likelihoods(peak_sets, model)
+        batched = expected_log_likelihoods(batch_of(peak_sets), model)
         singles = [expected_log_likelihood(peaks, model) for peaks in peak_sets]
-        pool = SamplePool(labeled={}, unlabeled={f"s{i}": p for i, p in enumerate(peak_sets)})
-        scores = score_pool(pool, "vl4pose", model, mode="expected")
+        scores = score_pool(pool_of(peak_sets), "vl4pose", model, mode="expected")
     assert [report_bits(r) for r in batched] == [report_bits(r) for r in singles]
     assert np.array(list(scores.values())).tobytes() == np.array(
         [r.total for r in singles]
+    ).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(scoring_pools(), st.data())
+def test_taking_samples_of_a_batch_equals_building_each_alone(pool_case, data):
+    """``take`` of any rows (repeated, reversed or none) of a batch holds,
+    byte for byte, the samples built alone, and every batched score of it
+    has the bits of each sample's own score."""
+    peak_sets, model = pool_case
+    rows = data.draw(
+        st.lists(st.integers(0, len(peak_sets) - 1), max_size=8)
+        | st.just(list(range(len(peak_sets)))[::-1])
+    )
+    taken = batch_of(peak_sets).take(rows)
+    assert (len(taken), taken.joint_count) == (len(rows), peak_sets[0].joint_count)
+    for i, row in enumerate(rows):
+        assert_same_peaks(taken.take([i]), peak_sets[row])
+    alone = [peak_sets[row] for row in rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert [report_bits(r) for r in expected_log_likelihoods(taken, model)] == [
+            report_bits(expected_log_likelihood(peaks, model)) for peaks in alone
+        ]
+        assert np.array(refined_log_likelihoods(taken, model)).tobytes() == np.array(
+            [refine_pose(peaks, model).log_likelihood for peaks in alone]
+        ).tobytes()
+    assert np.array(multi_peak_entropies(taken)).tobytes() == np.array(
+        [multi_peak_entropy(peaks) for peaks in alone]
     ).tobytes()
 
 
@@ -441,6 +486,78 @@ def test_peak_probabilities_and_entropy_stay_in_range(heatmap, threshold_ratio, 
     if set(peaks.counts()) == {1}:
         assert entropy == 0.0
     assert multi_peak_entropy(extract_peaks(heatmap, threshold_ratio, 1)) == 0.0
+
+
+@st.composite
+def weighted_link_sets(draw):
+    """(displacements (n, 2), weights (n,)) of one link over 2-12 poses,
+    often only two, at times with a weight near 0, at times collinear, and
+    spread over 60 cells or over 0.02 (where a ridge is no small change)."""
+    n = draw(st.just(2) | st.integers(2, 12))
+    spread = draw(st.sampled_from((30.0, 0.01)))
+    coordinate = st.floats(-1.0, 1.0).map(lambda x: 5.0 + spread * x)
+    if draw(st.booleans()):  # collinear: every displacement on one line
+        direction = np.array(draw(st.tuples(unit, unit).filter(any)))
+        disp = np.array(draw(st.lists(coordinate, min_size=n, max_size=n)))[:, None] * direction
+    else:
+        disp = np.array(draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n)))
+    weight = st.floats(0.05, 5.0) | st.just(1e-9)
+    return disp, np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+
+
+def weighted_log_likelihood(disp, weights, params) -> float:
+    return math.fsum(
+        w * link_log_density((0.0, 0.0), d, params) for d, w in zip(disp.tolist(), weights)
+    )
+
+
+# A relative step of a fitted parameter: small ones find a fit a little off.
+fit_step = st.floats(-1.0, 1.0) | st.sampled_from([s * 10.0**-k for s in (-1, 1) for k in range(7)])
+
+
+@PROPERTY_SETTINGS
+@given(weighted_link_sets(), st.lists(fit_step, min_size=7, max_size=7))
+def test_closed_form_fits_are_optimal(case, steps):
+    """No perturbation of a fitted mean, offset, or sigma kept at or above
+    ``SIGMA_FLOOR``, raises the weighted log-likelihood beyond rounding. A
+    perturbed Cholesky factor raises it by at most the ridge's share,
+    ``0.5 * sum(w) * RIDGE_START * tr(S^-1)`` for the sample covariance
+    ``S``, as ``S + RIDGE_START * I`` is no exact fit of ``S``. That holds
+    only where ``S`` is nonsingular: on collinear sets (and two poses are
+    collinear) the likelihood grows without bound as the covariance
+    flattens, so there only the offset is checked."""
+    disp, weights = case
+    skel = validate_skeleton({"joints": ["a", "b"], "root": 0, "links": [[0, 1]]})
+    data = LabeledPoseSet.of(skel, [Pose.of([[0.0, 0.0], d]) for d in disp], weights)
+
+    def gain(fitted, perturbed):
+        base = weighted_log_likelihood(disp, weights, fitted)
+        return weighted_log_likelihood(disp, weights, perturbed) - base, 1e-12 * (1 + abs(base))
+
+    law = fit_distance_params(data, 0, 1)
+    mean = law.mean_distance + steps[0] * law.sigma
+    sigma = law.sigma * math.exp(steps[1])
+    candidates = [DistanceParams(law.mean_distance, sigma)] if sigma >= SIGMA_FLOOR else []
+    for candidate in candidates + ([DistanceParams(mean, law.sigma)] if mean >= 0 else []):
+        change, rounding = gain(law, candidate)
+        assert change <= rounding
+
+    if len(disp) < 3:  # an offset fit needs 3 poses in 2-D
+        return
+    law = fit_offset_params(data, 0, 1)
+    scale = np.sqrt(np.diagonal(law.covariance))
+    change, rounding = gain(law, OffsetParams(law.offset + scale * steps[2:4], law.covariance))
+    assert change <= rounding
+    w = weights / weights.sum()
+    centred = disp - w @ disp
+    sample = (w[:, None] * centred).T @ centred
+    if np.linalg.cond(sample) > 1e8:  # collinear, or nearly
+        return
+    chol = law.cholesky.copy()
+    chol[1, 0] += steps[4] * chol[1, 1]
+    chol[np.diag_indices(2)] *= np.exp(steps[5:7])
+    change, rounding = gain(law, OffsetParams(law.offset, chol @ chol.T))
+    assert change <= 0.5 * weights.sum() * RIDGE_START * np.trace(np.linalg.inv(sample)) + rounding
 
 
 ranking_score = st.integers(-3, 3).map(float) | st.floats(-1e6, 1e6)
@@ -598,9 +715,8 @@ def test_bump_peak_sets_equal_peaks_of_the_rendered_grids(case, cells_per_pass):
     if isinstance(rendered, tuple):
         assert bumped == rendered
         return
-    assert len(bumped) == len(rendered)
-    for a, b in zip(bumped, rendered):
-        assert_same_peaks(a, b)
+    assert (len(bumped), bumped.joint_count) == (len(rendered), rendered.joint_count)
+    assert_same_peaks(bumped, rendered)
 
 
 def test_an_overflowing_bump_raises_non_finite_on_both_paths():
@@ -1031,14 +1147,17 @@ maxima_peak = st.tuples(
     | st.sampled_from((FLOAT32_MAX, -FLOAT32_MAX, -0.0)),
     st.floats(0.0, 1.0) | st.sampled_from((5e-324, 1e-310, 2.2250738585072014e-308, 1.0)),
 )
-maxima_sample = st.tuples(
-    odd_id, st.lists(st.lists(maxima_peak, min_size=1, max_size=3), min_size=1, max_size=4)
-)
+maxima_samples = st.integers(1, 4).flatmap(lambda joints: st.lists(  # one batch, one joint count
+    st.tuples(odd_id, st.lists(
+        st.lists(maxima_peak, min_size=1, max_size=3), min_size=joints, max_size=joints
+    )),
+    min_size=1, max_size=3,
+))
 
 
 @PROPERTY_SETTINGS
 @example([("a\"\\", [[((0, 1), FLOAT32_MAX, 5e-324)], [((2, 3), -0.0, 1.0)]])])  # single peaks
-@given(st.lists(maxima_sample, min_size=1, max_size=3))
+@given(maxima_samples)
 def test_maxima_lines_are_the_json_of_their_records(samples):
     ids = [sample_id for sample_id, _ in samples]
     peak_sets = [peakset_of(joints) for _, joints in samples]
@@ -1046,4 +1165,4 @@ def test_maxima_lines_are_the_json_of_their_records(samples):
         json.dumps(maxima_record(sample_id, peaks), sort_keys=True) + "\n"
         for sample_id, peaks in zip(ids, peak_sets)
     )
-    assert cli._maxima_records(None, None, ids, peak_sets) == expected
+    assert cli._maxima_records(None, None, ids, batch_of(peak_sets)) == expected

@@ -29,7 +29,7 @@ from poselik import (
 )
 from poselik.selection import _random_score
 
-from _helpers import oracle_auc, peakset_of
+from _helpers import assert_same_peaks, batch_of, oracle_auc, peakset_of
 
 
 def chain_model(n_joints=3, mean=6.0, sigma=1.0):
@@ -52,51 +52,38 @@ def render(pose, size=64):
 
 
 def make_pool(heatmaps, labeled=None):
-    pool = SamplePool(labeled=dict(labeled or {}), unlabeled={})
-    for sample_id, heatmap in heatmaps.items():
-        pool.add_unlabeled(sample_id, extract_peaks(heatmap))
-    return pool
+    peaks = batch_of([extract_peaks(heatmap) for heatmap in heatmaps.values()], joint_count=3)
+    unlabeled = {sample_id: i for i, sample_id in enumerate(heatmaps)}
+    return SamplePool(labeled=dict(labeled or {}), unlabeled=unlabeled, peaks=peaks)
 
 
 class TestSamplePool:
     def test_rejects_overlapping_ids(self):
         peaks = extract_peaks(render(vertical_pose(3)))
         with pytest.raises(SchemaError, match="both"):
-            SamplePool(labeled={"x": vertical_pose(3)}, unlabeled={"x": peaks})
+            SamplePool(labeled={"x": vertical_pose(3)}, unlabeled={"x": 0}, peaks=peaks)
 
-    def test_add_unlabeled_stores_only_the_peaks(self):
+    def test_pool_stores_only_the_peaks(self):
         peaks = extract_peaks(render(vertical_pose(3)))
-        pool = SamplePool(labeled={}, unlabeled={})
-        pool.add_unlabeled("a", peaks)
-        assert pool.unlabeled["a"] is peaks
-        assert pool.peaks_for("a") is peaks
+        pool = SamplePool(labeled={}, unlabeled={"a": 0}, peaks=peaks)
+        assert_same_peaks(pool.peaks, peaks)
+        assert_same_peaks(pool.peaks_for("a"), peaks)
         assert not any(isinstance(value, Heatmap) for value in vars(pool).values())
 
-    def test_add_unlabeled_rejects_known_ids(self):
-        pool = make_pool({"a": render(vertical_pose(3))}, labeled={"l": vertical_pose(3)})
-        stored = pool.unlabeled["a"]
-        with pytest.raises(SchemaError, match="'a'"):
-            pool.add_unlabeled("a", extract_peaks(render(vertical_pose(3, step=9.0))))
-        with pytest.raises(SchemaError, match="'l'"):
-            pool.add_unlabeled("l", extract_peaks(render(vertical_pose(3))))
-        with pytest.raises(SchemaError, match="'a'"):
-            pool.add_unlabeled("a", None)
-        assert pool.unlabeled == {"a": stored}  # a rejected add changes nothing
-        assert list(pool.labeled) == ["l"]
-
     def test_a_sample_without_peaks_has_none_to_give(self):
-        """A sample stored without peaks can be ranked at random and
-        labeled, but asking for its peaks raises, whoever asks."""
-        pool = make_pool({"a": render(vertical_pose(3))})
-        pool.add_unlabeled("b", None)
+        """A pool stored without peaks can be ranked at random and labeled,
+        but asking for its peaks raises, whoever asks."""
+        pool = SamplePool(labeled={}, unlabeled={"b": 0, "a": 1})
         with pytest.raises(MissingHeatmap, match="'b' has no peaks"):
             pool.peaks_for("b")
+        with pytest.raises(MissingHeatmap, match="the pool has no peaks"):
+            pool.peaks_for()
         assert set(score_pool(pool, "random")) == {"a", "b"}
         for strategy in ("vl4pose", "entropy"):
             with pytest.raises(MissingHeatmap, match="'b' has no peaks"):
                 score_pool(pool, strategy, chain_model())
         pool.move_to_labeled("b", vertical_pose(3))
-        assert score_pool(pool, "entropy").keys() == {"a"}
+        assert score_pool(pool, "random").keys() == {"a"}
 
     def test_move_to_labeled(self):
         pool = make_pool({"a": render(vertical_pose(3))})
@@ -106,12 +93,17 @@ class TestSamplePool:
             pool.move_to_labeled("a", vertical_pose(3))
 
     def test_peaks_for_returns_the_stored_set(self):
-        pool = make_pool({"a": render(vertical_pose(3))})
+        heatmaps = {"a": render(vertical_pose(3)), "b": render(vertical_pose(3, step=9.0))}
+        pool = make_pool(heatmaps)
         first = pool.peaks_for("a")
-        assert first is pool.unlabeled["a"]
-        assert pool.peaks_for("a") is first
+        assert_same_peaks(first, extract_peaks(heatmaps["a"]))
+        assert_same_peaks(pool.peaks_for("a"), first)
+        both = [extract_peaks(heatmaps[sample_id]) for sample_id in ("b", "a")]
+        assert_same_peaks(pool.peaks_for("b", "a"), batch_of(both))  # in the order asked
         with pytest.raises(MissingHeatmap, match="ghost"):
             pool.peaks_for("ghost")
+        with pytest.raises(MissingHeatmap, match="ghost"):
+            pool.peaks_for("a", "ghost")
 
     def test_clone_is_independent_but_shares_peaks(self):
         pool = make_pool({"a": render(vertical_pose(3)), "b": render(vertical_pose(3))})
@@ -119,10 +111,11 @@ class TestSamplePool:
         copy = pool.clone()
         copy.move_to_labeled("a", vertical_pose(3))
         assert "a" in pool.unlabeled  # original untouched
-        assert pool.peaks_for("a") is peaks
+        assert_same_peaks(pool.peaks_for("a"), peaks)
         with pytest.raises(MissingHeatmap):
             copy.peaks_for("a")
-        assert copy.peaks_for("b") is pool.peaks_for("b")
+        assert_same_peaks(copy.peaks_for("b"), pool.peaks_for("b"))
+        assert copy.peaks is pool.peaks
 
 
 class TestScorePool:
@@ -170,7 +163,8 @@ class TestScorePool:
 
     def test_max_mode_raises_what_refine_pose_raises(self):
         """The batched DP checks every sample before stacking, with the
-        per-sample errors: an empty joint, then a wrong joint count."""
+        per-sample errors: an empty joint, then a wrong joint count (one
+        batch has one joint count, so such a pool holds no good sample)."""
         model = chain_model()
         good = extract_peaks(render(vertical_pose(3)))
         empty_joint = peakset_of([[((1, 1), 1.0, 1.0)], [], [((3, 3), 1.0, 1.0)]])
@@ -178,7 +172,9 @@ class TestScorePool:
         for bad, error in ((empty_joint, EmptyPeakSet), (two_joints, DimensionMismatch)):
             with pytest.raises(error) as single:
                 refine_pose(bad, model)
-            pool = SamplePool(labeled={}, unlabeled={"good": good, "bad": bad})
+            samples = {"good": good, "bad": bad} if bad.joint_count == 3 else {"bad": bad}
+            unlabeled = {sample_id: i for i, sample_id in enumerate(samples)}
+            pool = SamplePool(labeled={}, unlabeled=unlabeled, peaks=batch_of([*samples.values()]))
             with pytest.raises(error) as batched:
                 score_pool(pool, "vl4pose", model, mode="max")
             assert str(batched.value) == str(single.value)

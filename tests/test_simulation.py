@@ -249,7 +249,7 @@ class TestBuildPool:
             np.testing.assert_array_equal(
                 truth_a[sample_id].coordinates, truth_b[sample_id].coordinates
             )
-            assert_same_peaks(pool_a.unlabeled[sample_id], pool_b.unlabeled[sample_id])
+            assert_same_peaks(pool_a.peaks_for(sample_id), pool_b.peaks_for(sample_id))
         for sample_id in held_a:
             np.testing.assert_array_equal(
                 held_a[sample_id].coordinates, held_b[sample_id].coordinates
@@ -257,8 +257,8 @@ class TestBuildPool:
 
     def test_pool_keeps_peak_sets_and_no_heatmap(self):
         pool, *_ = build_pool(SimulationConfig.from_dict(base_doc()))
-        assert all(isinstance(peaks, PeakSet) for peaks in pool.unlabeled.values())
-        held = [v for field in vars(pool).values() for v in field.values()]
+        assert isinstance(pool.peaks, PeakSet) and len(pool.peaks) == len(pool.unlabeled)
+        held = [*pool.labeled.values(), *pool.unlabeled.values(), pool.peaks]
         assert not any(isinstance(value, Heatmap) for value in held)
 
     def test_pool_peaks_match_a_replayed_render(self):
@@ -269,7 +269,7 @@ class TestBuildPool:
         cfg = SimulationConfig.from_dict(doc)
         pool, _, truth, _ = build_pool(cfg)
         for sample_id, peaks in replayed_peaks(cfg, truth).items():
-            assert_same_peaks(pool.unlabeled[sample_id], peaks)
+            assert_same_peaks(pool.peaks_for(sample_id), peaks)
 
     def test_chunk_size_changes_no_peak(self, monkeypatch):
         """Chunks of 1, 3, 8 and the default size store the replayed peaks,
@@ -288,20 +288,20 @@ class TestBuildPool:
             expected = expected or replayed_peaks(cfg, truth)
             assert list(pool.unlabeled) == list(expected)
             for sample_id, peaks in expected.items():
-                stored = pool.unlabeled[sample_id]
+                stored = pool.peaks_for(sample_id)
                 for name in ("locs", "scores", "probs", "offsets"):
                     assert getattr(stored, name).dtype == getattr(peaks, name).dtype
                     assert getattr(stored, name).tobytes() == getattr(peaks, name).tobytes()
 
     def test_a_random_only_pool_renders_nothing(self, monkeypatch):
-        """Only vl4pose and entropy read peaks: without them every sample is
-        stored without peaks, and no peak is computed."""
+        """Only vl4pose and entropy read peaks: without them the pool holds
+        no peaks, and no peak is computed."""
         doc = base_doc()
         doc["strategies"] = ["random"]
         monkeypatch.setattr(simulation, "bump_peak_sets", None)  # a call would fail
         pool, _, truth, _ = build_pool(SimulationConfig.from_dict(doc))
         assert list(pool.unlabeled) == list(truth)
-        assert all(peaks is None for peaks in pool.unlabeled.values())
+        assert pool.peaks is None
         with pytest.raises(MissingHeatmap, match="no peaks"):
             pool.peaks_for("unl-0000")
 
@@ -309,7 +309,7 @@ class TestBuildPool:
         doc = base_doc()
         doc["heatmap"].update(distractors=2, distractor_amplitude=0.5)
         pool, *_ = build_pool(SimulationConfig.from_dict(doc))
-        counts = [sum(peaks.counts()) for peaks in pool.unlabeled.values()]
+        counts = [sum(pool.peaks_for(sample_id).counts()) for sample_id in pool.unlabeled]
         assert max(counts) > SimulationConfig.from_dict(doc).joints
 
     def test_infeasible_geometry_is_rejected(self):
@@ -354,13 +354,14 @@ def test_refinement_recovers_the_joints_argmax_gives_to_distractors(seed):
     labeled = [pool.labeled[sample_id] for sample_id in sorted(pool.labeled)]
     params = fit_model(LabeledPoseSet.of(chain_skeleton(cfg.joints), labeled), "distance")
     ids = sorted(pool.unlabeled)
-    peak_sets = [pool.unlabeled[sample_id] for sample_id in ids]
+    peaks = pool.peaks_for(*ids)
+    first, locs = peaks.offsets.tolist(), peaks.locs.tolist()
     wrong = recovered = right = moved = 0
-    for sample_id, peaks, refined in zip(ids, peak_sets, refine_poses(peak_sets, params)):
-        first, locs = peaks.offsets.tolist(), peaks.locs.tolist()
+    for s, (sample_id, refined) in enumerate(zip(ids, refine_poses(peaks, params))):
         for j, true in enumerate(truth[sample_id].coordinates.tolist()):
-            on_truth = locs[first[j] + refined.chosen_peak_index[j]] == true
-            if locs[first[j]] == true:
+            start = first[s * cfg.joints + j]
+            on_truth = locs[start + refined.chosen_peak_index[j]] == true
+            if locs[start] == true:
                 right, moved = right + 1, moved + (not on_truth)
             else:
                 wrong, recovered = wrong + 1, recovered + on_truth
