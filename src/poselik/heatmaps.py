@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    EmptyPeakSet,
     JointOutOfRange,
     NonFiniteValue,
     OutOfBoundsCoordinate,
@@ -78,7 +79,8 @@ def require_finite(values: np.ndarray) -> None:
 class PeakSet:
     """Candidate peaks of a batch of samples in flat arrays (compressed sparse rows).
 
-    The batch holds ``joint_count`` grids per sample (left out: one sample).
+    The batch holds ``joint_count`` grids per sample, at least one (left
+    out: the batch is one sample).
     Grid ``g`` owns rows ``offsets[g]:offsets[g + 1]`` of ``locs`` (int
     (row, col) grid cells), ``scores`` (raw heatmap scores) and ``probs``
     (their per-grid softmax). Within a grid, rows are sorted by descending
@@ -113,15 +115,17 @@ class PeakSet:
             )
         grids = len(offsets) - 1
         joints = grids if self.joint_count is None else self.joint_count
-        if not (joints >= 1 and grids % joints == 0 or joints == grids == 0):
+        if joints == grids == 0:
+            raise EmptyPeakSet("a peak set needs a joint")
+        if not (joints >= 1 and grids % joints == 0):
             raise SchemaError(f"{grids} peak grids are no batch of {joints}-joint samples")
         for name, array in zip(names, arrays):
             array.flags.writeable = False  # one peak set is shared by every scorer
             object.__setattr__(self, name, array)
         object.__setattr__(self, "joint_count", int(joints))
 
-    def __len__(self) -> int:  # samples; a set of no joints holds one
-        return (len(self.offsets) - 1) // self.joint_count if self.joint_count else 1
+    def __len__(self) -> int:  # samples
+        return (len(self.offsets) - 1) // self.joint_count
 
     def counts(self) -> tuple[int, ...]:
         """Peaks per grid, in grid order."""
@@ -220,6 +224,7 @@ def _peak_sets(grid, cell, score, joints, width, max_peaks) -> PeakSet:
     the (grid, flat cell, float64 score) of every grid's peaks, each listed
     once: each grid's global maximum and its other kept strict maxima.
     Every grid lists its maximum, so the grids are those ``grid`` counts."""
+    max_peaks = min(max_peaks, len(cell))  # no grid has more: keeps np.minimum in int64
     order = np.lexsort((cell, -score, grid))
     found = np.bincount(grid)
     grids = len(found)
@@ -418,8 +423,7 @@ def render_gaussian_heatmap(
             _check_cell(*centres[j], height, width)
             _gaussian(rows - centres[j][0], cols - centres[j][1], inv, maps[j])
     for joint, (row, col), amplitude in distractors or ():
-        if not 0 <= joint < n:
-            raise JointOutOfRange(f"distractor joint {joint} outside [0, {n})")
+        joint = _joint_index(joint, n)
         _check_cell(row, col, height, width)
         maps[joint] += amplitude * _gaussian(rows - row, cols - col, inv, np.empty((height, width)))
     return Heatmap(values=np.clip(maps, 0.0, 1.0, out=maps).astype(np.float32))
@@ -428,6 +432,15 @@ def render_gaussian_heatmap(
 def _check_cell(row: float, col: float, height: int, width: int) -> None:
     if not (0 <= row <= height - 1 and 0 <= col <= width - 1):
         raise OutOfBoundsCoordinate(f"coordinate ({row}, {col}) outside {height}x{width} grid")
+
+
+def _joint_index(joint, joints: int) -> int:
+    """A distractor's ``joint`` as the index of one of a sample's ``joints`` grids."""
+    if not isinstance(joint, (int, np.integer)):
+        raise SchemaError(f"distractor joint {joint!r} is not an integer")
+    if not 0 <= joint < joints:
+        raise JointOutOfRange(f"distractor joint {joint} outside [0, {joints})")
+    return int(joint)
 
 
 def bump_peak_sets(
@@ -474,28 +487,25 @@ def bump_peak_sets(
         raise SchemaError("bump_peak_sets takes joint centres on integer cells")
     if not np.all((centres >= 0) & (centres <= (height - 1, width - 1))):
         raise OutOfBoundsCoordinate(f"a joint centre lies outside the {height}x{width} grid")
-    # Each grid's bumps as (row, col, amplitude), its centre first.
-    bumps = [[(row, col, 1.0)] for row, col in centres.reshape(-1, 2).tolist()]
-    for i, sample in enumerate(distractors):
-        for joint, (row, col), amplitude in sample:
-            if not 0 <= joint < n:
-                raise JointOutOfRange(f"distractor joint {joint} outside [0, {n})")
-            _check_cell(row, col, height, width)
-            if not (float(row).is_integer() and float(col).is_integer()):
-                raise SchemaError(f"distractor ({row}, {col}) is not on an integer cell")
-            if not 0.0 <= amplitude <= 1.0:
-                raise SchemaError(f"distractor amplitude must be in [0, 1], got {amplitude}")
-            bumps[i * n + joint].append((row, col, amplitude))
+    # Every bump as a (row, col, amplitude) row: each grid's centre, then the
+    # distractors in the given order. A stable sort by grid puts each grid's
+    # bumps together in the renderer's order, its centre first.
+    extra = np.fromiter(  # (grid, row, col, amplitude) rows
+        _distractor_rows(distractors, n, height, width), np.dtype((np.float64, 4))
+    )
+    owner = np.concatenate([np.arange(b * n), extra[:, 0].astype(np.int64)])
+    centre_rows = np.column_stack([centres.reshape(-1, 2), np.ones(b * n)])
+    bumps = np.concatenate([centre_rows, extra[:, 1:]])[np.argsort(owner, kind="stable")]
+    counts = np.bincount(owner)
+    starts = np.cumsum(counts) - counts
 
     inv = 1.0 / (2.0 * peak_sigma * peak_sigma)  # the renderer's, so its bump values
     table = _gaussian_table(height, width, inv).reshape(-1)
-    by_count = {}  # grids with as many bumps go through one pass
-    for g, grid in enumerate(bumps):
-        by_count.setdefault(len(grid), []).append(g)
     none = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))  # of an empty batch
     candidates, maxima = [none], [none]
-    for count, grids in sorted(by_count.items()):
-        terms = np.array([bumps[g] for g in grids])  # (grids, count, 3)
+    for count in np.flatnonzero(np.bincount(counts)).tolist():  # grids with as many bumps
+        grids = np.flatnonzero(counts == count)
+        terms = bumps[starts[grids, None] + np.arange(count)]  # (grids, count, 3)
         radius = _patch_radius(
             float(terms[:, :, 2].sum(axis=1).max()), inv, threshold_ratio, max(height, width)
         )
@@ -506,22 +516,34 @@ def bump_peak_sets(
         step = max(1, _CANDIDATE_SLICE // (patches * side[0] * side[1]))  # grids per pass
         for lo in range(0, len(grids), step):
             found, top = _patch_peaks(
-                np.array(grids[lo : lo + step]), terms[lo : lo + step], patches, side,
+                grids[lo : lo + step], terms[lo : lo + step], patches, side,
                 table, height, width, threshold_ratio,
             )
             candidates.append(found)
             maxima.append(top)
     # Overlapping patches find a candidate more than once: keep it once.
     grid, cell, score = (np.concatenate(parts) for parts in zip(*candidates))
-    order = np.lexsort((cell, grid))
-    grid, cell, score = grid[order], cell[order], score[order]
-    once = np.ones(len(order), dtype=bool)
-    once[1:] = (grid[1:] != grid[:-1]) | (cell[1:] != cell[:-1])
+    key = grid * (height * width) + cell
+    order = np.argsort(key)
+    once = order[np.diff(key[order], prepend=-1) != 0]
     grid, cell, score = (
         np.concatenate([part[once], *parts])
         for part, parts in zip((grid, cell, score), zip(*maxima))
     )
     return _peak_sets(grid, cell, score, n, width, max_peaks)
+
+
+def _distractor_rows(distractors, joints: int, height: int, width: int):
+    """The checked (grid, row, col, amplitude) of each distractor, sample by sample."""
+    for i, sample in enumerate(distractors):
+        for joint, (row, col), amplitude in sample:
+            joint = _joint_index(joint, joints)
+            _check_cell(row, col, height, width)
+            if not (float(row).is_integer() and float(col).is_integer()):
+                raise SchemaError(f"distractor ({row}, {col}) is not on an integer cell")
+            if not 0.0 <= amplitude <= 1.0:
+                raise SchemaError(f"distractor amplitude must be in [0, 1], got {amplitude}")
+            yield i * joints + joint, row, col, amplitude
 
 
 def _patch_radius(total: float, inv: float, ratio: float, limit: int) -> int:
@@ -575,29 +597,26 @@ def _patch_peaks(grids, terms, patches, side, table, height, width, threshold_ra
     values[g, p, :, col] = -np.inf
 
     m, size = len(grids), height * width
-    ids = ((rows_in * width)[..., :, None] + cols_in[..., None, :]).reshape(-1)
+    ids = (rows_in * width)[..., :, None] + cols_in[..., None, :]  # grid cell of each patch cell
     best = values.reshape(m, -1).max(axis=1)
     at = np.flatnonzero(values == best[:, None, None, None])
     top = np.full(m, size)
-    np.minimum.at(top, at // (values.size // m), ids[at])
+    np.minimum.at(top, at // (values.size // m), ids.reshape(-1)[at])
     best = best.astype(np.float64)
-    # The row neighbors and the threshold first: on a smooth bump they leave
-    # about one inner cell per row for the other six neighbors.
-    keep = np.zeros(values.shape, dtype=bool)
+    # Candidates: the inner cells above both row neighbors, the grid's
+    # maximum left out. On a smooth bump that is about one cell per row.
+    candidate = np.zeros(values.shape, dtype=bool)
     inner = values[..., 1:-1, 1:-1]
-    test = keep[..., 1:-1, 1:-1]
+    test = candidate[..., 1:-1, 1:-1]
     np.greater(inner, values[..., 1:-1, :-2], out=test)
     test &= inner > values[..., 1:-1, 2:]
-    test &= inner >= (threshold_ratio * best)[:, None, None, None]
-    index = np.flatnonzero(keep)
-    flat = values.reshape(-1)
-    score = flat[index]
-    grid = index // (values.size // m)
-    line = values.shape[-1]
-    held = ids[index] != top[grid]
-    for step in (-line - 1, -line, 1 - line, line - 1, line, line + 1):
-        held &= score > flat[index + step]
-    return (grids[grid[held]], ids[index[held]], score[held].astype(np.float64)), (grids, top, best)
+    test &= ids[..., 1:-1, 1:-1] != top[:, None, None, None]
+    patch, cell, score = _strict_maxima(
+        values.reshape(m * patches, -1), candidate.reshape(m * patches, -1), 0, m * patches,
+        np.repeat(threshold_ratio * best, patches), values.shape[-1],
+    )
+    found = grids[patch // patches], ids.reshape(m * patches, -1)[patch, cell], score
+    return found, (grids, top, best)
 
 
 # --- manifests ----------------------------------------------------------------

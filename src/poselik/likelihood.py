@@ -316,8 +316,8 @@ def multi_peak_entropies(peaks: PeakSet) -> list[float]:
     its joints to 0 in order: a sample's entropy has the same bits in any batch.
     """
     counts = np.diff(peaks.offsets)
-    if not (peaks.joint_count and counts.all()):
-        raise EmptyPeakSet("a peak set needs a joint, and each joint a candidate peak")
+    if not counts.all():
+        raise EmptyPeakSet("each joint of a peak set needs a candidate peak")
     probs = np.where(peaks.probs > 0.0, peaks.probs, 1.0)  # 1 adds 1 * log(1) = 0
     terms = probs * np.fromiter(map(math.log, probs), float, len(probs))  # np.log may differ
     joints = np.zeros(len(counts))

@@ -21,7 +21,6 @@ import numpy as np
 from .calibration import LabeledPoseSet, fit_model
 from .errors import ConfigInvalid
 from .heatmaps import (
-    PeakSet,
     bump_peak_sets,
     render_gaussian_heatmap,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
 )
@@ -41,10 +40,6 @@ from .selection import (
 )
 
 _MAX_POSE_ATTEMPTS = 1000
-# Unlabeled samples whose peaks one bump_peak_sets call finds. Larger chunks
-# share each call's fixed cost; at 32, simloop's peak RSS is within 0.1 MB of
-# chunks of 8 and below one call over the whole pool, which holds every bump.
-_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -332,12 +327,13 @@ def build_pool(cfg: SimulationConfig):
     """(pool, heldout poses, truth, is_ood) generated from the config seed.
 
     Each unlabeled sample keeps the peaks of the heatmap rendered from its
-    pose and distractors. :func:`bump_peak_sets` finds them from the bumps
-    of :data:`_CHUNK` samples at a time, without rendering a grid, and the
-    chunks are joined once into the pool's one batch, in id order. Only
-    ``vl4pose`` and ``entropy`` read peaks: without them no distractor is
-    drawn and no peak found, and the pool holds no peaks. The render
-    generator is a stream of its own, so skipping it changes no pose.
+    pose and distractors. Every pose is drawn, then every sample's
+    distractors, and one :func:`bump_peak_sets` call finds the pool's one
+    batch of peaks from the bumps, in id order, without rendering a grid.
+    Only ``vl4pose`` and ``entropy`` read peaks: without them no distractor
+    is drawn and no peak found, and the pool holds no peaks. The pose and
+    render generators are streams of their own, so neither the order of
+    the draws nor skipping the render changes a pose or a distractor.
     ``truth`` maps each unlabeled id to the pose its peaks come from, and
     ``is_ood`` flags the planted out-of-distribution ids; only the
     simulation reads them, never the selection strategies.
@@ -353,37 +349,21 @@ def build_pool(cfg: SimulationConfig):
         f"held-{i:04d}": _sample_pose(pose_rng, cfg.generator, cfg)
         for i in range(cfg.heldout_size)
     }
-    truth, is_ood, chunks = {}, {}, []
-    with_peaks = not {"vl4pose", "entropy"}.isdisjoint(cfg.strategies)
-    pending = []  # (pose, distractors) of the chunk being drawn
     n_id = cfg.unlabeled_size - cfg.ood_count
-    for i in range(cfg.unlabeled_size):
-        ood = i >= n_id
-        gen = cfg.ood_generator if ood else cfg.generator
-        sample_id = f"unl-{i:04d}"
-        pose = _sample_pose(pose_rng, gen, cfg)
-        truth[sample_id] = pose
-        is_ood[sample_id] = ood
-        if not with_peaks:
-            continue
-        pending.append((pose.coordinates, _draw_distractors(render_rng, pose, cfg)))
-        if len(pending) == _CHUNK or i == cfg.unlabeled_size - 1:
-            centres, distractors = zip(*pending)
-            chunks.append(bump_peak_sets(
-                np.stack(centres), distractors, cfg.height, cfg.width, cfg.peak_sigma
-            ))
-            pending.clear()
+    is_ood = {f"unl-{i:04d}": i >= n_id for i in range(cfg.unlabeled_size)}
+    truth = {
+        sample_id: _sample_pose(pose_rng, cfg.ood_generator if ood else cfg.generator, cfg)
+        for sample_id, ood in is_ood.items()
+    }
+    peaks = None
+    if not {"vl4pose", "entropy"}.isdisjoint(cfg.strategies):
+        peaks = bump_peak_sets(
+            np.stack([pose.coordinates for pose in truth.values()]),
+            [_draw_distractors(render_rng, pose, cfg) for pose in truth.values()],
+            cfg.height, cfg.width, cfg.peak_sigma,
+        )
     unlabeled = {sample_id: i for i, sample_id in enumerate(truth)}
-    pool = SamplePool(labeled, unlabeled, _join(chunks) if chunks else None)
-    return pool, heldout, truth, is_ood
-
-
-def _join(batches: list[PeakSet]) -> PeakSet:
-    """The samples of ``batches`` of one joint count, in order, as one batch."""
-    starts = np.cumsum([0] + [len(batch.locs) for batch in batches])
-    parts = zip(*((batch.locs, batch.scores, batch.probs) for batch in batches))
-    offsets = np.concatenate([[0]] + [b.offsets[1:] + s for b, s in zip(batches, starts)])
-    return PeakSet(*map(np.concatenate, parts), offsets, batches[0].joint_count)
+    return SamplePool(labeled, unlabeled, peaks), heldout, truth, is_ood
 
 
 # --- the simulation loop --------------------------------------------------------

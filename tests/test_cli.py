@@ -608,6 +608,28 @@ class TestMaximaCommand:
         assert "--max-peaks" in capsys.readouterr().err
         assert not (tmp_path / "x.jsonl").exists()
 
+    def test_max_peaks_beyond_int64_keeps_every_peak(self, tmp_path):
+        """A bound no NumPy integer holds writes the lines of a bound of
+        every cell: 16 strict maxima a joint on 8x8 grids."""
+        grid = np.random.default_rng(3).random((2, 8, 8), dtype=np.float32)
+        grid[:, ::2, ::2] += 1.0
+        write_heatmap_file(Heatmap(grid), tmp_path / "hm.pshm")
+        manifest_path = tmp_path / "m.jsonl"
+        manifest_path.write_text(
+            json.dumps({"id": "x", "path": "hm.pshm"}) + "\n", encoding="utf-8"
+        )
+        lines = []
+        for max_peaks in ("64", "100000000000000000000"):
+            out = tmp_path / f"{max_peaks}.jsonl"
+            assert run_cli(
+                ["maxima", "--heatmaps", str(manifest_path), "--threshold", "0",
+                 "--max-peaks", max_peaks, "--out", str(out)]
+            ) == 0
+            lines.append(out.read_bytes())
+        assert lines[0] == lines[1]
+        (record,) = read_jsonl(tmp_path / "64.jsonl")
+        assert [len(peaks) for peaks in record["peaks"]] == [16, 16]
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "1e999", "-0.5", "1.5"])
     def test_non_finite_threshold_is_a_usage_error(self, tmp_path, capsys, threshold):
         manifest_path = self.two_bump_inputs(tmp_path)

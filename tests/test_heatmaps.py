@@ -11,6 +11,7 @@ import pytest
 
 from poselik import (
     BadMagic,
+    EmptyPeakSet,
     Heatmap,
     NonFiniteValue,
     OutOfBoundsCoordinate,
@@ -105,6 +106,13 @@ class TestPeakSetLayout:
     def test_rejects_a_layout_its_arrays_cannot_hold(self, changes, message):
         with pytest.raises(SchemaError, match=message):
             PeakSet(**two_joint_layout(**changes))
+
+    @pytest.mark.parametrize("joint_count", [0, None])
+    def test_a_set_of_no_joints_and_no_grids_is_empty(self, joint_count):
+        """A set of no joints is no batch of samples, whether its joint count
+        is given as 0 or taken from its 0 grids."""
+        with pytest.raises(EmptyPeakSet, match="needs a joint"):
+            PeakSet(np.zeros((0, 2), np.int64), np.zeros(0), np.zeros(0), [0], joint_count)
 
 
 def softmax(scores) -> np.ndarray:

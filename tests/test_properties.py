@@ -54,6 +54,7 @@ from poselik import (
     PoseLikError,
     PoseModelParams,
     SamplePool,
+    SchemaError,
     TruncatedPayload,
     VersionUnsupported,
     brute_force_best_pose,
@@ -646,12 +647,12 @@ def test_render_with_absent_joints_matches_reference(case):
 @st.composite
 def bump_cases(draw):
     """(centres, distractors, height, width, peak_sigma, threshold_ratio,
-    max_peaks) as ``bump_peak_sets`` takes them: 1-3 samples of 1-3 joints
+    max_peaks) as ``bump_peak_sets`` takes them: 1-6 samples of 1-3 joints
     on integer cells of an 8x8 or larger grid, often on its edges, with up
     to 6 distractors a sample, at times all on one joint. Some ratios are so
     small (or 0) that a patch covers the whole grid."""
     height, width = draw(st.integers(8, 40)), draw(st.integers(8, 40))
-    samples, joints = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    samples, joints = draw(st.integers(1, 6)), draw(st.integers(1, 3))
 
     def axis(size):
         return st.sampled_from((0, size - 1)) | st.integers(0, size - 1)
@@ -726,6 +727,21 @@ def test_an_overflowing_bump_raises_non_finite_on_both_paths():
     expected = (NonFiniteValue, "heatmap contains NaN or infinite scores")
     assert peaks_or_error(lambda: rendered_peak_sets(*case)) == expected
     assert peaks_or_error(lambda: bump_peak_sets(np.array(case[0]), *case[1:])) == expected
+
+
+@pytest.mark.parametrize("joint", [1.0, 1.5, np.int64(1)])
+def test_a_distractor_joint_is_an_integer_on_both_paths(joint):
+    """A float joint raises SchemaError naming it on both paths, whole or
+    not; a NumPy integer is the joint of its value."""
+    case = ([[(3, 4), (6, 1)]], [[(joint, (2, 2), 0.5)]], 8, 8, 1.5, 0.05, 10)
+    bumped = peaks_or_error(lambda: bump_peak_sets(np.array(case[0]), *case[1:]))
+    rendered = peaks_or_error(lambda: rendered_peak_sets(*case))
+    if isinstance(joint, float):
+        expected = (SchemaError, f"distractor joint {joint!r} is not an integer")
+        assert bumped == rendered == expected
+        return
+    assert_same_peaks(bumped, rendered)
+    assert_same_peaks(bumped, bump_peak_sets(np.array(case[0]), [[(1, (2, 2), 0.5)]], *case[2:]))
 
 
 def test_a_tiny_sigma_off_the_cells_renders_zeros_without_warnings():

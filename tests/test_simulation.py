@@ -271,27 +271,30 @@ class TestBuildPool:
         for sample_id, peaks in replayed_peaks(cfg, truth).items():
             assert_same_peaks(pool.peaks_for(sample_id), peaks)
 
-    def test_chunk_size_changes_no_peak(self, monkeypatch):
-        """Chunks of 1, 3, 8 and the default size store the replayed peaks,
-        byte for byte and in id order, on a pool of 13 samples, which none
-        of 3, 8 and the default size divides."""
+    def test_one_call_stores_the_replayed_peaks(self, monkeypatch):
+        """One bump_peak_sets call finds the whole pool's peaks: the replayed
+        peaks, byte for byte and in id order, on a pool of 13 samples with
+        3 distractors each."""
         doc = base_doc()
         doc["pool"]["unlabeled"] = 13
         doc["heatmap"].update(distractors=3, distractor_amplitude=0.5)
         cfg = SimulationConfig.from_dict(doc)
-        sizes = (1, 3, 8, simulation._CHUNK)
-        assert all(cfg.unlabeled_size % size for size in sizes[1:])
-        expected = None
-        for size in sizes:
-            monkeypatch.setattr(simulation, "_CHUNK", size)
-            pool, _, truth, _ = build_pool(cfg)
-            expected = expected or replayed_peaks(cfg, truth)
-            assert list(pool.unlabeled) == list(expected)
-            for sample_id, peaks in expected.items():
-                stored = pool.peaks_for(sample_id)
-                for name in ("locs", "scores", "probs", "offsets"):
-                    assert getattr(stored, name).dtype == getattr(peaks, name).dtype
-                    assert getattr(stored, name).tobytes() == getattr(peaks, name).tobytes()
+        calls, bump_peak_sets = [], simulation.bump_peak_sets
+
+        def counted(centres, *args):
+            calls.append(len(centres))
+            return bump_peak_sets(centres, *args)
+
+        monkeypatch.setattr(simulation, "bump_peak_sets", counted)
+        pool, _, truth, _ = build_pool(cfg)
+        assert calls == [cfg.unlabeled_size]
+        expected = replayed_peaks(cfg, truth)
+        assert list(pool.unlabeled) == list(expected)
+        for sample_id, peaks in expected.items():
+            stored = pool.peaks_for(sample_id)
+            for name in ("locs", "scores", "probs", "offsets"):
+                assert getattr(stored, name).dtype == getattr(peaks, name).dtype
+                assert getattr(stored, name).tobytes() == getattr(peaks, name).tobytes()
 
     def test_a_random_only_pool_renders_nothing(self, monkeypatch):
         """Only vl4pose and entropy read peaks: without them the pool holds
