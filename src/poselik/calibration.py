@@ -54,8 +54,6 @@ class LabeledPoseSet:
                     f"pose #{i} dimension {pose.dimension} != skeleton "
                     f"dimension {self.skeleton.dimension}"
                 )
-            if not pose.complete:
-                raise InsufficientData(f"pose #{i} has missing joints")
         weights = np.asarray(self.weights, dtype=np.float64)
         if weights.shape != (len(self.poses),):
             raise SchemaError(
@@ -176,7 +174,7 @@ def read_labeled_poses(path, skeleton: Skeleton | None = None) -> list[tuple[str
                 f"{skeleton.dimension}"
             )
         with errors_at(where):
-            records.append((sample_id, Pose.of(coords)))
+            records.append((sample_id, Pose(coords)))
     if not records:
         raise EmptyInput(f"{path}: no labeled poses")
     return records

@@ -85,7 +85,7 @@ class OutOfBoundsCoordinate(PoseLikError):
 # --- likelihood evaluation -------------------------------------------------
 
 class MissingJoint(PoseLikError):
-    """A pose lacks a joint required for evaluation."""
+    """A sample that point scoring needs a pose for has none."""
 
 
 class DimensionMismatch(PoseLikError):

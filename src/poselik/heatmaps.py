@@ -9,7 +9,6 @@ computation consumes.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import struct
@@ -375,14 +374,23 @@ def _gaussian(dr: np.ndarray, dc: np.ndarray, inv: float, out: np.ndarray) -> np
     return np.exp(out, out=out)
 
 
-@functools.lru_cache(maxsize=1)
+def _bump_inv(peak_sigma: float) -> float:
+    """``1 / (2 * peak_sigma**2)``, the scale of every bump's exponent.
+
+    A square that underflows to 0 gives ``inf``, as a slightly larger
+    sigma's overflowing quotient does, so both reach :func:`_gaussian`'s
+    zeros and NaN centres rather than a ``ZeroDivisionError``.
+    """
+    if peak_sigma <= 0:
+        raise SchemaError(f"peak_sigma must be > 0, got {peak_sigma}")
+    square = 2.0 * peak_sigma * peak_sigma
+    return 1.0 / square if square else math.inf
+
+
 def _gaussian_table(height: int, width: int, inv: float) -> np.ndarray:
     """The bump at every integer offset: entry ``(height - 1 + dr, width - 1 + dc)``
-    is its value ``dr`` rows and ``dc`` columns from its centre.
-
-    Keyed by ``inv``, not ``peak_sigma``: the table depends on nothing else,
-    and equal sigmas of different dtypes can give different ``inv``. Read-only,
-    because every :func:`bump_peak_sets` call of this shape shares it.
+    is its value ``dr`` rows and ``dc`` columns from its centre. Read-only:
+    :func:`bump_peak_sets` only gathers from it.
     """
     dr = np.arange(1 - height, height, dtype=np.float64)[:, None]
     dc = np.arange(1 - width, width, dtype=np.float64)[None, :]
@@ -409,19 +417,15 @@ def render_gaussian_heatmap(
     """
     if pose.dimension != 2:
         raise OutOfBoundsCoordinate("rendering requires 2D poses")
-    if peak_sigma <= 0:
-        raise SchemaError(f"peak_sigma must be > 0, got {peak_sigma}")
+    inv = _bump_inv(peak_sigma)
     n = pose.n_joints
     centres = pose.coordinates.tolist()
-    present = pose.present.tolist()
     rows = np.arange(height, dtype=np.float64)[:, None]
     cols = np.arange(width, dtype=np.float64)[None, :]
-    inv = 1.0 / (2.0 * peak_sigma * peak_sigma)
     maps = np.zeros((n, height, width), dtype=np.float64)
     for j in range(n):
-        if present[j]:
-            _check_cell(*centres[j], height, width)
-            _gaussian(rows - centres[j][0], cols - centres[j][1], inv, maps[j])
+        _check_cell(*centres[j], height, width)
+        _gaussian(rows - centres[j][0], cols - centres[j][1], inv, maps[j])
     for joint, (row, col), amplitude in distractors or ():
         joint = _joint_index(joint, n)
         _check_cell(row, col, height, width)
@@ -436,7 +440,7 @@ def _check_cell(row: float, col: float, height: int, width: int) -> None:
 
 def _joint_index(joint, joints: int) -> int:
     """A distractor's ``joint`` as the index of one of a sample's ``joints`` grids."""
-    if not isinstance(joint, (int, np.integer)):
+    if isinstance(joint, bool) or not isinstance(joint, (int, np.integer)):
         raise SchemaError(f"distractor joint {joint!r} is not an integer")
     if not 0 <= joint < joints:
         raise JointOutOfRange(f"distractor joint {joint} outside [0, {joints})")
@@ -455,9 +459,9 @@ def bump_peak_sets(
     """The batch :func:`extract_peak_sets` finds in the grids
     :func:`render_gaussian_heatmap` renders, found without rendering a grid.
 
-    ``centres`` is a ``(B, J, 2)`` array of each sample's joint cells, every
-    joint present, and ``distractors[b]`` lists sample ``b``'s
-    ``(joint, (row, col), amplitude)`` bumps. Every bump sits on an integer
+    ``centres`` is a ``(B, J, 2)`` array of each sample's joint cells, and
+    ``distractors[b]`` lists sample ``b``'s ``(joint, (row, col), amplitude)``
+    bumps. Every bump sits on an integer
     cell of the grid, and every amplitude lies in [0, 1].
 
     A cell's score is ``float32(clip(sum(a_k * T[cell - c_k]), 0, 1))``
@@ -473,8 +477,7 @@ def bump_peak_sets(
     """
     if max_peaks < 1:
         raise SchemaError(f"max_peaks must be >= 1, got {max_peaks}")
-    if peak_sigma <= 0:
-        raise SchemaError(f"peak_sigma must be > 0, got {peak_sigma}")
+    inv = _bump_inv(peak_sigma)
     centres = np.asarray(centres, dtype=np.float64)
     if not (centres.ndim == 3 and centres.shape[1] >= 1 and centres.shape[2] == 2
             and len(distractors) == len(centres) and min(height, width) >= 3):
@@ -499,7 +502,6 @@ def bump_peak_sets(
     counts = np.bincount(owner)
     starts = np.cumsum(counts) - counts
 
-    inv = 1.0 / (2.0 * peak_sigma * peak_sigma)  # the renderer's, so its bump values
     table = _gaussian_table(height, width, inv).reshape(-1)
     none = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))  # of an empty batch
     candidates, maxima = [none], [none]

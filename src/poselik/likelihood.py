@@ -2,7 +2,7 @@
 
 Three evaluation modes share the same per-link Gaussian densities:
 
-* point: score one complete pose,
+* point: score one pose,
 * expected: average the link terms over each joint's peak distribution,
 * refined: pick one peak per joint maximizing peak probability plus
   link density, via exact max-sum dynamic programming on the tree, run
@@ -22,7 +22,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyPeakSet,
-    MissingJoint,
     SchemaError,
     SearchSpaceTooLarge,
 )
@@ -168,13 +167,10 @@ def _check_pose(pose: Pose, params: PoseModelParams) -> None:
         raise DimensionMismatch(
             f"pose dimension {pose.dimension} != skeleton dimension {skel.dimension}"
         )
-    if not pose.complete:
-        absent = int(np.argmin(pose.present))
-        raise MissingJoint(f"joint {skel.joints[absent]!r} is missing from the pose")
 
 
 def _point_terms(poses, params: PoseModelParams):
-    """Root terms ``(B,)`` and per-link terms ``(B,)`` of complete poses."""
+    """Root terms ``(B,)`` and per-link terms ``(B,)`` of poses."""
     for pose in poses:
         _check_pose(pose, params)
     coords = np.stack([pose.coordinates for pose in poses], axis=1)  # (J, B, D)
@@ -183,7 +179,7 @@ def _point_terms(poses, params: PoseModelParams):
 
 
 def point_log_likelihood(pose: Pose, params: PoseModelParams) -> LikelihoodReport:
-    """Log-likelihood of one complete pose: root prior + per-link terms."""
+    """Log-likelihood of one pose: root prior + per-link terms."""
     return _reports(*_point_terms([pose], params), "point")[0]
 
 
@@ -395,7 +391,7 @@ def _finish(
     for term in (*joint_terms, root_term, *link_terms):
         objective += term
     return RefinedPose(
-        pose=Pose.of([joint_locs[row, i] for joint_locs, i in zip(locs, indices)]),
+        pose=Pose([joint_locs[row, i] for joint_locs, i in zip(locs, indices)]),
         log_likelihood=root_term + sum(link_terms),
         chosen_peak_index=tuple(int(i) for i in indices),
         objective=objective,

@@ -183,10 +183,9 @@ def validate_skeleton(candidate: dict) -> Skeleton:
 
 @dataclass(frozen=True, eq=False)
 class Pose:
-    """One keypoint location per joint plus per-joint presence flags."""
+    """One keypoint location per joint."""
 
     coordinates: np.ndarray  # (N, D) float64
-    present: np.ndarray      # (N,) bool
 
     def __post_init__(self):
         coords = np.asarray(self.coordinates, dtype=np.float64)
@@ -194,18 +193,7 @@ class Pose:
             raise DimensionMismatch(f"coordinates must be (N, D), got shape {coords.shape}")
         if not np.all(np.isfinite(coords)):
             raise SchemaError("pose coordinates must be finite")
-        present = np.asarray(self.present, dtype=bool)
-        if present.shape != (coords.shape[0],):
-            raise DimensionMismatch("present flags must have one entry per joint")
         object.__setattr__(self, "coordinates", _freeze(coords))
-        object.__setattr__(self, "present", _freeze(present))
-
-    @classmethod
-    def of(cls, coordinates, present=None) -> "Pose":
-        coords = np.asarray(coordinates, dtype=np.float64)
-        if present is None:
-            present = np.ones(coords.shape[0], dtype=bool)
-        return cls(coordinates=coords, present=present)
 
     @property
     def n_joints(self) -> int:
@@ -214,10 +202,6 @@ class Pose:
     @property
     def dimension(self) -> int:
         return self.coordinates.shape[1]
-
-    @property
-    def complete(self) -> bool:
-        return bool(self.present.all())
 
 
 @dataclass(frozen=True)

@@ -293,7 +293,7 @@ def _sample_pose(rng: np.random.Generator, gen: GeneratorParams, cfg: Simulation
             continue  # round() takes finite floats only
         cells = [(round(row), round(col)) for row, col in coords]  # halves to even, as np.rint
         if all(1 <= row <= h - 2 and 1 <= col <= w - 2 for row, col in cells):
-            return Pose.of(cells)
+            return Pose(cells)
     raise ConfigInvalid(
         f"generator failed to place a pose inside the {h}x{w} grid after "
         f"{_MAX_POSE_ATTEMPTS} attempts; link lengths are too large for the grid"

@@ -388,11 +388,9 @@ def eight_comparison_peaks(values, threshold_ratio: float, max_peaks: int) -> Pe
     )
 
 
-def render_reference(coords, height: int, width: int, peak_sigma: float, distractors,
-                     present=None):
-    """float32 grids of one out-of-place Gaussian bump per present joint
-    (all by default) and per (joint, (row, col), amplitude) distractor,
-    summed then clipped to [0, 1]."""
+def render_reference(coords, height: int, width: int, peak_sigma: float, distractors):
+    """float32 grids of one out-of-place Gaussian bump per joint and per
+    (joint, (row, col), amplitude) distractor, summed then clipped to [0, 1]."""
     rows = np.arange(height, dtype=np.float64)[:, None]
     cols = np.arange(width, dtype=np.float64)[None, :]
     inv = 1.0 / (2.0 * peak_sigma * peak_sigma)
@@ -402,8 +400,7 @@ def render_reference(coords, height: int, width: int, peak_sigma: float, distrac
 
     maps = np.zeros((len(coords), height, width), dtype=np.float64)
     for j, (row, col) in enumerate(coords):
-        if present is None or present[j]:
-            maps[j] += bump(row, col)
+        maps[j] += bump(row, col)
     for joint, (row, col), amplitude in distractors:
         maps[joint] += amplitude * bump(row, col)
     return np.clip(maps, 0.0, 1.0).astype(np.float32)

@@ -135,7 +135,7 @@ def test_criterion_4_fitted_parameters_are_local_optima():
         for _ in range(100):
             skeleton = random_tree_skeleton(rng, int(rng.integers(2, 7)))
             poses = [
-                Pose.of(rng.uniform(0.0, 40.0, size=(skeleton.n_joints, 2)))
+                Pose(rng.uniform(0.0, 40.0, size=(skeleton.n_joints, 2)))
                 for _ in range(int(rng.integers(4, 13)))
             ]
             data = LabeledPoseSet.of(skeleton, poses)
@@ -251,7 +251,7 @@ def test_criterion_7_single_thread_scoring_throughput(tmp_path, monkeypatch):
         for i in range(50):
             rows = 4.0 + np.arange(joints) * 3.5 + rng.uniform(-1, 1, size=joints)
             cols = 16.0 + rng.uniform(-8, 8, size=joints).cumsum().clip(-12, 12) + 24.0
-            pose = Pose.of(np.column_stack([rows.clip(2, 61), cols.clip(2, 61)]))
+            pose = Pose(np.column_stack([rows.clip(2, 61), cols.clip(2, 61)]))
             distractors = [
                 (int(rng.integers(joints)),
                  (float(rng.integers(2, 62)), float(rng.integers(2, 62))),

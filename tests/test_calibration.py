@@ -33,7 +33,7 @@ TWO_JOINTS = {"joints": ["a", "b"], "root": 0, "dimension": 2, "links": [[0, 1]]
 
 def poses_with_distances(distances):
     """Horizontal two-joint poses whose link lengths are given exactly."""
-    return [Pose.of([[0.0, 0.0], [0.0, float(d)]]) for d in distances]
+    return [Pose([[0.0, 0.0], [0.0, float(d)]]) for d in distances]
 
 
 class TestLabeledPoseSet:
@@ -42,18 +42,12 @@ class TestLabeledPoseSet:
         with pytest.raises(InsufficientData):
             LabeledPoseSet.of(skel, poses_with_distances([5]))
 
-    def test_rejects_incomplete_pose(self):
-        skel = validate_skeleton(TWO_JOINTS)
-        bad = Pose.of([[0, 0], [0, 5]], present=[True, False])
-        with pytest.raises(InsufficientData):
-            LabeledPoseSet.of(skel, [bad, bad])
-
     def test_rejects_shape_mismatches(self):
         skel = validate_skeleton(TWO_JOINTS)
         with pytest.raises(SchemaError):
-            LabeledPoseSet.of(skel, [Pose.of(np.zeros((3, 2)))] * 2)
+            LabeledPoseSet.of(skel, [Pose(np.zeros((3, 2)))] * 2)
         with pytest.raises(SchemaError):
-            LabeledPoseSet.of(skel, [Pose.of(np.zeros((2, 3)))] * 2)
+            LabeledPoseSet.of(skel, [Pose(np.zeros((2, 3)))] * 2)
 
     def test_rejects_bad_weights(self):
         skel = validate_skeleton(TWO_JOINTS)
@@ -156,7 +150,7 @@ class TestFitOffsetParams:
         true_offset = np.array([2.0, -3.0])
         true_cov = np.array([[2.0, 0.7], [0.7, 1.2]])
         disp = rng.multivariate_normal(true_offset, true_cov, size=10_000)
-        poses = [Pose.of([[0.0, 0.0], list(d)]) for d in disp]
+        poses = [Pose([[0.0, 0.0], list(d)]) for d in disp]
         fitted = fit_offset_params(LabeledPoseSet.of(skel, poses), 0, 1)
         np.testing.assert_allclose(fitted.offset, true_offset, rtol=0.1, atol=0.05)
         np.testing.assert_allclose(fitted.covariance, true_cov, rtol=0.1, atol=0.05)
@@ -166,7 +160,7 @@ class TestFitOffsetParams:
         skel = validate_skeleton(TWO_JOINTS)
         disp = rng.uniform(-5, 5, size=(30, 2))
         weights = rng.uniform(0.5, 2.0, size=30)
-        poses = [Pose.of([[0.0, 0.0], list(d)]) for d in disp]
+        poses = [Pose([[0.0, 0.0], list(d)]) for d in disp]
         fitted = fit_offset_params(LabeledPoseSet.of(skel, poses, weights), 0, 1)
         w = weights / weights.sum()
         mean = w @ disp
@@ -186,7 +180,7 @@ class TestFitModel:
     def test_fits_every_link(self):
         rng = np.random.default_rng(42)
         skel = random_tree_skeleton(rng, 6)
-        poses = [Pose.of(rng.uniform(0, 40, size=(6, 2))) for _ in range(15)]
+        poses = [Pose(rng.uniform(0, 40, size=(6, 2))) for _ in range(15)]
         data = LabeledPoseSet.of(skel, poses)
         model = fit_model(data, "distance")
         assert len(model.link_params) == skel.n_links
@@ -197,7 +191,7 @@ class TestFitModel:
     def test_unknown_kind(self):
         rng = np.random.default_rng(42)
         skel = random_tree_skeleton(rng, 3)
-        data = LabeledPoseSet.of(skel, [Pose.of(rng.uniform(0, 9, size=(3, 2))) for _ in range(4)])
+        data = LabeledPoseSet.of(skel, [Pose(rng.uniform(0, 9, size=(3, 2))) for _ in range(4)])
         with pytest.raises(SchemaError):
             fit_model(data, "mystery")
 

@@ -69,7 +69,7 @@ def write_inputs(tmp_path, n_samples=3):
 
     entries = []
     for i in range(n_samples):
-        pose = Pose.of([[20.0 + i, 14.0], [20.0 + i, 20.0], [20.0 + i, 26.0]])
+        pose = Pose([[20.0 + i, 14.0], [20.0 + i, 20.0], [20.0 + i, 26.0]])
         hm = render_gaussian_heatmap(pose, 48, 48, peak_sigma=1.5)
         name = f"sample-{i}.pshm"
         write_heatmap_file(hm, tmp_path / name)
@@ -161,7 +161,7 @@ class TestScoreCommand:
         manifest_path.write_text(
             json.dumps({"id": "a", "path": "missing.pshm"}) + "\n", encoding="utf-8"
         )
-        pose = Pose.of([[20, 14], [20, 20], [20, 26]])
+        pose = Pose([[20, 14], [20, 20], [20, 26]])
         poses_path = tmp_path / "poses.jsonl"
         poses_path.write_text(
             json.dumps({"id": "a", "pose": pose.coordinates.tolist()}) + "\n",
@@ -450,7 +450,7 @@ class TestCalibrateCommand:
         skel = validate_skeleton(SKELETON_DOC)
         data = LabeledPoseSet.of(
             skel,
-            [Pose.of([[20, 10], [20, 10 + d], [20, 10 + 2 * d]]) for d in (4, 6, 8)],
+            [Pose([[20, 10], [20, 10 + d], [20, 10 + 2 * d]]) for d in (4, 6, 8)],
         )
         for link_idx, (parent, child) in enumerate(skel.links):
             direct = fit_distance_params(data, parent, child)
@@ -767,6 +767,19 @@ class TestSimulateCommand:
         assert json.loads(out.read_text())["config"]["seed"] == 8
         assert not manifest.exists()
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    @pytest.mark.parametrize("peak_sigma", [1e-160, 1e-200])
+    def test_a_tiny_peak_sigma_exits_4_without_outputs(self, tmp_path, capsys, peak_sigma):
+        # 2 * sigma**2 is subnormal at 1e-160 and 0 at 1e-200: each bump's centre is NaN.
+        doc = self.config_doc()
+        doc["heatmap"]["peak_sigma"] = peak_sigma
+        out = tmp_path / "x.json"
+        assert run_cli(
+            ["simulate", "--config", str(self.write_config(tmp_path, doc)), "--out", str(out)]
+        ) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].endswith("heatmap contains NaN or infinite scores")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("infeasible", ["distractor", "link_lengths"])
     def test_infeasible_config_exits_3_without_outputs(self, tmp_path, capsys, infeasible):

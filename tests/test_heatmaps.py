@@ -199,13 +199,13 @@ class TestLocalMaxima:
         assert peaks.locs[0].tolist() == [2, 2]
 
     def test_two_separated_bumps(self):
-        pose = Pose.of([[10.0, 10.0]])
+        pose = Pose([[10.0, 10.0]])
         hm = render_gaussian_heatmap(pose, 64, 64, 2.0, distractors=[(0, (50.0, 50.0), 0.6)])
         peaks = extract_peaks(hm)
         assert peaks.locs.tolist() == [[10, 10], [50, 50]]
 
     def test_threshold_drops_weak_peaks(self):
-        pose = Pose.of([[10.0, 10.0]])
+        pose = Pose([[10.0, 10.0]])
         hm = render_gaussian_heatmap(pose, 64, 64, 2.0, distractors=[(0, (50.0, 50.0), 0.02)])
         assert extract_peaks(hm, threshold_ratio=0.05).counts() == (1,)
         assert extract_peaks(hm, threshold_ratio=0.01).counts() == (2,)
@@ -241,7 +241,7 @@ class TestLocalMaxima:
         assert (len(peaks), peaks.joint_count, peaks.offsets.tolist()) == (0, 2, [0])
 
     def test_extract_peaks_all_joints(self):
-        pose = Pose.of([[5.0, 5.0], [20.0, 20.0]])
+        pose = Pose([[5.0, 5.0], [20.0, 20.0]])
         hm = render_gaussian_heatmap(pose, 32, 32, 1.5)
         peaks = extract_peaks(hm)
         assert peaks.joint_count == 2
@@ -334,14 +334,14 @@ class TestHeatmapFileFormat:
 
 class TestRenderGaussianHeatmap:
     def test_bump_argmax_at_coordinate(self):
-        pose = Pose.of([[10.0, 10.0]])
+        pose = Pose([[10.0, 10.0]])
         hm = render_gaussian_heatmap(pose, 64, 64, 2.0)
         flat = int(np.argmax(hm.values[0]))
         assert (flat // 64, flat % 64) == (10, 10)
         assert hm.values[0, 10, 10] == pytest.approx(1.0)
 
     def test_values_clipped(self):
-        pose = Pose.of([[10.0, 10.0]])
+        pose = Pose([[10.0, 10.0]])
         hm = render_gaussian_heatmap(
             pose, 32, 32, 2.0, distractors=[(0, (10.0, 11.0), 0.9)]
         )
@@ -349,16 +349,11 @@ class TestRenderGaussianHeatmap:
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(OutOfBoundsCoordinate):
-            render_gaussian_heatmap(Pose.of([[40.0, 10.0]]), 32, 32, 2.0)
+            render_gaussian_heatmap(Pose([[40.0, 10.0]]), 32, 32, 2.0)
         with pytest.raises(OutOfBoundsCoordinate):
             render_gaussian_heatmap(
-                Pose.of([[10.0, 10.0]]), 32, 32, 2.0, distractors=[(0, (-1.0, 5.0), 0.5)]
+                Pose([[10.0, 10.0]]), 32, 32, 2.0, distractors=[(0, (-1.0, 5.0), 0.5)]
             )
-
-    def test_absent_joint_renders_empty(self):
-        pose = Pose.of([[10.0, 10.0], [20.0, 20.0]], present=[True, False])
-        hm = render_gaussian_heatmap(pose, 32, 32, 2.0)
-        assert hm.values[1].max() == 0.0
 
 
 class TestManifest:

@@ -9,7 +9,6 @@ from poselik import (
     DimensionMismatch,
     DistanceParams,
     EmptyPeakSet,
-    MissingJoint,
     OffsetParams,
     Pose,
     PoseModelParams,
@@ -131,7 +130,7 @@ class TestPointLogLikelihood:
             skel = random_tree_skeleton(rng, int(rng.integers(2, 10)))
             model = random_distance_model(rng, skel, root_prior=bool(rng.integers(2)))
             coords = rng.uniform(0, 40, size=(skel.n_joints, 2))
-            report = point_log_likelihood(Pose.of(coords), model)
+            report = point_log_likelihood(Pose(coords), model)
             assert report.total == pytest.approx(oracle_point_ll(coords, model), abs=1e-9)
             assert report.mode == "point"
             assert report.total == pytest.approx(
@@ -143,7 +142,7 @@ class TestPointLogLikelihood:
         skel = random_tree_skeleton(rng, 5)
         model = random_offset_model(rng, skel)
         coords = rng.uniform(0, 40, size=(5, 2))
-        report = point_log_likelihood(Pose.of(coords), model)
+        report = point_log_likelihood(Pose(coords), model)
         assert report.total == pytest.approx(oracle_point_ll(coords, model), abs=1e-9)
 
     def test_additive_over_links(self):
@@ -152,13 +151,13 @@ class TestPointLogLikelihood:
         skel = random_tree_skeleton(rng, 6)
         model = random_distance_model(rng, skel)
         coords = rng.uniform(0, 40, size=(6, 2))
-        base = point_log_likelihood(Pose.of(coords), model)
+        base = point_log_likelihood(Pose(coords), model)
         bumped_links = list(model.link_params)
         bumped_links[2] = DistanceParams(
             bumped_links[2].mean_distance + 1.0, bumped_links[2].sigma
         )
         bumped = point_log_likelihood(
-            Pose.of(coords),
+            Pose(coords),
             PoseModelParams(skeleton=skel, link_params=tuple(bumped_links), model_kind="distance"),
         )
         for i in range(skel.n_links):
@@ -172,8 +171,8 @@ class TestPointLogLikelihood:
         skel = random_tree_skeleton(rng, 7)
         model = random_distance_model(rng, skel)
         coords = rng.integers(0, 40, size=(7, 2)).astype(np.float64)
-        base = point_log_likelihood(Pose.of(coords), model)
-        moved = point_log_likelihood(Pose.of(coords + np.array([13.0, -7.0])), model)
+        base = point_log_likelihood(Pose(coords), model)
+        moved = point_log_likelihood(Pose(coords + np.array([13.0, -7.0])), model)
         assert moved.total == base.total  # integer shift: exact
 
     def test_validation(self):
@@ -184,13 +183,9 @@ class TestPointLogLikelihood:
             model_kind="distance",
         )
         with pytest.raises(DimensionMismatch):
-            point_log_likelihood(Pose.of(np.zeros((2, 2))), model)
+            point_log_likelihood(Pose(np.zeros((2, 2))), model)
         with pytest.raises(DimensionMismatch):
-            point_log_likelihood(Pose.of(np.zeros((3, 3))), model)
-        with pytest.raises(MissingJoint, match="j1"):
-            point_log_likelihood(
-                Pose.of(np.zeros((3, 2)), present=[True, False, True]), model
-            )
+            point_log_likelihood(Pose(np.zeros((3, 3))), model)
 
 
 class TestExpectedLogLikelihood:
@@ -201,7 +196,7 @@ class TestExpectedLogLikelihood:
             model = random_distance_model(rng, skel, root_prior=True)
             peaks = random_peakset(rng, skel.n_joints, counts=[1] * skel.n_joints)
             expected = expected_log_likelihood(peaks, model)
-            point = point_log_likelihood(Pose.of(peaks.locs[peaks.offsets[:-1]]), model)
+            point = point_log_likelihood(Pose(peaks.locs[peaks.offsets[:-1]]), model)
             assert expected.total == pytest.approx(point.total, abs=1e-12)
 
     def test_matches_pairwise_oracle(self):
@@ -461,7 +456,7 @@ class TestSerialization:
         model = PoseModelParams(
             skeleton=skel, link_params=(DistanceParams(5.0, 1.0),), model_kind="distance"
         )
-        report = point_log_likelihood(Pose.of([[0, 0], [0, 5]]), model)
+        report = point_log_likelihood(Pose([[0, 0], [0, 5]]), model)
         record = report.to_json_dict("s1")
         assert record == {
             "id": "s1",

@@ -142,23 +142,16 @@ class TestSkeletonOrderings:
 
 class TestPose:
     def test_construction_and_flags(self):
-        pose = Pose.of([[1.0, 2.0], [3.0, 4.0]])
+        pose = Pose([[1.0, 2.0], [3.0, 4.0]])
         assert pose.n_joints == 2
         assert pose.dimension == 2
-        assert pose.complete
         assert not pose.coordinates.flags.writeable
-
-    def test_partial_pose(self):
-        pose = Pose.of([[1, 2], [3, 4]], present=[True, False])
-        assert not pose.complete
 
     def test_validation(self):
         with pytest.raises(DimensionMismatch):
-            Pose.of([1.0, 2.0])  # 1-D array
+            Pose([1.0, 2.0])  # 1-D array
         with pytest.raises(SchemaError):
-            Pose.of([[np.nan, 0.0]])
-        with pytest.raises(DimensionMismatch):
-            Pose(coordinates=np.zeros((2, 2)), present=np.ones(3, dtype=bool))
+            Pose([[np.nan, 0.0]])
 
 
 class TestLinkParams:

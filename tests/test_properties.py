@@ -16,7 +16,7 @@ extraction is checked bit for bit against a per-joint loop and against a
 full-grid 8-comparison pass on grids full of ties, plateaus, border and
 negative maxima, and a stacked extraction against each sample's own, in
 candidate slices of any size; the heatmap renderer (bumps on cells and
-between them, present and absent joints) against its out-of-place
+between them) against its out-of-place
 formula; the peaks found from bumps on integer cells against those
 extracted from the rendered grids; and the ranking AUC against its
 pairwise definition. Fuzzed manifests and heatmap files must
@@ -46,6 +46,7 @@ from poselik import (
     BadMagic,
     DistanceParams,
     Heatmap,
+    JointOutOfRange,
     LabeledPoseSet,
     NonFiniteValue,
     OffsetParams,
@@ -314,7 +315,7 @@ def test_stacked_point_scoring_equals_per_pose_scoring(model, data):
         st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
         min_size=skeleton.n_joints, max_size=skeleton.n_joints,
     )
-    poses = [Pose.of(c) for c in data.draw(st.lists(coords, min_size=1, max_size=5))]
+    poses = [Pose(c) for c in data.draw(st.lists(coords, min_size=1, max_size=5))]
     assert point_log_likelihoods(poses, model) == [
         point_log_likelihood(pose, model).total for pose in poses
     ]
@@ -529,7 +530,7 @@ def test_closed_form_fits_are_optimal(case, steps):
     flattens, so there only the offset is checked."""
     disp, weights = case
     skel = validate_skeleton({"joints": ["a", "b"], "root": 0, "links": [[0, 1]]})
-    data = LabeledPoseSet.of(skel, [Pose.of([[0.0, 0.0], d]) for d in disp], weights)
+    data = LabeledPoseSet.of(skel, [Pose([[0.0, 0.0], d]) for d in disp], weights)
 
     def gain(fitted, perturbed):
         base = weighted_log_likelihood(disp, weights, fitted)
@@ -598,7 +599,7 @@ def render_cases(draw):
 def assert_renders_like_reference(case):
     coords, height, width, peak_sigma, distractors = case
     rendered = render_gaussian_heatmap(
-        Pose.of(coords), height, width, peak_sigma, distractors=distractors
+        Pose(coords), height, width, peak_sigma, distractors=distractors
     )
     expected = render_reference(coords, height, width, peak_sigma, distractors)
     assert rendered.values.tobytes() == expected.tobytes()
@@ -609,39 +610,23 @@ def assert_renders_like_reference(case):
 @PROPERTY_SETTINGS
 @given(render_cases(), render_cases())
 def test_render_matches_out_of_place_formula(case, other):
-    # Rendering another shape before and after shows the cached bump table
-    # never serves other arguments.
+    # Rendering another shape before and after shows no state carries over
+    # from one call to the next.
     for each in (other, case, other):
         assert_renders_like_reference(each)
 
 
-@st.composite
-def presence_render_cases(draw):
-    """A render case plus each joint's presence flag."""
-    coords, height, width, peak_sigma, distractors = draw(render_cases())
-    present = draw(st.lists(st.booleans(), min_size=len(coords), max_size=len(coords)))
-    return coords, present, height, width, peak_sigma, distractors
-
-
 @PROPERTY_SETTINGS
-@example(([(3.0, 3.0), (5.0, 6.5)], [True, True], 9, 9, 1.0, []))  # no distractor
+@example(([(3.0, 3.0), (5.0, 6.5)], 9, 9, 1.0, []))  # no distractor
 @example(  # two distractors on one joint
-    ([(3.0, 3.0), (5.0, 6.0)], [True, True], 9, 9, 1.0, [(1, (1.0, 1.0), 0.4), (1, (7.0, 2.5), 0.9)])
+    ([(3.0, 3.0), (5.0, 6.0)], 9, 9, 1.0, [(1, (1.0, 1.0), 0.4), (1, (7.0, 2.5), 0.9)])
 )
-@example(  # absent joints, one of them with a distractor
-    ([(3.0, 3.0), (5.0, 6.0), (2.0, 2.0)], [False, True, False], 9, 9, 1.0, [(0, (4.0, 4.0), 0.5)])
-)
-@example(([(4.0, 4.0)], [True], 9, 9, 1.5, [(0, (4.0, 4.0), 0.8), (0, (4.0, 5.0), 1.0)]))  # 2.6 at (4, 4)
-@given(presence_render_cases())
+@example(([(4.0, 4.0)], 9, 9, 1.5, [(0, (4.0, 4.0), 0.8), (0, (4.0, 5.0), 1.0)]))  # 2.6 at (4, 4)
+@given(render_cases())
 def test_render_with_absent_joints_matches_reference(case):
-    """Every cell of every joint, present or absent, with or without
-    distractors, holds the out-of-place formula's value."""
-    coords, present, height, width, peak_sigma, distractors = case
-    rendered = render_gaussian_heatmap(
-        Pose.of(coords, present), height, width, peak_sigma, distractors
-    )
-    expected = render_reference(coords, height, width, peak_sigma, distractors, present)
-    assert rendered.values.tobytes() == expected.tobytes()
+    """Every cell of every joint, with or without distractors, several on
+    one joint or clipped above 1, holds the out-of-place formula's value."""
+    assert_renders_like_reference(case)
 
 
 @st.composite
@@ -687,7 +672,7 @@ def peaks_or_error(call):
 
 def rendered_peak_sets(centres, distractors, height, width, peak_sigma, ratio, max_peaks):
     values = np.stack([
-        render_gaussian_heatmap(Pose.of(c), height, width, peak_sigma, d).values
+        render_gaussian_heatmap(Pose(c), height, width, peak_sigma, d).values
         for c, d in zip(centres, distractors)
     ])
     return extract_peak_sets(values, ratio, max_peaks)
@@ -721,22 +706,23 @@ def test_bump_peak_sets_equal_peaks_of_the_rendered_grids(case, cells_per_pass):
 
 
 def test_an_overflowing_bump_raises_non_finite_on_both_paths():
-    """With ``2 * sigma**2`` subnormal, ``1 / (2 * sigma**2)`` overflows and
-    each bump's centre cell is NaN."""
-    case = ([[(3, 4), (6, 1)]], [[(1, (2, 2), 0.5)]], 8, 8, 1e-160, 0.05, 10)
+    """With ``2 * sigma**2`` subnormal (1e-160) or 0 (1e-200),
+    ``1 / (2 * sigma**2)`` is infinite and each bump's centre cell is NaN."""
     expected = (NonFiniteValue, "heatmap contains NaN or infinite scores")
-    assert peaks_or_error(lambda: rendered_peak_sets(*case)) == expected
-    assert peaks_or_error(lambda: bump_peak_sets(np.array(case[0]), *case[1:])) == expected
+    for peak_sigma in (1e-160, 1e-200):
+        case = ([[(3, 4), (6, 1)]], [[(1, (2, 2), 0.5)]], 8, 8, peak_sigma, 0.05, 10)
+        assert peaks_or_error(lambda: rendered_peak_sets(*case)) == expected
+        assert peaks_or_error(lambda: bump_peak_sets(np.array(case[0]), *case[1:])) == expected
 
 
-@pytest.mark.parametrize("joint", [1.0, 1.5, np.int64(1)])
+@pytest.mark.parametrize("joint", [1.0, 1.5, np.int64(1), True])
 def test_a_distractor_joint_is_an_integer_on_both_paths(joint):
-    """A float joint raises SchemaError naming it on both paths, whole or
-    not; a NumPy integer is the joint of its value."""
+    """A float or bool joint raises SchemaError naming it on both paths,
+    whole or not; a NumPy integer is the joint of its value."""
     case = ([[(3, 4), (6, 1)]], [[(joint, (2, 2), 0.5)]], 8, 8, 1.5, 0.05, 10)
     bumped = peaks_or_error(lambda: bump_peak_sets(np.array(case[0]), *case[1:]))
     rendered = peaks_or_error(lambda: rendered_peak_sets(*case))
-    if isinstance(joint, float):
+    if isinstance(joint, (float, bool)):
         expected = (SchemaError, f"distractor joint {joint!r} is not an integer")
         assert bumped == rendered == expected
         return
@@ -744,13 +730,22 @@ def test_a_distractor_joint_is_an_integer_on_both_paths(joint):
     assert_same_peaks(bumped, bump_peak_sets(np.array(case[0]), [[(1, (2, 2), 0.5)]], *case[2:]))
 
 
+@pytest.mark.parametrize("joint", [-1, 2])
+def test_a_distractor_joint_outside_the_pose_is_out_of_range_on_both_paths(joint):
+    case = ([[(3, 4), (6, 1)]], [[(joint, (2, 2), 0.5)]], 8, 8, 1.5, 0.05, 10)
+    expected = (JointOutOfRange, f"distractor joint {joint} outside [0, 2)")
+    assert peaks_or_error(lambda: bump_peak_sets(np.array(case[0]), *case[1:])) == expected
+    assert peaks_or_error(lambda: rendered_peak_sets(*case)) == expected
+
+
 def test_a_tiny_sigma_off_the_cells_renders_zeros_without_warnings():
     """A bump between cells is 0 on every cell when ``1 / (2 * sigma**2)``
-    overflows (no centre cell to turn NaN), and on a wide grid when only
+    is infinite (no centre cell to turn NaN), and on a wide grid when only
     the products with the larger offsets overflow."""
-    zeros = render_gaussian_heatmap(Pose.of([[3.5, 4.0]]), 8, 8, 1e-160).values
-    assert not zeros.any()
-    wide = render_gaussian_heatmap(Pose.of([[3.0, 3.0]]), 64, 64, 1e-153).values
+    for peak_sigma in (1e-160, 1e-200):
+        zeros = render_gaussian_heatmap(Pose([[3.5, 4.0]]), 8, 8, peak_sigma).values
+        assert not zeros.any()
+    wide = render_gaussian_heatmap(Pose([[3.0, 3.0]]), 64, 64, 1e-153).values
     assert wide[0, 3, 3] == 1.0 and np.count_nonzero(wide) == 1
 
 
@@ -990,7 +985,7 @@ def cli_dir(tmp_path_factory):
     for name, data in VALID_INPUTS.items():
         (directory / name).write_bytes(data)
     for i in range(2):
-        heatmap = render_gaussian_heatmap(Pose.of(_pose(i)), 16, 16, 1.0, [(1, (2, 2), 0.7)])
+        heatmap = render_gaussian_heatmap(Pose(_pose(i)), 16, 16, 1.0, [(1, (2, 2), 0.7)])
         write_heatmap_file(heatmap, directory / f"s{i}.pshm")
     (directory / "out").mkdir()
     return directory

@@ -44,7 +44,7 @@ def chain_model(n_joints=3, mean=6.0, sigma=1.0):
 def vertical_pose(n_joints, start=(20, 20), step=6.0):
     rows = [float(start[0])] * n_joints
     cols = [start[1] + i * step for i in range(n_joints)]
-    return Pose.of(np.column_stack([rows, cols]))
+    return Pose(np.column_stack([rows, cols]))
 
 
 def render(pose, size=64):

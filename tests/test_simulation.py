@@ -473,13 +473,13 @@ def test_simulate_imports_no_numpy_ma(tmp_path):
     (tmp_path / "config.json").write_text(json.dumps(doc))
     skeleton = chain_skeleton(4)
     (tmp_path / "skeleton.json").write_text(json.dumps(skeleton_to_dict(skeleton)))
-    labeled = [Pose.of([[20, 20], [20, 26 + i], [20, 32], [20 + i, 38]]) for i in range(3)]
+    labeled = [Pose([[20, 20], [20, 26 + i], [20, 32], [20 + i, 38]]) for i in range(3)]
     save_model_file(fit_model(LabeledPoseSet.of(skeleton, labeled), "distance"),
                     tmp_path / "model.json")
     with open(tmp_path / "heatmaps.jsonl", "w") as manifest:
         for i in range(3):
             heatmap = render_gaussian_heatmap(
-                Pose.of([[20, 20], [20, 26], [20, 32], [20, 38]]), 48, 48, 1.5,
+                Pose([[20, 20], [20, 26], [20, 32], [20, 38]]), 48, 48, 1.5,
                 [(j, (30.0 + i, 10.0 + 8 * j), 0.6) for j in range(4)],
             )
             write_heatmap_file(heatmap, tmp_path / f"s{i}.pshm")
