@@ -60,6 +60,7 @@ from .heatmaps import (
 from .likelihood import (
     BRUTE_FORCE_GUARD,
     LikelihoodReport,
+    PeakStack,
     RefinedPose,
     brute_force_best_pose,
     expected_log_likelihood,

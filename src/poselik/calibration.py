@@ -8,7 +8,7 @@ factorization succeeds). Both are exact MLE solutions, no iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +32,13 @@ RIDGE_START = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class LabeledPoseSet:
-    """Complete poses over one skeleton, with optional per-pose weights."""
+    """Complete poses over one skeleton, with optional per-pose weights.
+    ``coordinates`` stacks the poses once, ``(n_poses, J, D)``."""
 
     skeleton: Skeleton
     poses: tuple[Pose, ...]
     weights: np.ndarray  # (n_poses,) positive float64
+    coordinates: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.poses) < 2:
@@ -63,6 +65,9 @@ class LabeledPoseSet:
             raise SchemaError("pose weights must be finite and positive")
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
+        coordinates = np.stack([pose.coordinates for pose in self.poses])
+        coordinates.flags.writeable = False
+        object.__setattr__(self, "coordinates", coordinates)
 
     @classmethod
     def of(cls, skeleton: Skeleton, poses, weights=None) -> "LabeledPoseSet":
@@ -77,9 +82,7 @@ class LabeledPoseSet:
 
     def displacements(self, parent: int, child: int) -> np.ndarray:
         """(n_poses, D) child-minus-parent displacement per pose."""
-        return np.array(
-            [pose.coordinates[child] - pose.coordinates[parent] for pose in self.poses]
-        )
+        return self.coordinates[:, child] - self.coordinates[:, parent]
 
 
 def fit_distance_params(data: LabeledPoseSet, parent: int, child: int) -> DistanceParams:

@@ -62,6 +62,8 @@ from .likelihood import (
 )
 from .model import (
     PoseModelParams,
+    Stages,
+    clock,
     errors_at,
     is_number,
     iter_jsonl,
@@ -130,35 +132,8 @@ CHUNK_BYTES = 1 << 22
 _DEFAULT_EXTRACTION = (DEFAULT_THRESHOLD_RATIO, DEFAULT_MAX_PEAKS)
 
 
-def _clock() -> tuple[float, float]:
-    return time.perf_counter(), time.process_time()
-
-
-class _Stages:
-    """Wall (``perf_counter``) and CPU (``process_time``) time of each stage
-    of a chunked run, and its chunk count, for the run manifest."""
-
-    NAMES = ("read", "check", "peaks", "records", "write")
-
-    def __init__(self):
-        self.wall = dict.fromkeys(self.NAMES, 0.0)
-        self.cpu = dict.fromkeys(self.NAMES, 0.0)
-        self.chunks = 0
-
-    def since(self, name: str, start: tuple[float, float]) -> tuple[float, float]:
-        """Add the time from the :func:`_clock` reading ``start`` to now to
-        stage ``name``; return now."""
-        now = _clock()
-        self.wall[name] += now[0] - start[0]
-        self.cpu[name] += now[1] - start[1]
-        return now
-
-    def to_json_dict(self) -> dict:
-        return {
-            "chunks": self.chunks,
-            "wall_ms": {name: 1000.0 * t for name, t in self.wall.items()},
-            "cpu_ms": {name: 1000.0 * t for name, t in self.cpu.items()},
-        }
+# The stages of a chunked run, timed for its manifest.
+_CHUNK_STAGES = ("read", "check", "peaks", "records", "write")
 
 
 def _chunked(records: Callable, extraction: Callable) -> Callable:
@@ -174,12 +149,12 @@ def _chunked(records: Callable, extraction: Callable) -> Callable:
     chunk's scores are checked for finiteness at once, then its peaks are
     extracted and its records made, all through :func:`_chunk_records`.
     The first failure in manifest order aborts the run, naming its sample.
-    The time of each stage goes to ``ctx["stages"]``.
+    The time of each stage and the chunk count go to ``ctx["stages"]``.
     """
 
     def compute(args, ctx, timings, stage):
         entries, settings = ctx["entries"], extraction(args)
-        stages = _Stages()
+        stages, chunks = Stages(_CHUNK_STAGES), 0
         ids: list[str] = []
         chunk = fresh = None  # the buffer of ids' heatmaps; one for a new shape
 
@@ -192,7 +167,7 @@ def _chunked(records: Callable, extraction: Callable) -> Callable:
             return fresh[0]
 
         def text(sample_ids, values) -> str:
-            t = _clock()
+            t = clock()
             peaks = None
             if values is not None:
                 require_finite(values)
@@ -206,18 +181,19 @@ def _chunked(records: Callable, extraction: Callable) -> Callable:
         with open(stage(args.out), "w", encoding="utf-8") as out:
 
             def flush():
+                nonlocal chunks
                 if ids:
                     lines = _chunk_records(text, ids, chunk[: len(ids)] if settings else None)
-                    t = _clock()
+                    t = clock()
                     out.write(lines)
                     stages.since("write", t)
-                    stages.chunks += 1
+                    chunks += 1
                     ids.clear()
 
             for sample_id, path in entries:
                 if settings is not None:
                     try:
-                        t = _clock()
+                        t = clock()
                         read_heatmap_file(path, into=row)
                         stages.since("read", t)
                     except (PoseLikError, OSError) as exc:
@@ -231,7 +207,7 @@ def _chunked(records: Callable, extraction: Callable) -> Callable:
                     flush()
             flush()
         timings["io"] += 1000.0 * stages.wall["read"]
-        ctx["stages"] = stages.to_json_dict()
+        ctx["stages"] = {"chunks": chunks, **stages.to_json_dict()}
         return len(entries)
 
     return compute
@@ -398,6 +374,7 @@ def _compute_simulate(args, ctx, timings, stage):
         outcome = run_simulation(ctx["cfg"])
     write_json(stage(args.out), outcome.report)
     _write_jsonl(stage(f"{args.out}.selections.jsonl"), outcome.selections)
+    ctx["stages"] = outcome.stages
     return ctx["cfg"].unlabeled_size
 
 

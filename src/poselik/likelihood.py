@@ -26,7 +26,7 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .heatmaps import PeakSet
-from .model import DistanceParams, LinkParams, OffsetParams, Pose, PoseModelParams
+from .model import DistanceParams, LinkParams, OffsetParams, Pose, PoseModelParams, Skeleton
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -86,47 +86,75 @@ class RefinedPose:
 
 
 # --- link densities ---------------------------------------------------------
+#
+# A link density is two steps: ``_geometry`` takes what its family reads of a
+# displacement, which no parameter changes, and ``_density`` evaluates the one
+# formula of the family on it from the fitted parameters. Both are
+# elementwise, so an entry does not depend on the shape of the batch it is
+# computed in.
 
-def _log_density(diff: np.ndarray, params: LinkParams) -> np.ndarray:
-    """Log-densities of displacements ``diff`` of any shape ``(..., D)``.
+def _family(law: LinkParams) -> str:
+    return "distance" if isinstance(law, DistanceParams) else "offset"
 
-    The one formula per link family. Each entry is computed from its own
-    displacement by elementwise operations, so it does not depend on the
-    shape of the batch it is computed in.
-    """
-    if isinstance(params, DistanceParams):
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-        z = (dist - params.mean_distance) / params.sigma
-        return -0.5 * z * z - math.log(params.sigma) - 0.5 * LOG_2PI
+
+def _geometry(diff: np.ndarray, family: str) -> np.ndarray:
+    """What a ``family`` density reads of displacements ``diff`` ``(..., D)``,
+    in their dtype: their squared lengths ``(...)`` for ``distance``, the
+    displacements themselves for ``offset``."""
+    return (diff * diff).sum(axis=-1, dtype=diff.dtype) if family == "distance" else diff
+
+
+def _density(geometry: np.ndarray, law: LinkParams) -> np.ndarray:
+    """Log-densities of a :func:`_geometry` of ``law``'s family under
+    ``law``: the one formula per link family."""
+    if isinstance(law, DistanceParams):
+        # -0.5 * z * z - log(sigma) - 0.5 * LOG_2PI, in that order, in two buffers.
+        z = np.sqrt(geometry, dtype=np.float64)
+        z -= law.mean_distance
+        z /= law.sigma
+        density = -0.5 * z
+        density *= z
+        density -= math.log(law.sigma)
+        density -= 0.5 * LOG_2PI
+        return density
     # Forward substitution through the Cholesky factor, one coordinate at a
     # time (a multi-column LAPACK solve rounds by column position).
-    residual = diff - params.offset
-    chol = params.cholesky
+    residual = geometry - law.offset
+    chol = law.cholesky
     whitened: list[np.ndarray] = []
     maha = 0.0
-    for i in range(params.dimension):
+    for i in range(law.dimension):
         acc = residual[..., i]
         for k in range(i):
             acc = acc - chol[i, k] * whitened[k]
         whitened.append(acc / chol[i, i])
         maha = maha + whitened[i] * whitened[i]
-    return -0.5 * maha - 0.5 * params.log_det - 0.5 * params.dimension * LOG_2PI
+    return -0.5 * maha - 0.5 * law.log_det - 0.5 * law.dimension * LOG_2PI
 
 
-def _terms(locs: list[np.ndarray], params: PoseModelParams):
-    """Every density term of a batch of samples, which every scoring mode
-    reads: the root prior ``(B, K_root)`` and, per link in declaration order,
-    a ``(B, K_parent, K_child)`` matrix over candidate locations ``locs[j]``
-    ``(B, K_j, D)``. A root prior scores a location as a displacement from
-    the origin; the uniform default scores zero.
-    """
-    root, prior = locs[params.skeleton.root], params.root_params
-    root_vector = np.zeros(root.shape[:-1]) if prior is None else _log_density(root, prior)
-    link_matrices = [
-        _log_density(locs[child][:, None, :, :] - locs[parent][:, :, None, :], law)
-        for law, (parent, child) in zip(params.link_params, params.skeleton.links)
+def _link_geometry(locs: list[np.ndarray], skeleton: Skeleton, family: str) -> list[np.ndarray]:
+    """Each link's :func:`_geometry`, in declaration order, over every
+    parent/child pair of candidate locations ``locs[j]`` ``(B, K_j, D)``:
+    ``(B, K_parent, K_child)`` entries."""
+    return [
+        _geometry(locs[child][:, None, :, :] - locs[parent][:, :, None, :], family)
+        for parent, child in skeleton.links
     ]
-    return root_vector, link_matrices
+
+
+def _terms(root_locs: np.ndarray, geometry: list[np.ndarray], params: PoseModelParams):
+    """Every density term of a batch of samples, which every scoring mode
+    reads: the root prior ``(B, K_root)`` over root locations ``root_locs``
+    ``(B, K_root, D)`` and, per link, the densities of its
+    :func:`_link_geometry`. A root prior scores a location as a displacement
+    from the origin; the uniform default scores zero.
+    """
+    prior = params.root_params
+    root_vector = (
+        np.zeros(root_locs.shape[:-1]) if prior is None
+        else _density(_geometry(root_locs, _family(prior)), prior)
+    )
+    return root_vector, [_density(g, law) for g, law in zip(geometry, params.link_params)]
 
 
 def link_log_density(parent_loc, child_loc, params: LinkParams) -> float:
@@ -139,7 +167,7 @@ def link_log_density(parent_loc, child_loc, params: LinkParams) -> float:
         raise DimensionMismatch(
             f"locations must be {params.dimension}-vectors for this offset model"
         )
-    return float(_log_density(child - parent, params))
+    return float(_density(_geometry(child - parent, _family(params)), params))
 
 
 def root_log_density(loc, params: LinkParams | None) -> float:
@@ -173,8 +201,10 @@ def _point_terms(poses, params: PoseModelParams):
     """Root terms ``(B,)`` and per-link terms ``(B,)`` of poses."""
     for pose in poses:
         _check_pose(pose, params)
-    coords = np.stack([pose.coordinates for pose in poses], axis=1)  # (J, B, D)
-    root_vector, link_matrices = _terms(list(coords[:, :, None, :]), params)
+    locs = list(np.stack([pose.coordinates for pose in poses], axis=1)[:, :, None, :])  # (B, 1, D)
+    skel = params.skeleton
+    geometry = _link_geometry(locs, skel, params.model_kind)
+    root_vector, link_matrices = _terms(locs[skel.root], geometry, params)
     return root_vector[:, 0], [m[:, 0, 0] for m in link_matrices]
 
 
@@ -204,43 +234,119 @@ def _one(peaks: PeakSet) -> PeakSet:
     return peaks
 
 
-def _stack(peaks: PeakSet, params: PoseModelParams):
-    """The peaks of a batch as padded per-joint arrays: what every peak
-    likelihood reads, and the only place peak sets meet the skeleton.
+@dataclass(frozen=True, eq=False)
+class PeakStack:
+    """A batch of peaks as the padded arrays that every peak likelihood
+    reads, with each link's geometry over them: all that scoring under one
+    skeleton and link family computes before it reads a fitted parameter.
+    It holds no parameter, so it serves every model of that skeleton and
+    family, and only the samples a scorer is given are checked.
+
+    Joint ``j`` gets probabilities ``probs[j]`` ``(B, K_j)`` padded with 0,
+    ``K_j`` being the largest count of that joint in the batch, and the root
+    its locations ``root_locs`` ``(B, K_root, 2)`` padded with 0. Link ``l``
+    gets its :func:`_geometry` over every parent/child pair, ``(B, K_parent,
+    K_child)``; a stack taken from another reads rows ``rows`` of the
+    other's ``links``, gathered only while scoring. Padding follows each
+    sample's peaks and never beats a real peak, so a first maximum is still
+    the lowest real peak index and a sample scores the same bits in any
+    batch.
+    """
+
+    skeleton: Skeleton
+    family: str
+    counts: np.ndarray  # (B, J) peaks per joint
+    probs: list[np.ndarray]
+    root_locs: np.ndarray
+    links: list[np.ndarray]
+    rows: np.ndarray | None = None  # this stack's samples of ``links``; None: all of them
+
+    @classmethod
+    def of(cls, peaks: PeakSet, skeleton: Skeleton, family: str) -> "PeakStack":
+        """The stack of a batch, which must cover the skeleton's joints on a
+        2-D grid; every peak is scattered once into ``(B, J, K)`` grids."""
+        if peaks.joint_count != skeleton.n_joints:
+            raise DimensionMismatch(
+                f"peak set covers {peaks.joint_count} joints, skeleton has {skeleton.n_joints}"
+            )
+        if skeleton.dimension != 2:
+            raise DimensionMismatch("peak-based scoring operates on 2D grid locations")
+        counts = np.diff(peaks.offsets).reshape(len(peaks), skeleton.n_joints)
+        widths = counts.max(axis=0, initial=1).tolist()  # 1 for an empty batch
+        # The real cells of the grids, in C order, are the peaks in CSR order.
+        real = np.arange(max(widths)) < counts[:, :, None]
+        locs = np.zeros(real.shape + (2,), dtype=_cell_type(peaks.locs))
+        locs[real] = peaks.locs
+        probs = np.zeros(real.shape)
+        probs[real] = peaks.probs
+        locs = [locs[:, j, :k] for j, k in enumerate(widths)]
+        # Copies, so that the stack holds no view of the (B, J, K) grids.
+        return cls(
+            skeleton, family, counts, [probs[:, j, :k].copy() for j, k in enumerate(widths)],
+            locs[skeleton.root].copy(), _link_geometry(locs, skeleton, family),
+        )
+
+    def take(self, rows) -> "PeakStack":
+        """The samples at indices ``rows``, in that order, padded to their
+        own widths: the stack of their peaks alone, bit for bit."""
+        rows = np.asarray(rows, dtype=np.intp)
+        counts = self.counts[rows]
+        k = counts.max(axis=0, initial=1).tolist()
+        return PeakStack(
+            self.skeleton, self.family, counts,
+            [probs[rows, : k[j]] for j, probs in enumerate(self.probs)],
+            self.root_locs[rows, : k[self.skeleton.root]],
+            self.links, rows if self.rows is None else self.rows[rows],
+        )
+
+    def log_probs(self) -> list[np.ndarray]:
+        """Per joint, log peak probabilities padded with ``-inf``."""
+        return [_log(probs) for probs in self.probs]
+
+    def real(self) -> list[np.ndarray]:
+        """Per joint, the mask ``(B, K_j)`` of the real peaks."""
+        return [np.arange(p.shape[1]) < self.counts[:, j, None] for j, p in enumerate(self.probs)]
+
+    def terms(self, params: PoseModelParams):
+        """:func:`_terms` of the batch under ``params``, gathering one link's
+        geometry at a time."""
+        k = [probs.shape[1] for probs in self.probs]
+        geometry = (
+            g if self.rows is None else g[self.rows, : k[p], : k[c]]
+            for g, (p, c) in zip(self.links, self.skeleton.links)
+        )
+        return _terms(self.root_locs, geometry, params)
+
+
+def _cell_type(locs: np.ndarray) -> np.dtype:
+    """The smallest signed integer type that holds every coordinate of grid
+    cells ``locs``, their differences and any sum of two squares of those:
+    the geometry is exact in it, and a pool's cached stack small."""
+    lo, hi = (int(v) for v in (locs.min(initial=0), locs.max(initial=0)))
+    bound = 2 * max(hi - lo, -lo, hi) ** 2
+    return np.min_scalar_type(-bound - 1) if bound < 2**62 else np.dtype(np.int64)
+
+
+def _stack(peaks: PeakSet | PeakStack, params: PoseModelParams) -> PeakStack:
+    """The stack a peak scorer reads: ``peaks`` stacked for the skeleton and
+    link family of ``params``, or a stack built for them. The only place
+    peaks meet the skeleton.
 
     The batch is checked at once, and raises what checking its samples one
     by one in batch order would: a wrong joint count, a skeleton that is not
-    2-D, then a joint with no peaks. Every peak is then scattered once into
-    ``(B, J, K)`` grids. Joint ``j`` gets views of locations ``(B, K_j, 2)``
-    padded with 0, probabilities ``(B, K_j)`` padded with 0, their logs
-    padded with ``-inf`` and a mask ``(B, K_j)`` of the real peaks, ``K_j``
-    being the largest count of that joint in the batch. Padding follows each
-    sample's peaks and never beats a real peak, so a first maximum is still
-    the lowest real peak index.
+    2-D, then a joint with no peaks.
     """
     skel = params.skeleton
-    if peaks.joint_count != skel.n_joints:
-        raise DimensionMismatch(
-            f"peak set covers {peaks.joint_count} joints, skeleton has {skel.n_joints}"
-        )
-    if skel.dimension != 2:
-        raise DimensionMismatch("peak-based scoring operates on 2D grid locations")
-    counts = np.diff(peaks.offsets).reshape(len(peaks), skel.n_joints)  # (B, J)
+    if not isinstance(peaks, PeakStack):
+        peaks = PeakStack.of(peaks, skel, params.model_kind)
+    elif (peaks.skeleton, peaks.family) != (skel, params.model_kind):
+        raise SchemaError("peak stack was built for another skeleton or link family")
+    counts = peaks.counts
     if not counts.all():
         first = np.argmin(counts.min(axis=1))  # the first sample with an empty joint
         joint = skel.joints[np.argmin(counts[first])]
         raise EmptyPeakSet(f"joint {joint!r} has no candidate peaks")
-    widths = counts.max(axis=0, initial=1).tolist()  # 1 for an empty batch
-    # The real cells of the grids, in C order, are the peaks in CSR order.
-    real = np.arange(max(widths)) < counts[:, :, None]
-    locs = np.zeros(real.shape + (2,), dtype=np.int64)
-    locs[real] = peaks.locs
-    probs = np.zeros(real.shape)
-    probs[real] = peaks.probs
-    return tuple(
-        [grid[:, j, :k] for j, k in enumerate(widths)]
-        for grid in (locs, probs, _log(probs), real)
-    )
+    return peaks
 
 
 def _expect(values: np.ndarray, weights: np.ndarray, real: np.ndarray) -> np.ndarray:
@@ -271,9 +377,11 @@ def _reports(root: np.ndarray, links: list[np.ndarray], mode: str) -> list[Likel
     return reports
 
 
-def expected_log_likelihoods(peaks: PeakSet, params: PoseModelParams) -> list[LikelihoodReport]:
+def expected_log_likelihoods(
+    peaks: PeakSet | PeakStack, params: PoseModelParams
+) -> list[LikelihoodReport]:
     """Link terms averaged over each joint's peak distribution, for every
-    sample of a batch from one stack.
+    sample of a batch (or of a :class:`PeakStack`) from one stack.
 
     Each link term is the expectation of the link log-density under the
     product of the parent's and child's peak probabilities, summed over the
@@ -282,9 +390,9 @@ def expected_log_likelihoods(peaks: PeakSet, params: PoseModelParams) -> list[Li
     log-likelihood of the argmax pose. Each sample's report is bit for bit
     what it gets alone.
     """
-    locs, probs, _, real = _stack(peaks, params)
-    del peaks  # the sums read only the stack: a batch gathered for this call goes now
-    root_vector, link_matrices = _terms(locs, params)
+    stack = _stack(peaks, params)
+    probs, real = stack.probs, stack.real()
+    root_vector, link_matrices = stack.terms(params)
     skel = params.skeleton
     links = [
         _expect(_expect(m, probs[child], real[child]), probs[parent], real[parent])
@@ -365,7 +473,7 @@ def _max_sum(log_probs, root_vector, link_matrices, skeleton) -> np.ndarray:
 
 def _finish(
     params: PoseModelParams,
-    locs: list[np.ndarray],
+    peaks: PeakSet,
     log_probs: list[np.ndarray],
     root_vector: np.ndarray,
     link_matrices: list[np.ndarray],
@@ -373,7 +481,7 @@ def _finish(
     row: int,
 ) -> RefinedPose:
     """Gather one selection's entries from row ``row`` of the batch arrays the
-    search maximized.
+    search maximized, and its pose from sample ``row`` of ``peaks``.
 
     ``objective`` adds them in the canonical order: joint log peak
     probabilities, root prior, then links in declaration order. The tree
@@ -391,7 +499,7 @@ def _finish(
     for term in (*joint_terms, root_term, *link_terms):
         objective += term
     return RefinedPose(
-        pose=Pose([joint_locs[row, i] for joint_locs, i in zip(locs, indices)]),
+        pose=Pose(peaks.locs[peaks.offsets[row * skel.n_joints :][: skel.n_joints] + indices]),
         log_likelihood=root_term + sum(link_terms),
         chosen_peak_index=tuple(int(i) for i in indices),
         objective=objective,
@@ -405,30 +513,30 @@ def refinement_objective(
 ) -> float:
     """Score of one peak selection: log peak probabilities + root and link
     densities, exactly as :func:`refine_pose` reports it for that selection."""
-    locs, _, log_probs, _ = _stack(_one(peaks), params)
+    stack = _stack(_one(peaks), params)
     skel = params.skeleton
     if len(indices) != skel.n_joints:
         raise DimensionMismatch(
             f"selection has {len(indices)} peak indices, skeleton has {skel.n_joints} joints"
         )
-    for name, index, joint_locs in zip(skel.joints, indices, locs):
-        count = joint_locs.shape[1]
+    for name, index, count in zip(skel.joints, indices, stack.counts[0].tolist()):
         if not isinstance(index, (int, np.integer)) or not 0 <= index < count:
             raise SchemaError(
                 f"peak index {index!r} for joint {name!r} must be an integer in 0..{count - 1}"
             )
-    terms = _terms(locs, params)
-    return _finish(params, locs, log_probs, *terms, list(indices), 0).objective
+    terms = stack.terms(params)
+    return _finish(params, peaks, stack.log_probs(), *terms, list(indices), 0).objective
 
 
 def refine_poses(peaks: PeakSet, params: PoseModelParams) -> list[RefinedPose]:
     """The maximizing peak selection of each sample of a batch, from one
     batched tree DP; each is bit for bit what the sample gets alone."""
-    locs, _, log_probs, _ = _stack(peaks, params)
-    root_vector, link_matrices = _terms(locs, params)
+    stack = _stack(peaks, params)
+    log_probs = stack.log_probs()
+    root_vector, link_matrices = stack.terms(params)
     indices = _max_sum(log_probs, root_vector, link_matrices, params.skeleton)
     return [
-        _finish(params, locs, log_probs, root_vector, link_matrices, chosen, b)
+        _finish(params, peaks, log_probs, root_vector, link_matrices, chosen, b)
         for b, chosen in enumerate(indices.tolist())
     ]
 
@@ -439,13 +547,12 @@ def refine_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
     return refine_poses(_one(peaks), params)[0]
 
 
-def refined_log_likelihoods(peaks: PeakSet, params: PoseModelParams) -> list[float]:
-    """``refine_pose(peaks, params).log_likelihood`` of each sample of a batch,
-    from one batched tree DP over its padded stack."""
-    locs, _, log_probs, _ = _stack(peaks, params)
-    del peaks  # the DP reads only the stack: a batch gathered for this call goes now
-    root_vector, link_matrices = _terms(locs, params)
-    indices = _max_sum(log_probs, root_vector, link_matrices, params.skeleton)
+def refined_log_likelihoods(peaks: PeakSet | PeakStack, params: PoseModelParams) -> list[float]:
+    """``refine_pose(peaks, params).log_likelihood`` of each sample of a batch
+    (or of a :class:`PeakStack`), from one batched tree DP over its stack."""
+    stack = _stack(peaks, params)
+    root_vector, link_matrices = stack.terms(params)
+    indices = _max_sum(stack.log_probs(), root_vector, link_matrices, params.skeleton)
     skel = params.skeleton
     rows = np.arange(len(indices))
     link_terms = [
@@ -463,9 +570,10 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
     refinement tie-break. Guarded to :data:`BRUTE_FORCE_GUARD`
     configurations.
     """
-    locs, _, log_probs, _ = _stack(_one(peaks), params)
+    stack = _stack(_one(peaks), params)
+    log_probs = stack.log_probs()
     skel = params.skeleton
-    counts = [joint_locs.shape[1] for joint_locs in locs]
+    counts = stack.counts[0].tolist()
     space = math.prod(counts)
     if space > BRUTE_FORCE_GUARD:
         raise SearchSpaceTooLarge(f"{space} configurations exceed guard {BRUTE_FORCE_GUARD}")
@@ -481,7 +589,7 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
             full[axis] = size
         return arr.reshape(full)
 
-    root_vector, link_matrices = _terms(locs, params)
+    root_vector, link_matrices = stack.terms(params)
     total = np.zeros(shape)
     for j in order:
         total = total + along(log_probs[j][0], axis_of[j])
@@ -495,4 +603,4 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
     indices = [0] * skel.n_joints
     for a, j in enumerate(order):
         indices[j] = int(per_axis[a])
-    return _finish(params, locs, log_probs, root_vector, link_matrices, indices, 0)
+    return _finish(params, peaks, log_probs, root_vector, link_matrices, indices, 0)

@@ -15,6 +15,7 @@ threads.
 from __future__ import annotations
 
 import json
+import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -490,3 +491,32 @@ def load_model_file(path) -> PoseModelParams:
 
 def save_model_file(params: PoseModelParams, path) -> None:
     write_json(path, model_to_dict(params))
+
+
+# --- run manifests ----------------------------------------------------------------
+
+def clock() -> tuple[float, float]:
+    """A wall (``perf_counter``) and CPU (``process_time``) time reading."""
+    return time.perf_counter(), time.process_time()
+
+
+class Stages:
+    """Wall and CPU time of each named stage of a run, for its manifest."""
+
+    def __init__(self, names):
+        self.wall = dict.fromkeys(names, 0.0)
+        self.cpu = dict.fromkeys(names, 0.0)
+
+    def since(self, name: str, start: tuple[float, float]) -> tuple[float, float]:
+        """Add the time from the :func:`clock` reading ``start`` to now to
+        stage ``name``; return now."""
+        now = clock()
+        self.wall[name] += now[0] - start[0]
+        self.cpu[name] += now[1] - start[1]
+        return now
+
+    def to_json_dict(self) -> dict:
+        return {
+            "wall_ms": {name: 1000.0 * t for name, t in self.wall.items()},
+            "cpu_ms": {name: 1000.0 * t for name, t in self.cpu.items()},
+        }

@@ -13,7 +13,7 @@ goes to the extreme-B under the strategy's ordering:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .heatmaps import (
     extract_peaks,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
 )
 from .likelihood import (
+    PeakStack,
     expected_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it
     expected_log_likelihoods,
     multi_peak_entropies,
@@ -60,11 +61,16 @@ class SamplePool:
     ``unlabeled`` maps each id to its sample in ``peaks``. A pool without
     ``peaks`` is one that only the ``random`` strategy ranks; asking for
     them raises :class:`MissingHeatmap`.
+
+    ``stacks`` caches, per skeleton and link family, the :class:`PeakStack`
+    of all of ``peaks``, built on first use; clones share it. A stack holds
+    no parameter, so one serves every model of its skeleton and family.
     """
 
     labeled: dict[str, Pose]
     unlabeled: dict[str, int]
     peaks: PeakSet | None = None
+    stacks: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         overlap = set(self.labeled) & set(self.unlabeled)
@@ -74,10 +80,9 @@ class SamplePool:
             )
 
     def clone(self) -> "SamplePool":
-        return SamplePool(dict(self.labeled), dict(self.unlabeled), self.peaks)
+        return SamplePool(dict(self.labeled), dict(self.unlabeled), self.peaks, self.stacks)
 
-    def peaks_for(self, *sample_ids: str) -> PeakSet:
-        """The peaks of the unlabeled ``sample_ids``, in that order, as one batch."""
+    def _rows(self, sample_ids) -> list[int]:
         try:
             rows = [self.unlabeled[sample_id] for sample_id in sample_ids]
         except KeyError as exc:
@@ -85,7 +90,24 @@ class SamplePool:
         if self.peaks is None:
             holder = f"unlabeled sample {sample_ids[0]!r}" if sample_ids else "the pool"
             raise MissingHeatmap(f"{holder} has no peaks")
+        return rows
+
+    def peaks_for(self, *sample_ids: str) -> PeakSet:
+        """The peaks of the unlabeled ``sample_ids``, in that order, as one batch."""
+        rows = self._rows(sample_ids)
         return self.peaks.take(rows)
+
+    def stack_for(self, params: PoseModelParams, *sample_ids: str) -> PeakStack:
+        """The peaks of the unlabeled ``sample_ids``, in that order, as the
+        :class:`PeakStack` of ``params``' skeleton and link family: rows of
+        the pool's cached stack, bit for bit the stack of their peaks alone."""
+        rows = self._rows(sample_ids)
+        key = (params.skeleton, params.model_kind)
+        peaks, stack = self.stacks.get(key, (None, None))
+        if peaks is not self.peaks:  # never built, or built for other peaks
+            stack = PeakStack.of(self.peaks, *key)
+            self.stacks[key] = (self.peaks, stack)
+        return stack.take(rows)
 
     def move_to_labeled(self, sample_id: str, pose: Pose) -> None:
         if sample_id not in self.unlabeled:
@@ -122,7 +144,8 @@ def score_pool(
     ``params`` is the fitted model shared by every sample; it is required
     for ``vl4pose`` only. ``mode`` picks the vl4pose flavor: the
     expectation over peak distributions (default) or the refined maximum.
-    Either is computed for the whole pool by one batched call.
+    Either is computed for the whole pool by one batched call, from rows of
+    the pool's cached stack.
     """
     _check_strategy(strategy)
     if mode not in ("expected", "max"):
@@ -133,11 +156,10 @@ def score_pool(
         raise EmptyInput("unlabeled pool is empty")
     if strategy == "random":
         return {sample_id: _random_score(seed, sample_id) for sample_id in pool.unlabeled}
-    # Each scorer gets the gathered batch as its only holder, to drop it once stacked.
     if strategy == "vl4pose" and mode == "max":
-        scores = refined_log_likelihoods(pool.peaks_for(*pool.unlabeled), params)
+        scores = refined_log_likelihoods(pool.stack_for(params, *pool.unlabeled), params)
     elif strategy == "vl4pose":
-        reports = expected_log_likelihoods(pool.peaks_for(*pool.unlabeled), params)
+        reports = expected_log_likelihoods(pool.stack_for(params, *pool.unlabeled), params)
         scores = [report.total for report in reports]
     else:
         scores = multi_peak_entropies(pool.peaks_for(*pool.unlabeled))

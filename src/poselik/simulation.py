@@ -28,7 +28,7 @@ from .likelihood import (
     point_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     point_log_likelihoods,
 )
-from .model import Pose, Skeleton, is_number, validate_skeleton
+from .model import Pose, Skeleton, Stages, clock, is_number, validate_skeleton
 from .selection import (
     _HIGHEST_FIRST,
     STRATEGIES,
@@ -129,6 +129,8 @@ def _generator(doc, where: str, get) -> GeneratorParams:
         hi = _as_float(pair[1], f"{where}.angle_ranges[{i}][1]")
         if lo > hi:
             raise ConfigInvalid(f"{where}.angle_ranges[{i}]: lo {lo} > hi {hi}")
+        if not math.isfinite(hi - lo):  # a draw scales the width
+            raise ConfigInvalid(f"{where}.angle_ranges[{i}]: the width of [{lo}, {hi}] overflows")
         parsed_ranges.append((lo, hi))
     return GeneratorParams(
         link_means=tuple(means), link_sds=tuple(sds), angle_ranges=tuple(parsed_ranges)
@@ -277,16 +279,23 @@ def chain_skeleton(joints: int) -> Skeleton:
     )
 
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` without its argument checks: numpy computes
+    ``lo + (hi - lo) * u`` from one ``rng.random()`` draw, so the bits and
+    the stream are the same."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _sample_pose(rng: np.random.Generator, gen: GeneratorParams, cfg: SimulationConfig) -> Pose:
     """One chain pose with integer grid coordinates, rejection-sampled in-bounds."""
     h, w = cfg.height, cfg.width
     for _ in range(_MAX_POSE_ATTEMPTS):
         # The chain walks on Python floats, which add like float64 rows.
-        row, col = rng.uniform(0.35 * h, 0.65 * h), rng.uniform(0.35 * w, 0.65 * w)
+        row, col = _uniform(rng, 0.35 * h, 0.65 * h), _uniform(rng, 0.35 * w, 0.65 * w)
         coords = [(row, col)]
         for i in range(cfg.joints - 1):
             length = rng.normal(gen.link_means[i], gen.link_sds[i])
-            angle = rng.uniform(*gen.angle_ranges[i])
+            angle = _uniform(rng, *gen.angle_ranges[i])
             row, col = row + length * math.sin(angle), col + length * math.cos(angle)
             coords.append((row, col))
         if not all(math.isfinite(row) and math.isfinite(col) for row, col in coords):
@@ -370,10 +379,12 @@ def build_pool(cfg: SimulationConfig):
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """JSON-ready report plus the flat per-selection log."""
+    """JSON-ready report plus the flat per-selection log, and the run's
+    :class:`Stages` as the manifest reports them."""
 
     report: dict
     selections: list[dict]
+    stages: dict
 
 
 def _fit_round_params(pool: SamplePool, skeleton: Skeleton):
@@ -425,15 +436,24 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
     ``random`` scores are computed once over the generated pool; each round
     reads those of the samples still unlabeled. Only ``vl4pose`` is scored
     again every round, under that round's fitted model.
+
+    ``stages`` sums the wall and CPU time of each stage over the rounds:
+    ``pool`` (generation and clones), ``fit``, ``score``, ``select`` (with
+    the recall, the AUC and the labeling) and ``heldout``.
     """
+    stages = Stages(("pool", "fit", "score", "select", "heldout"))
+    t = clock()
     skeleton = chain_skeleton(cfg.joints)
     base_pool, heldout, truth, is_ood = build_pool(cfg)
     heldout_poses = [heldout[h] for h in sorted(heldout)]
+    pools = {s: base_pool.clone() for s in cfg.strategies}
+    t = stages.since("pool", t)
     fixed_scores = {  # random scores also rank every strategy's warm-up slice
         strategy: score_pool(base_pool, strategy, seed=cfg.seed)
         for strategy in ("entropy", "random")
         if strategy in cfg.strategies or strategy == "random"
     }
+    t = stages.since("score", t)
 
     metrics = {
         s: {"ood_recall": [], "ood_auc": [], "heldout_mean_ll": [], "labeled_count": []}
@@ -442,22 +462,24 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
     selected_ids = {s: [] for s in cfg.strategies}
     selections: list[dict] = []
 
-    pools = {s: base_pool.clone() for s in cfg.strategies}
     for round_idx in range(cfg.rounds):
         for strategy in cfg.strategies:
             pool = pools[strategy]
             params = _fit_round_params(pool, skeleton)
+            t = stages.since("fit", t)
             if strategy in fixed_scores:
                 scores = {s: fixed_scores[strategy][s] for s in pool.unlabeled}
             else:
                 scores = score_pool(pool, strategy, params, mode=cfg.ranking_mode)
+            t = stages.since("score", t)
+            heldout_ll = sum(point_log_likelihoods(heldout_poses, params)) / len(heldout_poses)
+            t = stages.since("heldout", t)
             result = _select_round(cfg, scores, strategy, fixed_scores["random"])
 
             remaining_ood = sum(1 for s in pool.unlabeled if is_ood[s])
             hit = sum(1 for s in result.selected if is_ood[s])
             recall = hit / remaining_ood if remaining_ood else None
             auc = _round_auc(scores, is_ood, strategy)
-            heldout_ll = sum(point_log_likelihoods(heldout_poses, params)) / len(heldout_poses)
 
             for sample_id in result.selected:
                 selections.append(
@@ -475,6 +497,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
             metrics[strategy]["heldout_mean_ll"].append(float(heldout_ll))
             metrics[strategy]["labeled_count"].append(len(pool.labeled))
             selected_ids[strategy].append(list(result.selected))
+            t = stages.since("select", t)
 
     report = {
         "config": cfg.to_json_dict(),
@@ -482,4 +505,4 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
         "metrics": metrics,
         "selected": selected_ids,
     }
-    return SimulationReport(report=report, selections=selections)
+    return SimulationReport(report=report, selections=selections, stages=stages.to_json_dict())

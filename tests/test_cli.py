@@ -720,6 +720,51 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
         assert manifest["seed"] == 7
         assert manifest["samples"] == 8
+        stages = manifest["stages"]
+        names = {"pool", "fit", "score", "select", "heldout"}
+        assert set(stages) == {"wall_ms", "cpu_ms"}
+        assert set(stages["wall_ms"]) == set(stages["cpu_ms"]) == names
+        assert all(t >= 0.0 for t in [*stages["wall_ms"].values(), *stages["cpu_ms"].values()])
+        assert sum(stages["wall_ms"].values()) <= manifest["timings_ms"]["total"]
+
+    # SHA-256 of the report and of the selections, as first written: a change
+    # in pose generation, pool peaks, caching or scoring shows here.
+    PINNED = {
+        "max": (
+            "28938ba07f5a19bf2ea345d9b873fd01b6480024143fa24187d506f94bc50434",
+            "369f6151051c409f7ea0fa3c9e0011b050892a6590d3e3d81212aed7f4ce44bc",
+        ),
+        "expected": (
+            "924280c60b3172b12f052ec4029da83bf3e42dbc2a762e4ea340ca7eb72dc375",
+            "f330163b33465731b170662f0917406019b22d36fed940a54d0454eddc55a3d5",
+        ),
+    }
+
+    @pytest.mark.parametrize("ranking", sorted(PINNED))
+    def test_outputs_keep_their_pinned_bytes(self, tmp_path, ranking):
+        links = 4
+        doc = {
+            "seed": 23, "rounds": 3, "budget": 4,
+            "pool": {"labeled": 6, "unlabeled": 40, "ood": 6, "heldout": 5},
+            "skeleton": {"joints": 5},
+            "generator": {"link_means": [5.0] * links, "link_sds": [1.0] * links,
+                          "angle_ranges": [[-0.6, 0.6]] * links},
+            "ood_generator": {"link_means": [8.0] * links, "link_sds": [1.0] * links,
+                              "angle_ranges": [[-0.6, 0.6]] * links},
+            "heatmap": {"height": 48, "width": 48, "peak_sigma": 1.5,
+                        "distractors": 3, "distractor_amplitude": 0.7},
+            "ranking_mode": ranking,
+            "initial_random_fraction": 0.25,
+            "strategies": ["vl4pose", "entropy", "random"],
+        }
+        out = tmp_path / "report.json"
+        config = self.write_config(tmp_path, doc)
+        assert run_cli(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        digests = tuple(
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (out, tmp_path / "report.json.selections.jsonl")
+        )
+        assert digests == self.PINNED[ranking]
 
     def test_runs_are_byte_identical(self, tmp_path):
         config_path = self.write_config(tmp_path)
@@ -779,6 +824,22 @@ class TestSimulateCommand:
         ) == 4
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].endswith("heatmap contains NaN or infinite scores")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("generator", ["generator", "ood_generator"])
+    def test_an_angle_range_whose_width_overflows_exits_3_without_outputs(
+        self, tmp_path, capsys, generator
+    ):
+        # Both ends are finite, but a draw scales hi - lo, which is not.
+        doc = self.config_doc()
+        doc[generator]["angle_ranges"][1] = [-1e308, 1e308]
+        out = tmp_path / "x.json"
+        assert run_cli(
+            ["simulate", "--config", str(self.write_config(tmp_path, doc)), "--out", str(out)]
+        ) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"config.{generator}.angle_ranges[1]" in err[0]
+        assert "overflows" in err[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("infeasible", ["distractor", "link_lengths"])

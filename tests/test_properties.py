@@ -88,6 +88,7 @@ from poselik import (
 from poselik import heatmaps as heatmaps_module
 from poselik.calibration import RIDGE_START
 from poselik.heatmaps import _gaussian_table
+from poselik.simulation import _uniform
 
 from _helpers import (
     assert_same_peaks,
@@ -257,6 +258,35 @@ def test_expected_log_likelihood_equals_enumeration(pool_case):
         assert expected_log_likelihood(peaks, model).total == pytest.approx(
             oracle_expected_ll_by_enumeration(peaks, model), rel=1e-9, abs=1e-9
         )
+
+
+@PROPERTY_SETTINGS
+@given(pools(), st.data())
+def test_pool_cached_scores_equal_scoring_the_gathered_subset(pool_case, data):
+    """Each round scores rows of the stack the pool built once for the
+    model's skeleton and family: bit for bit what the unlabeled samples
+    score when gathered and stacked alone, in either mode, for any subset in
+    any order, also one whose own padding is narrower than the pool's."""
+    peak_sets, model = pool_case
+    base = pool_of(peak_sets)
+    counts = np.array([peaks.counts() for peaks in peak_sets])  # (B, J)
+    widest = counts.max(axis=0)
+    spread = np.flatnonzero(counts.min(axis=0) < widest)  # joints some sample pads
+    narrow = [] if not spread.size else np.flatnonzero(counts[:, spread[0]] < widest[spread[0]])
+    drawn = data.draw(st.permutations(range(len(peak_sets))))
+    subsets = [drawn[: data.draw(st.integers(1, len(drawn)))], list(narrow[::-1])]
+    for rows in filter(None, subsets):
+        pool = base.clone()
+        pool.unlabeled = {f"s{i}": i for i in rows}
+        gathered = batch_of([peak_sets[i] for i in rows])
+        for mode in ("max", "expected"):
+            scores = list(score_pool(pool, "vl4pose", model, mode=mode).values())
+            if mode == "max":
+                fresh = refined_log_likelihoods(gathered, model)
+            else:
+                fresh = [report.total for report in expected_log_likelihoods(gathered, model)]
+            assert np.array(scores).tobytes() == np.array(fresh).tobytes()
+    assert len(base.stacks) == 1
 
 
 @st.composite
@@ -560,6 +590,42 @@ def test_closed_form_fits_are_optimal(case, steps):
     chol[np.diag_indices(2)] *= np.exp(steps[5:7])
     change, rounding = gain(law, OffsetParams(law.offset, chol @ chol.T))
     assert change <= 0.5 * weights.sum() * RIDGE_START * np.trace(np.linalg.inv(sample)) + rounding
+
+
+@PROPERTY_SETTINGS
+@given(models(), st.data())
+def test_displacements_are_the_per_pose_differences(model, data):
+    """The stacked labeled set gives, per link, the bits of each pose's own
+    child-minus-parent difference."""
+    skeleton = model.skeleton
+    coords = st.lists(
+        st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+        min_size=skeleton.n_joints, max_size=skeleton.n_joints,
+    )
+    poses = [Pose(c) for c in data.draw(st.lists(coords, min_size=2, max_size=6))]
+    labeled = LabeledPoseSet.of(skeleton, poses)
+    for parent, child in skeleton.links:
+        each = np.array([pose.coordinates[child] - pose.coordinates[parent] for pose in poses])
+        got = labeled.displacements(parent, child)
+        assert (got.dtype, got.shape, got.tobytes()) == (each.dtype, each.shape, each.tobytes())
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)), max_size=12),
+)
+def test_generator_uniform_draws_are_numpys(seed, ranges):
+    """``simulate`` draws ``rng.uniform(lo, hi)`` as ``lo + (hi - lo) *
+    rng.random()``: the same bits from the same stream, whatever the range
+    (numpy refuses ``hi < lo`` and a width that is not finite, which configs
+    reject)."""
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    for lo, hi in map(sorted, ranges):
+        if not math.isfinite(hi - lo):
+            continue
+        assert _uniform(ours, lo, hi).hex() == numpys.uniform(lo, hi).hex()
+    assert ours.random() == numpys.random()
 
 
 ranking_score = st.integers(-3, 3).map(float) | st.floats(-1e6, 1e6)

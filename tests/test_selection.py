@@ -13,23 +13,28 @@ from poselik import (
     Heatmap,
     MissingHeatmap,
     MissingParams,
+    OffsetParams,
+    PeakStack,
     Pose,
     PoseModelParams,
     SamplePool,
     SchemaError,
     STRATEGIES,
     chain_skeleton,
+    expected_log_likelihoods,
     extract_peaks,
     multi_peak_entropy,
     ood_ranking_auc,
     refine_pose,
+    refined_log_likelihoods,
     render_gaussian_heatmap,
     score_pool,
     select_batch,
+    validate_skeleton,
 )
 from poselik.selection import _random_score
 
-from _helpers import assert_same_peaks, batch_of, oracle_auc, peakset_of
+from _helpers import assert_same_peaks, batch_of, joint_peaks, oracle_auc, peakset_of
 
 
 def chain_model(n_joints=3, mean=6.0, sigma=1.0):
@@ -116,6 +121,87 @@ class TestSamplePool:
             copy.peaks_for("a")
         assert_same_peaks(copy.peaks_for("b"), pool.peaks_for("b"))
         assert copy.peaks is pool.peaks
+
+
+def fresh_scores(peak_sets, model, mode):
+    """vl4pose scores of peak sets stacked alone, without a pool."""
+    batch = batch_of(peak_sets, joint_count=model.skeleton.n_joints)
+    if mode == "max":
+        return refined_log_likelihoods(batch, model)
+    return [report.total for report in expected_log_likelihoods(batch, model)]
+
+
+class TestPoolStacks:
+    """A pool stacks its peaks once per skeleton and link family, and every
+    round scores rows of that stack: what the unlabeled samples score when
+    stacked alone."""
+
+    def samples(self):
+        return [
+            extract_peaks(render(vertical_pose(3, start=(20, 10 + 3 * i), step=5.0 + i)))
+            for i in range(4)
+        ]
+
+    def test_a_faulty_sample_moved_to_labeled_no_longer_fails_scoring(self):
+        good = self.samples()
+        joints = [[(loc, 1.0, prob) for loc, prob in joint_peaks(good[0], j)] for j in range(3)]
+        joints[1] = []
+        peak_sets = [good[0], peakset_of(joints), good[1]]
+        pool = SamplePool({}, {"a": 0, "bare": 1, "c": 2}, batch_of(peak_sets))
+        model = chain_model()
+        for mode in ("max", "expected"):
+            with pytest.raises(EmptyPeakSet, match="'j1' has no candidate peaks"):
+                score_pool(pool, "vl4pose", model, mode=mode)
+        pool.move_to_labeled("bare", vertical_pose(3))
+        for mode in ("max", "expected"):
+            scores = score_pool(pool, "vl4pose", model, mode=mode)
+            assert list(scores.values()) == fresh_scores([good[0], good[1]], model, mode)
+        assert len(pool.stacks) == 1  # built by the first, failing call
+
+    def test_each_skeleton_and_link_family_gets_its_own_stack(self):
+        peak_sets = self.samples()
+        pool = SamplePool({}, {f"s{i}": i for i in range(4)}, batch_of(peak_sets))
+        distance = chain_model()
+        offset = PoseModelParams(
+            skeleton=distance.skeleton,
+            link_params=(OffsetParams([0.0, 6.0], np.eye(2)),) * 2,
+            model_kind="offset",
+        )
+        star = validate_skeleton(
+            {"joints": ["j0", "j1", "j2"], "root": 0, "links": [[0, 1], [0, 2]]}
+        )
+        fan = PoseModelParams(
+            skeleton=star, link_params=distance.link_params, model_kind="distance"
+        )
+        copy = pool.clone()
+        for model in (distance, offset, fan, distance):
+            for mode in ("max", "expected"):
+                scores = score_pool(copy, "vl4pose", model, mode=mode)
+                assert list(scores.values()) == fresh_scores(peak_sets, model, mode)
+        keys = [(distance.skeleton, "distance"), (distance.skeleton, "offset"), (star, "distance")]
+        assert list(pool.stacks) == keys  # clones share one cache
+        for skeleton, family in keys:
+            stack = pool.stack_for(PoseModelParams(
+                skeleton=skeleton, model_kind=family,
+                link_params=offset.link_params if family == "offset" else distance.link_params,
+            ))
+            assert (stack.skeleton, stack.family) == (skeleton, family)
+
+    def test_a_stack_scores_only_under_its_own_skeleton_and_family(self):
+        peaks = batch_of(self.samples())
+        model = chain_model()
+        stack = PeakStack.of(peaks, model.skeleton, "offset")
+        with pytest.raises(SchemaError, match="another skeleton or link family"):
+            refined_log_likelihoods(stack, model)
+
+    def test_new_peaks_get_a_new_stack(self):
+        peak_sets = self.samples()
+        pool = SamplePool({}, {"a": 0, "b": 1}, batch_of(peak_sets[:2]))
+        model = chain_model()
+        score_pool(pool, "vl4pose", model, mode="max")
+        pool.peaks = batch_of(peak_sets[2:])
+        scores = score_pool(pool, "vl4pose", model, mode="max")
+        assert list(scores.values()) == fresh_scores(peak_sets[2:], model, "max")
 
 
 class TestScorePool:
