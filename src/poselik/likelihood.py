@@ -246,11 +246,9 @@ class PeakStack:
     ``K_j`` being the largest count of that joint in the batch, and the root
     its locations ``root_locs`` ``(B, K_root, 2)`` padded with 0. Link ``l``
     gets its :func:`_geometry` over every parent/child pair, ``(B, K_parent,
-    K_child)``; a stack taken from another reads rows ``rows`` of the
-    other's ``links``, gathered only while scoring. Padding follows each
-    sample's peaks and never beats a real peak, so a first maximum is still
-    the lowest real peak index and a sample scores the same bits in any
-    batch.
+    K_child)``. Padding follows each sample's peaks and never beats a real
+    peak, so a first maximum is still the lowest real peak index and a
+    sample scores the same bits in any batch.
     """
 
     skeleton: Skeleton
@@ -259,7 +257,6 @@ class PeakStack:
     probs: list[np.ndarray]
     root_locs: np.ndarray
     links: list[np.ndarray]
-    rows: np.ndarray | None = None  # this stack's samples of ``links``; None: all of them
 
     @classmethod
     def of(cls, peaks: PeakSet, skeleton: Skeleton, family: str) -> "PeakStack":
@@ -286,19 +283,6 @@ class PeakStack:
             locs[skeleton.root].copy(), _link_geometry(locs, skeleton, family),
         )
 
-    def take(self, rows) -> "PeakStack":
-        """The samples at indices ``rows``, in that order, padded to their
-        own widths: the stack of their peaks alone, bit for bit."""
-        rows = np.asarray(rows, dtype=np.intp)
-        counts = self.counts[rows]
-        k = counts.max(axis=0, initial=1).tolist()
-        return PeakStack(
-            self.skeleton, self.family, counts,
-            [probs[rows, : k[j]] for j, probs in enumerate(self.probs)],
-            self.root_locs[rows, : k[self.skeleton.root]],
-            self.links, rows if self.rows is None else self.rows[rows],
-        )
-
     def log_probs(self) -> list[np.ndarray]:
         """Per joint, log peak probabilities padded with ``-inf``."""
         return [_log(probs) for probs in self.probs]
@@ -308,14 +292,18 @@ class PeakStack:
         return [np.arange(p.shape[1]) < self.counts[:, j, None] for j, p in enumerate(self.probs)]
 
     def terms(self, params: PoseModelParams):
-        """:func:`_terms` of the batch under ``params``, gathering one link's
-        geometry at a time."""
-        k = [probs.shape[1] for probs in self.probs]
-        geometry = (
-            g if self.rows is None else g[self.rows, : k[p], : k[c]]
-            for g, (p, c) in zip(self.links, self.skeleton.links)
-        )
-        return _terms(self.root_locs, geometry, params)
+        """:func:`_terms` of the batch under ``params``."""
+        return _terms(self.root_locs, self.links, params)
+
+    def check(self, rows=slice(None)) -> None:
+        """Raise what checking samples ``rows`` (all by default) one by one,
+        in that order, would: the first with a joint with no peaks raises
+        :class:`EmptyPeakSet`."""
+        counts = self.counts[rows]
+        if not counts.all():
+            first = np.argmin(counts.min(axis=1))  # the first sample with an empty joint
+            joint = self.skeleton.joints[np.argmin(counts[first])]
+            raise EmptyPeakSet(f"joint {joint!r} has no candidate peaks")
 
 
 def _cell_type(locs: np.ndarray) -> np.dtype:
@@ -327,26 +315,17 @@ def _cell_type(locs: np.ndarray) -> np.dtype:
     return np.min_scalar_type(-bound - 1) if bound < 2**62 else np.dtype(np.int64)
 
 
-def _stack(peaks: PeakSet | PeakStack, params: PoseModelParams) -> PeakStack:
-    """The stack a peak scorer reads: ``peaks`` stacked for the skeleton and
-    link family of ``params``, or a stack built for them. The only place
-    peaks meet the skeleton.
+def _stack(peaks: PeakSet, params: PoseModelParams) -> PeakStack:
+    """``peaks`` stacked for the skeleton and link family of ``params``: the
+    only place peaks meet the skeleton.
 
     The batch is checked at once, and raises what checking its samples one
     by one in batch order would: a wrong joint count, a skeleton that is not
     2-D, then a joint with no peaks.
     """
-    skel = params.skeleton
-    if not isinstance(peaks, PeakStack):
-        peaks = PeakStack.of(peaks, skel, params.model_kind)
-    elif (peaks.skeleton, peaks.family) != (skel, params.model_kind):
-        raise SchemaError("peak stack was built for another skeleton or link family")
-    counts = peaks.counts
-    if not counts.all():
-        first = np.argmin(counts.min(axis=1))  # the first sample with an empty joint
-        joint = skel.joints[np.argmin(counts[first])]
-        raise EmptyPeakSet(f"joint {joint!r} has no candidate peaks")
-    return peaks
+    stack = PeakStack.of(peaks, params.skeleton, params.model_kind)
+    stack.check()
+    return stack
 
 
 def _expect(values: np.ndarray, weights: np.ndarray, real: np.ndarray) -> np.ndarray:
@@ -377,11 +356,29 @@ def _reports(root: np.ndarray, links: list[np.ndarray], mode: str) -> list[Likel
     return reports
 
 
-def expected_log_likelihoods(
-    peaks: PeakSet | PeakStack, params: PoseModelParams
-) -> list[LikelihoodReport]:
+def _expected_terms(stack: PeakStack, params: PoseModelParams):
+    """Expected root terms ``(B,)`` and per-link terms ``(B,)`` of every
+    sample of a stack."""
+    probs, real = stack.probs, stack.real()
+    root_vector, link_matrices = stack.terms(params)
+    skel = params.skeleton
+    links = [
+        _expect(_expect(m, probs[child], real[child]), probs[parent], real[parent])
+        for m, (parent, child) in zip(link_matrices, skel.links)
+    ]
+    return _expect(root_vector, probs[skel.root], real[skel.root]), links
+
+
+def _expected_totals(stack: PeakStack, params: PoseModelParams) -> np.ndarray:
+    """The expected log-likelihood ``(B,)`` of every sample of a stack, added
+    as a :class:`LikelihoodReport` adds its terms."""
+    root, links = _expected_terms(stack, params)
+    return root + sum(links)
+
+
+def expected_log_likelihoods(peaks: PeakSet, params: PoseModelParams) -> list[LikelihoodReport]:
     """Link terms averaged over each joint's peak distribution, for every
-    sample of a batch (or of a :class:`PeakStack`) from one stack.
+    sample of a batch from one stack.
 
     Each link term is the expectation of the link log-density under the
     product of the parent's and child's peak probabilities, summed over the
@@ -390,16 +387,7 @@ def expected_log_likelihoods(
     log-likelihood of the argmax pose. Each sample's report is bit for bit
     what it gets alone.
     """
-    stack = _stack(peaks, params)
-    probs, real = stack.probs, stack.real()
-    root_vector, link_matrices = stack.terms(params)
-    skel = params.skeleton
-    links = [
-        _expect(_expect(m, probs[child], real[child]), probs[parent], real[parent])
-        for m, (parent, child) in zip(link_matrices, skel.links)
-    ]
-    root = _expect(root_vector, probs[skel.root], real[skel.root])
-    return _reports(root, links, "expected")
+    return _reports(*_expected_terms(_stack(peaks, params), params), "expected")
 
 
 def expected_log_likelihood(peaks: PeakSet, params: PoseModelParams) -> LikelihoodReport:
@@ -547,10 +535,9 @@ def refine_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
     return refine_poses(_one(peaks), params)[0]
 
 
-def refined_log_likelihoods(peaks: PeakSet | PeakStack, params: PoseModelParams) -> list[float]:
-    """``refine_pose(peaks, params).log_likelihood`` of each sample of a batch
-    (or of a :class:`PeakStack`), from one batched tree DP over its stack."""
-    stack = _stack(peaks, params)
+def _refined_totals(stack: PeakStack, params: PoseModelParams) -> np.ndarray:
+    """The refined log-likelihood ``(B,)`` of every sample of a stack, from
+    one batched tree DP."""
     root_vector, link_matrices = stack.terms(params)
     indices = _max_sum(stack.log_probs(), root_vector, link_matrices, params.skeleton)
     skel = params.skeleton
@@ -559,7 +546,13 @@ def refined_log_likelihoods(peaks: PeakSet | PeakStack, params: PoseModelParams)
         m[rows, indices[:, parent], indices[:, child]]
         for m, (parent, child) in zip(link_matrices, skel.links)
     ]
-    return (root_vector[rows, indices[:, skel.root]] + sum(link_terms)).tolist()
+    return root_vector[rows, indices[:, skel.root]] + sum(link_terms)
+
+
+def refined_log_likelihoods(peaks: PeakSet, params: PoseModelParams) -> list[float]:
+    """``refine_pose(peaks, params).log_likelihood`` of each sample of a
+    batch, from one batched tree DP over its stack."""
+    return _refined_totals(_stack(peaks, params), params).tolist()
 
 
 def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:

@@ -31,18 +31,16 @@ from .heatmaps import (
 )
 from .likelihood import (
     PeakStack,
+    _expected_totals,
+    _refined_totals,
     expected_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it
-    expected_log_likelihoods,
     multi_peak_entropies,
     multi_peak_entropy,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     refine_pose,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
-    refined_log_likelihoods,
 )
 from .model import Pose, PoseModelParams
 
 STRATEGIES = ("vl4pose", "entropy", "random")
-# Strategies whose highest scores are selected first; all others select lowest.
-_HIGHEST_FIRST = frozenset({"entropy"})
 
 
 def _check_strategy(strategy: str) -> None:
@@ -82,32 +80,30 @@ class SamplePool:
     def clone(self) -> "SamplePool":
         return SamplePool(dict(self.labeled), dict(self.unlabeled), self.peaks, self.stacks)
 
-    def _rows(self, sample_ids) -> list[int]:
+    def _require_peaks(self, first_id: str | None) -> PeakSet:
+        if self.peaks is None:
+            holder = "the pool" if first_id is None else f"unlabeled sample {first_id!r}"
+            raise MissingHeatmap(f"{holder} has no peaks")
+        return self.peaks
+
+    def peaks_for(self, *sample_ids: str) -> PeakSet:
+        """The peaks of the unlabeled ``sample_ids``, in that order, as one batch."""
         try:
             rows = [self.unlabeled[sample_id] for sample_id in sample_ids]
         except KeyError as exc:
             raise MissingHeatmap(f"no unlabeled sample {exc.args[0]!r}") from None
-        if self.peaks is None:
-            holder = f"unlabeled sample {sample_ids[0]!r}" if sample_ids else "the pool"
-            raise MissingHeatmap(f"{holder} has no peaks")
-        return rows
+        return self._require_peaks(sample_ids[0] if sample_ids else None).take(rows)
 
-    def peaks_for(self, *sample_ids: str) -> PeakSet:
-        """The peaks of the unlabeled ``sample_ids``, in that order, as one batch."""
-        rows = self._rows(sample_ids)
-        return self.peaks.take(rows)
-
-    def stack_for(self, params: PoseModelParams, *sample_ids: str) -> PeakStack:
-        """The peaks of the unlabeled ``sample_ids``, in that order, as the
-        :class:`PeakStack` of ``params``' skeleton and link family: rows of
-        the pool's cached stack, bit for bit the stack of their peaks alone."""
-        rows = self._rows(sample_ids)
+    def stack(self, params: PoseModelParams) -> PeakStack:
+        """The :class:`PeakStack` of all of ``peaks``, labeled samples too,
+        for ``params``' skeleton and link family, built once per peaks."""
+        peaks = self._require_peaks(next(iter(self.unlabeled), None))
         key = (params.skeleton, params.model_kind)
-        peaks, stack = self.stacks.get(key, (None, None))
-        if peaks is not self.peaks:  # never built, or built for other peaks
-            stack = PeakStack.of(self.peaks, *key)
-            self.stacks[key] = (self.peaks, stack)
-        return stack.take(rows)
+        built_from, stack = self.stacks.get(key, (None, None))
+        if built_from is not peaks:  # never built, or built for other peaks
+            stack = PeakStack.of(peaks, *key)
+            self.stacks[key] = (peaks, stack)
+        return stack
 
     def move_to_labeled(self, sample_id: str, pose: Pose) -> None:
         if sample_id not in self.unlabeled:
@@ -138,14 +134,15 @@ def score_pool(
     *,
     mode: str = "expected",
     seed: int = 0,
-) -> dict[str, float]:
-    """Score every unlabeled sample under one strategy.
+) -> np.ndarray:
+    """Score every unlabeled sample under one strategy: a float64 array in
+    the iteration order of ``pool.unlabeled``.
 
     ``params`` is the fitted model shared by every sample; it is required
     for ``vl4pose`` only. ``mode`` picks the vl4pose flavor: the
     expectation over peak distributions (default) or the refined maximum.
-    Either is computed for the whole pool by one batched call, from rows of
-    the pool's cached stack.
+    Either checks the unlabeled samples, in order, then scores the pool's
+    whole cached stack in one batched call and keeps their rows.
     """
     _check_strategy(strategy)
     if mode not in ("expected", "max"):
@@ -155,15 +152,34 @@ def score_pool(
     if not pool.unlabeled:
         raise EmptyInput("unlabeled pool is empty")
     if strategy == "random":
-        return {sample_id: _random_score(seed, sample_id) for sample_id in pool.unlabeled}
-    if strategy == "vl4pose" and mode == "max":
-        scores = refined_log_likelihoods(pool.stack_for(params, *pool.unlabeled), params)
-    elif strategy == "vl4pose":
-        reports = expected_log_likelihoods(pool.stack_for(params, *pool.unlabeled), params)
-        scores = [report.total for report in reports]
-    else:
-        scores = multi_peak_entropies(pool.peaks_for(*pool.unlabeled))
-    return dict(zip(pool.unlabeled, scores))
+        return np.array([_random_score(seed, sample_id) for sample_id in pool.unlabeled])
+    if strategy == "entropy":
+        return np.array(multi_peak_entropies(pool.peaks_for(*pool.unlabeled)))
+    stack = pool.stack(params)
+    rows = np.fromiter(pool.unlabeled.values(), np.intp, len(pool.unlabeled))
+    stack.check(rows)
+    totals = _refined_totals if mode == "max" else _expected_totals
+    return totals(stack, params)[rows]
+
+
+def ascending(scores: np.ndarray, strategy: str) -> np.ndarray:
+    """``scores`` as ``strategy`` ranks them, lowest first: entropy's negated."""
+    return -scores if strategy == "entropy" else scores
+
+
+def id_ranks(ids: list[str]) -> np.ndarray:
+    """Each id's place among ``ids`` in ascending order. Python compares the
+    strings: a numpy string array drops trailing NULs, so ``"a\\x00"`` would
+    tie with ``"a"``."""
+    ranks = np.empty(len(ids), dtype=np.intp)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
+def lowest_first(scores: np.ndarray, ranks: np.ndarray, budget: int) -> np.ndarray:
+    """The positions of the ``budget`` lowest ``scores``, lowest first, ties
+    broken by the lower of ``ranks``."""
+    return np.lexsort((ranks, scores))[:budget]
 
 
 def select_batch(scores: dict[str, float], strategy: str, budget: int) -> SelectionResult:
@@ -180,33 +196,30 @@ def select_batch(scores: dict[str, float], strategy: str, budget: int) -> Select
         raise BudgetExceedsPool(
             f"budget {budget} exceeds pool of {len(scores)} scored samples"
         )
-    sign = -1.0 if strategy in _HIGHEST_FIRST else 1.0
-    ranked = sorted(scores.items(), key=lambda item: (sign * item[1], item[0]))
-    return SelectionResult(
-        strategy=strategy,
-        selected=tuple(sample_id for sample_id, _ in ranked[:budget]),
-        scores=dict(scores),
-    )
+    ids = list(scores)
+    values = np.fromiter(scores.values(), np.float64, len(ids))
+    picked = lowest_first(ascending(values, strategy), id_ranks(ids), budget)
+    return SelectionResult(strategy, tuple(ids[i] for i in picked.tolist()), dict(scores))
 
 
 def ood_ranking_auc(id_scores, ood_scores) -> float:
     """Probability that a random OOD score falls below a random ID score.
 
     Mann-Whitney statistic with 0.5 credit for ties, computed through
-    tie-averaged ranks over the pooled scores.
+    tie-averaged ranks over the pooled scores. Ranks are multiples of 0.5,
+    so their sum, and the result, is the same in any order of each class.
     """
-    id_scores = [float(s) for s in id_scores]
-    ood_scores = [float(s) for s in ood_scores]
-    if not id_scores or not ood_scores:
+    id_scores = np.asarray(id_scores, dtype=np.float64)
+    ood_scores = np.asarray(ood_scores, dtype=np.float64)
+    n_id, n_ood = id_scores.size, ood_scores.size
+    if not n_id or not n_ood:
         raise EmptyClass(
-            f"need both classes for a ranking: {len(id_scores)} in-distribution, "
-            f"{len(ood_scores)} out-of-distribution"
+            f"need both classes for a ranking: {n_id} in-distribution, "
+            f"{n_ood} out-of-distribution"
         )
-    pooled = np.array(id_scores + ood_scores)
+    pooled = np.concatenate([id_scores, ood_scores])
     _, value_of, counts = np.unique(pooled, return_inverse=True, return_counts=True)
     # The c copies of a value hold ranks cumsum - c + 1 .. cumsum; each gets their mean.
     ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[value_of]
-    ood_ranks = ranks[len(id_scores):]
-    n_ood, n_id = len(ood_scores), len(id_scores)
-    u_ood = ood_ranks.sum() - n_ood * (n_ood + 1) / 2.0  # pairs won (+ half-ties) by OOD
+    u_ood = ranks[n_id:].sum() - n_ood * (n_ood + 1) / 2.0  # pairs won (+ half-ties) by OOD
     return float(1.0 - u_ood / (n_ood * n_id))

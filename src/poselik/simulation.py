@@ -30,13 +30,14 @@ from .likelihood import (
 )
 from .model import Pose, Skeleton, Stages, clock, is_number, validate_skeleton
 from .selection import (
-    _HIGHEST_FIRST,
     STRATEGIES,
     SamplePool,
-    SelectionResult,
+    ascending,
+    id_ranks,
+    lowest_first,
     ood_ranking_auc,
     score_pool,
-    select_batch,
+    select_batch,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
 )
 
 _MAX_POSE_ATTEMPTS = 1000
@@ -393,40 +394,21 @@ def _fit_round_params(pool: SamplePool, skeleton: Skeleton):
     return fit_model(data, "distance")
 
 
-def _split_scores(scores: dict[str, float], is_ood: dict[str, bool]):
-    id_scores = [scores[s] for s in sorted(scores) if not is_ood.get(s, False)]
-    ood_scores = [scores[s] for s in sorted(scores) if is_ood.get(s, False)]
-    return id_scores, ood_scores
-
-
-def _round_auc(scores: dict[str, float], is_ood: dict[str, bool], strategy: str):
-    """Probability a random OOD sample is selected before a random ID sample."""
-    id_scores, ood_scores = _split_scores(scores, is_ood)
-    if not id_scores or not ood_scores:
-        return None
-    if strategy in _HIGHEST_FIRST:
-        id_scores = [-s for s in id_scores]
-        ood_scores = [-s for s in ood_scores]
-    return ood_ranking_auc(id_scores, ood_scores)
-
-
 def _select_round(
-    cfg: SimulationConfig,
-    scores: dict[str, float],
-    strategy: str,
-    random_scores: dict[str, float],
-) -> SelectionResult:
-    """Budgeted selection, with an optional random warm-up slice ranked by
-    ``random_scores``."""
+    cfg: SimulationConfig, strategy: str, ranked: np.ndarray, random: np.ndarray, ranks: np.ndarray
+) -> np.ndarray:
+    """Positions of the round's budgeted selection among the unlabeled rows,
+    which score ``ranked`` (lowest first), ``random`` and hold id ranks
+    ``ranks``: an optional warm-up slice ranked by ``random``, then the rest
+    ranked by ``ranked``."""
     n_random = int(round(cfg.initial_random_fraction * cfg.budget))
     if strategy == "random" or n_random == 0:
-        return select_batch(scores, strategy, cfg.budget)
-    warmup = select_batch(
-        {sample_id: random_scores[sample_id] for sample_id in scores}, "random", n_random
-    ).selected
-    remaining = {s: v for s, v in scores.items() if s not in warmup}
-    rest = select_batch(remaining, strategy, cfg.budget - n_random).selected
-    return SelectionResult(strategy=strategy, selected=warmup + rest, scores=dict(scores))
+        return lowest_first(ranked, ranks, cfg.budget)
+    warmup = lowest_first(random, ranks, n_random)
+    rest = np.delete(np.arange(len(ranked)), warmup)
+    return np.concatenate(
+        [warmup, rest[lowest_first(ranked[rest], ranks[rest], cfg.budget - n_random)]]
+    )
 
 
 def run_simulation(cfg: SimulationConfig) -> SimulationReport:
@@ -447,6 +429,10 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
     base_pool, heldout, truth, is_ood = build_pool(cfg)
     heldout_poses = [heldout[h] for h in sorted(heldout)]
     pools = {s: base_pool.clone() for s in cfg.strategies}
+    # Per pool row, in the row order of ``base_pool.unlabeled``.
+    ids = list(base_pool.unlabeled)
+    ood = np.array([is_ood[sample_id] for sample_id in ids])
+    ranks = id_ranks(ids)
     t = stages.since("pool", t)
     fixed_scores = {  # random scores also rank every strategy's warm-up slice
         strategy: score_pool(base_pool, strategy, seed=cfg.seed)
@@ -467,28 +453,32 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
             pool = pools[strategy]
             params = _fit_round_params(pool, skeleton)
             t = stages.since("fit", t)
+            rows = np.fromiter(pool.unlabeled.values(), np.intp, len(pool.unlabeled))
             if strategy in fixed_scores:
-                scores = {s: fixed_scores[strategy][s] for s in pool.unlabeled}
+                scores = fixed_scores[strategy][rows]
             else:
                 scores = score_pool(pool, strategy, params, mode=cfg.ranking_mode)
             t = stages.since("score", t)
             heldout_ll = sum(point_log_likelihoods(heldout_poses, params)) / len(heldout_poses)
             t = stages.since("heldout", t)
-            result = _select_round(cfg, scores, strategy, fixed_scores["random"])
+            ranked = ascending(scores, strategy)
+            picked = _select_round(
+                cfg, strategy, ranked, fixed_scores["random"][rows], ranks[rows]
+            ).tolist()
 
-            remaining_ood = sum(1 for s in pool.unlabeled if is_ood[s])
-            hit = sum(1 for s in result.selected if is_ood[s])
-            recall = hit / remaining_ood if remaining_ood else None
-            auc = _round_auc(scores, is_ood, strategy)
+            flags = ood[rows]
+            remaining_ood = np.count_nonzero(flags)
+            recall = np.count_nonzero(flags[picked]) / remaining_ood if remaining_ood else None
+            # Probability a random OOD sample is selected before a random ID sample.
+            auc = (
+                ood_ranking_auc(ranked[~flags], ranked[flags])
+                if 0 < remaining_ood < len(flags) else None
+            )
 
-            for sample_id in result.selected:
+            chosen = [ids[row] for row in rows[picked].tolist()]
+            for sample_id, score in zip(chosen, scores[picked].tolist()):
                 selections.append(
-                    {
-                        "round": round_idx,
-                        "strategy": strategy,
-                        "id": sample_id,
-                        "score": float(scores[sample_id]),
-                    }
+                    {"round": round_idx, "strategy": strategy, "id": sample_id, "score": score}
                 )
                 pool.move_to_labeled(sample_id, truth[sample_id])
 
@@ -496,7 +486,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
             metrics[strategy]["ood_auc"].append(auc)
             metrics[strategy]["heldout_mean_ll"].append(float(heldout_ll))
             metrics[strategy]["labeled_count"].append(len(pool.labeled))
-            selected_ids[strategy].append(list(result.selected))
+            selected_ids[strategy].append(chosen)
             t = stages.since("select", t)
 
     report = {

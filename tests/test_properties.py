@@ -34,6 +34,9 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -43,6 +46,7 @@ from hypothesis import strategies as st
 
 from poselik import (
     SIGMA_FLOOR,
+    STRATEGIES,
     BadMagic,
     DistanceParams,
     Heatmap,
@@ -82,12 +86,14 @@ from poselik import (
     render_gaussian_heatmap,
     require_finite,
     score_pool,
+    select_batch,
     validate_skeleton,
     write_heatmap_file,
 )
 from poselik import heatmaps as heatmaps_module
 from poselik.calibration import RIDGE_START
 from poselik.heatmaps import _gaussian_table
+from poselik.selection import ascending, id_ranks, lowest_first
 from poselik.simulation import _uniform
 
 from _helpers import (
@@ -240,9 +246,7 @@ def test_batched_refinement_equals_per_sample_refinement(pool_case):
         assert batched.per_link_terms == single.per_link_terms
         assert batched.root_term == single.root_term
     scores = score_pool(pool_of(peak_sets), "vl4pose", model, mode="max")
-    assert list(scores.items()) == [
-        (f"s{i}", single.log_likelihood) for i, single in enumerate(singles)
-    ]
+    assert scores.tolist() == [single.log_likelihood for single in singles]
 
 
 @PROPERTY_SETTINGS
@@ -263,29 +267,37 @@ def test_expected_log_likelihood_equals_enumeration(pool_case):
 @PROPERTY_SETTINGS
 @given(pools(), st.data())
 def test_pool_cached_scores_equal_scoring_the_gathered_subset(pool_case, data):
-    """Each round scores rows of the stack the pool built once for the
-    model's skeleton and family: bit for bit what the unlabeled samples
-    score when gathered and stacked alone, in either mode, for any subset in
-    any order, also one whose own padding is narrower than the pool's."""
+    """Each round scores the whole stack the pool built once for the model's
+    skeleton and family and keeps the unlabeled rows: bit for bit what those
+    samples score when gathered and stacked alone, in either mode, for any
+    subset in any order, also one whose own padding is narrower than the
+    pool's, and beside a labeled sample with a joint with no peaks."""
     peak_sets, model = pool_case
-    base = pool_of(peak_sets)
+    n_joints = model.skeleton.n_joints
     counts = np.array([peaks.counts() for peaks in peak_sets])  # (B, J)
     widest = counts.max(axis=0)
     spread = np.flatnonzero(counts.min(axis=0) < widest)  # joints some sample pads
     narrow = [] if not spread.size else np.flatnonzero(counts[:, spread[0]] < widest[spread[0]])
     drawn = data.draw(st.permutations(range(len(peak_sets))))
     subsets = [drawn[: data.draw(st.integers(1, len(drawn)))], list(narrow[::-1])]
+    stacked = list(peak_sets)
+    if data.draw(st.booleans()):  # a labeled sample, placed last, with an empty joint
+        joints = [joint_peaks(peak_sets[0], j) for j in range(n_joints)]
+        joints[data.draw(st.integers(0, n_joints - 1))] = []
+        stacked.append(peakset_of([[(loc, 1.0, prob) for loc, prob in joint] for joint in joints]))
+    base = SamplePool({}, {}, batch_of(stacked))
     for rows in filter(None, subsets):
         pool = base.clone()
         pool.unlabeled = {f"s{i}": i for i in rows}
         gathered = batch_of([peak_sets[i] for i in rows])
         for mode in ("max", "expected"):
-            scores = list(score_pool(pool, "vl4pose", model, mode=mode).values())
+            scores = score_pool(pool, "vl4pose", model, mode=mode)
             if mode == "max":
                 fresh = refined_log_likelihoods(gathered, model)
             else:
                 fresh = [report.total for report in expected_log_likelihoods(gathered, model)]
-            assert np.array(scores).tobytes() == np.array(fresh).tobytes()
+            assert scores.dtype == np.float64
+            assert scores.tobytes() == np.array(fresh).tobytes()
     assert len(base.stacks) == 1
 
 
@@ -461,9 +473,7 @@ def test_batched_expected_scoring_equals_its_batch_of_one(pool_case):
         singles = [expected_log_likelihood(peaks, model) for peaks in peak_sets]
         scores = score_pool(pool_of(peak_sets), "vl4pose", model, mode="expected")
     assert [report_bits(r) for r in batched] == [report_bits(r) for r in singles]
-    assert np.array(list(scores.values())).tobytes() == np.array(
-        [r.total for r in singles]
-    ).tobytes()
+    assert scores.tobytes() == np.array([r.total for r in singles]).tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -638,6 +648,53 @@ ranking_score = st.integers(-3, 3).map(float) | st.floats(-1e6, 1e6)
 )
 def test_ood_ranking_auc_equals_pairwise_definition(id_scores, ood_scores):
     assert abs(ood_ranking_auc(id_scores, ood_scores) - oracle_auc(id_scores, ood_scores)) <= 1e-12
+
+
+tied_score = st.sampled_from((0.0, -0.0, 1.0, -1.0, math.inf, -math.inf)) | st.floats(
+    -1e6, 1e6, allow_nan=False
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(tied_score, min_size=1, max_size=30),
+    st.lists(tied_score, min_size=1, max_size=30),
+    st.randoms(use_true_random=False),
+)
+def test_ood_ranking_auc_is_the_same_in_any_order_of_each_class(id_scores, ood_scores, rnd):
+    """Tie-averaged ranks are multiples of 0.5, so their sums are exact: the
+    AUC has the same bits in any order of each class, which lets a round
+    rank its samples in pool order."""
+    auc = ood_ranking_auc(np.array(id_scores), np.array(ood_scores))
+    rnd.shuffle(id_scores)
+    rnd.shuffle(ood_scores)
+    assert ood_ranking_auc(np.array(id_scores), np.array(ood_scores)).hex() == auc.hex()
+    assert ood_ranking_auc(id_scores, ood_scores).hex() == auc.hex()
+
+
+@st.composite
+def id_score_dicts(draw) -> dict[str, float]:
+    """Scores of ids with many ties, both zeros and both infinities, among
+    them ids that differ only by a trailing NUL."""
+    stems = draw(st.lists(st.text("ab\x00", max_size=3), min_size=1, max_size=12, unique=True))
+    ids = list(dict.fromkeys(stems + [stem + "\x00" for stem in stems if draw(st.booleans())]))
+    ids = draw(st.permutations(ids))
+    return {sample_id: draw(tied_score) for sample_id in ids}
+
+
+@PROPERTY_SETTINGS
+@given(id_score_dicts())
+def test_array_ranking_equals_sorting_by_score_then_id(scores):
+    ids, values = list(scores), np.array(list(scores.values()))
+    ranks = id_ranks(ids)
+    for strategy in STRATEGIES:
+        sign = -1.0 if strategy == "entropy" else 1.0
+        ranked = sorted(scores.items(), key=lambda kv: (sign * kv[1], kv[0]))
+        for budget in range(len(ids) + 1):
+            expected = [sample_id for sample_id, _ in ranked[:budget]]
+            positions = lowest_first(ascending(values, strategy), ranks, budget)
+            assert [ids[i] for i in positions.tolist()] == expected
+            assert list(select_batch(scores, strategy, budget).selected) == expected
 
 
 @st.composite
@@ -1243,3 +1300,28 @@ def test_maxima_lines_are_the_json_of_their_records(samples):
         for sample_id, peaks in zip(ids, peak_sets)
     )
     assert cli._maxima_records(None, None, ids, batch_of(peak_sets)) == expected
+
+
+def test_a_failing_property_fails_with_its_example(tmp_path):
+    """Under the suite's own warning filters, a failing property reports its
+    falsifying example as an ordinary failure, and the session goes on."""
+    root = Path(__file__).resolve().parent.parent
+    (tmp_path / "test_failing.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None, derandomize=True)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n\n\n"
+        "def test_passes():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(root / "pyproject.toml"), "--rootdir",
+         str(root), "-p", "no:cacheprovider", "-q", str(tmp_path / "test_failing.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "Falsifying example: test_fails(" in run.stdout and "x=5," in run.stdout
+    assert "1 failed, 1 passed" in run.stdout
+    assert run.returncode == 1

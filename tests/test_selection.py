@@ -14,7 +14,6 @@ from poselik import (
     MissingHeatmap,
     MissingParams,
     OffsetParams,
-    PeakStack,
     Pose,
     PoseModelParams,
     SamplePool,
@@ -56,6 +55,11 @@ def render(pose, size=64):
     return render_gaussian_heatmap(pose, size, size, peak_sigma=1.5)
 
 
+def scores_by_id(pool, *args, **kwargs):
+    """``score_pool``'s array keyed by the unlabeled ids it is aligned with."""
+    return dict(zip(pool.unlabeled, score_pool(pool, *args, **kwargs).tolist()))
+
+
 def make_pool(heatmaps, labeled=None):
     peaks = batch_of([extract_peaks(heatmap) for heatmap in heatmaps.values()], joint_count=3)
     unlabeled = {sample_id: i for i, sample_id in enumerate(heatmaps)}
@@ -83,12 +87,12 @@ class TestSamplePool:
             pool.peaks_for("b")
         with pytest.raises(MissingHeatmap, match="the pool has no peaks"):
             pool.peaks_for()
-        assert set(score_pool(pool, "random")) == {"a", "b"}
+        assert score_pool(pool, "random").tolist() == [_random_score(0, s) for s in "ba"]
         for strategy in ("vl4pose", "entropy"):
             with pytest.raises(MissingHeatmap, match="'b' has no peaks"):
                 score_pool(pool, strategy, chain_model())
         pool.move_to_labeled("b", vertical_pose(3))
-        assert score_pool(pool, "random").keys() == {"a"}
+        assert score_pool(pool, "random").tolist() == [_random_score(0, "a")]
 
     def test_move_to_labeled(self):
         pool = make_pool({"a": render(vertical_pose(3))})
@@ -133,8 +137,8 @@ def fresh_scores(peak_sets, model, mode):
 
 class TestPoolStacks:
     """A pool stacks its peaks once per skeleton and link family, and every
-    round scores rows of that stack: what the unlabeled samples score when
-    stacked alone."""
+    round scores that whole stack and keeps the unlabeled rows: what the
+    unlabeled samples score when stacked alone."""
 
     def samples(self):
         return [
@@ -155,7 +159,7 @@ class TestPoolStacks:
         pool.move_to_labeled("bare", vertical_pose(3))
         for mode in ("max", "expected"):
             scores = score_pool(pool, "vl4pose", model, mode=mode)
-            assert list(scores.values()) == fresh_scores([good[0], good[1]], model, mode)
+            assert scores.tolist() == fresh_scores([good[0], good[1]], model, mode)
         assert len(pool.stacks) == 1  # built by the first, failing call
 
     def test_each_skeleton_and_link_family_gets_its_own_stack(self):
@@ -177,22 +181,15 @@ class TestPoolStacks:
         for model in (distance, offset, fan, distance):
             for mode in ("max", "expected"):
                 scores = score_pool(copy, "vl4pose", model, mode=mode)
-                assert list(scores.values()) == fresh_scores(peak_sets, model, mode)
+                assert scores.tolist() == fresh_scores(peak_sets, model, mode)
         keys = [(distance.skeleton, "distance"), (distance.skeleton, "offset"), (star, "distance")]
         assert list(pool.stacks) == keys  # clones share one cache
         for skeleton, family in keys:
-            stack = pool.stack_for(PoseModelParams(
+            stack = pool.stack(PoseModelParams(
                 skeleton=skeleton, model_kind=family,
                 link_params=offset.link_params if family == "offset" else distance.link_params,
             ))
             assert (stack.skeleton, stack.family) == (skeleton, family)
-
-    def test_a_stack_scores_only_under_its_own_skeleton_and_family(self):
-        peaks = batch_of(self.samples())
-        model = chain_model()
-        stack = PeakStack.of(peaks, model.skeleton, "offset")
-        with pytest.raises(SchemaError, match="another skeleton or link family"):
-            refined_log_likelihoods(stack, model)
 
     def test_new_peaks_get_a_new_stack(self):
         peak_sets = self.samples()
@@ -201,7 +198,7 @@ class TestPoolStacks:
         score_pool(pool, "vl4pose", model, mode="max")
         pool.peaks = batch_of(peak_sets[2:])
         scores = score_pool(pool, "vl4pose", model, mode="max")
-        assert list(scores.values()) == fresh_scores(peak_sets[2:], model, "max")
+        assert scores.tolist() == fresh_scores(peak_sets[2:], model, "max")
 
 
 class TestScorePool:
@@ -210,8 +207,8 @@ class TestScorePool:
         model = chain_model()
         for strategy in STRATEGIES:
             scores = score_pool(pool, strategy, model)
-            assert set(scores) == set(pool.unlabeled)
-            assert all(np.isfinite(v) for v in scores.values())
+            assert scores.dtype == np.float64 and scores.shape == (len(pool.unlabeled),)
+            assert np.isfinite(scores).all()
 
     def test_vl4pose_requires_params(self):
         pool = make_pool({"a": render(vertical_pose(3))})
@@ -227,7 +224,7 @@ class TestScorePool:
         in-distribution sample under the likelihood strategy."""
         heatmaps = {f"ok{i}": render(vertical_pose(3, start=(18 + i, 14))) for i in range(5)}
         heatmaps["weird"] = render(vertical_pose(3, step=11.0))  # 5 sigmas over
-        scores = score_pool(make_pool(heatmaps), "vl4pose", chain_model())
+        scores = scores_by_id(make_pool(heatmaps), "vl4pose", chain_model())
         assert max(s for i, s in scores.items() if i != "weird") > scores["weird"]
         assert min(scores, key=scores.get) == "weird"
 
@@ -236,14 +233,14 @@ class TestScorePool:
         pool = make_pool({"a": hm, "b": Heatmap(hm.values.copy())})
         for strategy in ("vl4pose", "entropy"):
             scores = score_pool(pool, strategy, chain_model())
-            assert scores["a"] == scores["b"]
+            assert scores[0] == scores[1]
 
     def test_max_mode_uses_refined_likelihood(self):
         pool = make_pool({"a": render(vertical_pose(3))})
         model = chain_model()
         scores = score_pool(pool, "vl4pose", model, mode="max")
         refined = refine_pose(pool.peaks_for("a"), model)
-        assert scores["a"] == refined.log_likelihood
+        assert scores.tolist() == [refined.log_likelihood]
         with pytest.raises(SchemaError, match="mode"):
             score_pool(pool, "vl4pose", model, mode="argmax")
 
@@ -268,7 +265,7 @@ class TestScorePool:
     def test_entropy_matches_peak_entropy_and_alias(self):
         pool = make_pool({"a": render(vertical_pose(3))})
         expected = multi_peak_entropy(pool.peaks_for("a"))
-        assert score_pool(pool, "entropy")["a"] == expected
+        assert score_pool(pool, "entropy").tolist() == [expected]
         with pytest.raises(SchemaError, match="strategy"):
             score_pool(pool, "multi_peak_entropy")  # the old alias is gone
 
