@@ -429,7 +429,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
     base_pool, heldout, truth, is_ood = build_pool(cfg)
     heldout_poses = [heldout[h] for h in sorted(heldout)]
     pools = {s: base_pool.clone() for s in cfg.strategies}
-    # Per pool row, in the row order of ``base_pool.unlabeled``.
+    # Per pool row: build_pool gives the i-th unlabeled id row i.
     ids = list(base_pool.unlabeled)
     ood = np.array([is_ood[sample_id] for sample_id in ids])
     ranks = id_ranks(ids)

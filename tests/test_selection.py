@@ -55,11 +55,6 @@ def render(pose, size=64):
     return render_gaussian_heatmap(pose, size, size, peak_sigma=1.5)
 
 
-def scores_by_id(pool, *args, **kwargs):
-    """``score_pool``'s array keyed by the unlabeled ids it is aligned with."""
-    return dict(zip(pool.unlabeled, score_pool(pool, *args, **kwargs).tolist()))
-
-
 def make_pool(heatmaps, labeled=None):
     peaks = batch_of([extract_peaks(heatmap) for heatmap in heatmaps.values()], joint_count=3)
     unlabeled = {sample_id: i for i, sample_id in enumerate(heatmaps)}
@@ -224,7 +219,8 @@ class TestScorePool:
         in-distribution sample under the likelihood strategy."""
         heatmaps = {f"ok{i}": render(vertical_pose(3, start=(18 + i, 14))) for i in range(5)}
         heatmaps["weird"] = render(vertical_pose(3, step=11.0))  # 5 sigmas over
-        scores = scores_by_id(make_pool(heatmaps), "vl4pose", chain_model())
+        pool = make_pool(heatmaps)
+        scores = dict(zip(pool.unlabeled, score_pool(pool, "vl4pose", chain_model()).tolist()))
         assert max(s for i, s in scores.items() if i != "weird") > scores["weird"]
         assert min(scores, key=scores.get) == "weird"
 
