@@ -397,10 +397,9 @@ def _fit_round_params(pool: SamplePool, skeleton: Skeleton):
 def _select_round(
     cfg: SimulationConfig, strategy: str, ranked: np.ndarray, random: np.ndarray, ranks: np.ndarray
 ) -> np.ndarray:
-    """Positions of the round's budgeted selection among the unlabeled rows,
-    which score ``ranked`` (lowest first), ``random`` and hold id ranks
-    ``ranks``: an optional warm-up slice ranked by ``random``, then the rest
-    ranked by ``ranked``."""
+    """Positions, among the round's unlabeled rows, of its budgeted
+    selection: an optional warm-up slice ranked by ``random``, then the rest
+    ranked by ``ranked`` (lowest first), ties to the lower of ``ranks``."""
     n_random = int(round(cfg.initial_random_fraction * cfg.budget))
     if strategy == "random" or n_random == 0:
         return lowest_first(ranked, ranks, cfg.budget)
