@@ -58,8 +58,8 @@ class LikelihoodReport:
 class RefinedPose:
     """Peak selection maximizing the joint peak-probability + link objective.
 
-    ``log_likelihood`` is the point log-likelihood of the chosen pose,
-    ``root_term + sum(per_link_terms)``; ``objective`` additionally
+    ``log_likelihood`` is the point log-likelihood of the chosen pose, its
+    terms added as :func:`_total` adds them; ``objective`` additionally
     includes the per-joint log peak probabilities that drive the
     selection. Every term is an entry of the arrays the search maximized
     over.
@@ -218,8 +218,7 @@ def point_log_likelihoods(poses, params: PoseModelParams) -> list[float]:
     term evaluation over the stacked poses."""
     if not poses:
         return []
-    root, links = _point_terms(poses, params)
-    return (root + sum(links)).tolist()
+    return _total(*_point_terms(poses, params)).tolist()
 
 
 def _log(probs: np.ndarray) -> np.ndarray:
@@ -344,16 +343,25 @@ def _expect(values: np.ndarray, weights: np.ndarray, real: np.ndarray) -> np.nda
     return total
 
 
+def _total(root: np.ndarray, links: list[np.ndarray]) -> np.ndarray:
+    """Each sample's log-likelihood ``(B,)`` from root terms ``(B,)`` and
+    per-link terms ``(B,)``: ``sum`` adds the link columns to 0 in declaration
+    order, then the root is added, one float64 add at a time on any Python."""
+    return root + sum(links)
+
+
+def _per_link(links: list[np.ndarray], samples: int) -> list[tuple[float, ...]]:
+    """Per sample, its per-link terms from columns ``links`` ``(B,)``."""
+    return list(map(tuple, np.reshape(links, (len(links), samples)).T.tolist()))
+
+
 def _reports(root: np.ndarray, links: list[np.ndarray], mode: str) -> list[LikelihoodReport]:
     """One report per sample from root terms ``(B,)`` and per-link terms ``(B,)``."""
-    columns = [terms.tolist() for terms in links]
-    reports = []
-    for b, root_term in enumerate(root.tolist()):
-        terms = tuple(column[b] for column in columns)
-        reports.append(LikelihoodReport(
-            total=root_term + sum(terms), per_link_terms=terms, root_term=root_term, mode=mode,
-        ))
-    return reports
+    per_link = _per_link(links, len(root))
+    return [
+        LikelihoodReport(total, terms, root_term, mode)
+        for total, terms, root_term in zip(_total(root, links).tolist(), per_link, root.tolist())
+    ]
 
 
 def _expected_terms(stack: PeakStack, params: PoseModelParams):
@@ -372,8 +380,7 @@ def _expected_terms(stack: PeakStack, params: PoseModelParams):
 def _expected_totals(stack: PeakStack, params: PoseModelParams) -> np.ndarray:
     """The expected log-likelihood ``(B,)`` of every sample of a stack, added
     as a :class:`LikelihoodReport` adds its terms."""
-    root, links = _expected_terms(stack, params)
-    return root + sum(links)
+    return _total(*_expected_terms(stack, params))
 
 
 def expected_log_likelihoods(peaks: PeakSet, params: PoseModelParams) -> list[LikelihoodReport]:
@@ -459,41 +466,39 @@ def _max_sum(log_probs, root_vector, link_matrices, skeleton) -> np.ndarray:
     return np.stack(chosen, axis=1)
 
 
-def _finish(
-    params: PoseModelParams,
-    peaks: PeakSet,
-    log_probs: list[np.ndarray],
-    root_vector: np.ndarray,
-    link_matrices: list[np.ndarray],
-    indices: list[int],
-    row: int,
-) -> RefinedPose:
-    """Gather one selection's entries from row ``row`` of the batch arrays the
-    search maximized, and its pose from sample ``row`` of ``peaks``.
+def _chosen(root_vector, link_matrices, indices: np.ndarray, skeleton: Skeleton):
+    """The root terms ``(B,)`` and per-link terms ``(B,)`` at peak selections
+    ``indices`` ``(B, J)``, gathered from the arrays the search maximized."""
+    rows = np.arange(len(indices))
+    return root_vector[rows, indices[:, skeleton.root]], [
+        m[rows, indices[:, parent], indices[:, child]]
+        for m, (parent, child) in zip(link_matrices, skeleton.links)
+    ]
 
-    ``objective`` adds them in the canonical order: joint log peak
+
+def _refined(peaks: PeakSet, log_probs, root_vector, link_matrices, indices, skeleton):
+    """A :class:`RefinedPose` per row of peak selections ``indices`` ``(B, J)``
+    of the samples of ``peaks``, from their :func:`_chosen` entries.
+
+    ``objective`` adds whole columns in the canonical order: joint log peak
     probabilities, root prior, then links in declaration order. The tree
     DP, the exhaustive scorer and :func:`refinement_objective` all finish
     here, so they report bit-identical values for the same selection.
     """
-    skel = params.skeleton
-    root_term = float(root_vector[row, indices[skel.root]])
-    link_terms = tuple(
-        float(m[row, indices[parent], indices[child]])
-        for m, (parent, child) in zip(link_matrices, skel.links)
-    )
-    joint_terms = [float(logs[row, i]) for logs, i in zip(log_probs, indices)]
-    objective = 0.0
-    for term in (*joint_terms, root_term, *link_terms):
-        objective += term
-    return RefinedPose(
-        pose=Pose(peaks.locs[peaks.offsets[row * skel.n_joints :][: skel.n_joints] + indices]),
-        log_likelihood=root_term + sum(link_terms),
-        chosen_peak_index=tuple(int(i) for i in indices),
-        objective=objective,
-        per_link_terms=link_terms,
-        root_term=root_term,
-    )
+    root, links = _chosen(root_vector, link_matrices, indices, skeleton)
+    rows = np.arange(len(indices))
+    joints = [logs[rows, chosen] for logs, chosen in zip(log_probs, indices.T)]
+    objective = np.zeros(len(indices))
+    for terms in (*joints, root, *links):
+        objective += terms
+    poses = peaks.locs[peaks.offsets[:-1].reshape(-1, skeleton.n_joints) + indices]  # (B, J, 2)
+    return [
+        RefinedPose(Pose(pose), total, tuple(chosen), score, terms, root_term)
+        for pose, total, chosen, score, terms, root_term in zip(
+            poses, _total(root, links).tolist(), indices.tolist(), objective.tolist(),
+            _per_link(links, len(indices)), root.tolist(),
+        )
+    ]
 
 
 def refinement_objective(
@@ -508,12 +513,13 @@ def refinement_objective(
             f"selection has {len(indices)} peak indices, skeleton has {skel.n_joints} joints"
         )
     for name, index, count in zip(skel.joints, indices, stack.counts[0].tolist()):
-        if not isinstance(index, (int, np.integer)) or not 0 <= index < count:
+        integer = isinstance(index, (int, np.integer)) and not isinstance(index, bool)
+        if not integer or not 0 <= index < count:
             raise SchemaError(
                 f"peak index {index!r} for joint {name!r} must be an integer in 0..{count - 1}"
             )
-    terms = stack.terms(params)
-    return _finish(params, peaks, stack.log_probs(), *terms, list(indices), 0).objective
+    selection = np.array([indices])
+    return _refined(peaks, stack.log_probs(), *stack.terms(params), selection, skel)[0].objective
 
 
 def refine_poses(peaks: PeakSet, params: PoseModelParams) -> list[RefinedPose]:
@@ -523,10 +529,7 @@ def refine_poses(peaks: PeakSet, params: PoseModelParams) -> list[RefinedPose]:
     log_probs = stack.log_probs()
     root_vector, link_matrices = stack.terms(params)
     indices = _max_sum(log_probs, root_vector, link_matrices, params.skeleton)
-    return [
-        _finish(params, peaks, log_probs, root_vector, link_matrices, chosen, b)
-        for b, chosen in enumerate(indices.tolist())
-    ]
+    return _refined(peaks, log_probs, root_vector, link_matrices, indices, params.skeleton)
 
 
 def refine_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
@@ -540,13 +543,7 @@ def _refined_totals(stack: PeakStack, params: PoseModelParams) -> np.ndarray:
     one batched tree DP."""
     root_vector, link_matrices = stack.terms(params)
     indices = _max_sum(stack.log_probs(), root_vector, link_matrices, params.skeleton)
-    skel = params.skeleton
-    rows = np.arange(len(indices))
-    link_terms = [
-        m[rows, indices[:, parent], indices[:, child]]
-        for m, (parent, child) in zip(link_matrices, skel.links)
-    ]
-    return root_vector[rows, indices[:, skel.root]] + sum(link_terms)
+    return _total(*_chosen(root_vector, link_matrices, indices, params.skeleton))
 
 
 def refined_log_likelihoods(peaks: PeakSet, params: PoseModelParams) -> list[float]:
@@ -593,7 +590,5 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
 
     flat = int(np.argmax(total))  # first max in C order = BFS-lexicographic min
     per_axis = np.unravel_index(flat, shape)
-    indices = [0] * skel.n_joints
-    for a, j in enumerate(order):
-        indices[j] = int(per_axis[a])
-    return _finish(params, peaks, log_probs, root_vector, link_matrices, indices, 0)
+    indices = np.array([[per_axis[axis_of[j]] for j in range(skel.n_joints)]])
+    return _refined(peaks, log_probs, root_vector, link_matrices, indices, skel)[0]

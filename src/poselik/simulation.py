@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -458,7 +460,8 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
             else:
                 scores = score_pool(pool, strategy, params, mode=cfg.ranking_mode)
             t = stages.since("score", t)
-            heldout_ll = sum(point_log_likelihoods(heldout_poses, params)) / len(heldout_poses)
+            lls = point_log_likelihoods(heldout_poses, params)
+            heldout_ll = reduce(add, lls, 0.0) / len(lls)  # left to right on every Python
             t = stages.since("heldout", t)
             ranked = ascending(scores, strategy)
             picked = _select_round(

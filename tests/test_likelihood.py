@@ -14,18 +14,25 @@ from poselik import (
     PoseModelParams,
     SchemaError,
     SearchSpaceTooLarge,
+    SimulationConfig,
     brute_force_best_pose,
     expected_log_likelihood,
+    expected_log_likelihoods,
     link_log_density,
     multi_peak_entropy,
     point_log_likelihood,
+    point_log_likelihoods,
     refine_pose,
+    refine_poses,
     refinement_objective,
     root_log_density,
+    run_simulation,
     validate_skeleton,
 )
+from poselik import likelihood, simulation
 
 from _helpers import (
+    batch_of,
     oracle_best_config,
     oracle_config_objective,
     oracle_distance_logpdf,
@@ -399,7 +406,7 @@ class TestRefinePose:
         assert refinement_objective(peaks, model, [1, 0, 0]) == refinement_objective(
             peaks, model, (np.int64(1), 0, 0)
         )
-        for indices in ([-1, 0, 0], [2, 0, 0], [0, 1.0, 0]):
+        for indices in ([-1, 0, 0], [2, 0, 0], [0, 1.0, 0], [True, 0, 0], [0, False, 0]):
             with pytest.raises(SchemaError, match=r"joint 'j.*' must be an integer in 0\.\.1"):
                 refinement_objective(peaks, model, indices)
         with pytest.raises(DimensionMismatch, match="2 peak indices, skeleton has 3 joints"):
@@ -481,3 +488,58 @@ class TestSerialization:
         assert record["peak_index"] == [0, 0]
         assert record["total"] == refined.log_likelihood
         assert record["per_link"] == list(report.per_link_terms)
+
+
+def compensated_sum(values, start=0):
+    """The builtin ``sum`` as Python 3.12 and later add floats: Neumaier-
+    compensated. Anything but floats from 0 goes to the builtin ``sum``."""
+    values = list(values)
+    if start != 0 or not all(type(v) is float for v in values):
+        return sum(values, start)
+    total = compensation = 0.0
+    for v in values:
+        added = total + v
+        compensation += (total - added) + v if abs(total) >= abs(v) else (v - added) + total
+        total = added
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_totals_have_the_same_bits_under_a_compensated_sum(monkeypatch):
+    """Every total adds float64 columns one add at a time, so a ``sum`` that
+    compensates float additions, as Python 3.12's does, changes no bit."""
+    rng = np.random.default_rng(5)
+    joints = 12
+    model = random_distance_model(rng, random_tree_skeleton(rng, joints), root_prior=True)
+    peaks = batch_of([random_peakset(rng, joints, max_peaks=3) for _ in range(40)])
+    poses = [Pose(rng.uniform(0.0, 64.0, size=(joints, 2))) for _ in range(40)]
+    links = 7
+
+    def generator(mean):
+        return {"link_means": [mean] * links, "link_sds": [1] * links,
+                "angle_ranges": [[-0.6, 0.6]] * links}
+
+    cfg = SimulationConfig.from_dict({
+        "seed": 5, "rounds": 3, "budget": 4,
+        "pool": {"labeled": 12, "unlabeled": 40, "ood": 4, "heldout": 30},
+        "skeleton": {"joints": links + 1}, "generator": generator(5), "ood_generator": generator(8),
+        "heatmap": {"height": 96, "width": 96, "peak_sigma": 1.5, "distractors": 2},
+    })
+
+    def outputs():
+        refined = refine_poses(peaks, model)
+        return repr((
+            [report.total for report in expected_log_likelihoods(peaks, model)],
+            [(pose.log_likelihood, pose.objective) for pose in refined],
+            [point_log_likelihood(pose, model).total for pose in poses],
+            point_log_likelihoods(poses, model),
+            run_simulation(cfg).report,
+        )), refined
+
+    plain, refined = outputs()
+    # The inputs are ones whose totals a compensated sum would round otherwise.
+    assert any(
+        compensated_sum(pose.per_link_terms) != sum(pose.per_link_terms) for pose in refined
+    )
+    for module in (likelihood, simulation):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert outputs()[0] == plain
