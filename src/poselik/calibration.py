@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, InsufficientData, SchemaError
+from .errors import CovarianceNotSPD, EmptyInput, InsufficientData, SchemaError
 from .model import (
     SIGMA_FLOOR,
     DistanceParams,
@@ -106,9 +106,9 @@ def fit_offset_params(data: LabeledPoseSet, parent: int, child: int) -> OffsetPa
 
     Needs at least D+1 poses for a meaningful covariance. The sample
     covariance gets ``ridge * I`` added, with ridge escalating through
-    powers of 10 from :data:`RIDGE_START` until the Cholesky
-    factorization succeeds; the ridge is always applied so the result is
-    strictly positive definite even for degenerate samples.
+    powers of 10 from :data:`RIDGE_START` to 1e12 until :class:`OffsetParams`
+    accepts it (else :class:`CovarianceNotSPD`); the ridge is always applied
+    so the result is strictly positive definite even for degenerate samples.
     """
     d = data.skeleton.dimension
     if data.n_poses < d + 1:
@@ -123,15 +123,12 @@ def fit_offset_params(data: LabeledPoseSet, parent: int, child: int) -> OffsetPa
     cov = (w[:, None] * centered).T @ centered
     ridge = RIDGE_START
     while True:
-        candidate = cov + ridge * np.eye(d)
         try:
-            np.linalg.cholesky(candidate)
-            break
-        except np.linalg.LinAlgError:
+            return OffsetParams(offset=mean, covariance=cov + ridge * np.eye(d))
+        except CovarianceNotSPD:
             ridge *= 10.0
-            if ridge > 1e12:  # pragma: no cover - covariance would be absurd
+            if ridge > 1e12:
                 raise
-    return OffsetParams(offset=mean, covariance=candidate)
 
 
 def fit_model(data: LabeledPoseSet, model_kind: str) -> PoseModelParams:

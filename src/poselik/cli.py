@@ -49,7 +49,6 @@ from .heatmaps import (
     extract_peaks,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     read_heatmap_file,
     read_manifest,
-    require_finite,
 )
 from .likelihood import (
     expected_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it
@@ -132,10 +131,6 @@ CHUNK_BYTES = 1 << 22
 _DEFAULT_EXTRACTION = (DEFAULT_THRESHOLD_RATIO, DEFAULT_MAX_PEAKS)
 
 
-# The stages of a chunked run, timed for its manifest.
-_CHUNK_STAGES = ("read", "check", "peaks", "records", "write")
-
-
 def _chunked(records: Callable, extraction: Callable) -> Callable:
     """``compute`` for a command that turns each chunk of the heatmap
     manifest into JSONL text with ``records(args, ctx, ids, peaks)``
@@ -145,16 +140,16 @@ def _chunked(records: Callable, extraction: Callable) -> Callable:
     command extracts peaks with, or ``None`` if it reads no heatmap (its
     ``peaks`` are then ``None``). Each heatmap is read straight into its
     row of one reused ``(chunk, J, H, W)`` buffer sized for the first
-    heatmap of its shape, and a change of shape starts a new chunk. Each
-    chunk's scores are checked for finiteness at once, then its peaks are
-    extracted and its records made, all through :func:`_chunk_records`.
+    heatmap of its shape, which checks its scores as it reads them, and a
+    change of shape starts a new chunk. Each chunk's peaks are extracted
+    and its records made through :func:`_chunk_records`.
     The first failure in manifest order aborts the run, naming its sample.
     The time of each stage and the chunk count go to ``ctx["stages"]``.
     """
 
     def compute(args, ctx, timings, stage):
         entries, settings = ctx["entries"], extraction(args)
-        stages, chunks = Stages(_CHUNK_STAGES), 0
+        stages, chunks = Stages(("read", "peaks", "records", "write")), 0
         ids: list[str] = []
         chunk = fresh = None  # the buffer of ids' heatmaps; one for a new shape
 
@@ -170,8 +165,6 @@ def _chunked(records: Callable, extraction: Callable) -> Callable:
             t = clock()
             peaks = None
             if values is not None:
-                require_finite(values)
-                t = stages.since("check", t)
                 peaks = extract_peak_sets(values, *settings)
                 t = stages.since("peaks", t)
             lines = records(args, ctx, sample_ids, peaks)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 import sys
 from dataclasses import dataclass
@@ -83,7 +84,8 @@ class PeakSet:
     Grid ``g`` owns rows ``offsets[g]:offsets[g + 1]`` of ``locs`` (int
     (row, col) grid cells), ``scores`` (raw heatmap scores) and ``probs``
     (their per-grid softmax). Within a grid, rows are sorted by descending
-    score, ties by row-major cell.
+    score, ties by row-major cell. Every grid holds a peak: building a set
+    with an empty grid raises :class:`EmptyPeakSet` naming the first.
     """
 
     locs: np.ndarray  # (K, 2) int64
@@ -118,6 +120,10 @@ class PeakSet:
             raise EmptyPeakSet("a peak set needs a joint")
         if not (joints >= 1 and grids % joints == 0):
             raise SchemaError(f"{grids} peak grids are no batch of {joints}-joint samples")
+        empty = np.flatnonzero(offsets[1:] == offsets[:-1])
+        if empty.size:
+            sample, joint = divmod(int(empty[0]), joints)
+            raise EmptyPeakSet(f"sample {sample} joint {joint} has no candidate peaks")
         for name, array in zip(names, arrays):
             array.flags.writeable = False  # one peak set is shared by every scorer
             object.__setattr__(self, name, array)
@@ -312,14 +318,14 @@ def read_heatmap_file(path, into: Callable[[tuple[int, int, int]], np.ndarray] |
     Without ``into``, return the checked :class:`Heatmap`. With ``into``, a
     callable that takes the ``(joints, H, W)`` shape and returns a writable
     C-contiguous float32 array of that shape, read the payload straight
-    into that array and return ``None``; the caller checks its scores with
-    :func:`require_finite`. ``into`` is called only once the header,
-    payload length and grid shape are valid, so a bad file is never given
-    an array.
+    into that array, check its scores and return ``None``. ``into`` is
+    called only once the header, payload length and grid shape are valid,
+    so a bad file is never given an array.
 
     Errors come in this order: bad magic, version, payload length (short or
-    trailing bytes), grid shape. Only a file whose size disagrees with its
-    header (or that has no size, such as a pipe) is read to its end.
+    trailing bytes), grid shape, a NaN or infinite score. A regular file's
+    payload length is its size less the header's; from any other file, such
+    as a pipe, at most one byte past the payload its header implies is read.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -331,13 +337,19 @@ def read_heatmap_file(path, into: Callable[[tuple[int, int, int]], np.ndarray] |
                 f"{path}: version {version} unsupported (expected {_VERSION})"
             )
         expected = n * h * w * 4
+        info = os.fstat(fh.fileno())
         payload = None
-        if os.fstat(fh.fileno()).st_size != _HEADER.size + expected:
-            payload = fh.read()
-            if len(payload) != expected:
+        if stat.S_ISREG(info.st_mode):
+            size = info.st_size - _HEADER.size
+        else:
+            payload = _read_at_most(fh, expected + 1)
+            size = len(payload)
+        if size != expected:
+            if payload is not None and size > expected:  # read only one byte past it
                 raise TruncatedPayload(
-                    f"{path}: payload is {len(payload)} bytes, header implies {expected}"
+                    f"{path}: payload is longer than the {expected} bytes its header implies"
                 )
+            raise TruncatedPayload(f"{path}: payload is {size} bytes, header implies {expected}")
         _check_grid((n, h, w))
         values = np.empty((n, h, w), np.float32) if into is None else into((n, h, w))
         if payload is not None:
@@ -350,7 +362,19 @@ def read_heatmap_file(path, into: Callable[[tuple[int, int, int]], np.ndarray] |
                 )
             if sys.byteorder == "big":
                 values.byteswap(inplace=True)
-    return Heatmap(values=values) if into is None else None
+    if into is None:
+        return Heatmap(values=values)
+    require_finite(values)
+
+
+def _read_at_most(fh, limit: int) -> bytes:
+    """The first ``limit`` bytes of ``fh``, or all if it holds fewer, read
+    in pieces: memory grows with the bytes read, not with ``limit``."""
+    parts = []
+    while limit and (part := fh.read(min(limit, 1 << 20))):
+        parts.append(part)
+        limit -= len(part)
+    return b"".join(parts)
 
 
 # --- synthetic rendering ----------------------------------------------------

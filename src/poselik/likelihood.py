@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyPeakSet,
-    SchemaError,
-    SearchSpaceTooLarge,
-)
+from .errors import DimensionMismatch, SchemaError, SearchSpaceTooLarge
 from .heatmaps import PeakSet
 from .model import DistanceParams, LinkParams, OffsetParams, Pose, PoseModelParams, Skeleton
 
@@ -239,7 +234,7 @@ class PeakStack:
     reads, with each link's geometry over them: all that scoring under one
     skeleton and link family computes before it reads a fitted parameter.
     It holds no parameter, so it serves every model of that skeleton and
-    family, and only the samples a scorer is given are checked.
+    family.
 
     Joint ``j`` gets probabilities ``probs[j]`` ``(B, K_j)`` padded with 0,
     ``K_j`` being the largest count of that joint in the batch, and the root
@@ -294,16 +289,6 @@ class PeakStack:
         """:func:`_terms` of the batch under ``params``."""
         return _terms(self.root_locs, self.links, params)
 
-    def check(self, rows=slice(None)) -> None:
-        """Raise what checking samples ``rows`` (all by default) one by one,
-        in that order, would: the first with a joint with no peaks raises
-        :class:`EmptyPeakSet`."""
-        counts = self.counts[rows]
-        if not counts.all():
-            first = np.argmin(counts.min(axis=1))  # the first sample with an empty joint
-            joint = self.skeleton.joints[np.argmin(counts[first])]
-            raise EmptyPeakSet(f"joint {joint!r} has no candidate peaks")
-
 
 def _cell_type(locs: np.ndarray) -> np.dtype:
     """The smallest signed integer type that holds every coordinate of grid
@@ -312,19 +297,6 @@ def _cell_type(locs: np.ndarray) -> np.dtype:
     lo, hi = (int(v) for v in (locs.min(initial=0), locs.max(initial=0)))
     bound = 2 * max(hi - lo, -lo, hi) ** 2
     return np.min_scalar_type(-bound - 1) if bound < 2**62 else np.dtype(np.int64)
-
-
-def _stack(peaks: PeakSet, params: PoseModelParams) -> PeakStack:
-    """``peaks`` stacked for the skeleton and link family of ``params``: the
-    only place peaks meet the skeleton.
-
-    The batch is checked at once, and raises what checking its samples one
-    by one in batch order would: a wrong joint count, a skeleton that is not
-    2-D, then a joint with no peaks.
-    """
-    stack = PeakStack.of(peaks, params.skeleton, params.model_kind)
-    stack.check()
-    return stack
 
 
 def _expect(values: np.ndarray, weights: np.ndarray, real: np.ndarray) -> np.ndarray:
@@ -394,7 +366,8 @@ def expected_log_likelihoods(peaks: PeakSet, params: PoseModelParams) -> list[Li
     log-likelihood of the argmax pose. Each sample's report is bit for bit
     what it gets alone.
     """
-    return _reports(*_expected_terms(_stack(peaks, params), params), "expected")
+    stack = PeakStack.of(peaks, params.skeleton, params.model_kind)
+    return _reports(*_expected_terms(stack, params), "expected")
 
 
 def expected_log_likelihood(peaks: PeakSet, params: PoseModelParams) -> LikelihoodReport:
@@ -415,8 +388,6 @@ def multi_peak_entropies(peaks: PeakSet) -> list[float]:
     its joints to 0 in order: a sample's entropy has the same bits in any batch.
     """
     counts = np.diff(peaks.offsets)
-    if not counts.all():
-        raise EmptyPeakSet("each joint of a peak set needs a candidate peak")
     probs = np.where(peaks.probs > 0.0, peaks.probs, 1.0)  # 1 adds 1 * log(1) = 0
     terms = probs * np.fromiter(map(math.log, probs), float, len(probs))  # np.log may differ
     joints = np.zeros(len(counts))
@@ -506,7 +477,7 @@ def refinement_objective(
 ) -> float:
     """Score of one peak selection: log peak probabilities + root and link
     densities, exactly as :func:`refine_pose` reports it for that selection."""
-    stack = _stack(_one(peaks), params)
+    stack = PeakStack.of(_one(peaks), params.skeleton, params.model_kind)
     skel = params.skeleton
     if len(indices) != skel.n_joints:
         raise DimensionMismatch(
@@ -525,7 +496,7 @@ def refinement_objective(
 def refine_poses(peaks: PeakSet, params: PoseModelParams) -> list[RefinedPose]:
     """The maximizing peak selection of each sample of a batch, from one
     batched tree DP; each is bit for bit what the sample gets alone."""
-    stack = _stack(peaks, params)
+    stack = PeakStack.of(peaks, params.skeleton, params.model_kind)
     log_probs = stack.log_probs()
     root_vector, link_matrices = stack.terms(params)
     indices = _max_sum(log_probs, root_vector, link_matrices, params.skeleton)
@@ -549,7 +520,8 @@ def _refined_totals(stack: PeakStack, params: PoseModelParams) -> np.ndarray:
 def refined_log_likelihoods(peaks: PeakSet, params: PoseModelParams) -> list[float]:
     """``refine_pose(peaks, params).log_likelihood`` of each sample of a
     batch, from one batched tree DP over its stack."""
-    return _refined_totals(_stack(peaks, params), params).tolist()
+    stack = PeakStack.of(peaks, params.skeleton, params.model_kind)
+    return _refined_totals(stack, params).tolist()
 
 
 def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
@@ -560,7 +532,7 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
     refinement tie-break. Guarded to :data:`BRUTE_FORCE_GUARD`
     configurations.
     """
-    stack = _stack(_one(peaks), params)
+    stack = PeakStack.of(_one(peaks), params.skeleton, params.model_kind)
     log_probs = stack.log_probs()
     skel = params.skeleton
     counts = stack.counts[0].tolist()

@@ -141,8 +141,8 @@ def score_pool(
     ``params`` is the fitted model shared by every sample; it is required
     for ``vl4pose`` only. ``mode`` picks the vl4pose flavor: the
     expectation over peak distributions (default) or the refined maximum.
-    Either checks the unlabeled samples, in order, then scores the pool's
-    whole cached stack in one batched call and keeps their rows.
+    Either scores the pool's whole cached stack in one batched call and
+    keeps the unlabeled samples' rows.
     """
     _check_strategy(strategy)
     if mode not in ("expected", "max"):
@@ -155,11 +155,9 @@ def score_pool(
         return np.array([_random_score(seed, sample_id) for sample_id in pool.unlabeled])
     if strategy == "entropy":
         return np.array(multi_peak_entropies(pool.peaks_for(*pool.unlabeled)))
-    stack = pool.stack(params)
     rows = np.fromiter(pool.unlabeled.values(), np.intp, len(pool.unlabeled))
-    stack.check(rows)
     totals = _refined_totals if mode == "max" else _expected_totals
-    return totals(stack, params)[rows]
+    return totals(pool.stack(params), params)[rows]
 
 
 def ascending(scores: np.ndarray, strategy: str) -> np.ndarray:

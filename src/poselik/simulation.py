@@ -44,6 +44,11 @@ from .selection import (
 
 _MAX_POSE_ATTEMPTS = 1000
 
+# The largest grid side a config may set: the pool's largest array, the
+# (2 * height - 1) x (2 * width - 1) float64 bump table, then has a size numpy
+# can hold, so a grid too large for memory fails only to allocate.
+_MAX_SIDE = 2**29
+
 
 @dataclass(frozen=True)
 class GeneratorParams:
@@ -74,12 +79,14 @@ def _take_keys(doc, required, optional, where: str) -> dict:
     return doc
 
 
-def _int(minimum: int):
+def _int(minimum: int, maximum: float = math.inf):
     def parse(value, where, get) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigInvalid(f"{where} must be an integer, got {value!r}")
         if value < minimum:
             raise ConfigInvalid(f"{where} must be >= {minimum}, got {value}")
+        if value > maximum:
+            raise ConfigInvalid(f"{where} must be <= {maximum}, got {value}")
         return value
 
     return parse
@@ -204,8 +211,8 @@ class SimulationConfig:
     ood_count: int = _key("pool.ood", _int(0))
     heldout_size: int = _key("pool.heldout", _int(1))
     joints: int = _key("skeleton.joints", _int(2))
-    height: int = _key("heatmap.height", _int(8))
-    width: int = _key("heatmap.width", _int(8))
+    height: int = _key("heatmap.height", _int(8, _MAX_SIDE))
+    width: int = _key("heatmap.width", _int(8, _MAX_SIDE))
     peak_sigma: float = _key("heatmap.peak_sigma", _positive)
     distractor_count: int = _key("heatmap.distractors", _int(0), 0)
     distractor_amplitude: float = _key("heatmap.distractor_amplitude", _positive, 0.6)
@@ -427,7 +434,12 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
     stages = Stages(("pool", "fit", "score", "select", "heldout"))
     t = clock()
     skeleton = chain_skeleton(cfg.joints)
-    base_pool, heldout, truth, is_ood = build_pool(cfg)
+    try:
+        base_pool, heldout, truth, is_ood = build_pool(cfg)
+    except MemoryError:
+        raise ConfigInvalid(
+            f"the pool of {cfg.height}x{cfg.width} grids does not fit in memory"
+        ) from None
     heldout_poses = [heldout[h] for h in sorted(heldout)]
     pools = {s: base_pool.clone() for s in cfg.strategies}
     # Per pool row: build_pool gives the i-th unlabeled id row i.

@@ -543,8 +543,8 @@ def reference_config_from_dict(doc: dict) -> SimulationConfig:
         heldout_size=_as_int(pool["heldout"], "config.pool.heldout", minimum=1),
         generator=generator,
         ood_generator=ood_generator,
-        height=_as_int(heatmap["height"], "config.heatmap.height", minimum=8),
-        width=_as_int(heatmap["width"], "config.heatmap.width", minimum=8),
+        height=_as_int(heatmap["height"], "config.heatmap.height", minimum=8, maximum=2**29),
+        width=_as_int(heatmap["width"], "config.heatmap.width", minimum=8, maximum=2**29),
         peak_sigma=_as_float(heatmap["peak_sigma"], "config.heatmap.peak_sigma", positive=True),
         distractor_count=_as_int(
             heatmap.get("distractors", 0), "config.heatmap.distractors", minimum=0
@@ -623,11 +623,13 @@ def _take_keys(doc, required, optional, where: str) -> dict:
     return doc
 
 
-def _as_int(value, where: str, minimum: int) -> int:
+def _as_int(value, where: str, minimum: int, maximum: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigInvalid(f"{where} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigInvalid(f"{where} must be >= {minimum}, got {value}")
+    if value > maximum:
+        raise ConfigInvalid(f"{where} must be <= {maximum}, got {value}")
     return value
 
 def _as_float(value, where: str, positive: bool = False) -> float:

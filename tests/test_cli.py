@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,7 +150,7 @@ class TestScoreCommand:
         manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
         stages = manifest["stages"]
         assert stages["chunks"] == 3
-        names = {"read", "check", "peaks", "records", "write"}
+        names = {"read", "peaks", "records", "write"}
         assert set(stages) == {"chunks", "wall_ms", "cpu_ms"}
         assert set(stages["wall_ms"]) == set(stages["cpu_ms"]) == names
         assert all(t >= 0.0 for t in [*stages["wall_ms"].values(), *stages["cpu_ms"].values()])
@@ -556,6 +560,29 @@ class TestCalibrateCommand:
         assert len(err_lines) == 1 and "link #1" in err_lines[0]
         assert not out.exists() and not (tmp_path / "x.json.manifest.json").exists()
 
+    def test_a_covariance_no_ridge_makes_positive_definite_exits_4(self, tmp_path, capsys):
+        # Link 0's displacements lie on one line, 1e150 apart: a rank-1
+        # covariance near 1e300 that no ridge up to 1e12 changes.
+        skeleton_path = tmp_path / "skel.json"
+        skeleton_path.write_text(json.dumps(SKELETON_DOC), encoding="utf-8")
+        labeled_path = tmp_path / "labeled.jsonl"
+        labeled_path.write_text(
+            "".join(
+                json.dumps({"id": f"p{i}", "pose": [[0, 0], [d, d], [d, d + 4]]}) + "\n"
+                for i, d in enumerate([1e150, 2e150, 3e150, 5e150])
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "x.json"
+        assert run_cli(
+            ["calibrate", "--skeleton", str(skeleton_path), "--labeled", str(labeled_path),
+             "--model", "offset", "--out", str(out)]
+        ) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "poselik: error: link #0: covariance is not positive-definite"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labeled.jsonl", "skel.json"]
+
 
 class TestMaximaCommand:
     def two_bump_inputs(self, tmp_path):
@@ -858,6 +885,38 @@ class TestSimulateCommand:
         ) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "grid" in err[0] and "config.json" in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "side, message",
+        [
+            (30000, "the pool of 30000x30000 grids does not fit in memory"),
+            (2**29, "the pool of 536870912x536870912 grids does not fit in memory"),
+            (2**29 + 1, "config.heatmap.height must be <= 536870912, got 536870913"),
+            (10**20, "config.heatmap.height must be <= 536870912, got 100000000000000000000"),
+        ],
+        ids=["30000", "2**29", "2**29+1", "10**20"],
+    )
+    def test_a_grid_too_large_to_generate_exits_3_without_outputs(self, tmp_path, side, message):
+        # The bump table of a 30000x30000 grid takes 26.8 GiB: the run goes in
+        # a child whose address space is capped at 2 GiB, so it never gets it.
+        doc = self.config_doc()
+        doc["heatmap"].update(height=side, width=side, distractors=1)
+        config_path = self.write_config(tmp_path, doc)
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from poselik import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        run = subprocess.run(
+            [sys.executable, "-c", script, "simulate", "--config", str(config_path),
+             "--out", str(tmp_path / "x.json")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (run.returncode, run.stderr) == (3, f"poselik: error: {config_path}: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 

@@ -29,7 +29,7 @@ from poselik import (
     write_heatmap_file,
 )
 
-from _helpers import oracle_entropy, peakset_of, scan_strict_maxima
+from _helpers import oracle_entropy, peakset_of, pshm_bytes, scan_strict_maxima
 
 
 def heatmap_of(grid) -> Heatmap:
@@ -309,6 +309,58 @@ class TestHeatmapFileFormat:
         assert shapes == [(3, 5, 7)]
         assert buffer[1].tobytes() == hm.values.tobytes()
         assert np.isnan(buffer[0]).all()
+
+    def test_read_into_a_caller_row_checks_its_scores(self, tmp_path):
+        values = np.zeros((2, 4, 5), np.float32)
+        values[1, 2, 3] = np.nan
+        path = tmp_path / "nan.pshm"
+        path.write_bytes(pshm_bytes(values))
+        row = np.empty((2, 4, 5), np.float32)
+        with pytest.raises(NonFiniteValue):
+            read_heatmap_file(path, into=lambda shape: row)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs per-process I/O counts")
+    def test_a_regular_file_of_another_size_is_not_read_for_its_length(self, tmp_path):
+        """A regular file's payload length is its size: trailing bytes are
+        reported without being read."""
+        path = tmp_path / "long.pshm"
+        write_heatmap_file(Heatmap(np.zeros((1, 4, 4), np.float32)), path)
+        with open(path, "ab") as fh:
+            fh.write(bytes(8 << 20))
+
+        def bytes_read() -> int:
+            with open("/proc/self/io", encoding="ascii") as fh:
+                return int(dict(line.split(": ") for line in fh.read().splitlines())["rchar"])
+
+        before = bytes_read()
+        with pytest.raises(TruncatedPayload, match=f"payload is {64 + (8 << 20)} bytes"):
+            read_heatmap_file(path)
+        assert bytes_read() - before < 1 << 20
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_stream_longer_than_its_header_implies_is_read_one_byte_past_it(self, tmp_path):
+        """A pipe has no size, so the reader stops one byte past the payload
+        its header implies and closes it while the writer still writes."""
+        write_heatmap_file(Heatmap(np.zeros((3, 16, 16), np.float32)), tmp_path / "maps.pshm")
+        data = (tmp_path / "maps.pshm").read_bytes() + bytes(64 << 20)
+        pipe = tmp_path / "maps.fifo"
+        os.mkfifo(pipe)
+        broken = []
+
+        def write():
+            try:
+                pipe.write_bytes(data)
+            except BrokenPipeError:
+                broken.append(True)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            with pytest.raises(TruncatedPayload, match="payload is longer than the 3072 bytes"):
+                read_heatmap_file(pipe)
+        finally:
+            writer.join()
+        assert broken
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_file_without_a_size_is_read_whole(self, tmp_path):

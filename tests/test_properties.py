@@ -49,6 +49,7 @@ from poselik import (
     STRATEGIES,
     BadMagic,
     DistanceParams,
+    EmptyPeakSet,
     Heatmap,
     JointOutOfRange,
     LabeledPoseSet,
@@ -84,7 +85,6 @@ from poselik import (
     refined_log_likelihoods,
     refinement_objective,
     render_gaussian_heatmap,
-    require_finite,
     score_pool,
     select_batch,
     validate_skeleton,
@@ -100,7 +100,6 @@ from _helpers import (
     assert_same_peaks,
     batch_of,
     eight_comparison_peaks,
-    joint_peaks,
     oracle_auc,
     oracle_config_objective,
     oracle_expected_ll_by_enumeration,
@@ -271,25 +270,23 @@ def test_pool_cached_scores_equal_scoring_the_gathered_subset(pool_case, data):
     skeleton and family and keeps the unlabeled rows: bit for bit what those
     samples score when gathered and stacked alone, in either mode, for any
     subset in any order, also one whose own padding is narrower than the
-    pool's, and beside a labeled sample with a joint with no peaks."""
-    peak_sets, model = pool_case
+    pool's, and beside a labeled sample whose peak counts differ."""
+    samples, model = pool_case
     n_joints = model.skeleton.n_joints
-    counts = np.array([peaks.counts() for peaks in peak_sets])  # (B, J)
+    counts = np.array([peaks.counts() for peaks in samples])  # (B, J)
     widest = counts.max(axis=0)
     spread = np.flatnonzero(counts.min(axis=0) < widest)  # joints some sample pads
     narrow = [] if not spread.size else np.flatnonzero(counts[:, spread[0]] < widest[spread[0]])
-    drawn = data.draw(st.permutations(range(len(peak_sets))))
+    drawn = data.draw(st.permutations(range(len(samples))))
     subsets = [drawn[: data.draw(st.integers(1, len(drawn)))], list(narrow[::-1])]
-    stacked = list(peak_sets)
-    if data.draw(st.booleans()):  # a labeled sample, placed last, with an empty joint
-        joints = [joint_peaks(peak_sets[0], j) for j in range(n_joints)]
-        joints[data.draw(st.integers(0, n_joints - 1))] = []
-        stacked.append(peakset_of([[(loc, 1.0, prob) for loc, prob in joint] for joint in joints]))
+    stacked = list(samples)
+    if data.draw(st.booleans()):  # a labeled sample, placed last
+        stacked.append(data.draw(peak_sets(n_joints, 5, zero_probs=True)))
     base = SamplePool({}, {}, batch_of(stacked))
     for rows in filter(None, subsets):
         pool = base.clone()
         pool.unlabeled = {f"s{i}": i for i in rows}
-        gathered = batch_of([peak_sets[i] for i in rows])
+        gathered = batch_of([samples[i] for i in rows])
         for mode in ("max", "expected"):
             scores = score_pool(pool, "vl4pose", model, mode=mode)
             if mode == "max":
@@ -304,9 +301,8 @@ def test_pool_cached_scores_equal_scoring_the_gathered_subset(pool_case, data):
 @st.composite
 def faulty_pools(draw):
     """(peak sets, model): a pool of one joint count, at times not the
-    skeleton's, in which samples at random positions have a joint with no
-    peaks, under a distance model whose skeleton is at times 3-D, which no
-    peak set can be scored on."""
+    skeleton's, under a distance model whose skeleton is at times 3-D, which
+    no peak set can be scored on."""
     model = draw(models(kinds=("distance",)))
     skel = model.skeleton
     if draw(st.booleans()):
@@ -319,16 +315,7 @@ def faulty_pools(draw):
     n_joints = skel.n_joints
     if draw(st.integers(0, 3)) == 0:  # a batch of 0 joints would hold one sample
         n_joints = draw(st.sampled_from([n for n in (n_joints - 1, n_joints + 1) if n]))
-    samples = []
-    for _ in range(draw(st.integers(1, 6))):
-        peaks = draw(peak_sets(n_joints, 2))
-        if draw(st.sampled_from(("none", "none", "empty"))) == "empty":
-            bare = draw(st.integers(0, n_joints - 1))
-            joints = [joint_peaks(peaks, j) for j in range(n_joints)]
-            joints[bare] = []
-            peaks = peakset_of([[(loc, 1.0, prob) for loc, prob in joint] for joint in joints])
-        samples.append(peaks)
-    return samples, model
+    return [draw(peak_sets(n_joints, 2)) for _ in range(draw(st.integers(1, 6)))], model
 
 
 def raised_by(call):
@@ -337,6 +324,25 @@ def raised_by(call):
     except PoseLikError as exc:
         return type(exc), str(exc)
     return None
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 4), st.data())
+def test_a_batch_with_an_empty_grid_is_refused_when_built(n_joints, data):
+    """A batch with a grid of no peaks raises :class:`EmptyPeakSet` when it
+    is built, naming its first such grid by sample and joint, so no scorer
+    is ever given one."""
+    samples = data.draw(st.integers(1, 5))
+    counts = data.draw(st.lists(st.integers(0, 3), min_size=samples * n_joints,
+                                max_size=samples * n_joints))
+    counts[data.draw(st.integers(0, len(counts) - 1))] = 0
+    first = counts.index(0)
+    rows = sum(counts)
+    with pytest.raises(EmptyPeakSet) as raised:
+        PeakSet(np.zeros((rows, 2), np.int64), np.zeros(rows), np.ones(rows),
+                np.cumsum([0, *counts]), n_joints)
+    sample, joint = divmod(first, n_joints)
+    assert str(raised.value) == f"sample {sample} joint {joint} has no candidate peaks"
 
 
 @PROPERTY_SETTINGS
@@ -1020,9 +1026,9 @@ def read_outcome(read):
 @PROPERTY_SETTINGS
 @given(pshm_files())
 def test_both_reader_paths_match_the_reference_reader(scratch, data):
-    """Read into a new :class:`Heatmap` or into a caller's row (whose scores
-    the caller checks), a file gives the reference reader's scores or error,
-    and the row is asked for only once the header and length are valid."""
+    """Read into a new :class:`Heatmap` or into a caller's row, a file gives
+    the reference reader's scores or error, and the row is asked for only
+    once the header and length are valid."""
     path = scratch / "reader.pshm"
     path.write_bytes(data)
     expected = read_outcome(lambda: reference_read_heatmap_file(path).values)
@@ -1035,7 +1041,6 @@ def test_both_reader_paths_match_the_reference_reader(scratch, data):
 
     def read_into():
         assert read_heatmap_file(path, into=into) is None
-        require_finite(rows[0])
         return rows[0]
 
     assert read_outcome(read_into) == expected

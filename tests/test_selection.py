@@ -33,7 +33,7 @@ from poselik import (
 )
 from poselik.selection import _random_score
 
-from _helpers import assert_same_peaks, batch_of, joint_peaks, oracle_auc, peakset_of
+from _helpers import assert_same_peaks, batch_of, oracle_auc, peakset_of
 
 
 def chain_model(n_joints=3, mean=6.0, sigma=1.0):
@@ -141,21 +141,18 @@ class TestPoolStacks:
             for i in range(4)
         ]
 
-    def test_a_faulty_sample_moved_to_labeled_no_longer_fails_scoring(self):
-        good = self.samples()
-        joints = [[(loc, 1.0, prob) for loc, prob in joint_peaks(good[0], j)] for j in range(3)]
-        joints[1] = []
-        peak_sets = [good[0], peakset_of(joints), good[1]]
-        pool = SamplePool({}, {"a": 0, "bare": 1, "c": 2}, batch_of(peak_sets))
+    def test_a_sample_moved_to_labeled_leaves_the_scores_of_the_rest(self):
+        good = self.samples()[:3]
+        pool = SamplePool({}, {"a": 0, "b": 1, "c": 2}, batch_of(good))
         model = chain_model()
         for mode in ("max", "expected"):
-            with pytest.raises(EmptyPeakSet, match="'j1' has no candidate peaks"):
-                score_pool(pool, "vl4pose", model, mode=mode)
-        pool.move_to_labeled("bare", vertical_pose(3))
+            scores = score_pool(pool, "vl4pose", model, mode=mode)
+            assert scores.tolist() == fresh_scores(good, model, mode)
+        pool.move_to_labeled("b", vertical_pose(3))
         for mode in ("max", "expected"):
             scores = score_pool(pool, "vl4pose", model, mode=mode)
-            assert scores.tolist() == fresh_scores([good[0], good[1]], model, mode)
-        assert len(pool.stacks) == 1  # built by the first, failing call
+            assert scores.tolist() == fresh_scores([good[0], good[2]], model, mode)
+        assert len(pool.stacks) == 1  # built by the first call
 
     def test_each_skeleton_and_link_family_gets_its_own_stack(self):
         peak_sets = self.samples()
@@ -241,22 +238,20 @@ class TestScorePool:
             score_pool(pool, "vl4pose", model, mode="argmax")
 
     def test_max_mode_raises_what_refine_pose_raises(self):
-        """The batched DP checks every sample before stacking, with the
-        per-sample errors: an empty joint, then a wrong joint count (one
-        batch has one joint count, so such a pool holds no good sample)."""
+        """The batched DP raises what refining the sample alone raises for a
+        wrong joint count (one batch has one joint count, so such a pool
+        holds no good sample). A sample with an empty joint is refused when
+        its peak set is built, so neither is ever given one."""
         model = chain_model()
-        good = extract_peaks(render(vertical_pose(3)))
-        empty_joint = peakset_of([[((1, 1), 1.0, 1.0)], [], [((3, 3), 1.0, 1.0)]])
+        with pytest.raises(EmptyPeakSet, match="sample 0 joint 1 has no candidate peaks"):
+            peakset_of([[((1, 1), 1.0, 1.0)], [], [((3, 3), 1.0, 1.0)]])
         two_joints = peakset_of([[((1, 1), 1.0, 1.0)], [((3, 3), 1.0, 1.0)]])
-        for bad, error in ((empty_joint, EmptyPeakSet), (two_joints, DimensionMismatch)):
-            with pytest.raises(error) as single:
-                refine_pose(bad, model)
-            samples = {"good": good, "bad": bad} if bad.joint_count == 3 else {"bad": bad}
-            unlabeled = {sample_id: i for i, sample_id in enumerate(samples)}
-            pool = SamplePool(labeled={}, unlabeled=unlabeled, peaks=batch_of([*samples.values()]))
-            with pytest.raises(error) as batched:
-                score_pool(pool, "vl4pose", model, mode="max")
-            assert str(batched.value) == str(single.value)
+        with pytest.raises(DimensionMismatch) as single:
+            refine_pose(two_joints, model)
+        pool = SamplePool(labeled={}, unlabeled={"bad": 0}, peaks=batch_of([two_joints]))
+        with pytest.raises(DimensionMismatch) as batched:
+            score_pool(pool, "vl4pose", model, mode="max")
+        assert str(batched.value) == str(single.value)
 
     def test_entropy_matches_peak_entropy_and_alias(self):
         pool = make_pool({"a": render(vertical_pose(3))})
