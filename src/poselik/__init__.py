@@ -54,7 +54,6 @@ from .heatmaps import (
     read_heatmap_file,
     read_manifest,
     render_gaussian_heatmap,
-    require_finite,
     write_heatmap_file,
 )
 from .likelihood import (
@@ -73,7 +72,6 @@ from .likelihood import (
     refine_poses,
     refined_log_likelihoods,
     refinement_objective,
-    root_log_density,
 )
 from .model import (
     SIGMA_FLOOR,

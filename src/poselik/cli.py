@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -51,7 +50,7 @@ from .heatmaps import (
     read_manifest,
 )
 from .likelihood import (
-    expected_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it
+    expected_log_likelihood,
     expected_log_likelihoods,
     multi_peak_entropies,
     multi_peak_entropy,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
@@ -72,7 +71,7 @@ from .model import (
     read_json,
     write_json,
 )
-from .selection import _random_score, select_batch
+from .selection import STRATEGIES, _random_score, select_batch
 from .simulation import SimulationConfig, run_simulation
 
 TOOL_NAME = "poselik"
@@ -92,11 +91,6 @@ def _jsonl(records) -> str:
     return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
-def _write_jsonl(path: str, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_jsonl(records))
-
-
 # --- commands ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -104,13 +98,12 @@ class _Command:
     """One subcommand as data for :func:`_run`.
 
     ``load(args)`` reads the shared inputs into a context dict (failures
-    exit 3). ``compute(args, ctx, timings, stage)`` writes each output to
-    the temporary file ``stage(path)`` names and returns the sample count
-    (failures exit 4, failed writes exit 3); it adds the time of any file
-    reads to ``timings["io"]``, and may put a per-stage breakdown in
-    ``ctx["stages"]``. ``config`` and ``seed`` fill the run manifest;
-    ``inputs`` names the arguments whose files it hashes (unset ones are
-    skipped).
+    exit 3). ``compute(args, ctx, stage)`` writes each output to the
+    temporary file ``stage(path)`` names and returns the sample count
+    (failures exit 4, failed writes exit 3); it may put a per-stage
+    breakdown in ``ctx["stages"]``, whose ``read`` time counts as I/O.
+    ``config`` and ``seed`` fill the run manifest; ``inputs`` names the
+    arguments whose files it hashes (unset ones are skipped).
     """
 
     load: Callable[[argparse.Namespace], dict]
@@ -121,13 +114,13 @@ class _Command:
 
 
 # Samples read, extracted and scored together: memory grows with the chunk,
-# not with the manifest. At most CHUNK samples and CHUNK_BYTES of grids.
-# On 16-joint 64x64 heatmaps (16 fill the 4 MiB), chunks of 4 ran 20-35%
-# slower than 16 and chunks of 32 about 5% faster for 5 MB more memory; the
-# byte cap keeps larger grids (3 samples of 17-joint 128x128) near the
-# memory that one sample at a time takes.
-CHUNK = 16
+# not with the manifest. A chunk holds at most CHUNK_BYTES of grids (at
+# least one sample): 16 samples of 16-joint 64x64 heatmaps, 3 of 17-joint
+# 128x128. On the 64x64 grids, chunks of 4 ran 20-35% slower than 16 and
+# chunks of 32 about 5% faster for 5 MB more memory.
 CHUNK_BYTES = 1 << 22
+# What fails a sample: its data, or memory for its grids and their peaks.
+_FAILURES = (PoseLikError, MemoryError)
 _DEFAULT_EXTRACTION = (DEFAULT_THRESHOLD_RATIO, DEFAULT_MAX_PEAKS)
 
 
@@ -138,16 +131,18 @@ def _chunked(records: Callable, extraction: Callable) -> Callable:
 
     ``extraction(args)`` gives the ``(threshold_ratio, max_peaks)`` that the
     command extracts peaks with, or ``None`` if it reads no heatmap (its
-    ``peaks`` are then ``None``). Each heatmap is read straight into its
-    row of one reused ``(chunk, J, H, W)`` buffer sized for the first
-    heatmap of its shape, which checks its scores as it reads them, and a
-    change of shape starts a new chunk. Each chunk's peaks are extracted
-    and its records made through :func:`_chunk_records`.
-    The first failure in manifest order aborts the run, naming its sample.
+    ``peaks`` are then ``None``, and each sample is a chunk of its own).
+    Each heatmap is read straight into its row of one reused
+    ``(chunk, J, H, W)`` buffer of at most :data:`CHUNK_BYTES`, sized for
+    the first heatmap of its shape, which checks its scores as it reads
+    them, and a change of shape starts a new chunk. Each chunk's peaks are
+    extracted and its records made through :func:`_chunk_records`.
+    The first failure in manifest order aborts the run, naming its sample;
+    a chunk too large for memory is such a failure.
     The time of each stage and the chunk count go to ``ctx["stages"]``.
     """
 
-    def compute(args, ctx, timings, stage):
+    def compute(args, ctx, stage):
         entries, settings = ctx["entries"], extraction(args)
         stages, chunks = Stages(("read", "peaks", "records", "write")), 0
         ids: list[str] = []
@@ -157,7 +152,7 @@ def _chunked(records: Callable, extraction: Callable) -> Callable:
             nonlocal fresh
             if chunk is not None and chunk.shape[1:] == shape:
                 return chunk[len(ids)]
-            size = min(CHUNK, max(1, CHUNK_BYTES // (4 * math.prod(shape))), len(entries))
+            size = min(max(1, CHUNK_BYTES // (4 * math.prod(shape))), len(entries))
             fresh = np.empty((size, *shape), np.float32)
             return fresh[0]
 
@@ -189,17 +184,16 @@ def _chunked(records: Callable, extraction: Callable) -> Callable:
                         t = clock()
                         read_heatmap_file(path, into=row)
                         stages.since("read", t)
-                    except (PoseLikError, OSError) as exc:
+                    except (*_FAILURES, OSError) as exc:
                         flush()  # a sample before it may fail first
-                        raise PoseLikError(f"sample {sample_id!r}: {exc}") from exc
+                        raise _named(sample_id, exc) from exc
                     if fresh is not None:  # a new shape: the chunk so far goes first
                         flush()
                         chunk, fresh = fresh, None
                 ids.append(sample_id)
-                if len(ids) == (CHUNK if chunk is None else len(chunk)):
+                if chunk is None or len(ids) == len(chunk):
                     flush()
             flush()
-        timings["io"] += 1000.0 * stages.wall["read"]
         ctx["stages"] = {"chunks": chunks, **stages.to_json_dict()}
         return len(entries)
 
@@ -209,16 +203,22 @@ def _chunked(records: Callable, extraction: Callable) -> Callable:
 def _chunk_records(text: Callable, ids: list[str], values) -> str:
     """``text(ids, values)`` of one chunk. If the chunk fails, its samples run
     alone in turn, so that the error names the first failing sample and says
-    what that sample's own run says."""
+    what that sample's own run says; if none fails alone (the chunk ran out
+    of memory), their own runs' text is the chunk's."""
     try:
         return text(ids, values)
-    except PoseLikError:
+    except _FAILURES:
+        lines = []
         for i, sample_id in enumerate(ids):
             try:
-                text(ids[i : i + 1], None if values is None else values[i : i + 1])
-            except PoseLikError as exc:
-                raise PoseLikError(f"sample {sample_id!r}: {exc}") from exc
-        raise
+                lines.append(text(ids[i : i + 1], None if values is None else values[i : i + 1]))
+            except _FAILURES as exc:
+                raise _named(sample_id, exc) from exc
+        return "".join(lines)
+
+
+def _named(sample_id: str, exc: Exception) -> PoseLikError:
+    return PoseLikError(f"sample {sample_id!r}: {str(exc) or 'out of memory'}")
 
 
 def _load_model(args) -> PoseModelParams:
@@ -252,20 +252,15 @@ def _params_for(ctx, sample_id: str) -> PoseModelParams:
 
 def _score_records(args, ctx, ids, peaks) -> str:
     if args.mode == "point":
-        return _jsonl(
-            point_log_likelihood(_pose_for(ctx, sample_id), _params_for(ctx, sample_id))
-            .to_json_dict(sample_id)
-            for sample_id in ids
-        )
-    # One batch per run of samples that share parameters (each image has its
-    # own under --per-image).
-    params = [_params_for(ctx, sample_id) for sample_id in ids]
-    records = []
-    for _, run in itertools.groupby(range(len(ids)), key=lambda i: id(params[i])):
-        rows = list(run)
-        reports = expected_log_likelihoods(peaks.take(rows), params[rows[0]])
-        records += [report.to_json_dict(ids[i]) for report, i in zip(reports, rows)]
-    return _jsonl(records)
+        reports = [point_log_likelihood(_pose_for(ctx, i), _params_for(ctx, i)) for i in ids]
+    elif ctx["params_map"] is None:  # one shared model: the chunk is one batch
+        reports = expected_log_likelihoods(peaks, ctx["params"])
+    else:  # --per-image: each sample under its own model
+        reports = [
+            expected_log_likelihood(peaks.take([k]), _params_for(ctx, i))
+            for k, i in enumerate(ids)
+        ]
+    return _jsonl(report.to_json_dict(i) for report, i in zip(reports, ids))
 
 
 def _pose_for(ctx, sample_id: str):
@@ -331,7 +326,7 @@ def _load_select(args) -> dict:
     return {"scores": scores}
 
 
-def _compute_select(args, ctx, timings, stage):
+def _compute_select(args, ctx, stage):
     result = select_batch(ctx["scores"], args.strategy, args.budget)
     document = {
         "strategy": result.strategy,
@@ -348,7 +343,7 @@ def _load_calibrate(args) -> dict:
     return {"skeleton": skeleton, "labeled": read_labeled_poses(args.labeled, skeleton)}
 
 
-def _compute_calibrate(args, ctx, timings, stage):
+def _compute_calibrate(args, ctx, stage):
     data = LabeledPoseSet.of(ctx["skeleton"], [pose for _, pose in ctx["labeled"]])
     fitted = fit_model(data, args.model)
     document = {**model_to_dict(fitted), "fit": {"sample_count": data.n_poses}}
@@ -362,11 +357,12 @@ def _load_simulate(args) -> dict:
         return {"cfg": SimulationConfig.from_dict(doc)}
 
 
-def _compute_simulate(args, ctx, timings, stage):
+def _compute_simulate(args, ctx, stage):
     with errors_at(args.config):  # an infeasible config is found only while generating
         outcome = run_simulation(ctx["cfg"])
     write_json(stage(args.out), outcome.report)
-    _write_jsonl(stage(f"{args.out}.selections.jsonl"), outcome.selections)
+    with open(stage(f"{args.out}.selections.jsonl"), "w", encoding="utf-8") as fh:
+        fh.write(_jsonl(outcome.selections))
     ctx["stages"] = outcome.stages
     return ctx["cfg"].unlabeled_size
 
@@ -457,10 +453,9 @@ def _run(command: str, args: argparse.Namespace) -> int:
                 return 3
             load_ms = (time.perf_counter() - started) * 1000.0
 
-            timings = {"io": load_ms}
             compute_start = time.perf_counter()
             try:
-                samples = spec.compute(args, ctx, timings, stage)
+                samples = spec.compute(args, ctx, stage)
             except ConfigInvalid as exc:  # a config no sample can satisfy, not a sample's data
                 _error(exc)
                 return 3
@@ -470,8 +465,11 @@ def _run(command: str, args: argparse.Namespace) -> int:
             except OSError as exc:  # reads name their sample; this is a staged write
                 _error(f"cannot write {staged[-1][0]}: {exc.strerror or exc}")
                 return 3
-        read_ms = timings["io"] - load_ms
-        timings["compute"] = (time.perf_counter() - compute_start) * 1000.0 - read_ms
+        read_ms = ctx.get("stages", {}).get("wall_ms", {}).get("read", 0.0)
+        timings = {
+            "io": load_ms + read_ms,
+            "compute": (time.perf_counter() - compute_start) * 1000.0 - read_ms,
+        }
 
         try:
             inputs = {
@@ -541,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     select = subs.add_parser("select", help="bottom-budget sample selection")
     select.add_argument("--scores", required=True)
-    select.add_argument("--strategy", choices=("vl4pose", "entropy", "random"), required=True)
+    select.add_argument("--strategy", choices=STRATEGIES, required=True)
     select.add_argument("--budget", type=int, required=True)
     select.add_argument("--seed", type=int, default=0)
     select.add_argument("--out", required=True)

@@ -165,19 +165,6 @@ def link_log_density(parent_loc, child_loc, params: LinkParams) -> float:
     return float(_density(_geometry(child - parent, _family(params)), params))
 
 
-def root_log_density(loc, params: LinkParams | None) -> float:
-    """Root prior term: 0 under the default uniform prior.
-
-    A distance prior is a normal over the root's distance from the grid
-    origin; an offset prior is a normal centred at the absolute location
-    stored in its offset field.
-    """
-    if params is None:
-        return 0.0
-    loc = np.asarray(loc, dtype=np.float64)
-    return link_log_density(np.zeros(loc.shape), loc, params)
-
-
 # --- whole-pose scoring -------------------------------------------------------
 
 def _check_pose(pose: Pose, params: PoseModelParams) -> None:

@@ -18,7 +18,7 @@ import json
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
@@ -229,6 +229,8 @@ class OffsetParams:
 
     offset: np.ndarray      # (D,)
     covariance: np.ndarray  # (D, D), symmetric positive-definite
+    cholesky: np.ndarray = field(init=False, repr=False)  # its lower-triangular factor
+    log_det: float = field(init=False, repr=False)  # its log-determinant, from that factor
 
     def __post_init__(self):
         offset = np.asarray(self.offset, dtype=np.float64)
@@ -249,22 +251,12 @@ class OffsetParams:
             raise CovarianceNotSPD("covariance is not positive-definite") from None
         object.__setattr__(self, "offset", _freeze(offset))
         object.__setattr__(self, "covariance", _freeze(cov))
-        object.__setattr__(self, "_cholesky", _freeze(chol))
-        object.__setattr__(self, "_log_det", float(2.0 * np.log(np.diagonal(chol)).sum()))
+        object.__setattr__(self, "cholesky", _freeze(chol))
+        object.__setattr__(self, "log_det", float(2.0 * np.log(np.diagonal(chol)).sum()))
 
     @property
     def dimension(self) -> int:
         return self.offset.shape[0]
-
-    @property
-    def cholesky(self) -> np.ndarray:
-        """Lower-triangular Cholesky factor of the covariance."""
-        return self._cholesky
-
-    @property
-    def log_det(self) -> float:
-        """Log-determinant of the covariance, from the Cholesky diagonal."""
-        return self._log_det
 
 
 LinkParams = Union[DistanceParams, OffsetParams]

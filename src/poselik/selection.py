@@ -41,6 +41,7 @@ from .likelihood import (
 from .model import Pose, PoseModelParams
 
 STRATEGIES = ("vl4pose", "entropy", "random")
+VL4POSE_MODES = ("expected", "max")
 
 
 def _check_strategy(strategy: str) -> None:
@@ -50,19 +51,21 @@ def _check_strategy(strategy: str) -> None:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplePool:
     """Labeled poses plus the peaks of unlabeled samples.
 
     Every strategy reads only the peaks, so the pool keeps one batch of
     them and never a heatmap: memory grows with the peaks, not the grids.
-    ``unlabeled`` maps each id to its sample in ``peaks``. A pool without
-    ``peaks`` is one that only the ``random`` strategy ranks; asking for
-    them raises :class:`MissingHeatmap`.
+    ``unlabeled`` maps each id to its sample in ``peaks``, a row checked
+    when the pool is built. A pool without ``peaks`` is one that only the
+    ``random`` strategy ranks; asking for them raises :class:`MissingHeatmap`.
+    The pool is frozen: only :meth:`move_to_labeled` changes it, in its dicts.
 
     ``stacks`` caches, per skeleton and link family, the :class:`PeakStack`
-    of all of ``peaks``, built on first use; clones share it. A stack holds
-    no parameter, so one serves every model of its skeleton and family.
+    of all of ``peaks``, built on first use; clones share it, as may any
+    pool of the same ``peaks``. A stack holds no parameter, so one serves
+    every model of its skeleton and family.
     """
 
     labeled: dict[str, Pose]
@@ -76,6 +79,10 @@ class SamplePool:
             raise SchemaError(
                 f"samples cannot be both labeled and unlabeled: {sorted(overlap)[:5]}"
             )
+        rows = np.inf if self.peaks is None else len(self.peaks)
+        for sample_id, row in self.unlabeled.items():
+            if type(row) is bool or not isinstance(row, (int, np.integer)) or not 0 <= row < rows:
+                raise SchemaError(f"unlabeled sample {sample_id!r} has no peaks at row {row!r}")
 
     def clone(self) -> "SamplePool":
         return SamplePool(dict(self.labeled), dict(self.unlabeled), self.peaks, self.stacks)
@@ -96,14 +103,12 @@ class SamplePool:
 
     def stack(self, params: PoseModelParams) -> PeakStack:
         """The :class:`PeakStack` of all of ``peaks``, labeled samples too,
-        for ``params``' skeleton and link family, built once per peaks."""
+        for ``params``' skeleton and link family, built once."""
         peaks = self._require_peaks(next(iter(self.unlabeled), None))
         key = (params.skeleton, params.model_kind)
-        built_from, stack = self.stacks.get(key, (None, None))
-        if built_from is not peaks:  # never built, or built for other peaks
-            stack = PeakStack.of(peaks, *key)
-            self.stacks[key] = (peaks, stack)
-        return stack
+        if key not in self.stacks:
+            self.stacks[key] = PeakStack.of(peaks, *key)
+        return self.stacks[key]
 
     def move_to_labeled(self, sample_id: str, pose: Pose) -> None:
         if sample_id not in self.unlabeled:
@@ -145,7 +150,7 @@ def score_pool(
     keeps the unlabeled samples' rows.
     """
     _check_strategy(strategy)
-    if mode not in ("expected", "max"):
+    if mode not in VL4POSE_MODES:
         raise SchemaError(f"unknown vl4pose mode {mode!r}; expected 'expected' or 'max'")
     if strategy == "vl4pose" and params is None:
         raise MissingParams("vl4pose scoring needs fitted model parameters")

@@ -33,6 +33,7 @@ from .likelihood import (
 from .model import Pose, Skeleton, Stages, clock, is_number, validate_skeleton
 from .selection import (
     STRATEGIES,
+    VL4POSE_MODES,
     SamplePool,
     ascending,
     id_ranks,
@@ -174,7 +175,7 @@ def _strategies(value, where, get) -> tuple[str, ...]:
 
 
 def _ranking_mode(value, where, get) -> str:
-    if value not in ("expected", "max"):
+    if value not in VL4POSE_MODES:
         raise ConfigInvalid(f"{where} must be 'expected' or 'max', got {value!r}")
     return value
 

@@ -19,6 +19,7 @@ from poselik import (
     chain_skeleton,
     cli,
     expected_log_likelihood,
+    extract_peak_sets,
     extract_peaks,
     fit_distance_params,
     LabeledPoseSet,
@@ -36,7 +37,7 @@ from poselik import (
 )
 from poselik.selection import _random_score
 
-from _helpers import pshm_bytes
+from _helpers import PSHM_HEADER, pshm_bytes
 
 SKELETON_DOC = {
     "joints": ["j0", "j1", "j2"],
@@ -144,12 +145,12 @@ class TestScoreCommand:
             json.dumps({"id": f"s{i}", "pose": [[20, 14], [20, 20], [20, 26]]}) + "\n"
             for i in range(5)
         ))
-        monkeypatch.setattr(cli, "CHUNK", 2)
+        monkeypatch.setattr(cli, "CHUNK_BYTES", 2 * 3 * 48 * 48 * 4)  # two samples
         out = tmp_path / "out.jsonl"
         assert run_cli([*argv, "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
         stages = manifest["stages"]
-        assert stages["chunks"] == 3
+        assert stages["chunks"] == (5 if command == "point" else 3)  # point: one sample each
         names = {"read", "peaks", "records", "write"}
         assert set(stages) == {"chunks", "wall_ms", "cpu_ms"}
         assert set(stages["wall_ms"]) == set(stages["cpu_ms"]) == names
@@ -988,7 +989,8 @@ class TestChunkedRunner:
         manifest_path = tmp_path / "m.jsonl"
         manifest_path.write_text("".join(entries), encoding="utf-8")
         out = tmp_path / "peaks.jsonl"
-        monkeypatch.setattr(cli, "CHUNK", 2)  # chunks end on shapes and on the count
+        # Chunks end on shapes and at two 2x9x9 grids' bytes.
+        monkeypatch.setattr(cli, "CHUNK_BYTES", 2 * 2 * 9 * 9 * 4)
         assert run_cli(
             ["maxima", "--heatmaps", str(manifest_path), "--threshold", "0",
              "--max-peaks", "3", "--out", str(out)]
@@ -1009,7 +1011,7 @@ class TestChunkedRunner:
         means = {"s0": 6.0, "s1": 5.0, "s2": 30.0, "s3": 6.0, "s4": 7.5}
         params_path = per_image_params(tmp_path / "per-image.json", means)
         out = tmp_path / "scores.jsonl"
-        monkeypatch.setattr(cli, "CHUNK", 3)
+        monkeypatch.setattr(cli, "CHUNK_BYTES", 3 * 3 * 48 * 48 * 4)  # three samples
         assert run_cli(
             ["score", "--skeleton", str(skeleton_path), "--params", str(params_path),
              "--per-image", "--heatmaps", str(manifest_path), "--out", str(out)]
@@ -1025,6 +1027,90 @@ class TestChunkedRunner:
             for i in range(5)
         ]
         assert out.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("samples, rows", [(17, [16, 1]), (3, [3])], ids=["17", "3"])
+    def test_the_byte_budget_alone_sizes_a_chunk(self, tmp_path, monkeypatch, samples, rows):
+        values = np.zeros((16, 64, 64), np.float32)  # 256 KiB: 16 fill CHUNK_BYTES
+        values[:, 30, 30] = 1.0
+        write_heatmap_file(Heatmap(values), tmp_path / "h.pshm")
+        manifest_path = tmp_path / "m.jsonl"
+        manifest_path.write_text("".join(
+            json.dumps({"id": f"h{i}", "path": "h.pshm"}) + "\n" for i in range(samples)
+        ), encoding="utf-8")
+        seen = []
+
+        def extract(values, *settings):
+            seen.append(len(values))
+            return extract_peak_sets(values, *settings)
+
+        monkeypatch.setattr(cli, "extract_peak_sets", extract)
+        out = tmp_path / "peaks.jsonl"
+        assert run_cli(["maxima", "--heatmaps", str(manifest_path), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "peaks.jsonl.manifest.json").read_text())
+        assert (manifest["stages"]["chunks"], seen) == (len(rows), rows)
+        assert len(read_jsonl(out)) == samples
+
+    @pytest.mark.parametrize("alone_fits", [True, False], ids=["alone-fits", "never-fits"])
+    def test_a_chunk_out_of_memory_runs_its_samples_alone(
+        self, tmp_path, monkeypatch, capsys, alone_fits
+    ):
+        _, _, manifest_path, _ = write_inputs(tmp_path, n_samples=3)  # one chunk
+        out = tmp_path / "peaks.jsonl"
+        argv = ["maxima", "--heatmaps", str(manifest_path), "--out", str(out)]
+        assert run_cli(argv) == 0
+        chunked = out.read_text(encoding="utf-8")
+
+        def extract(values, *settings):
+            if len(values) > 1 or not alone_fits:
+                raise MemoryError  # as Python raises it: without a message
+            return extract_peak_sets(values, *settings)
+
+        monkeypatch.setattr(cli, "extract_peak_sets", extract)
+        if alone_fits:
+            assert run_cli(argv) == 0
+            assert out.read_text(encoding="utf-8") == chunked
+        else:
+            assert run_cli(argv) == 4
+            assert capsys.readouterr().err == "poselik: error: sample 's0': out of memory\n"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+    @pytest.mark.parametrize("headroom_mib, buffered", [(64, False), (200, True)],
+                             ids=["buffer", "extraction"])
+    def test_a_heatmap_too_large_for_memory_exits_4_naming_it(
+        self, tmp_path, headroom_mib, buffered
+    ):
+        # One 1x6000x6000 grid: a 137 MiB payload of zeros, left sparse, so no
+        # payload is written here. The run goes in a child whose address space
+        # is capped at its size after import plus the headroom: 64 MiB cannot
+        # hold the chunk buffer; 200 MiB holds it and the read's finiteness
+        # check, but not extraction, for which every cell of a zero grid is a
+        # candidate (274 MiB of cell indices).
+        with open(tmp_path / "big.pshm", "wb") as fh:
+            fh.write(PSHM_HEADER.pack(b"PSHM", 1, 1, 6000, 6000))
+            fh.truncate(PSHM_HEADER.size + 4 * 6000 * 6000)
+        manifest_path = tmp_path / "m.jsonl"
+        manifest_path.write_text(json.dumps({"id": "a", "path": "big.pshm"}) + "\n")
+        script = (
+            "import resource, sys\n"
+            "from poselik import cli\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    kib = next(int(line.split()[1]) for line in fh if line.startswith('VmSize:'))\n"
+            f"limit = (kib << 10) + ({headroom_mib} << 20)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, resource.RLIM_INFINITY))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        run = subprocess.run(
+            [sys.executable, "-c", script, "maxima", "--heatmaps", str(manifest_path),
+             "--out", str(tmp_path / "peaks.jsonl")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 4, run.stderr
+        assert run.stderr.startswith("poselik: error: sample 'a': ")
+        assert len(run.stderr.splitlines()) == 1
+        assert ("(1, 1, 6000, 6000)" in run.stderr) != buffered  # the buffer's allocation
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.pshm", "m.jsonl"]
 
     def test_failed_run_leaves_old_outputs_and_no_temporary_file(self, tmp_path, capsys):
         skeleton_path, model_path, manifest_path, _ = write_inputs(tmp_path, n_samples=3)

@@ -25,7 +25,6 @@ from poselik import (
     refine_pose,
     refine_poses,
     refinement_objective,
-    root_log_density,
     run_simulation,
     validate_skeleton,
 )
@@ -121,13 +120,23 @@ class TestLinkDensities:
             link_log_density((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), params)
 
     def test_root_density_variants(self):
-        assert root_log_density((3.0, 4.0), None) == 0.0
-        dist = root_log_density((3.0, 4.0), DistanceParams(5.0, 1.0))
-        assert dist == pytest.approx(-HALF_LOG_2PI, abs=1e-12)
-        off = root_log_density(
-            (3.0, 4.0), OffsetParams(offset=np.array([3.0, 4.0]), covariance=np.eye(2))
-        )
-        assert off == pytest.approx(-2 * HALF_LOG_2PI, abs=1e-12)
+        # A root prior is a link law from the grid origin to the root.
+        pose = Pose([[3.0, 4.0], [3.0, 10.0]])
+        cases = [
+            ("distance", DistanceParams(6.0, 1.0), DistanceParams(5.0, 1.0), -HALF_LOG_2PI),
+            ("offset", OffsetParams([0.0, 6.0], np.eye(2)), OffsetParams([3.0, 4.0], np.eye(2)),
+             -2 * HALF_LOG_2PI),
+        ]
+        for kind, law, prior, expected in cases:
+            assert link_log_density((0.0, 0.0), (3.0, 4.0), prior) == pytest.approx(
+                expected, abs=1e-12
+            )
+            uniform = PoseModelParams(chain(2), (law,), kind)
+            assert point_log_likelihood(pose, uniform).root_term == 0.0
+            model = PoseModelParams(chain(2), (law,), kind, root_params=prior)
+            assert point_log_likelihood(pose, model).root_term == pytest.approx(
+                expected, abs=1e-12
+            )
 
 
 class TestPointLogLikelihood:

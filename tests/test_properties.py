@@ -284,8 +284,7 @@ def test_pool_cached_scores_equal_scoring_the_gathered_subset(pool_case, data):
         stacked.append(data.draw(peak_sets(n_joints, 5, zero_probs=True)))
     base = SamplePool({}, {}, batch_of(stacked))
     for rows in filter(None, subsets):
-        pool = base.clone()
-        pool.unlabeled = {f"s{i}": i for i in rows}
+        pool = SamplePool({}, {f"s{i}": i for i in rows}, base.peaks, base.stacks)
         gathered = batch_of([samples[i] for i in rows])
         for mode in ("max", "expected"):
             scores = score_pool(pool, "vl4pose", model, mode=mode)
@@ -1245,7 +1244,9 @@ def test_a_chunked_run_fails_as_its_first_failing_sample_alone(chunk_dir, chunk,
             json.dumps({"id": i, "path": f"{i}.pshm"}) + "\n" for i in run_ids
         ), encoding="utf-8")
         stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr), mock.patch.object(cli, "CHUNK", chunk):
+        with contextlib.redirect_stderr(stderr), mock.patch.object(
+            cli, "CHUNK_BYTES", chunk * 3 * 5 * 5 * 4
+        ):
             code = cli.main(["score", "--skeleton", str(chunk_dir / "skeleton.json"),
                              "--params", str(chunk_dir / "params.json"), "--per-image",
                              "--heatmaps", str(manifest), "--out", str(out)])

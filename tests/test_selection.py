@@ -1,5 +1,7 @@
 """Tests for pool scoring, batch selection, and ranking quality metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,17 @@ class TestSamplePool:
         peaks = extract_peaks(render(vertical_pose(3)))
         with pytest.raises(SchemaError, match="both"):
             SamplePool(labeled={"x": vertical_pose(3)}, unlabeled={"x": 0}, peaks=peaks)
+
+    @pytest.mark.parametrize("row", [-1, 5, 0.0, True], ids=["-1", "5", "0.0", "True"])
+    def test_rejects_a_row_that_does_not_index_its_peaks(self, row):
+        peaks = extract_peaks(render(vertical_pose(3)))
+        with pytest.raises(SchemaError, match=f"'a' has no peaks at row {row!r}"):
+            SamplePool(labeled={}, unlabeled={"b": 0, "a": row}, peaks=peaks)
+        if row == 5:  # without peaks, any non-negative integer is a row
+            assert SamplePool(labeled={}, unlabeled={"b": 0, "a": row}).unlabeled["a"] == 5
+        else:
+            with pytest.raises(SchemaError, match="'a'"):
+                SamplePool(labeled={}, unlabeled={"b": 0, "a": row})
 
     def test_pool_stores_only_the_peaks(self):
         peaks = extract_peaks(render(vertical_pose(3)))
@@ -188,7 +201,9 @@ class TestPoolStacks:
         pool = SamplePool({}, {"a": 0, "b": 1}, batch_of(peak_sets[:2]))
         model = chain_model()
         score_pool(pool, "vl4pose", model, mode="max")
-        pool.peaks = batch_of(peak_sets[2:])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pool.peaks = batch_of(peak_sets[2:])  # so a cached stack is never stale
+        pool = SamplePool({}, {"a": 0, "b": 1}, batch_of(peak_sets[2:]))
         scores = score_pool(pool, "vl4pose", model, mode="max")
         assert scores.tolist() == fresh_scores(peak_sets[2:], model, "max")
 
