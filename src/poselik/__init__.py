@@ -92,7 +92,6 @@ from .model import (
 from .selection import (
     STRATEGIES,
     SamplePool,
-    SelectionResult,
     ood_ranking_auc,
     score_pool,
     select_batch,

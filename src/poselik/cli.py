@@ -327,12 +327,12 @@ def _load_select(args) -> dict:
 
 
 def _compute_select(args, ctx, stage):
-    result = select_batch(ctx["scores"], args.strategy, args.budget)
+    scores = ctx["scores"]
     document = {
-        "strategy": result.strategy,
+        "strategy": args.strategy,
         "budget": args.budget,
-        "selected": list(result.selected),
-        "scores": {k: result.scores[k] for k in sorted(result.scores)},
+        "selected": list(select_batch(scores, args.strategy, args.budget)),
+        "scores": {k: scores[k] for k in sorted(scores)},
     }
     write_json(stage(args.out), document)
     return len(ctx["scores"])

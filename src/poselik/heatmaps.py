@@ -137,8 +137,10 @@ class PeakSet:
         return tuple(np.diff(self.offsets).tolist())
 
     def take(self, samples) -> "PeakSet":
-        """The samples at indices ``samples``, in that order, as a new batch."""
-        samples = np.asarray(samples, dtype=np.int64).reshape(-1)
+        """The samples at integer indices ``samples``, in that order, as a new batch."""
+        if not all(type(s) is not bool and isinstance(s, (int, np.integer)) for s in samples):
+            raise IndexError(f"sample indices must be integers, got {list(samples)[:5]}")
+        samples = np.asarray(samples, dtype=np.int64)
         if np.array_equal(samples, np.arange(len(self))):
             return self  # read-only arrays: every sample in order is this batch
         if samples.size and not (samples.min() >= 0 and samples.max() < len(self)):

@@ -203,11 +203,6 @@ def point_log_likelihoods(poses, params: PoseModelParams) -> list[float]:
     return _total(*_point_terms(poses, params)).tolist()
 
 
-def _log(probs: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(probs)  # log(0) -> -inf: a zero-probability peak is never chosen
-
-
 def _one(peaks: PeakSet) -> PeakSet:
     """``peaks``, if it holds one sample: what a one-sample scorer reads."""
     if len(peaks) != 1:
@@ -229,12 +224,10 @@ class PeakStack:
     gets its :func:`_geometry` over every parent/child pair, ``(B, K_parent,
     K_child)``. Padding follows each sample's peaks and never beats a real
     peak, so a first maximum is still the lowest real peak index and a
-    sample scores the same bits in any batch.
+    sample scores the same bits in any batch. Like a real peak of
+    probability 0, a padded one lies outside the peak distribution.
     """
 
-    skeleton: Skeleton
-    family: str
-    counts: np.ndarray  # (B, J) peaks per joint
     probs: list[np.ndarray]
     root_locs: np.ndarray
     links: list[np.ndarray]
@@ -260,17 +253,14 @@ class PeakStack:
         locs = [locs[:, j, :k] for j, k in enumerate(widths)]
         # Copies, so that the stack holds no view of the (B, J, K) grids.
         return cls(
-            skeleton, family, counts, [probs[:, j, :k].copy() for j, k in enumerate(widths)],
+            [probs[:, j, :k].copy() for j, k in enumerate(widths)],
             locs[skeleton.root].copy(), _link_geometry(locs, skeleton, family),
         )
 
     def log_probs(self) -> list[np.ndarray]:
         """Per joint, log peak probabilities padded with ``-inf``."""
-        return [_log(probs) for probs in self.probs]
-
-    def real(self) -> list[np.ndarray]:
-        """Per joint, the mask ``(B, K_j)`` of the real peaks."""
-        return [np.arange(p.shape[1]) < self.counts[:, j, None] for j, p in enumerate(self.probs)]
+        with np.errstate(divide="ignore"):  # log(0) -> -inf: such a peak is never chosen
+            return [np.log(probs) for probs in self.probs]
 
     def terms(self, params: PoseModelParams):
         """:func:`_terms` of the batch under ``params``."""
@@ -280,25 +270,25 @@ class PeakStack:
 def _cell_type(locs: np.ndarray) -> np.dtype:
     """The smallest signed integer type that holds every coordinate of grid
     cells ``locs``, their differences and any sum of two squares of those:
-    the geometry is exact in it, and a pool's cached stack small."""
+    the geometry is exact in it, and a pool's cached stack small. Beyond
+    int64 it is float64, which rounds as point scoring does."""
     lo, hi = (int(v) for v in (locs.min(initial=0), locs.max(initial=0)))
     bound = 2 * max(hi - lo, -lo, hi) ** 2
-    return np.min_scalar_type(-bound - 1) if bound < 2**62 else np.dtype(np.int64)
+    return np.min_scalar_type(-bound - 1) if bound < 2**63 else np.dtype(np.float64)
 
 
-def _expect(values: np.ndarray, weights: np.ndarray, real: np.ndarray) -> np.ndarray:
-    """``sum_k weights[b, k] * values[b, ..., k]`` over the real peaks ``k`` of
-    each sample ``b``, added one peak at a time in peak order.
-
-    The order does not depend on the batch, and a padded peak adds nothing:
-    not even ``0 * value``, which is NaN for a ``-inf`` density. Every joint
-    has a real first peak.
-    """
-    shape = (-1,) + (1,) * (values.ndim - 2)  # weights[:, k] against values[..., k]
-    total = values[..., 0] * weights[:, 0].reshape(shape)
-    for k in range(1, weights.shape[1]):
-        added = total + values[..., k] * weights[:, k].reshape(shape)
-        total = np.where(real[:, k].reshape(shape), added, total)
+def _expect(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_k weights[b, k] * values[b, ..., k]`` over the peaks ``k`` of
+    positive weight of each sample ``b``, added one peak at a time in peak
+    order, which does not depend on the batch. A peak of weight 0, padded or
+    real, adds nothing: not even ``0 * value``, NaN for a ``-inf`` density."""
+    # weights[..., k] against values[..., k]
+    weights = weights.reshape((len(weights),) + (1,) * (values.ndim - 2) + weights.shape[1:])
+    counted = weights > 0.0
+    total = np.zeros(values.shape[:-1])
+    np.multiply(values[..., 0], weights[..., 0], out=total, where=counted[..., 0])
+    for k in range(1, weights.shape[-1]):
+        np.add(total, values[..., k] * weights[..., k], out=total, where=counted[..., k])
     return total
 
 
@@ -326,14 +316,13 @@ def _reports(root: np.ndarray, links: list[np.ndarray], mode: str) -> list[Likel
 def _expected_terms(stack: PeakStack, params: PoseModelParams):
     """Expected root terms ``(B,)`` and per-link terms ``(B,)`` of every
     sample of a stack."""
-    probs, real = stack.probs, stack.real()
     root_vector, link_matrices = stack.terms(params)
-    skel = params.skeleton
+    probs, skel = stack.probs, params.skeleton
     links = [
-        _expect(_expect(m, probs[child], real[child]), probs[parent], real[parent])
+        _expect(_expect(m, probs[child]), probs[parent])
         for m, (parent, child) in zip(link_matrices, skel.links)
     ]
-    return _expect(root_vector, probs[skel.root], real[skel.root]), links
+    return _expect(root_vector, probs[skel.root]), links
 
 
 def _expected_totals(stack: PeakStack, params: PoseModelParams) -> np.ndarray:
@@ -470,7 +459,7 @@ def refinement_objective(
         raise DimensionMismatch(
             f"selection has {len(indices)} peak indices, skeleton has {skel.n_joints} joints"
         )
-    for name, index, count in zip(skel.joints, indices, stack.counts[0].tolist()):
+    for name, index, count in zip(skel.joints, indices, peaks.counts()):
         integer = isinstance(index, (int, np.integer)) and not isinstance(index, bool)
         if not integer or not 0 <= index < count:
             raise SchemaError(
@@ -522,7 +511,7 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
     stack = PeakStack.of(_one(peaks), params.skeleton, params.model_kind)
     log_probs = stack.log_probs()
     skel = params.skeleton
-    counts = stack.counts[0].tolist()
+    counts = peaks.counts()
     space = math.prod(counts)
     if space > BRUTE_FORCE_GUARD:
         raise SearchSpaceTooLarge(f"{space} configurations exceed guard {BRUTE_FORCE_GUARD}")

@@ -62,16 +62,16 @@ class SamplePool:
     ``random`` strategy ranks; asking for them raises :class:`MissingHeatmap`.
     The pool is frozen: only :meth:`move_to_labeled` changes it, in its dicts.
 
-    ``stacks`` caches, per skeleton and link family, the :class:`PeakStack`
-    of all of ``peaks``, built on first use; clones share it, as may any
-    pool of the same ``peaks``. A stack holds no parameter, so one serves
-    every model of its skeleton and family.
+    The pool caches, per skeleton and link family, the :class:`PeakStack`
+    of all of ``peaks``, built on first use. The cache is its own: no caller
+    passes a stack in, and a clone starts empty. A stack holds no parameter,
+    so one serves every model of its skeleton and family.
     """
 
     labeled: dict[str, Pose]
     unlabeled: dict[str, int]
     peaks: PeakSet | None = None
-    stacks: dict = field(default_factory=dict, repr=False, compare=False)
+    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         overlap = set(self.labeled) & set(self.unlabeled)
@@ -85,7 +85,7 @@ class SamplePool:
                 raise SchemaError(f"unlabeled sample {sample_id!r} has no peaks at row {row!r}")
 
     def clone(self) -> "SamplePool":
-        return SamplePool(dict(self.labeled), dict(self.unlabeled), self.peaks, self.stacks)
+        return SamplePool(dict(self.labeled), dict(self.unlabeled), self.peaks)
 
     def _require_peaks(self, first_id: str | None) -> PeakSet:
         if self.peaks is None:
@@ -106,24 +106,15 @@ class SamplePool:
         for ``params``' skeleton and link family, built once."""
         peaks = self._require_peaks(next(iter(self.unlabeled), None))
         key = (params.skeleton, params.model_kind)
-        if key not in self.stacks:
-            self.stacks[key] = PeakStack.of(peaks, *key)
-        return self.stacks[key]
+        if key not in self._stacks:
+            self._stacks[key] = PeakStack.of(peaks, *key)
+        return self._stacks[key]
 
     def move_to_labeled(self, sample_id: str, pose: Pose) -> None:
         if sample_id not in self.unlabeled:
             raise MissingHeatmap(f"sample {sample_id!r} is not in the unlabeled pool")
         del self.unlabeled[sample_id]
         self.labeled[sample_id] = pose
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """One acquisition round: ids chosen and the scores of every candidate."""
-
-    strategy: str
-    selected: tuple[str, ...]
-    scores: dict[str, float]
 
 
 def _random_score(seed: int, sample_id: str) -> float:
@@ -147,7 +138,8 @@ def score_pool(
     for ``vl4pose`` only. ``mode`` picks the vl4pose flavor: the
     expectation over peak distributions (default) or the refined maximum.
     Either scores the pool's whole cached stack in one batched call and
-    keeps the unlabeled samples' rows.
+    keeps the unlabeled samples' rows; ``entropy`` scores the whole batch
+    of peaks and keeps the same rows.
     """
     _check_strategy(strategy)
     if mode not in VL4POSE_MODES:
@@ -158,9 +150,10 @@ def score_pool(
         raise EmptyInput("unlabeled pool is empty")
     if strategy == "random":
         return np.array([_random_score(seed, sample_id) for sample_id in pool.unlabeled])
-    if strategy == "entropy":
-        return np.array(multi_peak_entropies(pool.peaks_for(*pool.unlabeled)))
     rows = np.fromiter(pool.unlabeled.values(), np.intp, len(pool.unlabeled))
+    if strategy == "entropy":
+        peaks = pool._require_peaks(next(iter(pool.unlabeled)))
+        return np.array(multi_peak_entropies(peaks))[rows]
     totals = _refined_totals if mode == "max" else _expected_totals
     return totals(pool.stack(params), params)[rows]
 
@@ -185,8 +178,9 @@ def lowest_first(scores: np.ndarray, ranks: np.ndarray, budget: int) -> np.ndarr
     return np.lexsort((ranks, scores))[:budget]
 
 
-def select_batch(scores: dict[str, float], strategy: str, budget: int) -> SelectionResult:
-    """Pick the extreme-``budget`` ids under the strategy's ordering.
+def select_batch(scores: dict[str, float], strategy: str, budget: int) -> tuple[str, ...]:
+    """The extreme-``budget`` ids under the strategy's ordering, first
+    picked first.
 
     Likelihood and random scores select lowest-first; entropy selects
     highest-first. Ties always break on ascending sample id, so the
@@ -202,7 +196,7 @@ def select_batch(scores: dict[str, float], strategy: str, budget: int) -> Select
     ids = list(scores)
     values = np.fromiter(scores.values(), np.float64, len(ids))
     picked = lowest_first(ascending(values, strategy), id_ranks(ids), budget)
-    return SelectionResult(strategy, tuple(ids[i] for i in picked.tolist()), dict(scores))
+    return tuple(ids[i] for i in picked.tolist())
 
 
 def ood_ranking_auc(id_scores, ood_scores) -> float:

@@ -448,6 +448,25 @@ def pshm_bytes(values, magic: bytes = b"PSHM", version: int = 1) -> bytes:
     return PSHM_HEADER.pack(magic, version, *values.shape) + values.tobytes()
 
 
+UNDERFLOW_SKELETON_DOC = {"joints": ["a", "b"], "root": 0, "links": [[0, 1]]}
+UNDERFLOW_TOTAL = 734.9893638245646  # -0.5 * log det - log(2 pi): a zero residual
+
+
+def underflow_case() -> tuple[np.ndarray, PoseModelParams]:
+    """Grids ``(2, 16, 16)`` and an a -> b offset model on which joint b's
+    second peak has probability ``exp(-1e38) = 0`` and a ``-inf`` link
+    density: its residual of (8, 3) is whitened by a 1e-160 deviation. The
+    first peak sits at the offset exactly, and scores :data:`UNDERFLOW_TOTAL`."""
+    values = np.zeros((2, 16, 16), dtype=np.float32)
+    values[0, 4, 4], values[1, 4, 9], values[1, 12, 12] = 1.0, 3e38, 2e38
+    model = PoseModelParams(
+        skeleton=validate_skeleton(UNDERFLOW_SKELETON_DOC),
+        link_params=(OffsetParams([0.0, 5.0], [[1e-320, 0.0], [0.0, 1e-320]]),),
+        model_kind="offset",
+    )
+    return values, model
+
+
 def reference_read_heatmap_file(path) -> Heatmap:
     """The PSHM reader as it was before it read into a caller's buffer: the
     whole file into bytes, then a checked :class:`Heatmap` of a view of them."""

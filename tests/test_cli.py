@@ -37,7 +37,13 @@ from poselik import (
 )
 from poselik.selection import _random_score
 
-from _helpers import PSHM_HEADER, pshm_bytes
+from _helpers import (
+    PSHM_HEADER,
+    UNDERFLOW_SKELETON_DOC,
+    UNDERFLOW_TOTAL,
+    pshm_bytes,
+    underflow_case,
+)
 
 SKELETON_DOC = {
     "joints": ["j0", "j1", "j2"],
@@ -349,7 +355,7 @@ class TestSelectCommand:
         assert doc["budget"] == 2
         assert doc["scores"] == {"a": -5.0, "b": -9.0, "c": -1.0}
         expected = select_batch({"a": -5.0, "b": -9.0, "c": -1.0}, "vl4pose", 2)
-        assert tuple(doc["selected"]) == expected.selected
+        assert tuple(doc["selected"]) == expected
 
     def test_entropy_takes_highest(self, tmp_path):
         scores_path = self.write_scores(
@@ -375,8 +381,29 @@ class TestSelectCommand:
             ) == 0
         assert out_a.read_text(encoding="utf-8") == out_b.read_text(encoding="utf-8")
         hash_scores = {f"s{i}": _random_score(11, f"s{i}") for i in range(6)}
-        expected = select_batch(hash_scores, "random", 3).selected
+        expected = select_batch(hash_scores, "random", 3)
         assert tuple(json.loads(out_a.read_text())["selected"]) == expected
+
+    def test_a_peak_of_probability_zero_leaves_a_total_to_rank(self, tmp_path):
+        """A peak whose softmax underflows to 0 adds nothing to the expected
+        total, even with a ``-inf`` density, so ``select`` can rank it."""
+        values, model = underflow_case()
+        (tmp_path / "s.pshm").write_bytes(pshm_bytes(values))
+        (tmp_path / "heatmaps.jsonl").write_text('{"id": "s", "path": "s.pshm"}\n')
+        (tmp_path / "skeleton.json").write_text(json.dumps(UNDERFLOW_SKELETON_DOC))
+        save_model_file(model, tmp_path / "model.json")
+        scores, out = tmp_path / "scores.jsonl", tmp_path / "selected.json"
+        assert run_cli(
+            ["score", "--skeleton", str(tmp_path / "skeleton.json"),
+             "--params", str(tmp_path / "model.json"),
+             "--heatmaps", str(tmp_path / "heatmaps.jsonl"), "--out", str(scores)]
+        ) == 0
+        assert [record["total"] for record in read_jsonl(scores)] == [UNDERFLOW_TOTAL]
+        assert run_cli(
+            ["select", "--scores", str(scores), "--strategy", "vl4pose",
+             "--budget", "1", "--out", str(out)]
+        ) == 0
+        assert json.loads(out.read_text())["selected"] == ["s"]
 
     def test_budget_beyond_pool_exits_4(self, tmp_path, capsys):
         scores_path = self.write_scores(tmp_path, [{"id": "a", "total": 1.0}])
@@ -1174,6 +1201,24 @@ class TestOutputWrites:
         assert out.read_text(encoding="utf-8") == "old\n"
         assert not (tmp_path / "scores.jsonl.manifest.json").exists()
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_importing_the_cli_loads_no_numpy_submodule():
+    """Start-up time is a measured cost: beyond ``import numpy`` itself, the
+    CLI's imports pull in no numpy submodule (``np.unique`` would bring
+    ``numpy.ma``)."""
+    script = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import poselik.cli\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.')))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 class TestThreadsAndParser:

@@ -82,6 +82,10 @@ class TestPeakSetLayout:
                 peaks.take(rows)
         assert (len(peaks.take([])), peaks.take([]).offsets.tolist()) == (0, [0])
         assert peaks.take([1, 1]).locs.tolist() == [[3, 4], [3, 4]]
+        three = peaks.take([0, 1, 1])
+        for rows in ([0.7], [True, 2.9], ["1"], [1, True], np.array([True])):
+            with pytest.raises(IndexError, match="sample indices must be integers"):
+                three.take(rows)
 
     @pytest.mark.parametrize(
         "changes, message",

@@ -9,6 +9,7 @@ from poselik import (
     DimensionMismatch,
     DistanceParams,
     EmptyPeakSet,
+    Heatmap,
     OffsetParams,
     Pose,
     PoseModelParams,
@@ -18,6 +19,7 @@ from poselik import (
     brute_force_best_pose,
     expected_log_likelihood,
     expected_log_likelihoods,
+    extract_peaks,
     link_log_density,
     multi_peak_entropy,
     point_log_likelihood,
@@ -45,6 +47,8 @@ from _helpers import (
     random_offset_model,
     random_peakset,
     random_tree_skeleton,
+    underflow_case,
+    UNDERFLOW_TOTAL,
 )
 
 HALF_LOG_2PI = 0.9189385332046727
@@ -258,6 +262,37 @@ class TestExpectedLogLikelihood:
             peakset_from([[((0, 0), 1.0)], []])
         with pytest.raises(DimensionMismatch):
             expected_log_likelihood(peakset_from([[((0, 0), 1.0)]]), model)
+
+    def test_a_peak_of_probability_zero_adds_nothing(self):
+        """A peak whose softmax underflows to 0 lies outside its joint's
+        distribution, even with a ``-inf`` density: the expectation is that
+        of the set without it, which the refined objective also reaches."""
+        values, model = underflow_case()
+        peaks = extract_peaks(Heatmap(values))
+        assert peaks.probs.tolist() == [1.0, 1.0, 0.0]
+        without = peakset_of([[((4, 4), 1.0, 1.0)], [((4, 9), 3e38, 1.0)]])
+        with np.errstate(over="ignore", invalid="ignore"):  # as the CLI scores
+            totals = [
+                expected_log_likelihood(peaks, model).total,
+                expected_log_likelihood(without, model).total,
+                refine_pose(peaks, model).objective,
+            ]
+        assert totals == [UNDERFLOW_TOTAL] * 3
+
+    def test_coordinates_whose_squares_pass_int64_score_in_float64(self):
+        """Past ``2**31`` a sum of two squared coordinates leaves int64: the
+        stack then holds float64 locations, as point scoring reads them."""
+        assert likelihood._cell_type(np.array([[0, 0], [2**31 - 1, 0]])) == np.int64
+        assert likelihood._cell_type(np.array([[0, 0], [2**31, 0]])) == np.float64
+        model = PoseModelParams(
+            skeleton=chain(2), link_params=(DistanceParams(3e9, 1.0),), model_kind="distance"
+        )
+        far = 3_000_000_000
+        peaks = peakset_from([[((0, 0), 1.0)], [((far, far), 1.0)]])
+        point = point_log_likelihood(Pose([[0.0, 0.0], [far, far]]), model).total
+        assert point == -7.720779386421445e17
+        assert expected_log_likelihood(peaks, model).total == point
+        assert refine_pose(peaks, model).log_likelihood == point
 
 
 class TestRefinePose:

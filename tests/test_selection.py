@@ -33,6 +33,7 @@ from poselik import (
     select_batch,
     validate_skeleton,
 )
+from poselik.likelihood import PeakStack
 from poselik.selection import _random_score
 
 from _helpers import assert_same_peaks, batch_of, oracle_auc, peakset_of
@@ -165,11 +166,20 @@ class TestPoolStacks:
         for mode in ("max", "expected"):
             scores = score_pool(pool, "vl4pose", model, mode=mode)
             assert scores.tolist() == fresh_scores([good[0], good[2]], model, mode)
-        assert len(pool.stacks) == 1  # built by the first call
+        assert pool.stack(model) is pool.stack(model)  # built by the first call
 
-    def test_each_skeleton_and_link_family_gets_its_own_stack(self):
+    def test_each_skeleton_and_link_family_gets_its_own_stack(self, monkeypatch):
         peak_sets = self.samples()
         pool = SamplePool({}, {f"s{i}": i for i in range(4)}, batch_of(peak_sets))
+        built = []  # the pools' stacks, as built
+        of = PeakStack.of
+
+        def counted(peaks, skeleton, family):
+            if peaks is pool.peaks:
+                built.append((skeleton, family))
+            return of(peaks, skeleton, family)
+
+        monkeypatch.setattr(PeakStack, "of", counted)
         distance = chain_model()
         offset = PoseModelParams(
             skeleton=distance.skeleton,
@@ -188,13 +198,27 @@ class TestPoolStacks:
                 scores = score_pool(copy, "vl4pose", model, mode=mode)
                 assert scores.tolist() == fresh_scores(peak_sets, model, mode)
         keys = [(distance.skeleton, "distance"), (distance.skeleton, "offset"), (star, "distance")]
-        assert list(pool.stacks) == keys  # clones share one cache
-        for skeleton, family in keys:
-            stack = pool.stack(PoseModelParams(
-                skeleton=skeleton, model_kind=family,
-                link_params=offset.link_params if family == "offset" else distance.link_params,
-            ))
-            assert (stack.skeleton, stack.family) == (skeleton, family)
+        assert built == keys  # each once, on first use
+        models = (distance, offset, fan)
+        for model in models:
+            score_pool(pool, "vl4pose", model)
+        assert built == keys * 2  # the clone's cache was its own
+        for model, (skeleton, family) in zip(models, keys):
+            stack = pool.stack(model)
+            assert stack is pool.stack(model) and stack is not copy.stack(model)
+            assert len(stack.links) == len(skeleton.links)
+            assert {link.ndim for link in stack.links} == {3 if family == "distance" else 4}
+        assert built == keys * 2
+
+    def test_a_pool_takes_no_stack(self):
+        """A pool builds its own stacks: one it was handed could be another
+        pool's, whose rows belong to other samples."""
+        peak_sets = self.samples()
+        model = chain_model()
+        other = SamplePool({}, {"y": 0}, batch_of(peak_sets[:1]))
+        foreign = {(model.skeleton, "distance"): other.stack(model)}
+        with pytest.raises(TypeError):
+            SamplePool({}, {"x": 0}, batch_of(peak_sets[1:2]), foreign)
 
     def test_new_peaks_get_a_new_stack(self):
         peak_sets = self.samples()
@@ -298,15 +322,13 @@ class TestSelectBatch:
                 scores[ids[0]] = scores[ids[-1]]
             budget = int(rng.integers(0, len(ids) + 1))
             for strategy in STRATEGIES:
-                result = select_batch(scores, strategy, budget)
-                assert list(result.selected) == self.oracle_order(scores, strategy)[:budget]
-                assert result.scores == scores
-                assert result.strategy == strategy
+                selected = select_batch(scores, strategy, budget)
+                assert list(selected) == self.oracle_order(scores, strategy)[:budget]
 
     def test_budget_edges(self):
         scores = {"a": 1.0, "b": 0.0}
-        assert select_batch(scores, "vl4pose", 0).selected == ()
-        assert select_batch(scores, "vl4pose", 2).selected == ("b", "a")
+        assert select_batch(scores, "vl4pose", 0) == ()
+        assert select_batch(scores, "vl4pose", 2) == ("b", "a")
         with pytest.raises(BudgetExceedsPool):
             select_batch(scores, "vl4pose", 3)
         with pytest.raises(SchemaError):
@@ -314,15 +336,15 @@ class TestSelectBatch:
 
     def test_entropy_takes_highest_first(self):
         scores = {"low": 0.1, "mid": 0.5, "high": 0.9}
-        assert select_batch(scores, "entropy", 2).selected == ("high", "mid")
-        assert select_batch(scores, "vl4pose", 2).selected == ("low", "mid")
+        assert select_batch(scores, "entropy", 2) == ("high", "mid")
+        assert select_batch(scores, "vl4pose", 2) == ("low", "mid")
 
     def test_iteration_order_invariance(self):
         scores = {"c": 2.0, "a": 1.0, "b": 1.0}
         flipped = dict(reversed(list(scores.items())))
         assert (
-            select_batch(scores, "vl4pose", 2).selected
-            == select_batch(flipped, "vl4pose", 2).selected
+            select_batch(scores, "vl4pose", 2)
+            == select_batch(flipped, "vl4pose", 2)
             == ("a", "b")
         )
 
@@ -332,8 +354,8 @@ class TestSelectBatch:
         shifted = {i: s + 100.0 for i, s in scores.items()}
         for strategy in STRATEGIES:
             assert (
-                select_batch(scores, strategy, 5).selected
-                == select_batch(shifted, strategy, 5).selected
+                select_batch(scores, strategy, 5)
+                == select_batch(shifted, strategy, 5)
             )
 
 
