@@ -92,11 +92,12 @@ def fit_distance_params(data: LabeledPoseSet, parent: int, child: int) -> Distan
     (biased, 1/n-style) standard deviation, floored at ``SIGMA_FLOOR`` so a
     degenerate sample still yields a usable density.
     """
-    disp = data.displacements(parent, child)
-    dist = np.sqrt((disp * disp).sum(axis=1))
-    w = data.weights / data.weights.sum()
-    mean = float(w @ dist)
-    var = float(w @ (dist - mean) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # DistanceParams refuses a non-finite fit
+        disp = data.displacements(parent, child)
+        dist = np.sqrt((disp * disp).sum(axis=1))
+        w = data.weights / data.weights.sum()
+        mean = float(w @ dist)
+        var = float(w @ (dist - mean) ** 2)
     sigma = max(np.sqrt(var), SIGMA_FLOOR)
     return DistanceParams(mean_distance=mean, sigma=float(sigma))
 
@@ -116,11 +117,12 @@ def fit_offset_params(data: LabeledPoseSet, parent: int, child: int) -> OffsetPa
             f"offset fit needs at least {d + 1} poses for dimension {d}, "
             f"got {data.n_poses}"
         )
-    disp = data.displacements(parent, child)
-    w = data.weights / data.weights.sum()
-    mean = w @ disp
-    centered = disp - mean
-    cov = (w[:, None] * centered).T @ centered
+    with np.errstate(over="ignore", invalid="ignore"):  # OffsetParams refuses a non-finite fit
+        disp = data.displacements(parent, child)
+        w = data.weights / data.weights.sum()
+        mean = w @ disp
+        centered = disp - mean
+        cov = (w[:, None] * centered).T @ centered
     ridge = RIDGE_START
     while True:
         try:

@@ -442,29 +442,25 @@ def _run(command: str, args: argparse.Namespace) -> int:
         return staged[-1][1]
 
     try:
-        # Extreme finite inputs may overflow to inf or nan on the way; the
-        # parameter checks reject non-finite fits and -inf densities are valid
-        # scores, so numpy's warnings would only add stderr lines.
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                ctx = spec.load(args)
-            except (PoseLikError, OSError) as exc:
-                _error(exc)
-                return 3
-            load_ms = (time.perf_counter() - started) * 1000.0
+        try:
+            ctx = spec.load(args)
+        except (PoseLikError, OSError) as exc:
+            _error(exc)
+            return 3
+        load_ms = (time.perf_counter() - started) * 1000.0
 
-            compute_start = time.perf_counter()
-            try:
-                samples = spec.compute(args, ctx, stage)
-            except ConfigInvalid as exc:  # a config no sample can satisfy, not a sample's data
-                _error(exc)
-                return 3
-            except PoseLikError as exc:
-                _error(exc)
-                return 4
-            except OSError as exc:  # reads name their sample; this is a staged write
-                _error(f"cannot write {staged[-1][0]}: {exc.strerror or exc}")
-                return 3
+        compute_start = time.perf_counter()
+        try:
+            samples = spec.compute(args, ctx, stage)
+        except ConfigInvalid as exc:  # a config no sample can satisfy, not a sample's data
+            _error(exc)
+            return 3
+        except PoseLikError as exc:
+            _error(exc)
+            return 4
+        except OSError as exc:  # reads name their sample; this is a staged write
+            _error(f"cannot write {staged[-1][0]}: {exc.strerror or exc}")
+            return 3
         read_ms = ctx.get("stages", {}).get("wall_ms", {}).get("read", 0.0)
         timings = {
             "io": load_ms + read_ms,

@@ -124,6 +124,7 @@ def _density(geometry: np.ndarray, law: LinkParams) -> np.ndarray:
             acc = acc - chol[i, k] * whitened[k]
         whitened.append(acc / chol[i, i])
         maha = maha + whitened[i] * whitened[i]
+    maha = np.fmin(maha, np.inf)  # NaN is 0 * inf or inf - inf: whitened past the float range
     return -0.5 * maha - 0.5 * law.log_det - 0.5 * law.dimension * LOG_2PI
 
 
@@ -131,10 +132,11 @@ def _link_geometry(locs: list[np.ndarray], skeleton: Skeleton, family: str) -> l
     """Each link's :func:`_geometry`, in declaration order, over every
     parent/child pair of candidate locations ``locs[j]`` ``(B, K_j, D)``:
     ``(B, K_parent, K_child)`` entries."""
-    return [
-        _geometry(locs[child][:, None, :, :] - locs[parent][:, :, None, :], family)
-        for parent, child in skeleton.links
-    ]
+    with np.errstate(over="ignore"):  # a square past the float range is an infinite distance
+        return [
+            _geometry(locs[child][:, None, :, :] - locs[parent][:, :, None, :], family)
+            for parent, child in skeleton.links
+        ]
 
 
 def _terms(root_locs: np.ndarray, geometry: list[np.ndarray], params: PoseModelParams):
@@ -145,11 +147,12 @@ def _terms(root_locs: np.ndarray, geometry: list[np.ndarray], params: PoseModelP
     from the origin; the uniform default scores zero.
     """
     prior = params.root_params
-    root_vector = (
-        np.zeros(root_locs.shape[:-1]) if prior is None
-        else _density(_geometry(root_locs, _family(prior)), prior)
-    )
-    return root_vector, [_density(g, law) for g, law in zip(geometry, params.link_params)]
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: a -inf density
+        root_vector = (
+            np.zeros(root_locs.shape[:-1]) if prior is None
+            else _density(_geometry(root_locs, _family(prior)), prior)
+        )
+        return root_vector, [_density(g, law) for g, law in zip(geometry, params.link_params)]
 
 
 def link_log_density(parent_loc, child_loc, params: LinkParams) -> float:
@@ -162,7 +165,8 @@ def link_log_density(parent_loc, child_loc, params: LinkParams) -> float:
         raise DimensionMismatch(
             f"locations must be {params.dimension}-vectors for this offset model"
         )
-    return float(_density(_geometry(child - parent, _family(params)), params))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _terms
+        return float(_density(_geometry(child - parent, _family(params)), params))
 
 
 # --- whole-pose scoring -------------------------------------------------------
@@ -281,7 +285,7 @@ def _expect(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``sum_k weights[b, k] * values[b, ..., k]`` over the peaks ``k`` of
     positive weight of each sample ``b``, added one peak at a time in peak
     order, which does not depend on the batch. A peak of weight 0, padded or
-    real, adds nothing: not even ``0 * value``, NaN for a ``-inf`` density."""
+    real, adds nothing: its ``0 * value``, NaN for a ``-inf`` density, is discarded."""
     # weights[..., k] against values[..., k]
     weights = weights.reshape((len(weights),) + (1,) * (values.ndim - 2) + weights.shape[1:])
     counted = weights > 0.0
@@ -318,11 +322,12 @@ def _expected_terms(stack: PeakStack, params: PoseModelParams):
     sample of a stack."""
     root_vector, link_matrices = stack.terms(params)
     probs, skel = stack.probs, params.skeleton
-    links = [
-        _expect(_expect(m, probs[child]), probs[parent])
-        for m, (parent, child) in zip(link_matrices, skel.links)
-    ]
-    return _expect(root_vector, probs[skel.root]), links
+    with np.errstate(invalid="ignore"):  # the 0 * -inf of a weight-0 peak, which _expect discards
+        links = [
+            _expect(_expect(m, probs[child]), probs[parent])
+            for m, (parent, child) in zip(link_matrices, skel.links)
+        ]
+        return _expect(root_vector, probs[skel.root]), links
 
 
 def _expected_totals(stack: PeakStack, params: PoseModelParams) -> np.ndarray:

@@ -242,8 +242,8 @@ class OffsetParams:
             raise SchemaError(f"covariance must be ({d}, {d}), got {cov.shape}")
         if not np.all(np.isfinite(offset)) or not np.all(np.isfinite(cov)):
             raise SchemaError("offset parameters must be finite")
-        scale = max(np.abs(cov).max(), 1.0)
-        if np.abs(cov - cov.T).max() > _SYMMETRY_RTOL * scale:
+        scale = 0.5 * max(np.abs(cov).max(), 1.0)  # halved with cov: halves never overflow
+        if np.abs(0.5 * cov - 0.5 * cov.T).max() > _SYMMETRY_RTOL * scale:
             raise CovarianceNotSPD("covariance is not symmetric")
         try:
             chol = np.linalg.cholesky(cov)

@@ -467,6 +467,12 @@ def underflow_case() -> tuple[np.ndarray, PoseModelParams]:
     return values, model
 
 
+def far_offset_law() -> OffsetParams:
+    """An offset law of offset (1e300, 0) and first deviation 1e-10: it
+    whitens a residual on a grid past the float range, a ``-inf`` density."""
+    return OffsetParams([1e300, 0.0], [[1e-20, 0.0], [0.0, 1.0]])
+
+
 def reference_read_heatmap_file(path) -> Heatmap:
     """The PSHM reader as it was before it read into a caller's buffer: the
     whole file into bytes, then a checked :class:`Heatmap` of a view of them."""

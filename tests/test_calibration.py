@@ -195,6 +195,22 @@ class TestFitModel:
         with pytest.raises(SchemaError):
             fit_model(data, "mystery")
 
+    @pytest.mark.parametrize(
+        "fit, message",
+        [(fit_distance_params, "mean_distance must be finite"),
+         (fit_offset_params, "offset parameters must be finite")],
+    )
+    def test_a_fit_past_the_float_range_is_refused(self, fit, message):
+        """Displacements of 1e308 overflow on the way: each fit, called
+        directly, raises its parameter error, not a numpy warning."""
+        skel = validate_skeleton({"joints": ["a", "b", "c"], "root": 0, "links": [[0, 1], [1, 2]]})
+        poses = [
+            Pose([[20, 10], [20, 14 + i], [row, 10]])
+            for i, row in enumerate([1e308, -1e308, 1e308, -1e308])
+        ]
+        with pytest.raises(SchemaError, match=message):
+            fit(LabeledPoseSet.of(skel, poses), 1, 2)
+
 
 class TestLabeledPoseFile:
     def test_round_trip(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from poselik import (
     extract_peaks,
     fit_distance_params,
     LabeledPoseSet,
+    OffsetParams,
     load_model_file,
     multi_peak_entropy,
     point_log_likelihood,
@@ -41,6 +43,7 @@ from _helpers import (
     PSHM_HEADER,
     UNDERFLOW_SKELETON_DOC,
     UNDERFLOW_TOTAL,
+    far_offset_law,
     pshm_bytes,
     underflow_case,
 )
@@ -189,6 +192,35 @@ class TestScoreCommand:
         assert record == json.loads(
             json.dumps(point_log_likelihood(pose, model).to_json_dict("a"), sort_keys=True)
         )
+
+    @pytest.mark.parametrize(
+        "kind, law",
+        [("distance", DistanceParams(6.0, 1.0)), ("offset", OffsetParams([0.0, 6.0], np.eye(2)))],
+    )
+    def test_point_mode_past_the_float_range_scores_minus_infinity(
+        self, tmp_path, capsys, kind, law
+    ):
+        """Poses 1e200 apart overflow the squared distance and the whitened
+        residual: each total is ``-Infinity``, and nothing goes to stderr."""
+        skeleton_path = tmp_path / "skeleton.json"
+        skeleton_path.write_text(json.dumps(SKELETON_DOC))
+        save_model_file(
+            PoseModelParams(chain_skeleton(3), (law, law), kind), tmp_path / "model.json"
+        )
+        (tmp_path / "dangling.jsonl").write_text('{"id": "a", "path": "missing.pshm"}\n')
+        (tmp_path / "poses.jsonl").write_text(
+            json.dumps({"id": "a", "pose": [[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200]]})
+            + "\n"
+        )
+        out = tmp_path / "point.jsonl"
+        assert run_cli(
+            ["score", "--skeleton", str(skeleton_path), "--params", str(tmp_path / "model.json"),
+             "--heatmaps", str(tmp_path / "dangling.jsonl"), "--mode", "point",
+             "--poses", str(tmp_path / "poses.jsonl"), "--out", str(out)]
+        ) == 0
+        assert capsys.readouterr().err == ""
+        (record,) = read_jsonl(out)
+        assert record["total"] == -math.inf and '"total": -Infinity' in out.read_text()
 
     def test_point_mode_requires_poses_flag(self, tmp_path, capsys):
         skeleton_path, model_path, manifest_path, _ = write_inputs(tmp_path)
@@ -404,6 +436,37 @@ class TestSelectCommand:
              "--budget", "1", "--out", str(out)]
         ) == 0
         assert json.loads(out.read_text())["selected"] == ["s"]
+
+    def test_a_residual_past_the_float_range_scores_minus_infinity_to_rank(self, tmp_path):
+        """An offset law that whitens every residual past the float range
+        scores ``-Infinity`` in ``score`` and ``refine``, never ``NaN``, and
+        ``select`` ranks those totals."""
+        (tmp_path / "skeleton.json").write_text(json.dumps(SKELETON_DOC))
+        law = far_offset_law()
+        save_model_file(
+            PoseModelParams(chain_skeleton(3), (law, law), "offset"), tmp_path / "model.json"
+        )
+        rng = np.random.default_rng(3)
+        for i in range(2):
+            (tmp_path / f"s{i}.pshm").write_bytes(pshm_bytes(rng.random((3, 16, 16))))
+        (tmp_path / "heatmaps.jsonl").write_text(
+            "".join(json.dumps({"id": f"s{i}", "path": f"s{i}.pshm"}) + "\n" for i in range(2))
+        )
+        inputs = ["--skeleton", str(tmp_path / "skeleton.json"),
+                  "--params", str(tmp_path / "model.json"),
+                  "--heatmaps", str(tmp_path / "heatmaps.jsonl")]
+        scores, refined = tmp_path / "scores.jsonl", tmp_path / "refined.jsonl"
+        assert run_cli(["score", *inputs, "--out", str(scores)]) == 0
+        assert run_cli(["refine", *inputs, "--out", str(refined)]) == 0
+        for path, field in ((scores, "total"), (refined, "objective")):
+            assert "NaN" not in path.read_text()
+            assert [record[field] for record in read_jsonl(path)] == [-math.inf] * 2
+        out = tmp_path / "selected.json"
+        assert run_cli(
+            ["select", "--scores", str(scores), "--strategy", "vl4pose",
+             "--budget", "1", "--out", str(out)]
+        ) == 0
+        assert json.loads(out.read_text())["selected"] == ["s0"]
 
     def test_budget_beyond_pool_exits_4(self, tmp_path, capsys):
         scores_path = self.write_scores(tmp_path, [{"id": "a", "total": 1.0}])

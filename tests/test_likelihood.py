@@ -34,6 +34,7 @@ from poselik import likelihood, simulation
 
 from _helpers import (
     batch_of,
+    far_offset_law,
     oracle_best_config,
     oracle_config_objective,
     oracle_distance_logpdf,
@@ -48,6 +49,7 @@ from _helpers import (
     random_peakset,
     random_tree_skeleton,
     underflow_case,
+    UNDERFLOW_SKELETON_DOC,
     UNDERFLOW_TOTAL,
 )
 
@@ -271,13 +273,44 @@ class TestExpectedLogLikelihood:
         peaks = extract_peaks(Heatmap(values))
         assert peaks.probs.tolist() == [1.0, 1.0, 0.0]
         without = peakset_of([[((4, 4), 1.0, 1.0)], [((4, 9), 3e38, 1.0)]])
-        with np.errstate(over="ignore", invalid="ignore"):  # as the CLI scores
-            totals = [
-                expected_log_likelihood(peaks, model).total,
-                expected_log_likelihood(without, model).total,
-                refine_pose(peaks, model).objective,
-            ]
+        totals = [
+            expected_log_likelihood(peaks, model).total,
+            expected_log_likelihood(without, model).total,
+            refine_pose(peaks, model).objective,
+        ]
         assert totals == [UNDERFLOW_TOTAL] * 3
+
+    def test_a_root_peak_of_probability_zero_adds_nothing(self):
+        """A root peak of probability 0 with a ``-inf`` root prior density
+        adds nothing either: the root expectation discards its ``0 * -inf``."""
+        values = np.zeros((2, 16, 16), dtype=np.float32)
+        values[0, 4, 4], values[0, 12, 12], values[1, 4, 9] = 3e38, 2e38, 1.0
+        model = PoseModelParams(
+            validate_skeleton(UNDERFLOW_SKELETON_DOC), (OffsetParams([0.0, 5.0], np.eye(2)),),
+            "offset", root_params=OffsetParams([4.0, 4.0], 1e-320 * np.eye(2)),
+        )
+        peaks = extract_peaks(Heatmap(values))
+        assert peaks.probs.tolist() == [1.0, 0.0, 1.0]
+        without = peakset_of([[((4, 4), 3e38, 1.0)], [((4, 9), 1.0, 1.0)]])
+        totals = [
+            expected_log_likelihood(peaks, model).total,
+            expected_log_likelihood(without, model).total,
+            refine_pose(peaks, model).objective,
+        ]
+        assert totals == [733.1514867581553] * 3
+
+    def test_a_residual_whitened_past_the_float_range_scores_minus_inf(self):
+        """A residual whitened past the float range is an infinite distance,
+        never ``0 * inf`` or ``inf - inf``: every scorer gives ``-inf``."""
+        law = far_offset_law()
+        model = PoseModelParams(validate_skeleton(UNDERFLOW_SKELETON_DOC), (law,), "offset")
+        peaks = peakset_from([[((0, 0), 1.0)], [((0, 5), 1.0)]])
+        assert [
+            expected_log_likelihood(peaks, model).total,
+            refine_pose(peaks, model).objective,
+            point_log_likelihood(Pose([[0.0, 0.0], [0.0, 5.0]]), model).total,
+            link_log_density((0.0, 0.0), (0.0, 5.0), law),
+        ] == [-math.inf] * 4
 
     def test_coordinates_whose_squares_pass_int64_score_in_float64(self):
         """Past ``2**31`` a sum of two squared coordinates leaves int64: the

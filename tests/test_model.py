@@ -182,6 +182,8 @@ class TestLinkParams:
             OffsetParams(offset=np.zeros(2), covariance=[[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(CovarianceNotSPD):
             OffsetParams(offset=np.zeros(2), covariance=[[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(CovarianceNotSPD, match="not symmetric"):  # a difference of 2e308
+            OffsetParams(offset=np.zeros(2), covariance=[[1.0, 1e308], [-1e308, 1.0]])
         with pytest.raises(SchemaError):
             OffsetParams(offset=np.zeros(2), covariance=np.eye(3))
 

@@ -100,6 +100,7 @@ from _helpers import (
     assert_same_peaks,
     batch_of,
     eight_comparison_peaks,
+    far_offset_law,
     oracle_auc,
     oracle_config_objective,
     oracle_expected_ll_by_enumeration,
@@ -447,35 +448,42 @@ def test_extracting_a_stack_equals_extracting_each_sample(
 
 @st.composite
 def scoring_pools(draw):
-    """(peak sets, model) as :func:`pools` draws them, at times with a
-    distance law so narrow that far peaks get a ``-inf`` density (and a
-    zero-probability peak a NaN term)."""
+    """(peak sets, model) as :func:`pools` draws them, at times with laws
+    that give peaks a ``-inf`` density: a distance law so narrow that far
+    peaks score it, an offset law that whitens every residual past the float
+    range, or an offset root prior of variance 1e-320."""
     peak_sets, model = draw(pools())
-    if model.model_kind == "distance" and draw(st.booleans()):
+    if draw(st.booleans()):
+        distance = model.model_kind == "distance"
         laws = tuple(
-            DistanceParams(law.mean_distance, 1e-160) if draw(st.booleans()) else law
+            (DistanceParams(law.mean_distance, 1e-160) if distance else far_offset_law())
+            if draw(st.booleans()) else law
             for law in model.link_params
         )
+        root = model.root_params
+        if not distance and root is not None and draw(st.booleans()):
+            root = OffsetParams(root.offset, 1e-320 * np.eye(2))
         model = PoseModelParams(
-            skeleton=model.skeleton, link_params=laws, model_kind="distance",
-            root_params=model.root_params,
+            skeleton=model.skeleton, link_params=laws, model_kind=model.model_kind,
+            root_params=root,
         )
     return peak_sets, model
 
 
 def report_bits(report) -> bytes:
-    """The bytes of every number of a report: NaN equals NaN, -0.0 is not 0.0."""
-    return np.array([report.total, report.root_term, *report.per_link_terms]).tobytes()
+    """The bytes of every number of a report, which holds no NaN: -0.0 is not 0.0."""
+    numbers = np.array([report.total, report.root_term, *report.per_link_terms])
+    assert not np.isnan(numbers).any()
+    return numbers.tobytes()
 
 
 @PROPERTY_SETTINGS
 @given(scoring_pools())
 def test_batched_expected_scoring_equals_its_batch_of_one(pool_case):
     peak_sets, model = pool_case
-    with np.errstate(over="ignore", invalid="ignore"):
-        batched = expected_log_likelihoods(batch_of(peak_sets), model)
-        singles = [expected_log_likelihood(peaks, model) for peaks in peak_sets]
-        scores = score_pool(pool_of(peak_sets), "vl4pose", model, mode="expected")
+    batched = expected_log_likelihoods(batch_of(peak_sets), model)
+    singles = [expected_log_likelihood(peaks, model) for peaks in peak_sets]
+    scores = score_pool(pool_of(peak_sets), "vl4pose", model, mode="expected")
     assert [report_bits(r) for r in batched] == [report_bits(r) for r in singles]
     assert scores.tobytes() == np.array([r.total for r in singles]).tobytes()
 
@@ -496,13 +504,12 @@ def test_taking_samples_of_a_batch_equals_building_each_alone(pool_case, data):
     for i, row in enumerate(rows):
         assert_same_peaks(taken.take([i]), peak_sets[row])
     alone = [peak_sets[row] for row in rows]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert [report_bits(r) for r in expected_log_likelihoods(taken, model)] == [
-            report_bits(expected_log_likelihood(peaks, model)) for peaks in alone
-        ]
-        assert np.array(refined_log_likelihoods(taken, model)).tobytes() == np.array(
-            [refine_pose(peaks, model).log_likelihood for peaks in alone]
-        ).tobytes()
+    assert [report_bits(r) for r in expected_log_likelihoods(taken, model)] == [
+        report_bits(expected_log_likelihood(peaks, model)) for peaks in alone
+    ]
+    assert np.array(refined_log_likelihoods(taken, model)).tobytes() == np.array(
+        [refine_pose(peaks, model).log_likelihood for peaks in alone]
+    ).tobytes()
     assert np.array(multi_peak_entropies(taken)).tobytes() == np.array(
         [multi_peak_entropy(peaks) for peaks in alone]
     ).tobytes()
@@ -1091,16 +1098,19 @@ VALID_INPUTS = {
     }).encode("utf-8"),
 }
 _MODEL = ["--skeleton", "skeleton.json", "--params", "model.json", "--heatmaps", "manifest.jsonl"]
+_PER_IMAGE = ["--skeleton", "skeleton.json", "--params", "per_image.json", "--per-image",
+              "--heatmaps", "manifest.jsonl"]
 CLI_RUNS = (
     ["score", *_MODEL],
-    ["score", "--skeleton", "skeleton.json", "--params", "per_image.json", "--per-image",
-     "--heatmaps", "manifest.jsonl"],
+    ["score", *_PER_IMAGE],
     ["score", *_MODEL, "--mode", "point", "--poses", "poses.jsonl"],
+    ["score", *_PER_IMAGE, "--mode", "point", "--poses", "poses.jsonl"],  # distance laws
     ["refine", *_MODEL],
     ["maxima", "--heatmaps", "manifest.jsonl"],
     ["select", "--scores", "scores.jsonl", "--strategy", "vl4pose", "--budget", "1"],
     ["select", "--scores", "scores.jsonl", "--strategy", "entropy", "--budget", "2"],
     ["calibrate", "--skeleton", "skeleton.json", "--labeled", "labeled.jsonl", "--model", "offset"],
+    ["calibrate", "--skeleton", "skeleton.json", "--labeled", "labeled.jsonl", "--model", "distance"],
     ["simulate", "--config", "config.json"],
 )
 
@@ -1143,10 +1153,13 @@ odd_value = st.sampled_from((
 @st.composite
 def corrupted_inputs(draw):
     """(file name, bytes): one valid input made random, cut short, not UTF-8,
-    nested too deep, or holding a value of the wrong type somewhere."""
+    nested too deep, holding a value of the wrong type somewhere, or a number
+    scaled towards or past the float range."""
     name = draw(st.sampled_from(sorted(VALID_INPUTS)))
     valid = VALID_INPUTS[name]
-    kind = draw(st.sampled_from(("random", "truncated", "not_utf8", "deep") + ("retyped",) * 4))
+    kind = draw(st.sampled_from(
+        ("random", "truncated", "not_utf8", "deep") + ("retyped",) * 4 + ("rescaled",) * 4
+    ))
     cut = draw(st.integers(0, len(valid)))
     if kind == "random":
         return name, draw(st.binary(max_size=64))
@@ -1159,9 +1172,20 @@ def corrupted_inputs(draw):
         return name, valid[:cut] + b"[" * 100_000 + valid[cut:]
     docs = [json.loads(line) for line in valid.splitlines()]
     at = draw(st.integers(0, len(docs) - 1))
-    path = draw(st.sampled_from(list(_paths(docs[at]))))
-    old = functools.reduce(lambda value, key: value[key], path, docs[at])
-    docs[at] = _replace(docs[at], path, draw(odd_value.filter(lambda v: type(v) is not type(old))))
+    paths = list(_paths(docs[at]))
+
+    def value_at(path):
+        return functools.reduce(lambda value, key: value[key], path, docs[at])
+
+    numbers = [path for path in paths if type(value_at(path)) in (int, float)]
+    if kind == "rescaled" and numbers:
+        path = draw(st.sampled_from(numbers))
+        new = value_at(path) * draw(st.sampled_from((1e300, -1e300, 1e-300, 1.7e308)))
+    else:
+        path = draw(st.sampled_from(paths))
+        old = value_at(path)
+        new = draw(odd_value.filter(lambda v: type(v) is not type(old)))
+    docs[at] = _replace(docs[at], path, new)
     return name, "\n".join(json.dumps(doc) for doc in docs).encode("utf-8")
 
 
@@ -1184,6 +1208,11 @@ def test_every_command_survives_any_json_input(cli_dir, corrupted):
                 assert name in lines[0], (argv, lines)
             if code != 0:
                 assert os.listdir(out) == [], (argv, lines)
+            elif argv[0] in ("score", "refine"):  # a NaN total has no rank
+                constants = []
+                for line in (out / "result").read_text(encoding="utf-8").splitlines():
+                    json.loads(line, parse_constant=constants.append)
+                assert "NaN" not in constants, argv
             for leftover in out.iterdir():
                 leftover.unlink()
     finally:
