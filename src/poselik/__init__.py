@@ -70,7 +70,6 @@ from .likelihood import (
     point_log_likelihoods,
     refine_pose,
     refine_poses,
-    refined_log_likelihoods,
     refinement_objective,
 )
 from .model import (

@@ -1,6 +1,6 @@
 """Closed-form maximum-likelihood fitting of link parameters.
 
-Distance links fit a weighted mean and population standard deviation of
+Distance links fit the mean and population standard deviation of
 the parent-child distances; offset links fit the mean displacement and
 its sample covariance (with a minimal ridge so the Cholesky
 factorization succeeds). Both are exact MLE solutions, no iteration.
@@ -32,12 +32,11 @@ RIDGE_START = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class LabeledPoseSet:
-    """Complete poses over one skeleton, with optional per-pose weights.
-    ``coordinates`` stacks the poses once, ``(n_poses, J, D)``."""
+    """Complete poses over one skeleton. ``coordinates`` stacks the poses
+    once, ``(n_poses, J, D)``."""
 
     skeleton: Skeleton
     poses: tuple[Pose, ...]
-    weights: np.ndarray  # (n_poses,) positive float64
     coordinates: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -56,25 +55,13 @@ class LabeledPoseSet:
                     f"pose #{i} dimension {pose.dimension} != skeleton "
                     f"dimension {self.skeleton.dimension}"
                 )
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if weights.shape != (len(self.poses),):
-            raise SchemaError(
-                f"weights shape {weights.shape} != ({len(self.poses)},)"
-            )
-        if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
-            raise SchemaError("pose weights must be finite and positive")
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
         coordinates = np.stack([pose.coordinates for pose in self.poses])
         coordinates.flags.writeable = False
         object.__setattr__(self, "coordinates", coordinates)
 
     @classmethod
-    def of(cls, skeleton: Skeleton, poses, weights=None) -> "LabeledPoseSet":
-        poses = tuple(poses)
-        if weights is None:
-            weights = np.ones(len(poses))
-        return cls(skeleton=skeleton, poses=poses, weights=weights)
+    def of(cls, skeleton: Skeleton, poses) -> "LabeledPoseSet":
+        return cls(skeleton=skeleton, poses=tuple(poses))
 
     @property
     def n_poses(self) -> int:
@@ -86,16 +73,16 @@ class LabeledPoseSet:
 
 
 def fit_distance_params(data: LabeledPoseSet, parent: int, child: int) -> DistanceParams:
-    """Weighted MLE of the distance-model normal for one link.
+    """MLE of the distance-model normal for one link.
 
-    Mean is the weighted average distance; sigma is the weighted population
+    Mean is the average distance; sigma is the population
     (biased, 1/n-style) standard deviation, floored at ``SIGMA_FLOOR`` so a
     degenerate sample still yields a usable density.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # DistanceParams refuses a non-finite fit
         disp = data.displacements(parent, child)
         dist = np.sqrt((disp * disp).sum(axis=1))
-        w = data.weights / data.weights.sum()
+        w = np.full(data.n_poses, 1.0 / data.n_poses)
         mean = float(w @ dist)
         var = float(w @ (dist - mean) ** 2)
     sigma = max(np.sqrt(var), SIGMA_FLOOR)
@@ -103,7 +90,7 @@ def fit_distance_params(data: LabeledPoseSet, parent: int, child: int) -> Distan
 
 
 def fit_offset_params(data: LabeledPoseSet, parent: int, child: int) -> OffsetParams:
-    """Weighted MLE of the offset-model multivariate normal for one link.
+    """MLE of the offset-model multivariate normal for one link.
 
     Needs at least D+1 poses for a meaningful covariance. The sample
     covariance gets ``ridge * I`` added, with ridge escalating through
@@ -119,7 +106,7 @@ def fit_offset_params(data: LabeledPoseSet, parent: int, child: int) -> OffsetPa
         )
     with np.errstate(over="ignore", invalid="ignore"):  # OffsetParams refuses a non-finite fit
         disp = data.displacements(parent, child)
-        w = data.weights / data.weights.sum()
+        w = np.full(data.n_poses, 1.0 / data.n_poses)
         mean = w @ disp
         centered = disp - mean
         cov = (w[:, None] * centered).T @ centered

@@ -55,6 +55,7 @@ from .likelihood import (
     multi_peak_entropies,
     multi_peak_entropy,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     point_log_likelihood,
+    point_log_likelihoods,
     refine_pose,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     refine_poses,
 )
@@ -131,7 +132,7 @@ def _chunked(records: Callable, extraction: Callable) -> Callable:
 
     ``extraction(args)`` gives the ``(threshold_ratio, max_peaks)`` that the
     command extracts peaks with, or ``None`` if it reads no heatmap (its
-    ``peaks`` are then ``None``, and each sample is a chunk of its own).
+    ``peaks`` are then ``None``, and the whole manifest is one chunk).
     Each heatmap is read straight into its row of one reused
     ``(chunk, J, H, W)`` buffer of at most :data:`CHUNK_BYTES`, sized for
     the first heatmap of its shape, which checks its scores as it reads
@@ -191,7 +192,7 @@ def _chunked(records: Callable, extraction: Callable) -> Callable:
                         flush()
                         chunk, fresh = fresh, None
                 ids.append(sample_id)
-                if chunk is None or len(ids) == len(chunk):
+                if chunk is not None and len(ids) == len(chunk):
                     flush()
             flush()
         ctx["stages"] = {"chunks": chunks, **stages.to_json_dict()}
@@ -251,13 +252,16 @@ def _params_for(ctx, sample_id: str) -> PoseModelParams:
 
 
 def _score_records(args, ctx, ids, peaks) -> str:
-    if args.mode == "point":
-        reports = [point_log_likelihood(_pose_for(ctx, i), _params_for(ctx, i)) for i in ids]
-    elif ctx["params_map"] is None:  # one shared model: the chunk is one batch
-        reports = expected_log_likelihoods(peaks, ctx["params"])
+    point = args.mode == "point"
+    if ctx["params_map"] is None:  # one shared model: the chunk is one batch
+        reports = (
+            point_log_likelihoods([_pose_for(ctx, i) for i in ids], ctx["params"]) if point
+            else expected_log_likelihoods(peaks, ctx["params"])
+        )
     else:  # --per-image: each sample under its own model
         reports = [
-            expected_log_likelihood(peaks.take([k]), _params_for(ctx, i))
+            point_log_likelihood(_pose_for(ctx, i), _params_for(ctx, i)) if point
+            else expected_log_likelihood(peaks.take([k]), _params_for(ctx, i))
             for k, i in enumerate(ids)
         ]
     return _jsonl(report.to_json_dict(i) for report, i in zip(reports, ids))

@@ -2,7 +2,7 @@
 
 Three evaluation modes share the same per-link Gaussian densities:
 
-* point: score one pose,
+* point: score poses at fixed joint locations,
 * expected: average the link terms over each joint's peak distribution,
 * refined: pick one peak per joint maximizing peak probability plus
   link density, via exact max-sum dynamic programming on the tree, run
@@ -194,17 +194,17 @@ def _point_terms(poses, params: PoseModelParams):
     return root_vector[:, 0], [m[:, 0, 0] for m in link_matrices]
 
 
+def point_log_likelihoods(poses, params: PoseModelParams) -> list[LikelihoodReport]:
+    """Log-likelihood of each pose, root prior + per-link terms, from one
+    term evaluation over the stacked poses; each report is bit for bit what
+    the pose gets alone."""
+    return _reports(*_point_terms(poses, params), "point") if poses else []
+
+
 def point_log_likelihood(pose: Pose, params: PoseModelParams) -> LikelihoodReport:
-    """Log-likelihood of one pose: root prior + per-link terms."""
-    return _reports(*_point_terms([pose], params), "point")[0]
-
-
-def point_log_likelihoods(poses, params: PoseModelParams) -> list[float]:
-    """``point_log_likelihood(pose, params).total`` of each pose, from one
-    term evaluation over the stacked poses."""
-    if not poses:
-        return []
-    return _total(*_point_terms(poses, params)).tolist()
+    """The log-likelihood of one pose: a batch of one for
+    :func:`point_log_likelihoods`."""
+    return point_log_likelihoods([pose], params)[0]
 
 
 def _one(peaks: PeakSet) -> PeakSet:
@@ -299,8 +299,10 @@ def _expect(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _total(root: np.ndarray, links: list[np.ndarray]) -> np.ndarray:
     """Each sample's log-likelihood ``(B,)`` from root terms ``(B,)`` and
     per-link terms ``(B,)``: ``sum`` adds the link columns to 0 in declaration
-    order, then the root is added, one float64 add at a time on any Python."""
-    return root + sum(links)
+    order, then the root is added, one float64 add at a time on any Python.
+    Finite terms that add past the float range give a ``-inf`` total."""
+    with np.errstate(over="ignore"):
+        return root + sum(links)
 
 
 def _per_link(links: list[np.ndarray], samples: int) -> list[tuple[float, ...]]:
@@ -397,18 +399,19 @@ def _max_sum(log_probs, root_vector, link_matrices, skeleton) -> np.ndarray:
     rows = np.arange(len(root_vector))
     subtree: list = [None] * skeleton.n_joints
     choice: list = [None] * skeleton.n_joints  # per child: its best peak per parent peak
-    for j in reversed(skeleton.bfs_joints):
-        score = log_probs[j].copy()
-        for link_idx, child in skeleton.children_links[j]:
-            combined = link_matrices[link_idx] + subtree[child][:, None, :]
-            best = combined.argmax(axis=2)  # first max = lowest peak index
-            # Integer-array gather of the argmax entries (take_along_axis costs
-            # more in argument checks than in the gather on small batches).
-            score += combined[rows[:, None], np.arange(best.shape[1]), best]
-            choice[child] = best
-        if j == skeleton.root:
-            score += root_vector
-        subtree[j] = score
+    with np.errstate(over="ignore"):  # finite scores that add past the float range: -inf
+        for j in reversed(skeleton.bfs_joints):
+            score = log_probs[j].copy()
+            for link_idx, child in skeleton.children_links[j]:
+                combined = link_matrices[link_idx] + subtree[child][:, None, :]
+                best = combined.argmax(axis=2)  # first max = lowest peak index
+                # Integer-array gather of the argmax entries (take_along_axis costs
+                # more in argument checks than in the gather on small batches).
+                score += combined[rows[:, None], np.arange(best.shape[1]), best]
+                choice[child] = best
+            if j == skeleton.root:
+                score += root_vector
+            subtree[j] = score
 
     chosen: list = [None] * skeleton.n_joints  # per joint: each sample's chosen peak
     chosen[skeleton.root] = subtree[skeleton.root].argmax(axis=1)
@@ -441,8 +444,9 @@ def _refined(peaks: PeakSet, log_probs, root_vector, link_matrices, indices, ske
     rows = np.arange(len(indices))
     joints = [logs[rows, chosen] for logs, chosen in zip(log_probs, indices.T)]
     objective = np.zeros(len(indices))
-    for terms in (*joints, root, *links):
-        objective += terms
+    with np.errstate(over="ignore"):  # as in _total
+        for terms in (*joints, root, *links):
+            objective += terms
     poses = peaks.locs[peaks.offsets[:-1].reshape(-1, skeleton.n_joints) + indices]  # (B, J, 2)
     return [
         RefinedPose(Pose(pose), total, tuple(chosen), score, terms, root_term)
@@ -498,13 +502,6 @@ def _refined_totals(stack: PeakStack, params: PoseModelParams) -> np.ndarray:
     return _total(*_chosen(root_vector, link_matrices, indices, params.skeleton))
 
 
-def refined_log_likelihoods(peaks: PeakSet, params: PoseModelParams) -> list[float]:
-    """``refine_pose(peaks, params).log_likelihood`` of each sample of a
-    batch, from one batched tree DP over its stack."""
-    stack = PeakStack.of(peaks, params.skeleton, params.model_kind)
-    return _refined_totals(stack, params).tolist()
-
-
 def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPose:
     """Exhaustively score every peak configuration; test oracle for refine_pose.
 
@@ -534,12 +531,13 @@ def brute_force_best_pose(peaks: PeakSet, params: PoseModelParams) -> RefinedPos
 
     root_vector, link_matrices = stack.terms(params)
     total = np.zeros(shape)
-    for j in order:
-        total = total + along(log_probs[j][0], axis_of[j])
-    total = total + along(root_vector[0], axis_of[skel.root])
-    for m, (parent, child) in zip(link_matrices, skel.links):
-        a, b = axis_of[parent], axis_of[child]
-        total = total + (along(m[0], a, b) if a < b else along(m[0].T, b, a))
+    with np.errstate(over="ignore"):  # as in _max_sum
+        for j in order:
+            total = total + along(log_probs[j][0], axis_of[j])
+        total = total + along(root_vector[0], axis_of[skel.root])
+        for m, (parent, child) in zip(link_matrices, skel.links):
+            a, b = axis_of[parent], axis_of[child]
+            total = total + (along(m[0], a, b) if a < b else along(m[0].T, b, a))
 
     flat = int(np.argmax(total))  # first max in C order = BFS-lexicographic min
     per_axis = np.unravel_index(flat, shape)

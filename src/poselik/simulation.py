@@ -23,6 +23,7 @@ import numpy as np
 from .calibration import LabeledPoseSet, fit_model
 from .errors import ConfigInvalid
 from .heatmaps import (
+    _bump_inv,
     bump_peak_sets,
     render_gaussian_heatmap,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
 )
@@ -109,6 +110,13 @@ def _as_float(value, where: str, positive: bool = False) -> float:
 
 def _positive(value, where, get) -> float:
     return _as_float(value, where, positive=True)
+
+
+def _peak_sigma(value, where, get) -> float:
+    sigma = _positive(value, where, get)
+    if math.isinf(_bump_inv(sigma)):  # every bump's centre would score NaN
+        raise ConfigInvalid(f"{where} is too small: 1 / (2 * peak_sigma**2) overflows, got {sigma}")
+    return sigma
 
 
 def _float_list(value, expected_len: int, where: str) -> list[float]:
@@ -214,7 +222,7 @@ class SimulationConfig:
     joints: int = _key("skeleton.joints", _int(2))
     height: int = _key("heatmap.height", _int(8, _MAX_SIDE))
     width: int = _key("heatmap.width", _int(8, _MAX_SIDE))
-    peak_sigma: float = _key("heatmap.peak_sigma", _positive)
+    peak_sigma: float = _key("heatmap.peak_sigma", _peak_sigma)
     distractor_count: int = _key("heatmap.distractors", _int(0), 0)
     distractor_amplitude: float = _key("heatmap.distractor_amplitude", _positive, 0.6)
 
@@ -473,7 +481,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
             else:
                 scores = score_pool(pool, strategy, params, mode=cfg.ranking_mode)
             t = stages.since("score", t)
-            lls = point_log_likelihoods(heldout_poses, params)
+            lls = [report.total for report in point_log_likelihoods(heldout_poses, params)]
             heldout_ll = reduce(add, lls, 0.0) / len(lls)  # left to right on every Python
             t = stages.since("heldout", t)
             ranked = ascending(scores, strategy)

@@ -467,6 +467,17 @@ def underflow_case() -> tuple[np.ndarray, PoseModelParams]:
     return values, model
 
 
+def sum_overflow_law() -> OffsetParams:
+    """An offset law of offset (0, 0) and covariance ``5.6e-308 * I``: it scores
+    a displacement of 3 cells -8.04e307, a finite term, of which three add past
+    the float range."""
+    return OffsetParams([0.0, 0.0], [[5.6e-308, 0.0], [0.0, 5.6e-308]])
+
+
+# A pose whose links, each 1.3e154 long, score -8.45e307 under DistanceParams(0, 1).
+SUM_OVERFLOW_POSE = [[0.0, 0.0], [0.0, 1.3e154], [0.0, 2.6e154], [0.0, 3.9e154]]
+
+
 def far_offset_law() -> OffsetParams:
     """An offset law of offset (1e300, 0) and first deviation 1e-10: it
     whitens a residual on a grid past the float range, a ``-inf`` density."""
@@ -570,7 +581,7 @@ def reference_config_from_dict(doc: dict) -> SimulationConfig:
         ood_generator=ood_generator,
         height=_as_int(heatmap["height"], "config.heatmap.height", minimum=8, maximum=2**29),
         width=_as_int(heatmap["width"], "config.heatmap.width", minimum=8, maximum=2**29),
-        peak_sigma=_as_float(heatmap["peak_sigma"], "config.heatmap.peak_sigma", positive=True),
+        peak_sigma=_as_peak_sigma(heatmap["peak_sigma"], "config.heatmap.peak_sigma"),
         distractor_count=_as_int(
             heatmap.get("distractors", 0), "config.heatmap.distractors", minimum=0
         ),
@@ -669,6 +680,14 @@ def _as_float(value, where: str, positive: bool = False) -> float:
     if positive and value <= 0.0:
         raise ConfigInvalid(f"{where} must be > 0, got {value}")
     return value
+
+
+def _as_peak_sigma(value, where: str) -> float:
+    sigma = _as_float(value, where, positive=True)
+    square = 2.0 * sigma * sigma
+    if square == 0.0 or math.isinf(1.0 / square):
+        raise ConfigInvalid(f"{where} is too small: 1 / (2 * peak_sigma**2) overflows, got {sigma}")
+    return sigma
 
 
 def _parse_generator(doc, joints: int, where: str) -> GeneratorParams:

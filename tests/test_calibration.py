@@ -49,16 +49,6 @@ class TestLabeledPoseSet:
         with pytest.raises(SchemaError):
             LabeledPoseSet.of(skel, [Pose(np.zeros((2, 3)))] * 2)
 
-    def test_rejects_bad_weights(self):
-        skel = validate_skeleton(TWO_JOINTS)
-        poses = poses_with_distances([4, 6])
-        with pytest.raises(SchemaError):
-            LabeledPoseSet.of(skel, poses, weights=[1.0])
-        with pytest.raises(SchemaError):
-            LabeledPoseSet.of(skel, poses, weights=[1.0, -1.0])
-        with pytest.raises(SchemaError):
-            LabeledPoseSet.of(skel, poses, weights=[1.0, np.nan])
-
 
 class TestFitDistanceParams:
     def test_two_point_known_statistics(self):
@@ -74,10 +64,9 @@ class TestFitDistanceParams:
         skel = validate_skeleton(TWO_JOINTS)
         for _ in range(20):
             distances = rng.uniform(2, 20, size=int(rng.integers(2, 40)))
-            weights = rng.uniform(0.2, 3.0, size=len(distances))
-            data = LabeledPoseSet.of(skel, poses_with_distances(distances), weights)
+            data = LabeledPoseSet.of(skel, poses_with_distances(distances))
             fitted = fit_distance_params(data, 0, 1)
-            mean, sd = oracle_weighted_mean_sd(list(distances), list(weights))
+            mean, sd = oracle_weighted_mean_sd(list(distances), [1.0] * len(distances))
             assert fitted.mean_distance == pytest.approx(mean, abs=1e-9)
             assert fitted.sigma == pytest.approx(max(sd, SIGMA_FLOOR), abs=1e-9)
 
@@ -97,17 +86,6 @@ class TestFitDistanceParams:
         skel = validate_skeleton(TWO_JOINTS)
         data = LabeledPoseSet.of(skel, poses_with_distances([5, 5, 5]))
         assert fit_distance_params(data, 0, 1).sigma == SIGMA_FLOOR
-
-    def test_weight_doubling_equals_duplication(self):
-        skel = validate_skeleton(TWO_JOINTS)
-        doubled = LabeledPoseSet.of(
-            skel, poses_with_distances([4, 6, 9]), weights=[2.0, 1.0, 1.0]
-        )
-        duplicated = LabeledPoseSet.of(skel, poses_with_distances([4, 4, 6, 9]))
-        a = fit_distance_params(doubled, 0, 1)
-        b = fit_distance_params(duplicated, 0, 1)
-        assert a.mean_distance == pytest.approx(b.mean_distance, abs=1e-12)
-        assert a.sigma == pytest.approx(b.sigma, abs=1e-12)
 
     def test_mle_optimality_against_perturbation(self):
         """±1% nudges of the fitted mean or sigma never improve the total
@@ -159,9 +137,9 @@ class TestFitOffsetParams:
         rng = np.random.default_rng(42)
         skel = validate_skeleton(TWO_JOINTS)
         disp = rng.uniform(-5, 5, size=(30, 2))
-        weights = rng.uniform(0.5, 2.0, size=30)
+        weights = np.ones(30)
         poses = [Pose([[0.0, 0.0], list(d)]) for d in disp]
-        fitted = fit_offset_params(LabeledPoseSet.of(skel, poses, weights), 0, 1)
+        fitted = fit_offset_params(LabeledPoseSet.of(skel, poses), 0, 1)
         w = weights / weights.sum()
         mean = w @ disp
         centered = disp - mean

@@ -34,6 +34,7 @@ from poselik import (
     run_simulation,
     save_model_file,
     select_batch,
+    skeleton_to_dict,
     validate_skeleton,
     write_heatmap_file,
 )
@@ -41,10 +42,12 @@ from poselik.selection import _random_score
 
 from _helpers import (
     PSHM_HEADER,
+    SUM_OVERFLOW_POSE,
     UNDERFLOW_SKELETON_DOC,
     UNDERFLOW_TOTAL,
     far_offset_law,
     pshm_bytes,
+    sum_overflow_law,
     underflow_case,
 )
 
@@ -159,7 +162,7 @@ class TestScoreCommand:
         assert run_cli([*argv, "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
         stages = manifest["stages"]
-        assert stages["chunks"] == (5 if command == "point" else 3)  # point: one sample each
+        assert stages["chunks"] == (1 if command == "point" else 3)  # point: the whole manifest
         names = {"read", "peaks", "records", "write"}
         assert set(stages) == {"chunks", "wall_ms", "cpu_ms"}
         assert set(stages["wall_ms"]) == set(stages["cpu_ms"]) == names
@@ -221,6 +224,41 @@ class TestScoreCommand:
         assert capsys.readouterr().err == ""
         (record,) = read_jsonl(out)
         assert record["total"] == -math.inf and '"total": -Infinity' in out.read_text()
+
+    @pytest.mark.parametrize("command", ["refine", "score", "point"])
+    def test_terms_that_add_past_the_float_range_total_minus_infinity(
+        self, tmp_path, capsys, command
+    ):
+        """Finite link terms whose sum passes the float range: the total is
+        ``-Infinity``, the run exits 0, and stderr stays empty, as the suite
+        turns a numpy warning into an error. Each joint has one peak, 3
+        cells from its parent's."""
+        skeleton = chain_skeleton(4)
+        (tmp_path / "skeleton.json").write_text(json.dumps(skeleton_to_dict(skeleton)))
+        law, kind = (
+            (DistanceParams(0.0, 1.0), "distance") if command == "point"
+            else (sum_overflow_law(), "offset")
+        )
+        save_model_file(PoseModelParams(skeleton, (law,) * 3, kind), tmp_path / "model.json")
+        values = np.zeros((4, 16, 16), np.float32)
+        values[np.arange(4), 4, 2 + 3 * np.arange(4)] = 1.0
+        (tmp_path / "s.pshm").write_bytes(pshm_bytes(values))
+        (tmp_path / "heatmaps.jsonl").write_text('{"id": "s", "path": "s.pshm"}\n')
+        (tmp_path / "poses.jsonl").write_text(json.dumps({"id": "s", "pose": SUM_OVERFLOW_POSE}))
+        argv = {
+            "refine": ["refine"], "score": ["score"],
+            "point": ["score", "--mode", "point", "--poses", str(tmp_path / "poses.jsonl")],
+        }[command]
+        out = tmp_path / "out.jsonl"
+        assert run_cli([
+            *argv, "--skeleton", str(tmp_path / "skeleton.json"),
+            "--params", str(tmp_path / "model.json"),
+            "--heatmaps", str(tmp_path / "heatmaps.jsonl"), "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().err == ""
+        (record,) = read_jsonl(out)
+        assert record["total"] == -math.inf and '"total": -Infinity' in out.read_text()
+        assert all(math.isfinite(term) for term in record["per_link"])
 
     def test_point_mode_requires_poses_flag(self, tmp_path, capsys):
         skeleton_path, model_path, manifest_path, _ = write_inputs(tmp_path)
@@ -932,16 +970,17 @@ class TestSimulateCommand:
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
     @pytest.mark.parametrize("peak_sigma", [1e-160, 1e-200])
-    def test_a_tiny_peak_sigma_exits_4_without_outputs(self, tmp_path, capsys, peak_sigma):
-        # 2 * sigma**2 is subnormal at 1e-160 and 0 at 1e-200: each bump's centre is NaN.
+    def test_a_tiny_peak_sigma_exits_3_without_outputs(self, tmp_path, capsys, peak_sigma):
+        # 2 * sigma**2 is subnormal at 1e-160 and 0 at 1e-200: each bump's centre
+        # would be NaN, so no pool can satisfy the config.
         doc = self.config_doc()
         doc["heatmap"]["peak_sigma"] = peak_sigma
         out = tmp_path / "x.json"
         assert run_cli(
             ["simulate", "--config", str(self.write_config(tmp_path, doc)), "--out", str(out)]
-        ) == 4
+        ) == 3
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].endswith("heatmap contains NaN or infinite scores")
+        assert len(err) == 1 and "config.heatmap.peak_sigma is too small" in err[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("generator", ["generator", "ood_generator"])
@@ -1095,6 +1134,69 @@ class TestChunkedRunner:
                 for a, b in zip(peaks.offsets[:-1], peaks.offsets[1:])
             ]
             assert [p["prob"] for joint in record["peaks"] for p in joint] == peaks.probs.tolist()
+
+    @pytest.mark.parametrize("per_image", [False, True], ids=["shared", "per-image"])
+    def test_point_mode_scores_the_manifest_as_one_chunk(self, tmp_path, monkeypatch, per_image):
+        """Point mode reads no heatmap, so its manifest is one chunk: one
+        batched call under a shared model, one call per sample under
+        ``--per-image``, and each line is the sample's own report."""
+        skeleton_path, model_path, _, _ = write_inputs(tmp_path, n_samples=0)
+        means = {"s0": 6.0, "s1": 5.0, "s2": 30.0, "s3": 6.0, "s4": 7.5}
+        if per_image:
+            model_path = per_image_params(tmp_path / "per-image.json", means)
+        poses = {f"s{i}": Pose([[20.0, 14.0 - i], [20.0 + i, 20.0], [20, 26]]) for i in range(5)}
+        (tmp_path / "dangling.jsonl").write_text("".join(
+            json.dumps({"id": sample_id, "path": "missing.pshm"}) + "\n" for sample_id in poses
+        ))
+        (tmp_path / "poses.jsonl").write_text("".join(
+            json.dumps({"id": sample_id, "pose": pose.coordinates.tolist()}) + "\n"
+            for sample_id, pose in poses.items()
+        ))
+        calls = []
+        for name in ("point_log_likelihood", "point_log_likelihoods"):
+            scorer = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda *a, _name=name, _scorer=scorer: calls.append(_name) or _scorer(*a)
+            )
+        out = tmp_path / "point.jsonl"
+        assert run_cli(
+            ["score", "--skeleton", str(skeleton_path), "--params", str(model_path),
+             *(["--per-image"] if per_image else []),
+             "--heatmaps", str(tmp_path / "dangling.jsonl"), "--mode", "point",
+             "--poses", str(tmp_path / "poses.jsonl"), "--out", str(out)]
+        ) == 0
+        expected = [
+            json.dumps(point_log_likelihood(
+                pose, chain_model(mean=means[sample_id]) if per_image else chain_model()
+            ).to_json_dict(sample_id), sort_keys=True) + "\n"
+            for sample_id, pose in poses.items()
+        ]
+        assert out.read_text(encoding="utf-8") == "".join(expected)
+        assert calls == (["point_log_likelihood"] * 5 if per_image else ["point_log_likelihoods"])
+        manifest = json.loads((tmp_path / "point.jsonl.manifest.json").read_text())
+        assert manifest["stages"]["chunks"] == 1
+
+    def test_point_mode_names_the_first_failing_sample(self, tmp_path, capsys):
+        """s3's pose has two joints and s4 has none: one chunk, and the run
+        still names s3."""
+        skeleton_path, model_path, _, _ = write_inputs(tmp_path, n_samples=0)
+        (tmp_path / "dangling.jsonl").write_text("".join(
+            json.dumps({"id": f"s{i}", "path": "missing.pshm"}) + "\n" for i in range(5)
+        ))
+        poses = [[[20, 14], [20, 20], [20, 26]]] * 3 + [[[20, 14], [20, 20]]]
+        (tmp_path / "poses.jsonl").write_text("".join(
+            json.dumps({"id": f"s{i}", "pose": pose}) + "\n" for i, pose in enumerate(poses)
+        ))
+        out = tmp_path / "point.jsonl"
+        assert run_cli(
+            ["score", "--skeleton", str(skeleton_path), "--params", str(model_path),
+             "--heatmaps", str(tmp_path / "dangling.jsonl"), "--mode", "point",
+             "--poses", str(tmp_path / "poses.jsonl"), "--out", str(out)]
+        ) == 4
+        assert capsys.readouterr().err == (
+            "poselik: error: sample 's3': pose has 2 joints, skeleton has 3\n"
+        )
+        assert not out.exists() and not (tmp_path / "point.jsonl.manifest.json").exists()
 
     def test_per_image_scores_match_each_image_alone(self, tmp_path, monkeypatch):
         skeleton_path, _, manifest_path, _ = write_inputs(tmp_path, n_samples=5)

@@ -33,6 +33,7 @@ from poselik import (
 from poselik import likelihood, simulation
 
 from _helpers import (
+    SUM_OVERFLOW_POSE,
     batch_of,
     far_offset_law,
     oracle_best_config,
@@ -48,6 +49,7 @@ from _helpers import (
     random_offset_model,
     random_peakset,
     random_tree_skeleton,
+    sum_overflow_law,
     underflow_case,
     UNDERFLOW_SKELETON_DOC,
     UNDERFLOW_TOTAL,
@@ -326,6 +328,28 @@ class TestExpectedLogLikelihood:
         assert point == -7.720779386421445e17
         assert expected_log_likelihood(peaks, model).total == point
         assert refine_pose(peaks, model).log_likelihood == point
+
+
+class TestSumsPastTheFloatRange:
+    """Finite terms whose sum passes the float range total ``-inf``, with no
+    numpy warning: the suite turns a ``RuntimeWarning`` into an error."""
+
+    def test_every_peak_scorer_totals_minus_inf(self):
+        model = PoseModelParams(chain(4), (sum_overflow_law(),) * 3, "offset")
+        peaks = peakset_from([[((4, 2 + 3 * j), 1.0)] for j in range(4)])
+        refined = refine_pose(peaks, model)  # the tree DP, its finish and its total
+        assert refined.per_link_terms == (-8.035714285714286e307,) * 3
+        assert (refined.log_likelihood, refined.objective) == (-math.inf, -math.inf)
+        oracle = brute_force_best_pose(peaks, model)
+        assert (oracle.chosen_peak_index, oracle.objective) == ((0, 0, 0, 0), -math.inf)
+        assert refinement_objective(peaks, model, [0, 0, 0, 0]) == -math.inf
+        assert expected_log_likelihood(peaks, model).total == -math.inf
+
+    def test_a_point_pose_totals_minus_inf(self):
+        model = PoseModelParams(chain(4), (DistanceParams(0.0, 1.0),) * 3, "distance")
+        report = point_log_likelihood(Pose(SUM_OVERFLOW_POSE), model)
+        assert all(-9e307 < term < -8e307 for term in report.per_link_terms)
+        assert report.total == -math.inf
 
 
 class TestRefinePose:

@@ -82,7 +82,6 @@ from poselik import (
     read_manifest,
     refine_pose,
     refine_poses,
-    refined_log_likelihoods,
     refinement_objective,
     render_gaussian_heatmap,
     score_pool,
@@ -290,7 +289,7 @@ def test_pool_cached_scores_equal_scoring_the_gathered_subset(pool_case, data):
         for mode in ("max", "expected"):
             scores = score_pool(pool, "vl4pose", model, mode=mode)
             if mode == "max":
-                fresh = refined_log_likelihoods(gathered, model)
+                fresh = [pose.log_likelihood for pose in refine_poses(gathered, model)]
             else:
                 fresh = [report.total for report in expected_log_likelihoods(gathered, model)]
             assert scores.dtype == np.float64
@@ -363,8 +362,8 @@ def test_stacked_point_scoring_equals_per_pose_scoring(model, data):
         min_size=skeleton.n_joints, max_size=skeleton.n_joints,
     )
     poses = [Pose(c) for c in data.draw(st.lists(coords, min_size=1, max_size=5))]
-    assert point_log_likelihoods(poses, model) == [
-        point_log_likelihood(pose, model).total for pose in poses
+    assert [report_bits(r) for r in point_log_likelihoods(poses, model)] == [
+        report_bits(point_log_likelihood(pose, model)) for pose in poses
     ]
 
 
@@ -507,7 +506,7 @@ def test_taking_samples_of_a_batch_equals_building_each_alone(pool_case, data):
     assert [report_bits(r) for r in expected_log_likelihoods(taken, model)] == [
         report_bits(expected_log_likelihood(peaks, model)) for peaks in alone
     ]
-    assert np.array(refined_log_likelihoods(taken, model)).tobytes() == np.array(
+    assert np.array([p.log_likelihood for p in refine_poses(taken, model)]).tobytes() == np.array(
         [refine_pose(peaks, model).log_likelihood for peaks in alone]
     ).tobytes()
     assert np.array(multi_peak_entropies(taken)).tobytes() == np.array(
@@ -542,10 +541,10 @@ def test_peak_probabilities_and_entropy_stay_in_range(heatmap, threshold_ratio, 
 
 
 @st.composite
-def weighted_link_sets(draw):
-    """(displacements (n, 2), weights (n,)) of one link over 2-12 poses,
-    often only two, at times with a weight near 0, at times collinear, and
-    spread over 60 cells or over 0.02 (where a ridge is no small change)."""
+def link_sets(draw):
+    """Displacements ``(n, 2)`` of one link over 2-12 poses, often only two,
+    at times collinear, and spread over 60 cells or over 0.02 (where a
+    ridge is no small change)."""
     n = draw(st.just(2) | st.integers(2, 12))
     spread = draw(st.sampled_from((30.0, 0.01)))
     coordinate = st.floats(-1.0, 1.0).map(lambda x: 5.0 + spread * x)
@@ -554,14 +553,11 @@ def weighted_link_sets(draw):
         disp = np.array(draw(st.lists(coordinate, min_size=n, max_size=n)))[:, None] * direction
     else:
         disp = np.array(draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n)))
-    weight = st.floats(0.05, 5.0) | st.just(1e-9)
-    return disp, np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    return disp
 
 
-def weighted_log_likelihood(disp, weights, params) -> float:
-    return math.fsum(
-        w * link_log_density((0.0, 0.0), d, params) for d, w in zip(disp.tolist(), weights)
-    )
+def link_log_likelihood(disp, params) -> float:
+    return math.fsum(link_log_density((0.0, 0.0), d, params) for d in disp.tolist())
 
 
 # A relative step of a fitted parameter: small ones find a fit a little off.
@@ -569,23 +565,22 @@ fit_step = st.floats(-1.0, 1.0) | st.sampled_from([s * 10.0**-k for s in (-1, 1)
 
 
 @PROPERTY_SETTINGS
-@given(weighted_link_sets(), st.lists(fit_step, min_size=7, max_size=7))
-def test_closed_form_fits_are_optimal(case, steps):
+@given(link_sets(), st.lists(fit_step, min_size=7, max_size=7))
+def test_closed_form_fits_are_optimal(disp, steps):
     """No perturbation of a fitted mean, offset, or sigma kept at or above
-    ``SIGMA_FLOOR``, raises the weighted log-likelihood beyond rounding. A
-    perturbed Cholesky factor raises it by at most the ridge's share,
-    ``0.5 * sum(w) * RIDGE_START * tr(S^-1)`` for the sample covariance
+    ``SIGMA_FLOOR``, raises the log-likelihood of ``n`` poses beyond rounding.
+    A perturbed Cholesky factor raises it by at most the ridge's share,
+    ``0.5 * n * RIDGE_START * tr(S^-1)`` for the sample covariance
     ``S``, as ``S + RIDGE_START * I`` is no exact fit of ``S``. That holds
     only where ``S`` is nonsingular: on collinear sets (and two poses are
     collinear) the likelihood grows without bound as the covariance
     flattens, so there only the offset is checked."""
-    disp, weights = case
     skel = validate_skeleton({"joints": ["a", "b"], "root": 0, "links": [[0, 1]]})
-    data = LabeledPoseSet.of(skel, [Pose([[0.0, 0.0], d]) for d in disp], weights)
+    data = LabeledPoseSet.of(skel, [Pose([[0.0, 0.0], d]) for d in disp])
 
     def gain(fitted, perturbed):
-        base = weighted_log_likelihood(disp, weights, fitted)
-        return weighted_log_likelihood(disp, weights, perturbed) - base, 1e-12 * (1 + abs(base))
+        base = link_log_likelihood(disp, fitted)
+        return link_log_likelihood(disp, perturbed) - base, 1e-12 * (1 + abs(base))
 
     law = fit_distance_params(data, 0, 1)
     mean = law.mean_distance + steps[0] * law.sigma
@@ -601,16 +596,15 @@ def test_closed_form_fits_are_optimal(case, steps):
     scale = np.sqrt(np.diagonal(law.covariance))
     change, rounding = gain(law, OffsetParams(law.offset + scale * steps[2:4], law.covariance))
     assert change <= rounding
-    w = weights / weights.sum()
-    centred = disp - w @ disp
-    sample = (w[:, None] * centred).T @ centred
+    centred = disp - disp.mean(axis=0)
+    sample = centred.T @ centred / len(disp)
     if np.linalg.cond(sample) > 1e8:  # collinear, or nearly
         return
     chol = law.cholesky.copy()
     chol[1, 0] += steps[4] * chol[1, 1]
     chol[np.diag_indices(2)] *= np.exp(steps[5:7])
     change, rounding = gain(law, OffsetParams(law.offset, chol @ chol.T))
-    assert change <= 0.5 * weights.sum() * RIDGE_START * np.trace(np.linalg.inv(sample)) + rounding
+    assert change <= 0.5 * len(disp) * RIDGE_START * np.trace(np.linalg.inv(sample)) + rounding
 
 
 @PROPERTY_SETTINGS
@@ -1197,24 +1191,26 @@ def test_every_command_survives_any_json_input(cli_dir, corrupted):
     (cli_dir / name).write_bytes(data)
     try:
         for argv in (argv for argv in CLI_RUNS if name in argv):
-            stderr = io.StringIO()
-            with contextlib.redirect_stderr(stderr):
-                code = cli.main([str(cli_dir / a) if a in VALID_INPUTS else a for a in argv]
-                                + ["--out", str(out / "result")])
-            lines = stderr.getvalue().splitlines()
-            assert code in (0, 2, 3, 4), (argv, code)
-            assert len(lines) <= 1 and "Traceback" not in stderr.getvalue(), (argv, lines)
-            if code == 3:  # a bad input: the one line names its file
-                assert name in lines[0], (argv, lines)
-            if code != 0:
-                assert os.listdir(out) == [], (argv, lines)
-            elif argv[0] in ("score", "refine"):  # a NaN total has no rank
-                constants = []
-                for line in (out / "result").read_text(encoding="utf-8").splitlines():
-                    json.loads(line, parse_constant=constants.append)
-                assert "NaN" not in constants, argv
-            for leftover in out.iterdir():
-                leftover.unlink()
+            try:
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    code = cli.main([str(cli_dir / a) if a in VALID_INPUTS else a for a in argv]
+                                    + ["--out", str(out / "result")])
+                lines = stderr.getvalue().splitlines()
+                assert code in (0, 2, 3, 4), (argv, code)
+                assert len(lines) <= 1 and "Traceback" not in stderr.getvalue(), (argv, lines)
+                if code == 3:  # a bad input: the one line names its file
+                    assert name in lines[0], (argv, lines)
+                if code != 0:
+                    assert os.listdir(out) == [], (argv, lines)
+                elif argv[0] in ("score", "refine"):  # a NaN total has no rank
+                    constants = []
+                    for line in (out / "result").read_text(encoding="utf-8").splitlines():
+                        json.loads(line, parse_constant=constants.append)
+                    assert "NaN" not in constants, argv
+            finally:  # each run, and the next example's first, starts from an empty directory
+                for leftover in out.iterdir():
+                    leftover.unlink()
     finally:
         (cli_dir / name).write_bytes(VALID_INPUTS[name])
 

@@ -27,7 +27,7 @@ from poselik import (
     multi_peak_entropy,
     ood_ranking_auc,
     refine_pose,
-    refined_log_likelihoods,
+    refine_poses,
     render_gaussian_heatmap,
     score_pool,
     select_batch,
@@ -140,7 +140,7 @@ def fresh_scores(peak_sets, model, mode):
     """vl4pose scores of peak sets stacked alone, without a pool."""
     batch = batch_of(peak_sets, joint_count=model.skeleton.n_joints)
     if mode == "max":
-        return refined_log_likelihoods(batch, model)
+        return [pose.log_likelihood for pose in refine_poses(batch, model)]
     return [report.total for report in expected_log_likelihoods(batch, model)]
 
 

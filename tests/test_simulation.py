@@ -199,6 +199,8 @@ def parsed(parse, to_json, doc):
 @example({**base_doc(), "pool": {**base_doc()["pool"], "ood": 13}, "rounds": 5})
 @example({**base_doc(), "rounds": 5, "heatmap": {**base_doc()["heatmap"], "distractors": -1}})
 @example({**full_doc(), "heatmap": {**full_doc()["heatmap"], "distractor_amplitude": 1.5}})
+@example({**base_doc(), "rounds": 0, "heatmap": {**base_doc()["heatmap"], "peak_sigma": 1e-160}})
+@example({**base_doc(), "heatmap": {**base_doc()["heatmap"], "peak_sigma": 1e-200}})
 @given(mutated_configs())
 def test_config_parser_matches_the_hand_written_reference(doc):
     """The declared config keys raise the reference parser's exception and
