@@ -247,7 +247,7 @@ def _params_for(ctx, sample_id: str) -> PoseModelParams:
         return ctx["params"]
     params = ctx["params_map"].get(sample_id)
     if params is None:
-        raise MissingParams(f"no model parameters for sample {sample_id!r}")
+        raise MissingParams("no model parameters")
     return params
 
 
@@ -270,7 +270,7 @@ def _score_records(args, ctx, ids, peaks) -> str:
 def _pose_for(ctx, sample_id: str):
     pose = ctx["poses"].get(sample_id)
     if pose is None:
-        raise MissingJoint(f"no pose provided for sample {sample_id!r}")
+        raise MissingJoint("no pose provided")
     return pose
 
 

@@ -53,11 +53,12 @@ class LikelihoodReport:
 class RefinedPose:
     """Peak selection maximizing the joint peak-probability + link objective.
 
-    ``log_likelihood`` is the point log-likelihood of the chosen pose, its
-    terms added as :func:`_total` adds them; ``objective`` additionally
-    includes the per-joint log peak probabilities that drive the
-    selection. Every term is an entry of the arrays the search maximized
-    over.
+    ``log_likelihood`` is the point log-likelihood of the chosen pose, bit
+    for bit what :func:`point_log_likelihood` gives it: both read the same
+    float64 geometry and add it in :func:`_total`. ``objective``
+    additionally includes the per-joint log peak probabilities that drive
+    the selection. Every term is an entry of the arrays the search
+    maximized over.
     """
 
     pose: Pose
@@ -93,10 +94,10 @@ def _family(law: LinkParams) -> str:
 
 
 def _geometry(diff: np.ndarray, family: str) -> np.ndarray:
-    """What a ``family`` density reads of displacements ``diff`` ``(..., D)``,
-    in their dtype: their squared lengths ``(...)`` for ``distance``, the
-    displacements themselves for ``offset``."""
-    return (diff * diff).sum(axis=-1, dtype=diff.dtype) if family == "distance" else diff
+    """What a ``family`` density reads of float64 displacements ``diff``
+    ``(..., D)``: their lengths ``(...)`` for ``distance``, the displacements
+    themselves for ``offset``."""
+    return np.sqrt((diff * diff).sum(axis=-1)) if family == "distance" else diff
 
 
 def _density(geometry: np.ndarray, law: LinkParams) -> np.ndarray:
@@ -104,8 +105,7 @@ def _density(geometry: np.ndarray, law: LinkParams) -> np.ndarray:
     ``law``: the one formula per link family."""
     if isinstance(law, DistanceParams):
         # -0.5 * z * z - log(sigma) - 0.5 * LOG_2PI, in that order, in two buffers.
-        z = np.sqrt(geometry, dtype=np.float64)
-        z -= law.mean_distance
+        z = geometry - law.mean_distance
         z /= law.sigma
         density = -0.5 * z
         density *= z
@@ -224,9 +224,11 @@ class PeakStack:
 
     Joint ``j`` gets probabilities ``probs[j]`` ``(B, K_j)`` padded with 0,
     ``K_j`` being the largest count of that joint in the batch, and the root
-    its locations ``root_locs`` ``(B, K_root, 2)`` padded with 0. Link ``l``
-    gets its :func:`_geometry` over every parent/child pair, ``(B, K_parent,
-    K_child)``. Padding follows each sample's peaks and never beats a real
+    its float64 locations ``root_locs`` ``(B, K_root, 2)`` padded with 0.
+    Link ``l`` gets its :func:`_geometry` over every parent/child pair,
+    ``(B, K_parent, K_child)``: the float64 lengths or displacements that
+    point scoring computes, so a sample of one peak per joint scores what
+    its pose scores. Padding follows each sample's peaks and never beats a real
     peak, so a first maximum is still the lowest real peak index and a
     sample scores the same bits in any batch. Like a real peak of
     probability 0, a padded one lies outside the peak distribution.
@@ -250,7 +252,7 @@ class PeakStack:
         widths = counts.max(axis=0, initial=1).tolist()  # 1 for an empty batch
         # The real cells of the grids, in C order, are the peaks in CSR order.
         real = np.arange(max(widths)) < counts[:, :, None]
-        locs = np.zeros(real.shape + (2,), dtype=_cell_type(peaks.locs))
+        locs = np.zeros(real.shape + (2,))
         locs[real] = peaks.locs
         probs = np.zeros(real.shape)
         probs[real] = peaks.probs
@@ -269,16 +271,6 @@ class PeakStack:
     def terms(self, params: PoseModelParams):
         """:func:`_terms` of the batch under ``params``."""
         return _terms(self.root_locs, self.links, params)
-
-
-def _cell_type(locs: np.ndarray) -> np.dtype:
-    """The smallest signed integer type that holds every coordinate of grid
-    cells ``locs``, their differences and any sum of two squares of those:
-    the geometry is exact in it, and a pool's cached stack small. Beyond
-    int64 it is float64, which rounds as point scoring does."""
-    lo, hi = (int(v) for v in (locs.min(initial=0), locs.max(initial=0)))
-    bound = 2 * max(hi - lo, -lo, hi) ** 2
-    return np.min_scalar_type(-bound - 1) if bound < 2**63 else np.dtype(np.float64)
 
 
 def _expect(values: np.ndarray, weights: np.ndarray) -> np.ndarray:

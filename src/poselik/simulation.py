@@ -28,8 +28,9 @@ from .heatmaps import (
     render_gaussian_heatmap,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
 )
 from .likelihood import (
+    _point_terms,
+    _total,
     point_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
-    point_log_likelihoods,
 )
 from .model import Pose, Skeleton, Stages, clock, is_number, validate_skeleton
 from .selection import (
@@ -481,7 +482,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
             else:
                 scores = score_pool(pool, strategy, params, mode=cfg.ranking_mode)
             t = stages.since("score", t)
-            lls = [report.total for report in point_log_likelihoods(heldout_poses, params)]
+            lls = _total(*_point_terms(heldout_poses, params)).tolist()
             heldout_ll = reduce(add, lls, 0.0) / len(lls)  # left to right on every Python
             t = stages.since("heldout", t)
             ranked = ascending(scores, strategy)

@@ -1050,6 +1050,72 @@ class TestSimulateCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+def write_multi_peak_inputs(tmp_path, model):
+    """A seeded manifest of 12 five-joint heatmaps on 32x32 grids, each with
+    three distractor bumps, the skeleton and ``model``, and a pose per
+    sample off the grid cells, written to ``tmp_path``."""
+    rng = np.random.default_rng(2024)
+    (tmp_path / "skeleton.json").write_text(
+        json.dumps(skeleton_to_dict(model.skeleton)), encoding="utf-8"
+    )
+    save_model_file(model, tmp_path / "model.json")
+    entries, poses = [], []
+    for i in range(12):
+        pose = Pose(np.column_stack([rng.uniform(8, 24, 5), 4.0 + 6.0 * np.arange(5)]))
+        distractors = [
+            (int(rng.integers(5)), tuple(rng.integers(0, 32, 2).tolist()), rng.uniform(0.4, 0.9))
+            for _ in range(3)
+        ]
+        heatmap = render_gaussian_heatmap(pose, 32, 32, peak_sigma=1.5, distractors=distractors)
+        write_heatmap_file(heatmap, tmp_path / f"m{i}.pshm")
+        entries.append(json.dumps({"id": f"m{i}", "path": f"m{i}.pshm"}) + "\n")
+        poses.append(json.dumps({"id": f"m{i}", "pose": pose.coordinates.tolist()}) + "\n")
+    (tmp_path / "manifest.jsonl").write_text("".join(entries), encoding="utf-8")
+    (tmp_path / "poses.jsonl").write_text("".join(poses), encoding="utf-8")
+
+
+class TestPinnedHeatmapOutputs:
+    """The heatmap commands keep the bytes they first wrote on multi-peak
+    grids: a change in peak extraction or in the arithmetic of any scorer
+    shows here, which a comparison with the library, changed with it, misses."""
+
+    DISTANCE = PoseModelParams(
+        chain_skeleton(5),
+        tuple(DistanceParams(m, s) for m, s in [(6.0, 1.0), (5.5, 1.3), (6.5, 0.8), (6.0, 2.0)]),
+        "distance",
+    )
+    OFFSET = PoseModelParams(
+        chain_skeleton(5),
+        tuple(OffsetParams([d, 6.0], [[1.5, 0.3], [0.3, 1.0]]) for d in (0.5, -1.0, 0.0, 1.5)),
+        "offset", root_params=OffsetParams([16.0, 4.0], [[9.0, 2.0], [2.0, 6.0]]),
+    )
+    # SHA-256 of each output, as first written.
+    PINNED = {
+        ("distance", "score"): "6fcd2d383d4b73e9a962a7f0f29a37479f23f534fb10efb00860630f85b8b233",
+        ("distance", "refine"): "815132f0dd54dac0c05072f51a383fb73f5712ba0f4a15426f6bfa5bbeb0dcb7",
+        ("distance", "maxima"): "20ba2bd6202eee8014d5a3ba86b35f9a44dd65d20d45b26dbd1c932a1bf4ba37",
+        ("distance", "point"): "e4c50320d07cee14d47a58e87bfd0c961a2ededb3c23dacbcc3bc2b769e16327",
+        ("offset", "score"): "495a291336737ea95eb8e869b1638dfc33e8637bbb8db2027c393efd37810c41",
+        ("offset", "refine"): "61dcbb6cc3216f07fe61d347451050108135cda80f1575fc0ccc3e34968ee1c8",
+    }
+
+    @pytest.mark.parametrize("kind, command", sorted(PINNED))
+    def test_outputs_keep_their_pinned_bytes(self, tmp_path, kind, command):
+        write_multi_peak_inputs(tmp_path, getattr(self, kind.upper()))
+        out = tmp_path / "out.jsonl"
+        heatmaps = ["--heatmaps", str(tmp_path / "manifest.jsonl")]
+        model = ["--skeleton", str(tmp_path / "skeleton.json"),
+                 "--params", str(tmp_path / "model.json"), *heatmaps]
+        argv = {
+            "score": ["score", *model],
+            "refine": ["refine", *model],
+            "maxima": ["maxima", *heatmaps],
+            "point": ["score", *model, "--mode", "point", "--poses", str(tmp_path / "poses.jsonl")],
+        }[command]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[kind, command]
+
+
 def per_image_params(path, means):
     """A per-image parameter file: one distance-law mean per image id."""
     path.write_text(
@@ -1085,7 +1151,7 @@ class TestChunkedRunner:
              "--out", str(tmp_path / "x.jsonl")]
         ) == 4
         assert capsys.readouterr().err == (
-            "poselik: error: sample 's1': no model parameters for sample 's1'\n"
+            "poselik: error: sample 's1': no model parameters\n"
         )
 
     def test_scoring_error_before_later_non_finite_heatmap_names_the_earlier_sample(
@@ -1104,7 +1170,7 @@ class TestChunkedRunner:
              "--out", str(tmp_path / "x.jsonl")]
         ) == 4
         assert capsys.readouterr().err == (
-            "poselik: error: sample 's1': no model parameters for sample 's1'\n"
+            "poselik: error: sample 's1': no model parameters\n"
         )
 
     def test_a_manifest_of_mixed_grid_shapes(self, tmp_path, monkeypatch):
@@ -1196,6 +1262,25 @@ class TestChunkedRunner:
         assert capsys.readouterr().err == (
             "poselik: error: sample 's3': pose has 2 joints, skeleton has 3\n"
         )
+        assert not out.exists() and not (tmp_path / "point.jsonl.manifest.json").exists()
+
+    def test_point_mode_names_a_sample_without_a_pose_once(self, tmp_path, capsys):
+        """s1 has no pose: the one stderr line names it once."""
+        skeleton_path, model_path, _, _ = write_inputs(tmp_path, n_samples=0)
+        (tmp_path / "dangling.jsonl").write_text("".join(
+            json.dumps({"id": f"s{i}", "path": "missing.pshm"}) + "\n" for i in range(3)
+        ))
+        (tmp_path / "poses.jsonl").write_text("".join(
+            json.dumps({"id": f"s{i}", "pose": [[20, 14], [20, 20], [20, 26]]}) + "\n"
+            for i in (0, 2)
+        ))
+        out = tmp_path / "point.jsonl"
+        assert run_cli(
+            ["score", "--skeleton", str(skeleton_path), "--params", str(model_path),
+             "--heatmaps", str(tmp_path / "dangling.jsonl"), "--mode", "point",
+             "--poses", str(tmp_path / "poses.jsonl"), "--out", str(out)]
+        ) == 4
+        assert capsys.readouterr().err == "poselik: error: sample 's1': no pose provided\n"
         assert not out.exists() and not (tmp_path / "point.jsonl.manifest.json").exists()
 
     def test_per_image_scores_match_each_image_alone(self, tmp_path, monkeypatch):

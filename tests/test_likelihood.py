@@ -315,10 +315,8 @@ class TestExpectedLogLikelihood:
         ] == [-math.inf] * 4
 
     def test_coordinates_whose_squares_pass_int64_score_in_float64(self):
-        """Past ``2**31`` a sum of two squared coordinates leaves int64: the
-        stack then holds float64 locations, as point scoring reads them."""
-        assert likelihood._cell_type(np.array([[0, 0], [2**31 - 1, 0]])) == np.int64
-        assert likelihood._cell_type(np.array([[0, 0], [2**31, 0]])) == np.float64
+        """Past ``2**31`` a sum of two squared coordinates leaves int64; the
+        stack scores such cells in float64, as point scoring reads them."""
         model = PoseModelParams(
             skeleton=chain(2), link_params=(DistanceParams(3e9, 1.0),), model_kind="distance"
         )
@@ -328,6 +326,18 @@ class TestExpectedLogLikelihood:
         assert point == -7.720779386421445e17
         assert expected_log_likelihood(peaks, model).total == point
         assert refine_pose(peaks, model).log_likelihood == point
+
+    def test_a_single_peak_sample_scores_what_its_pose_scores(self):
+        """Cells whose squared distance passes ``2**53``: the stack rounds
+        each square and their sum as point scoring does, never exactly."""
+        model = PoseModelParams(chain(2), (DistanceParams(1780865957.0, 1e6),), "distance")
+        cells = [(0, 0), (1139306594, 1607981975)]
+        peaks = peakset_from([[(cell, 1.0)] for cell in cells])
+        assert [
+            point_log_likelihood(Pose(cells), model).total,
+            expected_log_likelihood(peaks, model).total,
+            refine_pose(peaks, model).log_likelihood,
+        ] == [-18031.629753812387] * 3
 
 
 class TestSumsPastTheFloatRange:

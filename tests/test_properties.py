@@ -233,6 +233,22 @@ def test_refined_terms_equal_point_scoring_of_the_pose(instance, data):
 
 
 @PROPERTY_SETTINGS
+@given(models(), st.data())
+def test_one_peak_per_joint_at_far_cells_scores_what_its_pose_scores(model, data):
+    """Cells up to ``2**31``, whose squares round in float64: a sample of one
+    peak per joint scores, expected or refined, what its pose scores."""
+    n_joints = model.skeleton.n_joints
+    cells = data.draw(st.lists(
+        st.tuples(st.integers(0, 2**31), st.integers(0, 2**31)),
+        min_size=n_joints, max_size=n_joints,
+    ))
+    peaks = peakset_of([[(cell, 1.0, 1.0)] for cell in cells])
+    point = point_log_likelihood(Pose(cells), model).total
+    assert expected_log_likelihood(peaks, model).total == point
+    assert refine_pose(peaks, model).log_likelihood == point
+
+
+@PROPERTY_SETTINGS
 @given(pools())
 def test_batched_refinement_equals_per_sample_refinement(pool_case):
     peak_sets, model = pool_case
