@@ -8,7 +8,8 @@ Each subcommand is a thin shell over one library operation. Exit codes:
   found infeasible while generating its pool, and failures to write an
   output (no partial file is left behind),
 * 4 — data errors while processing samples (first failure aborts the
-  run; the diagnostic names the sample).
+  run; the diagnostic names the sample),
+* 130 and 143 — interrupted by SIGINT or SIGTERM (no staged file is left).
 
 Data outputs go to ``--out``; diagnostics go to stderr; the run
 manifest goes to ``<out>.manifest.json``, which is removed before any
@@ -25,7 +26,9 @@ import hashlib
 import json
 import math
 import os
+import signal
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -50,11 +53,11 @@ from .heatmaps import (
     read_manifest,
 )
 from .likelihood import (
-    expected_log_likelihood,
+    expected_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     expected_log_likelihoods,
     multi_peak_entropies,
     multi_peak_entropy,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
-    point_log_likelihood,
+    point_log_likelihood,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     point_log_likelihoods,
     refine_pose,  # noqa: F401 -- unused here, but bench/tracing.py wraps it by module
     refine_poses,
@@ -231,47 +234,25 @@ def _load_model(args) -> PoseModelParams:
 
 
 def _load_score(args) -> dict:
-    ctx = {"params_map": None, "params": None, "poses": None}
-    if args.per_image:
-        ctx["params_map"] = load_image_params(args.params, load_skeleton_file(args.skeleton))
-    else:
-        ctx["params"] = _load_model(args)
+    ctx = {"params": load_image_params(args.params, load_skeleton_file(args.skeleton))
+           if args.per_image else _load_model(args)}
     ctx["entries"] = read_manifest(args.heatmaps)
-    if args.mode == "point":
-        ctx["poses"] = dict(read_labeled_poses(args.poses))
+    ctx["poses"] = dict(read_labeled_poses(args.poses)) if args.mode == "point" else None
     return ctx
 
 
-def _params_for(ctx, sample_id: str) -> PoseModelParams:
-    if ctx["params_map"] is None:
-        return ctx["params"]
-    params = ctx["params_map"].get(sample_id)
-    if params is None:
-        raise MissingParams("no model parameters")
-    return params
-
-
 def _score_records(args, ctx, ids, peaks) -> str:
-    point = args.mode == "point"
-    if ctx["params_map"] is None:  # one shared model: the chunk is one batch
-        reports = (
-            point_log_likelihoods([_pose_for(ctx, i) for i in ids], ctx["params"]) if point
-            else expected_log_likelihoods(peaks, ctx["params"])
-        )
-    else:  # --per-image: each sample under its own model
-        reports = [
-            point_log_likelihood(_pose_for(ctx, i), _params_for(ctx, i)) if point
-            else expected_log_likelihood(peaks.take([k]), _params_for(ctx, i))
-            for k, i in enumerate(ids)
-        ]
+    """The chunk as one batch, under the shared model or one model per sample."""
+    point, per_image = args.mode == "point", args.per_image
+    for i in ids:  # each sample's pose, then its model: what its own run finds missing first
+        if point and i not in ctx["poses"]:
+            raise MissingJoint("no pose provided")
+        if per_image and i not in ctx["params"]:
+            raise MissingParams("no model parameters")
+    params = [ctx["params"][i] for i in ids] if per_image else ctx["params"]
+    reports = (point_log_likelihoods([ctx["poses"][i] for i in ids], params) if point
+               else expected_log_likelihoods(peaks, params))
     return _jsonl(report.to_json_dict(i) for report, i in zip(reports, ids))
-
-
-def _pose_for(ctx, sample_id: str):
-    pose = ctx["poses"].get(sample_id)
-    if pose is None:
-        raise MissingJoint("no pose provided")
-    return pose
 
 
 def _refine_records(args, ctx, ids, peaks) -> str:
@@ -574,7 +555,20 @@ def main(argv=None) -> int:
         parser.error(f"--max-peaks must be >= 1, got {args.max_peaks}")
     if args.command == "maxima" and not 0.0 <= args.threshold <= 1.0:  # NaN too
         parser.error(f"--threshold must be finite and in [0, 1], got {args.threshold}")
-    return _run(args.command, args)
+
+    def terminated(signum, frame):  # SIGTERM unwinds the run as SIGINT does
+        raise KeyboardInterrupt("SIGTERM")
+    main_thread = threading.current_thread() is threading.main_thread()  # signals go only there
+    previous = signal.signal(signal.SIGTERM, terminated) if main_thread else None
+    try:
+        return _run(args.command, args)
+    except KeyboardInterrupt as exc:  # _run has removed every file it staged
+        name = "SIGTERM" if exc.args == ("SIGTERM",) else "SIGINT"
+        _error(f"interrupted by {name}")
+        return 128 + signal.Signals[name]
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -100,32 +101,42 @@ def _geometry(diff: np.ndarray, family: str) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=-1)) if family == "distance" else diff
 
 
-def _density(geometry: np.ndarray, law: LinkParams) -> np.ndarray:
-    """Log-densities of a :func:`_geometry` of ``law``'s family under
-    ``law``: the one formula per link family."""
-    if isinstance(law, DistanceParams):
+def _density(geometry: np.ndarray, law) -> np.ndarray:
+    """Log-densities of a :func:`_geometry` under ``law``, one link law for
+    every sample or the :func:`_columns` of one per sample: the one formula
+    per link family, elementwise, so an entry has the same bits either way."""
+    if hasattr(law, "sigma"):  # a DistanceParams, or its columns
         # -0.5 * z * z - log(sigma) - 0.5 * LOG_2PI, in that order, in two buffers.
         z = geometry - law.mean_distance
         z /= law.sigma
         density = -0.5 * z
         density *= z
-        density -= math.log(law.sigma)
+        density -= law.log_sigma
         density -= 0.5 * LOG_2PI
         return density
     # Forward substitution through the Cholesky factor, one coordinate at a
     # time (a multi-column LAPACK solve rounds by column position).
-    residual = geometry - law.offset
-    chol = law.cholesky
+    residual, chol, dimension = geometry - law.offset, law.cholesky, geometry.shape[-1]
     whitened: list[np.ndarray] = []
     maha = 0.0
-    for i in range(law.dimension):
+    for i in range(dimension):
         acc = residual[..., i]
         for k in range(i):
-            acc = acc - chol[i, k] * whitened[k]
-        whitened.append(acc / chol[i, i])
+            acc = acc - chol[..., i, k] * whitened[k]
+        whitened.append(acc / chol[..., i, i])
         maha = maha + whitened[i] * whitened[i]
     maha = np.fmin(maha, np.inf)  # NaN is 0 * inf or inf - inf: whitened past the float range
-    return -0.5 * maha - 0.5 * law.log_det - 0.5 * law.dimension * LOG_2PI
+    return -0.5 * maha - 0.5 * law.log_det - 0.5 * dimension * LOG_2PI
+
+
+def _columns(laws, axes: int) -> SimpleNamespace:
+    """Laws of one family, one per sample, as the one law :func:`_density`
+    reads: each field the float64 column ``(B, *field shape)`` of their
+    values, with ``axes`` peak axes of length 1 put after ``B``."""
+    names = ("mean_distance", "sigma", "log_sigma") if isinstance(laws[0], DistanceParams) else (
+        "offset", "cholesky", "log_det")
+    index = (slice(None),) + (None,) * axes
+    return SimpleNamespace(**{n: np.array([getattr(law, n) for law in laws])[index] for n in names})
 
 
 def _link_geometry(locs: list[np.ndarray], skeleton: Skeleton, family: str) -> list[np.ndarray]:
@@ -139,20 +150,41 @@ def _link_geometry(locs: list[np.ndarray], skeleton: Skeleton, family: str) -> l
         ]
 
 
-def _terms(root_locs: np.ndarray, geometry: list[np.ndarray], params: PoseModelParams):
+def _model(params, samples: int) -> PoseModelParams:
+    """``params``, or the first of a sequence of one model per sample of a
+    batch of ``samples``, whose skeleton and ``model_kind`` they all share."""
+    if isinstance(params, PoseModelParams):
+        return params
+    if len(params) != samples or not params:
+        raise DimensionMismatch(f"{len(params)} models for a batch of {samples} samples")
+    if any((m.skeleton, m.model_kind) != (params[0].skeleton, params[0].model_kind)
+           for m in params):
+        raise SchemaError("the models of a batch must share one skeleton and model_kind")
+    return params[0]
+
+
+def _terms(root_locs: np.ndarray, geometry: list[np.ndarray], params):
     """Every density term of a batch of samples, which every scoring mode
     reads: the root prior ``(B, K_root)`` over root locations ``root_locs``
     ``(B, K_root, D)`` and, per link, the densities of its
-    :func:`_link_geometry`. A root prior scores a location as a displacement
-    from the origin; the uniform default scores zero.
+    :func:`_link_geometry`, under one model's laws or the :func:`_columns`
+    of one model per sample (see :func:`_model`). A root prior scores a
+    location as a displacement from the origin, each form the rows whose
+    model has it; the uniform default scores zero.
     """
-    prior = params.root_params
+    shared = isinstance(params, PoseModelParams)
+    models = [params] if shared else params
+    root_vector = np.zeros(root_locs.shape[:-1])
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: a -inf density
-        root_vector = (
-            np.zeros(root_locs.shape[:-1]) if prior is None
-            else _density(_geometry(root_locs, _family(prior)), prior)
-        )
-        return root_vector, [_density(g, law) for g, law in zip(geometry, params.link_params)]
+        for form in (DistanceParams, OffsetParams):
+            rows = [b for b, model in enumerate(models) if isinstance(model.root_params, form)]
+            if rows:
+                laws = [models[b].root_params for b in rows]
+                law, rows = (laws[0], slice(None)) if shared else (_columns(laws, 1), rows)
+                root_vector[rows] = _density(_geometry(root_locs[rows], _family(laws[0])), law)
+        laws = params.link_params if shared else [
+            _columns(link, 2) for link in zip(*(model.link_params for model in models))]
+        return root_vector, [_density(g, law) for g, law in zip(geometry, laws)]
 
 
 def link_log_density(parent_loc, child_loc, params: LinkParams) -> float:
@@ -171,8 +203,7 @@ def link_log_density(parent_loc, child_loc, params: LinkParams) -> float:
 
 # --- whole-pose scoring -------------------------------------------------------
 
-def _check_pose(pose: Pose, params: PoseModelParams) -> None:
-    skel = params.skeleton
+def _check_pose(pose: Pose, skel: Skeleton) -> None:
     if pose.n_joints != skel.n_joints:
         raise DimensionMismatch(
             f"pose has {pose.n_joints} joints, skeleton has {skel.n_joints}"
@@ -183,21 +214,23 @@ def _check_pose(pose: Pose, params: PoseModelParams) -> None:
         )
 
 
-def _point_terms(poses, params: PoseModelParams):
-    """Root terms ``(B,)`` and per-link terms ``(B,)`` of poses."""
+def _point_terms(poses, params):
+    """Root terms ``(B,)`` and per-link terms ``(B,)`` of poses under ``params``."""
+    model = _model(params, len(poses))
+    skel = model.skeleton
     for pose in poses:
-        _check_pose(pose, params)
+        _check_pose(pose, skel)
     locs = list(np.stack([pose.coordinates for pose in poses], axis=1)[:, :, None, :])  # (B, 1, D)
-    skel = params.skeleton
-    geometry = _link_geometry(locs, skel, params.model_kind)
+    geometry = _link_geometry(locs, skel, model.model_kind)
     root_vector, link_matrices = _terms(locs[skel.root], geometry, params)
     return root_vector[:, 0], [m[:, 0, 0] for m in link_matrices]
 
 
-def point_log_likelihoods(poses, params: PoseModelParams) -> list[LikelihoodReport]:
+def point_log_likelihoods(poses, params) -> list[LikelihoodReport]:
     """Log-likelihood of each pose, root prior + per-link terms, from one
-    term evaluation over the stacked poses; each report is bit for bit what
-    the pose gets alone."""
+    term evaluation over the stacked poses, under one model or one per pose
+    as :func:`expected_log_likelihoods` takes them; each report is bit for
+    bit what the pose gets alone under its model."""
     return _reports(*_point_terms(poses, params), "point") if poses else []
 
 
@@ -268,8 +301,9 @@ class PeakStack:
         with np.errstate(divide="ignore"):  # log(0) -> -inf: such a peak is never chosen
             return [np.log(probs) for probs in self.probs]
 
-    def terms(self, params: PoseModelParams):
-        """:func:`_terms` of the batch under ``params``."""
+    def terms(self, params):
+        """:func:`_terms` of the batch under ``params``: one model, or one
+        per sample."""
         return _terms(self.root_locs, self.links, params)
 
 
@@ -311,11 +345,11 @@ def _reports(root: np.ndarray, links: list[np.ndarray], mode: str) -> list[Likel
     ]
 
 
-def _expected_terms(stack: PeakStack, params: PoseModelParams):
+def _expected_terms(stack: PeakStack, params, skel: Skeleton):
     """Expected root terms ``(B,)`` and per-link terms ``(B,)`` of every
-    sample of a stack."""
+    sample of a stack under :func:`_terms` ``params`` of skeleton ``skel``."""
     root_vector, link_matrices = stack.terms(params)
-    probs, skel = stack.probs, params.skeleton
+    probs = stack.probs
     with np.errstate(invalid="ignore"):  # the 0 * -inf of a weight-0 peak, which _expect discards
         links = [
             _expect(_expect(m, probs[child]), probs[parent])
@@ -327,22 +361,25 @@ def _expected_terms(stack: PeakStack, params: PoseModelParams):
 def _expected_totals(stack: PeakStack, params: PoseModelParams) -> np.ndarray:
     """The expected log-likelihood ``(B,)`` of every sample of a stack, added
     as a :class:`LikelihoodReport` adds its terms."""
-    return _total(*_expected_terms(stack, params))
+    return _total(*_expected_terms(stack, params, params.skeleton))
 
 
-def expected_log_likelihoods(peaks: PeakSet, params: PoseModelParams) -> list[LikelihoodReport]:
+def expected_log_likelihoods(peaks: PeakSet, params) -> list[LikelihoodReport]:
     """Link terms averaged over each joint's peak distribution, for every
-    sample of a batch from one stack.
+    sample of a batch from one stack, under one model or one per sample: a
+    sequence of another length, or empty, raises :class:`DimensionMismatch`,
+    and one that mixes skeletons or ``model_kind`` :class:`SchemaError`.
 
     Each link term is the expectation of the link log-density under the
     product of the parent's and child's peak probabilities, summed over the
     child's peaks, then over the parent's; the root term averages the root
     prior the same way. With single-peak joints this reduces to the point
     log-likelihood of the argmax pose. Each sample's report is bit for bit
-    what it gets alone.
+    what it gets alone under its model.
     """
-    stack = PeakStack.of(peaks, params.skeleton, params.model_kind)
-    return _reports(*_expected_terms(stack, params), "expected")
+    model = _model(params, len(peaks))
+    stack = PeakStack.of(peaks, model.skeleton, model.model_kind)
+    return _reports(*_expected_terms(stack, params, model.skeleton), "expected")
 
 
 def expected_log_likelihood(peaks: PeakSet, params: PoseModelParams) -> LikelihoodReport:

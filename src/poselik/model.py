@@ -15,6 +15,7 @@ threads.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -211,6 +212,7 @@ class DistanceParams:
 
     mean_distance: float
     sigma: float
+    log_sigma: float = field(init=False, repr=False)  # math.log(sigma), which its density reads
 
     def __post_init__(self):
         mean = float(self.mean_distance)
@@ -221,6 +223,7 @@ class DistanceParams:
             raise SigmaNonPositive(f"sigma must be > 0, got {sigma!r}")
         object.__setattr__(self, "mean_distance", mean)
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "log_sigma", math.log(sigma))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -1074,6 +1076,32 @@ def write_multi_peak_inputs(tmp_path, model):
     (tmp_path / "poses.jsonl").write_text("".join(poses), encoding="utf-8")
 
 
+def write_per_image_laws(path, model):
+    """A per-image parameter file for the 12 samples of
+    :func:`write_multi_peak_inputs`: each gets ``model``'s links scaled by its
+    own factor, and a root prior of no form, of the distance form or of the
+    offset form, in turn."""
+    per_image = {}
+    for i in range(12):
+        scale = 1.0 + 0.1 * i
+        links = [
+            {"mean": law.mean_distance * scale, "sigma": law.sigma * scale}
+            if isinstance(law, DistanceParams)
+            else {"offset": (law.offset * scale).tolist(),
+                  "covariance": (law.covariance * scale).tolist()}
+            for law in model.link_params
+        ]
+        roots = [
+            None,
+            {"mean": 10.0 + i, "sigma": 2.0 + 0.3 * i},
+            {"offset": [14.0 + 0.5 * i, 5.0], "covariance": [[9.0 * scale, 2.0], [2.0, 6.0]]},
+        ]
+        per_image[f"m{i}"] = {"links": links, "root": roots[i % 3]}
+    path.write_text(
+        json.dumps({"model_kind": model.model_kind, "per_image": per_image}), encoding="utf-8"
+    )
+
+
 class TestPinnedHeatmapOutputs:
     """The heatmap commands keep the bytes they first wrote on multi-peak
     grids: a change in peak extraction or in the arithmetic of any scorer
@@ -1097,20 +1125,35 @@ class TestPinnedHeatmapOutputs:
         ("distance", "point"): "e4c50320d07cee14d47a58e87bfd0c961a2ededb3c23dacbcc3bc2b769e16327",
         ("offset", "score"): "495a291336737ea95eb8e869b1638dfc33e8637bbb8db2027c393efd37810c41",
         ("offset", "refine"): "61dcbb6cc3216f07fe61d347451050108135cda80f1575fc0ccc3e34968ee1c8",
+        ("distance", "per-image"):
+            "6fa08ceb58efe46908f3d2e816fa26c66f9767765a0fab086945cc5b4fcee565",
+        ("distance", "per-image-point"):
+            "69f5bec0d82a7b008471f497a32263ff947a4820bace724a18e1c1f920a083ea",
+        ("offset", "per-image"):
+            "0309f90e6eaf46dfe71dfa3c105be043d2c9a94f60c0c8ed923f8945db38481c",
+        ("offset", "per-image-point"):
+            "60228eda13f1ac5e467584a692d36b44022c301c2a92dc38e5961505535f282b",
     }
 
     @pytest.mark.parametrize("kind, command", sorted(PINNED))
     def test_outputs_keep_their_pinned_bytes(self, tmp_path, kind, command):
-        write_multi_peak_inputs(tmp_path, getattr(self, kind.upper()))
+        model = getattr(self, kind.upper())
+        write_multi_peak_inputs(tmp_path, model)
+        write_per_image_laws(tmp_path / "per-image.json", model)
         out = tmp_path / "out.jsonl"
         heatmaps = ["--heatmaps", str(tmp_path / "manifest.jsonl")]
-        model = ["--skeleton", str(tmp_path / "skeleton.json"),
-                 "--params", str(tmp_path / "model.json"), *heatmaps]
+        skeleton = ["--skeleton", str(tmp_path / "skeleton.json")]
+        shared = [*skeleton, "--params", str(tmp_path / "model.json"), *heatmaps]
+        per_image = [*skeleton, "--params", str(tmp_path / "per-image.json"), "--per-image",
+                     *heatmaps]
+        point = ["--mode", "point", "--poses", str(tmp_path / "poses.jsonl")]
         argv = {
-            "score": ["score", *model],
-            "refine": ["refine", *model],
+            "score": ["score", *shared],
+            "refine": ["refine", *shared],
             "maxima": ["maxima", *heatmaps],
-            "point": ["score", *model, "--mode", "point", "--poses", str(tmp_path / "poses.jsonl")],
+            "point": ["score", *shared, *point],
+            "per-image": ["score", *per_image],
+            "per-image-point": ["score", *per_image, *point],
         }[command]
         assert run_cli(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED[kind, command]
@@ -1204,8 +1247,8 @@ class TestChunkedRunner:
     @pytest.mark.parametrize("per_image", [False, True], ids=["shared", "per-image"])
     def test_point_mode_scores_the_manifest_as_one_chunk(self, tmp_path, monkeypatch, per_image):
         """Point mode reads no heatmap, so its manifest is one chunk: one
-        batched call under a shared model, one call per sample under
-        ``--per-image``, and each line is the sample's own report."""
+        batched call, under a shared model or under ``--per-image``, and
+        each line is the sample's own report."""
         skeleton_path, model_path, _, _ = write_inputs(tmp_path, n_samples=0)
         means = {"s0": 6.0, "s1": 5.0, "s2": 30.0, "s3": 6.0, "s4": 7.5}
         if per_image:
@@ -1238,7 +1281,7 @@ class TestChunkedRunner:
             for sample_id, pose in poses.items()
         ]
         assert out.read_text(encoding="utf-8") == "".join(expected)
-        assert calls == (["point_log_likelihood"] * 5 if per_image else ["point_log_likelihoods"])
+        assert calls == ["point_log_likelihoods"]
         manifest = json.loads((tmp_path / "point.jsonl.manifest.json").read_text())
         assert manifest["stages"]["chunks"] == 1
 
@@ -1281,6 +1324,31 @@ class TestChunkedRunner:
              "--poses", str(tmp_path / "poses.jsonl"), "--out", str(out)]
         ) == 4
         assert capsys.readouterr().err == "poselik: error: sample 's1': no pose provided\n"
+        assert not out.exists() and not (tmp_path / "point.jsonl.manifest.json").exists()
+
+    def test_per_image_point_mode_names_a_missing_pose_before_missing_parameters(
+        self, tmp_path, capsys
+    ):
+        """s2 has neither a pose nor parameters: its own run finds the pose
+        missing first, so the batch says the same."""
+        skeleton_path, _, _, _ = write_inputs(tmp_path, n_samples=0)
+        params_path = per_image_params(
+            tmp_path / "per-image.json", {"s0": 6.0, "s1": 5.0, "s3": 6.0}
+        )
+        (tmp_path / "dangling.jsonl").write_text("".join(
+            json.dumps({"id": f"s{i}", "path": "missing.pshm"}) + "\n" for i in range(4)
+        ))
+        (tmp_path / "poses.jsonl").write_text("".join(
+            json.dumps({"id": f"s{i}", "pose": [[20, 14], [20, 20], [20, 26]]}) + "\n"
+            for i in (0, 1, 3)
+        ))
+        out = tmp_path / "point.jsonl"
+        assert run_cli(
+            ["score", "--skeleton", str(skeleton_path), "--params", str(params_path),
+             "--per-image", "--heatmaps", str(tmp_path / "dangling.jsonl"), "--mode", "point",
+             "--poses", str(tmp_path / "poses.jsonl"), "--out", str(out)]
+        ) == 4
+        assert capsys.readouterr().err == "poselik: error: sample 's2': no pose provided\n"
         assert not out.exists() and not (tmp_path / "point.jsonl.manifest.json").exists()
 
     def test_per_image_scores_match_each_image_alone(self, tmp_path, monkeypatch):
@@ -1451,6 +1519,65 @@ class TestOutputWrites:
         assert out.read_text(encoding="utf-8") == "old\n"
         assert not (tmp_path / "scores.jsonl.manifest.json").exists()
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    def test_an_interrupted_run_exits_130_and_leaves_no_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """SIGINT part way through: the records of the first chunk are staged,
+        the second chunk is interrupted, and the run removes what it staged."""
+        skeleton_path, model_path, manifest_path, _ = write_inputs(tmp_path, n_samples=2)
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        monkeypatch.setattr(cli, "CHUNK_BYTES", 1)  # one sample per chunk
+        chunks = []
+
+        def extract(values, *settings):
+            chunks.append(len(values))
+            if len(chunks) == 2:
+                raise KeyboardInterrupt
+            return extract_peak_sets(values, *settings)
+
+        monkeypatch.setattr(cli, "extract_peak_sets", extract)
+        handler = signal.getsignal(signal.SIGTERM)
+        assert run_cli(
+            ["score", "--skeleton", str(skeleton_path), "--params", str(model_path),
+             "--heatmaps", str(manifest_path), "--out", str(tmp_path / "scores.jsonl")]
+        ) == 130
+        assert capsys.readouterr().err == "poselik: error: interrupted by SIGINT\n"
+        assert chunks == [1, 1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+        assert signal.getsignal(signal.SIGTERM) is handler
+
+    def test_a_terminated_run_exits_143_and_leaves_no_file(self, tmp_path):
+        """SIGTERM once the output is staged, while the run extracts peaks: it
+        unwinds as on SIGINT."""
+        skeleton_path, model_path, manifest_path, _ = write_inputs(tmp_path, n_samples=2)
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        script = (
+            "import sys, time\n"
+            "from poselik import cli\n"
+            "cli.extract_peak_sets = lambda *args: time.sleep(60)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        out = tmp_path / "scores.jsonl"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "score", "--skeleton", str(skeleton_path),
+             "--params", str(model_path), "--heatmaps", str(manifest_path), "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not list(tmp_path.glob("scores.jsonl.*.tmp")) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert (proc.returncode, stdout, stderr) == (
+            143, "", "poselik: error: interrupted by SIGTERM\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
 def test_importing_the_cli_loads_no_numpy_submodule():

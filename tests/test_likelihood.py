@@ -340,6 +340,43 @@ class TestExpectedLogLikelihood:
         ] == [-18031.629753812387] * 3
 
 
+class TestOneModelPerSample:
+    """The batch scorers take one model per sample too, which must fit the batch."""
+
+    DISTANCE = PoseModelParams(chain(3), (DistanceParams(5, 1), DistanceParams(6, 2)), "distance")
+    PEAKS = batch_of([
+        peakset_from([[((0, 0), 1.0)], [((0, 5), 0.5), ((4, 1), 0.5)], [((0, 9), 1.0)]]),
+        peakset_from([[((3, 3), 1.0)], [((3, 8), 1.0)], [((2, 13), 0.2), ((9, 9), 0.8)]]),
+    ])
+    POSES = [Pose([[0, 0], [0, 5], [0, 9]]), Pose([[3, 3], [3, 8], [2, 13]])]
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_a_sequence_of_another_length_than_the_batch_raises(self, count):
+        message = f"^{count} models for a batch of 2 samples$"
+        with pytest.raises(DimensionMismatch, match=message):
+            expected_log_likelihoods(self.PEAKS, [self.DISTANCE] * count)
+        with pytest.raises(DimensionMismatch, match=message):
+            point_log_likelihoods(self.POSES, [self.DISTANCE] * count)
+
+    @pytest.mark.parametrize("field", ["skeleton", "model_kind"])
+    def test_models_of_another_skeleton_or_model_kind_raise(self, field):
+        other = {
+            "skeleton": PoseModelParams(
+                validate_skeleton({"joints": ["a", "b", "c"], "links": [[0, 1], [1, 2]]}),
+                self.DISTANCE.link_params, "distance",
+            ),
+            "model_kind": PoseModelParams(
+                chain(3), (OffsetParams([0, 5], np.eye(2)), OffsetParams([0, 4], np.eye(2))),
+                "offset",
+            ),
+        }[field]
+        message = "^the models of a batch must share one skeleton and model_kind$"
+        with pytest.raises(SchemaError, match=message):
+            expected_log_likelihoods(self.PEAKS, [self.DISTANCE, other])
+        with pytest.raises(SchemaError, match=message):
+            point_log_likelihoods(self.POSES, [self.DISTANCE, other])
+
+
 class TestSumsPastTheFloatRange:
     """Finite terms whose sum passes the float range total ``-inf``, with no
     numpy warning: the suite turns a ``RuntimeWarning`` into an error."""

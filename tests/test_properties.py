@@ -503,6 +503,41 @@ def test_batched_expected_scoring_equals_its_batch_of_one(pool_case):
     assert scores.tobytes() == np.array([r.total for r in singles]).tobytes()
 
 
+@st.composite
+def per_sample_pools(draw):
+    """(peak sets, poses, models): 1-6 samples of one random skeleton and link
+    family as :func:`pools` draws them, each with a pose and its own laws, and
+    a root prior of no form, of the distance form or of the offset form."""
+    peak_sets, model = draw(pools())
+    skeleton, kind = model.skeleton, model.model_kind
+    law = offset_params() if kind == "offset" else distance_params()
+    root = st.none() | distance_params() | offset_params(center=GRID / 2)
+    coords = st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0))
+    joints = st.lists(coords, min_size=skeleton.n_joints, max_size=skeleton.n_joints)
+    poses = [Pose(draw(joints)) for _ in peak_sets]
+    models = [
+        PoseModelParams(
+            skeleton=skeleton, link_params=tuple(draw(law) for _ in skeleton.links),
+            model_kind=kind, root_params=draw(root),
+        )
+        for _ in peak_sets
+    ]
+    return peak_sets, poses, models
+
+
+@PROPERTY_SETTINGS
+@given(per_sample_pools())
+def test_a_batch_under_one_model_per_sample_scores_each_sample_under_its_own(pool_case):
+    peak_sets, poses, models = pool_case
+    assert [report_bits(r) for r in expected_log_likelihoods(batch_of(peak_sets), models)] == [
+        report_bits(expected_log_likelihood(peaks, model))
+        for peaks, model in zip(peak_sets, models)
+    ]
+    assert [report_bits(r) for r in point_log_likelihoods(poses, models)] == [
+        report_bits(point_log_likelihood(pose, model)) for pose, model in zip(poses, models)
+    ]
+
+
 @PROPERTY_SETTINGS
 @given(scoring_pools(), st.data())
 def test_taking_samples_of_a_batch_equals_building_each_alone(pool_case, data):
