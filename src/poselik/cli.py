@@ -30,7 +30,6 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -96,26 +95,6 @@ def _jsonl(records) -> str:
 
 
 # --- commands ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Command:
-    """One subcommand as data for :func:`_run`.
-
-    ``load(args)`` reads the shared inputs into a context dict (failures
-    exit 3). ``compute(args, ctx, stage)`` writes each output to the
-    temporary file ``stage(path)`` names and returns the sample count
-    (failures exit 4, failed writes exit 3); it may put a per-stage
-    breakdown in ``ctx["stages"]``, whose ``read`` time counts as I/O.
-    ``config`` and ``seed`` fill the run manifest; ``inputs`` names the
-    arguments whose files it hashes (unset ones are skipped).
-    """
-
-    load: Callable[[argparse.Namespace], dict]
-    compute: Callable
-    config: Callable[[argparse.Namespace, dict], dict]
-    inputs: tuple[str, ...]
-    seed: Callable[[argparse.Namespace, dict], int | None] = lambda args, ctx: None
-
 
 # Samples read, extracted and scored together: memory grows with the chunk,
 # not with the manifest. A chunk holds at most CHUNK_BYTES of grids (at
@@ -339,7 +318,8 @@ def _compute_calibrate(args, ctx, stage):
 def _load_simulate(args) -> dict:
     doc = read_json(args.config)
     with errors_at(args.config):
-        return {"cfg": SimulationConfig.from_dict(doc)}
+        cfg = SimulationConfig.from_dict(doc)
+    return {"cfg": cfg, "config": cfg.to_json_dict(), "seed": cfg.seed}
 
 
 def _compute_simulate(args, ctx, stage):
@@ -352,54 +332,34 @@ def _compute_simulate(args, ctx, stage):
     return ctx["cfg"].unlabeled_size
 
 
+# Each subcommand is ``(load, compute)``. ``load(args)`` reads the shared
+# inputs into a context dict (failures exit 3). ``compute(args, ctx, stage)``
+# writes each output to the temporary file ``stage(path)`` names and returns
+# the sample count (failures exit 4, failed writes exit 3); it may put a
+# per-stage breakdown in ``ctx["stages"]``, whose ``read`` time counts as I/O.
+# The manifest's ``config`` is every option but the seed and the input files,
+# unless ``load`` puts the run's own ``config`` and ``seed`` in the context.
 _COMMANDS = {
-    "score": _Command(
-        load=_load_score,
-        compute=_chunked(
+    "score": (
+        _load_score,
+        _chunked(
             _score_records, lambda args: None if args.mode == "point" else _DEFAULT_EXTRACTION
         ),
-        config=lambda args, ctx: {
-            "mode": args.mode, "per_image": bool(args.per_image), "out": args.out,
-        },
-        inputs=("skeleton", "params", "heatmaps", "poses"),
     ),
-    "refine": _Command(
-        load=lambda args: {"params": _load_model(args), "entries": read_manifest(args.heatmaps)},
-        compute=_chunked(_refine_records, lambda args: _DEFAULT_EXTRACTION),
-        config=lambda args, ctx: {"out": args.out},
-        inputs=("skeleton", "params", "heatmaps"),
+    "refine": (
+        lambda args: {"params": _load_model(args), "entries": read_manifest(args.heatmaps)},
+        _chunked(_refine_records, lambda args: _DEFAULT_EXTRACTION),
     ),
-    "select": _Command(
-        load=_load_select,
-        compute=_compute_select,
-        config=lambda args, ctx: {
-            "strategy": args.strategy, "budget": args.budget, "out": args.out,
-        },
-        inputs=("scores",),
-        seed=lambda args, ctx: args.seed,
+    "select": (_load_select, _compute_select),
+    "calibrate": (_load_calibrate, _compute_calibrate),
+    "maxima": (
+        lambda args: {"entries": read_manifest(args.heatmaps)},
+        _chunked(_maxima_records, lambda args: (args.threshold, args.max_peaks)),
     ),
-    "calibrate": _Command(
-        load=_load_calibrate,
-        compute=_compute_calibrate,
-        config=lambda args, ctx: {"model": args.model, "out": args.out},
-        inputs=("skeleton", "labeled"),
-    ),
-    "maxima": _Command(
-        load=lambda args: {"entries": read_manifest(args.heatmaps)},
-        compute=_chunked(_maxima_records, lambda args: (args.threshold, args.max_peaks)),
-        config=lambda args, ctx: {
-            "threshold": args.threshold, "max_peaks": args.max_peaks, "out": args.out,
-        },
-        inputs=("heatmaps",),
-    ),
-    "simulate": _Command(
-        load=_load_simulate,
-        compute=_compute_simulate,
-        config=lambda args, ctx: ctx["cfg"].to_json_dict(),
-        inputs=("config",),
-        seed=lambda args, ctx: ctx["cfg"].seed,
-    ),
+    "simulate": (_load_simulate, _compute_simulate),
 }
+# The options that name input files; the manifest hashes each one given.
+_INPUTS = ("skeleton", "params", "heatmaps", "poses", "scores", "labeled", "config")
 
 
 def _error(message) -> None:
@@ -418,7 +378,7 @@ def _run(command: str, args: argparse.Namespace) -> int:
     output is replaced, so a manifest exists only beside the outputs of the
     run that wrote it.
     """
-    spec = _COMMANDS[command]
+    load, compute = _COMMANDS[command]
     started = time.perf_counter()
     staged: list[tuple[str, str]] = []  # (output, its temporary file), in staging order
 
@@ -428,7 +388,7 @@ def _run(command: str, args: argparse.Namespace) -> int:
 
     try:
         try:
-            ctx = spec.load(args)
+            ctx = load(args)
         except (PoseLikError, OSError) as exc:
             _error(exc)
             return 3
@@ -436,7 +396,7 @@ def _run(command: str, args: argparse.Namespace) -> int:
 
         compute_start = time.perf_counter()
         try:
-            samples = spec.compute(args, ctx, stage)
+            samples = compute(args, ctx, stage)
         except ConfigInvalid as exc:  # a config no sample can satisfy, not a sample's data
             _error(exc)
             return 3
@@ -455,8 +415,8 @@ def _run(command: str, args: argparse.Namespace) -> int:
         try:
             inputs = {
                 name: {"path": str(given), "sha256": _sha256_file(given)}
-                for name in spec.inputs
-                if (given := getattr(args, name))
+                for name in _INPUTS
+                if (given := getattr(args, name, None))
             }
         except OSError as exc:
             _error(exc)
@@ -465,13 +425,16 @@ def _run(command: str, args: argparse.Namespace) -> int:
         path = f"{args.out}.manifest.json"
         try:
             timings["total"] = (time.perf_counter() - started) * 1000.0
+            options = {
+                k: v for k, v in vars(args).items() if k not in ("command", "seed", *_INPUTS)
+            }
             manifest = {
                 "tool": TOOL_NAME,
                 "version": __version__,
                 "command": command,
-                "config": spec.config(args, ctx),
+                "config": ctx.get("config", options),
                 "inputs": inputs,
-                "seed": spec.seed(args, ctx),
+                "seed": ctx.get("seed", getattr(args, "seed", None)),
                 "timings_ms": timings,
                 "samples": samples,
             }

@@ -38,7 +38,7 @@ class LikelihoodReport:
     total: float
     per_link_terms: tuple[float, ...]
     root_term: float
-    mode: str  # "point" | "expected" | "refined"
+    mode: str  # "point" | "expected"
 
     def to_json_dict(self, sample_id: str) -> dict:
         return {

@@ -217,9 +217,9 @@ class DistanceParams:
     def __post_init__(self):
         mean = float(self.mean_distance)
         sigma = float(self.sigma)
-        if not np.isfinite(mean) or mean < 0:
+        if not math.isfinite(mean) or mean < 0:
             raise SchemaError(f"mean_distance must be finite and >= 0, got {mean!r}")
-        if not np.isfinite(sigma) or sigma <= 0:
+        if not math.isfinite(sigma) or sigma <= 0:
             raise SigmaNonPositive(f"sigma must be > 0, got {sigma!r}")
         object.__setattr__(self, "mean_distance", mean)
         object.__setattr__(self, "sigma", sigma)
@@ -356,7 +356,7 @@ def _link_params_from_dict(entry: dict, *, where: str) -> LinkParams:
             mean, sigma = float(mean), float(sigma)
         except OverflowError:  # an integer beyond the float range
             raise SchemaError(message) from None
-        if np.isfinite(sigma) and sigma > 0:
+        if math.isfinite(sigma) and sigma > 0:
             sigma = max(sigma, SIGMA_FLOOR)
         return DistanceParams(mean_distance=mean, sigma=sigma)
     if "offset" in entry or "covariance" in entry:

@@ -1,12 +1,12 @@
 """Seeded active-learning simulation with planted out-of-distribution poses.
 
-The harness generates chain-skeleton poses on a pixel grid, renders
-their heatmaps (optionally with distractor bumps) and keeps only their
-peaks, plants OOD poses drawn from a shifted generator, and then runs
-each selection strategy on its own clone of the pool: fit link
-parameters on the labeled set, score the unlabeled set, select the
-bottom-budget samples, move them to the labeled set, and record
-per-round detection metrics.
+The harness generates chain-skeleton poses on a pixel grid, finds the
+peaks of their heatmaps (optionally with distractor bumps) from the bumps
+without rendering a grid, plants OOD poses drawn from a shifted
+generator, and then runs each selection strategy on its own clone of the
+pool: fit link parameters on the labeled set, score the unlabeled set,
+select the bottom-budget samples, move them to the labeled set, and
+record per-round detection metrics.
 
 Everything downstream of the config is reproducible from its seed.
 """

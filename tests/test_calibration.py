@@ -335,3 +335,37 @@ class TestPerImageParams:
         path.write_text(json.dumps({"model_kind": "nope", "per_image": {}}), encoding="utf-8")
         with pytest.raises(SchemaError, match="model_kind"):
             load_image_params(path, skel)
+
+
+# Input checks, each with the input that reaches it and the exact error it
+# raises: a file's text, the reader, and the message for the file's ``path``.
+UNREACHED_INPUT_CHECKS = {
+    "pose-not-2d": (
+        '{"id": "a", "pose": []}\n', read_labeled_poses, "{path}:1: pose must be a 2D array",
+    ),
+    "per-image-not-an-object": (
+        '{"model_kind": "distance", "per_image": []}',
+        lambda path: load_image_params(path, validate_skeleton(TWO_JOINTS)),
+        "{path}: 'per_image' must be an object",
+    ),
+    "entry-not-an-object": (
+        '{"model_kind": "distance", "per_image": {"a": 5}}',
+        lambda path: load_image_params(path, validate_skeleton(TWO_JOINTS)),
+        "{path}: image 'a': expected a 'links' array",
+    ),
+    "entry-without-links": (
+        '{"model_kind": "distance", "per_image": {"a": {"root": null}}}',
+        lambda path: load_image_params(path, validate_skeleton(TWO_JOINTS)),
+        "{path}: image 'a': expected a 'links' array",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREACHED_INPUT_CHECKS))
+def test_input_checks_name_the_fault(tmp_path, case):
+    text, read, message = UNREACHED_INPUT_CHECKS[case]
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(Exception) as caught:
+        read(path)
+    assert (type(caught.value), str(caught.value)) == (SchemaError, message.format(path=path))

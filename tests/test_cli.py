@@ -1607,3 +1607,69 @@ class TestThreadsAndParser:
 
     def test_missing_subcommand_is_usage_error(self):
         assert run_cli([]) == 2
+
+
+class TestManifestFields:
+    """Each command's manifest records its options as ``config``, hashes
+    each input file it was given under ``inputs``, and states its ``seed``."""
+
+    @staticmethod
+    def argv(tmp_path, case):
+        skeleton, params, heatmaps, _ = write_inputs(tmp_path)
+        model = ["--skeleton", str(skeleton), "--params", str(params)]
+        poses = tmp_path / "poses.jsonl"
+        poses.write_text("".join(
+            json.dumps({"id": f"s{i}", "pose": [[20, 14], [20, 20 + i], [20, 26 + 2 * i]]}) + "\n"
+            for i in range(3)
+        ), encoding="utf-8")
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("".join(
+            json.dumps({"id": f"s{i}", "total": -float(i)}) + "\n" for i in range(3)
+        ), encoding="utf-8")
+        config = TestSimulateCommand().write_config(tmp_path)
+        return {
+            "score": ["score", *model, "--heatmaps", str(heatmaps)],
+            "score-point": ["score", *model, "--heatmaps", str(heatmaps),
+                            "--mode", "point", "--poses", str(poses)],
+            "score-per-image": [
+                "score", "--skeleton", str(skeleton), "--per-image", "--heatmaps", str(heatmaps),
+                "--params", str(per_image_params(
+                    tmp_path / "per_image.json", {f"s{i}": 6.0 for i in range(3)}
+                )),
+            ],
+            "refine": ["refine", *model, "--heatmaps", str(heatmaps)],
+            "maxima": ["maxima", "--heatmaps", str(heatmaps), "--threshold", "0.25"],
+            "select": ["select", "--scores", str(scores), "--strategy", "random",
+                       "--budget", "2", "--seed", "7"],
+            "calibrate": ["calibrate", "--skeleton", str(skeleton), "--labeled", str(poses),
+                          "--model", "offset"],
+            "simulate": ["simulate", "--config", str(config)],
+        }[case]
+
+    CASES = {  # config without "out", the inputs hashed, seed
+        "score": ({"mode": "expected", "per_image": False},
+                  {"skeleton", "params", "heatmaps"}, None),
+        "score-point": ({"mode": "point", "per_image": False},
+                        {"skeleton", "params", "heatmaps", "poses"}, None),
+        "score-per-image": ({"mode": "expected", "per_image": True},
+                            {"skeleton", "params", "heatmaps"}, None),
+        "refine": ({}, {"skeleton", "params", "heatmaps"}, None),
+        "maxima": ({"threshold": 0.25, "max_peaks": 10}, {"heatmaps"}, None),
+        "select": ({"strategy": "random", "budget": 2}, {"scores"}, 7),
+        "calibrate": ({"model": "offset"}, {"skeleton", "labeled"}, None),
+        "simulate": (None, {"config"}, 7),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_config_inputs_and_seed(self, tmp_path, case):
+        out = tmp_path / "out.json"
+        assert run_cli([*self.argv(tmp_path, case), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "out.json.manifest.json").read_text(encoding="utf-8"))
+        config, inputs, seed = self.CASES[case]
+        if config is None:  # simulate records its parsed config, which holds the seed
+            config = SimulationConfig.from_dict(TestSimulateCommand().config_doc()).to_json_dict()
+        else:
+            config = {**config, "out": str(out)}
+        assert manifest["config"] == config
+        assert set(manifest["inputs"]) == inputs
+        assert manifest["seed"] == seed

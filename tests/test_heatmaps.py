@@ -20,6 +20,7 @@ from poselik import (
     SchemaError,
     TruncatedPayload,
     VersionUnsupported,
+    bump_peak_sets,
     extract_peak_sets,
     extract_peaks,
     multi_peak_entropy,
@@ -487,3 +488,67 @@ class TestEntropyHelper:
             assert entropy_of_probs(probs) == pytest.approx(
                 oracle_entropy(probs), abs=1e-12
             )
+
+
+def bumps(centres=((2, 3), (4, 4)), distractors=((), ()), max_peaks=10, side=8):
+    """:func:`bump_peak_sets` of one joint per sample on ``side`` x ``side`` grids."""
+    centres = np.asarray(centres, dtype=np.float64)[:, None, :]
+    return bump_peak_sets(centres, distractors, side, side, 1.5, max_peaks=max_peaks)
+
+
+# Input checks, each with a call that reaches it and the exact error it raises.
+UNREACHED_INPUT_CHECKS = {
+    "peak-sigma-zero": (
+        lambda: render_gaussian_heatmap(Pose([[2.0, 2.0]]), 8, 8, peak_sigma=0.0),
+        SchemaError, "peak_sigma must be > 0, got 0.0",
+    ),
+    "render-3d-pose": (
+        lambda: render_gaussian_heatmap(Pose([[2.0, 2.0, 2.0]]), 8, 8, peak_sigma=1.5),
+        OutOfBoundsCoordinate, "rendering requires 2D poses",
+    ),
+    "max-peaks-zero": (
+        lambda: bumps(max_peaks=0), SchemaError, "max_peaks must be >= 1, got 0",
+    ),
+    "centres-of-another-shape": (
+        lambda: bump_peak_sets(np.zeros((2, 1, 3)), [(), ()], 8, 8, 1.5),
+        SchemaError,
+        "expected (B, J, 2) centres, B distractor lists and a >=3x3 grid, got centres "
+        "(2, 1, 3), 2 lists and a 8x8 grid",
+    ),
+    "one-distractor-list-short": (
+        lambda: bumps(distractors=((),)),
+        SchemaError,
+        "expected (B, J, 2) centres, B distractor lists and a >=3x3 grid, got centres "
+        "(2, 1, 2), 1 lists and a 8x8 grid",
+    ),
+    "grid-too-small": (
+        lambda: bumps(centres=((1, 1),), distractors=((),), side=2),
+        SchemaError,
+        "expected (B, J, 2) centres, B distractor lists and a >=3x3 grid, got centres "
+        "(1, 1, 2), 1 lists and a 2x2 grid",
+    ),
+    "centre-off-the-cells": (
+        lambda: bumps(centres=((2, 3), (4, 4.5))),
+        SchemaError, "bump_peak_sets takes joint centres on integer cells",
+    ),
+    "centre-outside-the-grid": (
+        lambda: bumps(centres=((2, 3), (4, 8))),
+        OutOfBoundsCoordinate, "a joint centre lies outside the 8x8 grid",
+    ),
+    "distractor-off-the-cells": (
+        lambda: bumps(distractors=((), [(0, (1.0, 2.5), 0.5)])),
+        SchemaError, "distractor (1.0, 2.5) is not on an integer cell",
+    ),
+    "distractor-amplitude": (
+        lambda: bumps(distractors=([(0, (1, 2), 1.25)], ())),
+        SchemaError, "distractor amplitude must be in [0, 1], got 1.25",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREACHED_INPUT_CHECKS))
+def test_input_checks_name_the_fault(case):
+    call, error, message = UNREACHED_INPUT_CHECKS[case]
+    with pytest.raises(Exception) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, message)

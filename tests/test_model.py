@@ -315,3 +315,65 @@ class TestJsonSchema:
         incomplete.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(SchemaError, match=r"inc\.json: root_params: distance entry"):
             load_model_file(incomplete)
+
+
+def model_doc(params, **changes):
+    """The star skeleton with a distance model of ``params``."""
+    return dict(star_doc(), model_kind="distance", params=params, **changes)
+
+
+DISTANCE = {"mean": 5.0, "sigma": 1.0}
+
+# Input checks, each with a call that reaches it and the exact error it raises.
+UNREACHED_INPUT_CHECKS = {
+    "root-of-another-type": (
+        lambda: validate_skeleton(dict(star_doc(), root=1.5)),
+        BadRootIndex, "root must be a joint name or index, got 1.5",
+    ),
+    "link-index-out-of-range": (
+        lambda: validate_skeleton(dict(star_doc(), links=[[0, 1], [0, 5]])),
+        SchemaError, "link #1 index 5 outside [0, 5)",
+    ),
+    "offset-not-a-vector": (
+        lambda: OffsetParams(offset=[[1.0, 2.0]], covariance=[[1.0]]),
+        SchemaError, "offset must be a vector, got shape (1, 2)",
+    ),
+    "root-prior-dimension": (
+        lambda: PoseModelParams(
+            skeleton=validate_skeleton(star_doc()),
+            link_params=(OffsetParams([1.0, 0.0], np.eye(2)),) * 4,
+            model_kind="offset", root_params=OffsetParams([1.0, 0.0, 0.0], np.eye(3)),
+        ),
+        DimensionMismatch, "root prior dimension != skeleton dimension",
+    ),
+    "entry-not-an-object": (
+        lambda: model_from_dict(model_doc([DISTANCE] * 3 + [5])),
+        SchemaError, "params[3]: parameter entry must be an object",
+    ),
+    "mean-beyond-the-float-range": (
+        lambda: model_from_dict(model_doc([{"mean": 10**400, "sigma": 1.0}] * 4)),
+        SchemaError, "params[0]: distance entry needs numeric 'mean' and 'sigma'",
+    ),
+    "sigma-beyond-the-float-range": (
+        lambda: model_from_dict(
+            model_doc([DISTANCE] * 4, root_params={"mean": 1, "sigma": -10**400})
+        ),
+        SchemaError, "root_params: distance entry needs numeric 'mean' and 'sigma'",
+    ),
+    "unrecognized-entry": (
+        lambda: model_from_dict(model_doc([DISTANCE, {"median": 5.0}, DISTANCE, DISTANCE])),
+        SchemaError, "params[1]: unrecognized parameter entry ['median']",
+    ),
+    "links-not-a-list": (
+        lambda: model_from_dict(model_doc({})),
+        SchemaError, "'params' must be a list with one entry per link",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREACHED_INPUT_CHECKS))
+def test_input_checks_name_the_fault(case):
+    call, error, message = UNREACHED_INPUT_CHECKS[case]
+    with pytest.raises(Exception) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, message)
