@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadMagic,
@@ -414,12 +415,13 @@ def _bump_inv(peak_sigma: float) -> float:
 
 
 def _gaussian_table(height: int, width: int, inv: float) -> np.ndarray:
-    """The bump at every integer offset: entry ``(height - 1 + dr, width - 1 + dc)``
-    is its value ``dr`` rows and ``dc`` columns from its centre. Read-only:
-    :func:`bump_peak_sets` only gathers from it.
-    """
-    dr = np.arange(1 - height, height, dtype=np.float64)[:, None]
-    dc = np.arange(1 - width, width, dtype=np.float64)[None, :]
+    """The bump at every integer offset reaching one cell past the grid: entry
+    ``(height + dr, width + dc)`` is its value ``dr`` rows and ``dc`` columns
+    from its centre. Read-only: :func:`bump_peak_sets` reads windows of it."""
+    if (2 * height + 1) * (2 * width + 1) > sys.maxsize // 8:  # more bytes than numpy sizes
+        raise MemoryError(f"no bump table for a {height}x{width} grid")
+    dr = np.arange(-height, height + 1, dtype=np.float64)[:, None]
+    dc = np.arange(-width, width + 1, dtype=np.float64)[None, :]
     table = _gaussian(dr, dc, inv)
     table.flags.writeable = False
     return table
@@ -487,19 +489,18 @@ def bump_peak_sets(
 
     ``centres`` is a ``(B, J, 2)`` array of each sample's joint cells, and
     ``distractors[b]`` lists sample ``b``'s ``(joint, (row, col), amplitude)``
-    bumps. Every bump sits on an integer
-    cell of the grid, and every amplitude lies in [0, 1].
+    bumps. Every bump sits on an integer cell of the grid, and every
+    amplitude lies in [0, 1].
 
     A cell's score is ``float32(clip(sum(a_k * T[cell - c_k]), 0, 1))``
     over its joint's bumps ``c_k`` (its centre first, with ``a = 1``, then
     its distractors in the given order), where ``T`` is the table of the
     bump at every integer offset: the renderer's values for a bump on a
-    cell, and its float64 products and sums, so the same bits. A joint's
-    maximum is 1, at its centre. A cell farther
-    than :func:`_patch_radius` from each of its joint's bumps scores below
-    the threshold, so it is no peak and no maximum: only a square patch of
-    cells around each bump is scored, its strict maxima tested inside it,
-    and a peak found in several overlapping patches kept once.
+    cell, and its float64 products and sums, so the same bits. A cell
+    farther than :func:`_patch_radius` from each of its joint's bumps scores
+    below the threshold, so it is no peak and no maximum: only a square
+    patch of cells around each bump is scored, its strict maxima tested
+    inside it, and a peak found in several overlapping patches kept once.
     """
     if max_peaks < 1:
         raise SchemaError(f"max_peaks must be >= 1, got {max_peaks}")
@@ -528,12 +529,17 @@ def bump_peak_sets(
     counts = np.bincount(owner)
     starts = np.cumsum(counts) - counts
 
-    table = _gaussian_table(height, width, inv).reshape(-1)
+    table = _gaussian_table(height, width, inv)
     none = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))  # of an empty batch
     candidates, maxima = [none], [none]
+    # A lone bump peaks at its centre only, unless wide neighbours cast to 1 or it is NaN.
+    lone = table[height, width] == 1.0 and np.float32(table[height, width + 1]) < 1.0
     for count in np.flatnonzero(np.bincount(counts)).tolist():  # grids with as many bumps
         grids = np.flatnonzero(counts == count)
         terms = bumps[starts[grids, None] + np.arange(count)]  # (grids, count, 3)
+        if count == 1 and lone:
+            maxima.append((grids, terms[:, 0, :2].astype(np.int64) @ (width, 1), terms[:, 0, 2]))
+            continue
         radius = _patch_radius(
             float(terms[:, :, 2].sum(axis=1).max()), inv, threshold_ratio, max(height, width)
         )
@@ -601,31 +607,28 @@ def _patch_peaks(grids, terms, patches, side, table, height, width, threshold_ra
     bump_rows, bump_cols = terms[:, :, 0].astype(np.int64), terms[:, :, 1].astype(np.int64)
     # A patch runs at most one cell past the grid, sliding inward where it
     # would run further, so its inner cells all lie in the grid. Its cells
-    # outside the grid read a copy of the nearest cell inside, then -inf.
-    lines = []
-    for centre, size, length in (
-        (bump_rows[:, :patches], height, side[0]), (bump_cols[:, :patches], width, side[1])
-    ):
-        cell = np.clip(centre - length // 2, -1, size + 1 - length)[:, :, None] + np.arange(length)
-        lines.append((cell, np.clip(cell, 0, size - 1)))
-    (rows, rows_in), (cols, cols_in) = lines
-    span = 2 * width - 1  # the table's row stride
+    # outside the grid read the table's outer ring, then -inf.
+    rows, cols = (
+        np.clip(centre[:, :patches] - length // 2, -1, size + 1 - length)[:, :, None]
+        + np.arange(length)
+        for centre, size, length in ((bump_rows, height, side[0]), (bump_cols, width, side[1]))
+    )
+    windows = sliding_window_view(table, side)  # each patch's bump is one window
     for k in range(terms.shape[1]):  # the renderer's order: centre first
-        dr = (height - 1 + rows_in - bump_rows[:, k, None, None]) * span
-        dc = width - 1 + cols_in - bump_cols[:, k, None, None]
-        bump = table[dr[..., :, None] + dc[..., None, :]]
+        bump = windows[height + rows[..., 0] - bump_rows[:, k, None],
+                       width + cols[..., 0] - bump_cols[:, k, None]]
         if k:
             total += terms[:, k, 2, None, None, None] * bump
         else:
             total = bump
     values = np.clip(total, 0.0, 1.0, out=total).astype(np.float32)
     require_finite(values)
-    values[np.nonzero(rows != rows_in)] = -np.inf
-    g, p, col = np.nonzero(cols != cols_in)
+    values[np.nonzero((rows < 0) | (rows >= height))] = -np.inf
+    g, p, col = np.nonzero((cols < 0) | (cols >= width))
     values[g, p, :, col] = -np.inf
 
     m, size = len(grids), height * width
-    ids = (rows_in * width)[..., :, None] + cols_in[..., None, :]  # grid cell of each patch cell
+    ids = (rows * width)[..., :, None] + cols[..., None, :]  # grid cell of each inner patch cell
     best = values.reshape(m, -1).max(axis=1)
     at = np.flatnonzero(values == best[:, None, None, None])
     top = np.full(m, size)

@@ -193,9 +193,18 @@ class Pose:
         coords = np.asarray(self.coordinates, dtype=np.float64)
         if coords.ndim != 2:
             raise DimensionMismatch(f"coordinates must be (N, D), got shape {coords.shape}")
-        if not np.all(np.isfinite(coords)):
+        if not np.isfinite(coords).all():
             raise SchemaError("pose coordinates must be finite")
         object.__setattr__(self, "coordinates", _freeze(coords))
+
+    @classmethod
+    def each(cls, coordinates: np.ndarray) -> list["Pose"]:
+        """A pose per (N, D) row of a (P, N, D) array, checked and frozen once."""
+        rows = cls(coordinates.reshape(-1, coordinates.shape[-1])).coordinates
+        poses = [object.__new__(cls) for _ in range(len(coordinates))]
+        for pose, row in zip(poses, rows.reshape(coordinates.shape)):
+            object.__setattr__(pose, "coordinates", row)
+        return poses
 
     @property
     def n_joints(self) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import reduce
+from itertools import repeat
 from operator import add
 
 import numpy as np
@@ -46,10 +47,10 @@ from .selection import (
 )
 
 _MAX_POSE_ATTEMPTS = 1000
+_DRAW_AHEAD = 256  # distractors drawn ahead of their separation checks
 
-# The largest grid side a config may set: the pool's largest array, the
-# (2 * height - 1) x (2 * width - 1) float64 bump table, then has a size numpy
-# can hold, so a grid too large for memory fails only to allocate.
+# The largest grid side a config may set: the pool's largest array, its bump
+# table of (2 * height + 1) x (2 * width + 1) floats, then fails only to allocate.
 _MAX_SIDE = 2**29
 
 
@@ -299,60 +300,79 @@ def chain_skeleton(joints: int) -> Skeleton:
     )
 
 
-def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    """``rng.uniform(lo, hi)`` without its argument checks: numpy computes
-    ``lo + (hi - lo) * u`` from one ``rng.random()`` draw, so the bits and
-    the stream are the same."""
-    return lo + (hi - lo) * rng.random()
-
-
-def _sample_pose(rng: np.random.Generator, gen: GeneratorParams, cfg: SimulationConfig) -> Pose:
-    """One chain pose with integer grid coordinates, rejection-sampled in-bounds."""
-    h, w = cfg.height, cfg.width
-    for _ in range(_MAX_POSE_ATTEMPTS):
-        # The chain walks on Python floats, which add like float64 rows.
-        row, col = _uniform(rng, 0.35 * h, 0.65 * h), _uniform(rng, 0.35 * w, 0.65 * w)
-        coords = [(row, col)]
-        for i in range(cfg.joints - 1):
-            length = rng.normal(gen.link_means[i], gen.link_sds[i])
-            angle = _uniform(rng, *gen.angle_ranges[i])
-            row, col = row + length * math.sin(angle), col + length * math.cos(angle)
-            coords.append((row, col))
-        if not all(math.isfinite(row) and math.isfinite(col) for row, col in coords):
-            continue  # round() takes finite floats only
-        cells = [(round(row), round(col)) for row, col in coords]  # halves to even, as np.rint
-        if all(1 <= row <= h - 2 and 1 <= col <= w - 2 for row, col in cells):
-            return Pose(cells)
-    raise ConfigInvalid(
-        f"generator failed to place a pose inside the {h}x{w} grid after "
-        f"{_MAX_POSE_ATTEMPTS} attempts; link lengths are too large for the grid"
-    )
-
-
-def _draw_distractors(rng: np.random.Generator, pose: Pose, cfg: SimulationConfig) -> list:
-    """One pose's configured distractor bumps, as ``bump_peak_sets`` takes them."""
-    distractors = []
-    min_sep = 3.0 * cfg.peak_sigma + 1.0
-    for _ in range(cfg.distractor_count):
-        joint = int(rng.integers(cfg.joints))
-        true_cell = pose.coordinates[joint]
-        for _ in range(_MAX_POSE_ATTEMPTS):
-            loc = (
-                float(rng.integers(1, cfg.height - 1)),
-                float(rng.integers(1, cfg.width - 1)),
+def _poses(rng: np.random.Generator, gen: GeneratorParams, count: int, cfg) -> np.ndarray:
+    """The (count, J, 2) cells of ``count`` chain poses drawn from ``gen``: an
+    attempt draws ``random()`` twice, then ``standard_normal()`` and
+    ``random()`` per link, until its rounded cells lie inside the grid.
+    Blocks of one attempt per pose left are drawn (never past the last
+    pose's draws) and walked in arrays with a scalar walk's bits: ``loc +
+    scale * standard_normal()`` is ``normal(loc, scale)``, ``cumsum`` adds
+    in order, and ``rint`` rounds halves to even, as ``round`` does."""
+    h, w, links = cfg.height, cfg.width, cfg.joints - 1
+    draws = (rng.random,) * 2 + (rng.standard_normal, rng.random) * links
+    lo, hi = np.array([(0.35 * h, 0.65 * h), (0.35 * w, 0.65 * w), *gen.angle_ranges]).T
+    cells, tries = [], 0
+    while len(cells) < count:
+        block = np.reshape([f() for f in draws * (count - len(cells))], (-1, len(draws)))
+        uniform = lo + (hi - lo) * block[:, [0, 1, *range(3, len(draws), 2)]]
+        angle = uniform[:, 2:].ravel().tolist()
+        steps = np.empty((len(block), cfg.joints, 2))
+        steps[:, 0] = uniform[:, :2]
+        # math.sin and math.cos: np.sin and np.cos may round otherwise on some CPUs.
+        steps[:, 1:, 0] = np.reshape(list(map(math.sin, angle)), (-1, links))
+        steps[:, 1:, 1] = np.reshape(list(map(math.cos, angle)), (-1, links))
+        with np.errstate(over="ignore", invalid="ignore"):  # long links overflow, then fall out
+            length = np.array(gen.link_means) + np.array(gen.link_sds) * block[:, 2::2]
+            steps[:, 1:] *= length[:, :, None]
+            walk = np.rint(np.cumsum(steps, axis=1))
+            hits = np.flatnonzero(((walk >= 1) & (walk <= (h - 2, w - 2))).all(axis=(1, 2)))
+        # The failed attempts of each placed pose, then of the next one.
+        fails = np.diff(hits, prepend=-1 - tries) - 1
+        tries = len(block) - 1 - hits[-1] if len(hits) else tries + len(block)
+        if max(fails.max(initial=0), tries) >= _MAX_POSE_ATTEMPTS:
+            raise ConfigInvalid(
+                f"generator failed to place a pose inside the {h}x{w} grid after "
+                f"{_MAX_POSE_ATTEMPTS} attempts; link lengths are too large for the grid"
             )
-            if max(abs(loc[0] - true_cell[0]), abs(loc[1] - true_cell[1])) >= min_sep:
+        cells.extend(walk[hits])
+    return np.reshape(cells, (-1, cfg.joints, 2))
+
+
+def _distractors(rng: np.random.Generator, cells: np.ndarray, cfg) -> np.ndarray:
+    """The (P * D, 3) (joint, row, col) of the ``D`` distractors of each pose of
+    ``cells``: ``integers(joints)``, then ``integers(1, height - 1)`` and
+    ``integers(1, width - 1)`` until ``3 * peak_sigma + 1`` from the joint's cell,
+    drawn ahead in blocks (one bound per value) and rewound to a cell too near."""
+    d, min_sep, k = cfg.distractor_count, 3.0 * cfg.peak_sigma + 1.0, 0
+    bounds = np.tile([[0, 1, 1], [cfg.joints, cfg.height - 1, cfg.width - 1]], _DRAW_AHEAD)
+    out = np.empty((len(cells) * d, 3), np.int64)
+    while k < len(out):
+        state, m = rng.bit_generator.state, min(_DRAW_AHEAD, len(out) - k)
+        drawn = rng.integers(*bounds[:, : 3 * m]).reshape(m, 3)
+        true = cells[(k + np.arange(m)) // d, drawn[:, 0]]
+        near = np.abs(drawn[:, 1:] - true).max(axis=1) < min_sep
+        kept = int(near.argmax()) if near.any() else m
+        out[k : k + m] = drawn  # the rows past a cell too near are drawn again
+        k += kept
+        if kept == m:
+            continue
+        rng.bit_generator.state = state
+        rng.integers(*bounds[:, : 3 * kept + 3])
+        for _ in range(_MAX_POSE_ATTEMPTS - 1):
+            out[k, 1:] = rng.integers(1, (cfg.height - 1, cfg.width - 1))
+            if np.abs(out[k, 1:] - true[kept]).max() >= min_sep:
                 break
         else:
             raise ConfigInvalid(
-                f"no cell of the {cfg.height}x{cfg.width} grid is {min_sep:g} cells from joint "
-                f"{joint} after {_MAX_POSE_ATTEMPTS} draws; peak_sigma is too large for the grid"
+                f"no cell of the {cfg.height}x{cfg.width} grid is {min_sep:g} cells from "
+                f"joint {out[k, 0]} after {_MAX_POSE_ATTEMPTS} draws; peak_sigma is too large "
+                "for the grid"
             )
-        distractors.append((joint, loc, cfg.distractor_amplitude))
-    return distractors
+        k += 1
+    return out
 
 
-def build_pool(cfg: SimulationConfig):
+def build_pool(cfg: SimulationConfig, stages: Stages | None = None):
     """(pool, heldout poses, truth, is_ood) generated from the config seed.
 
     Each unlabeled sample keeps the peaks of the heatmap rendered from its
@@ -364,35 +384,36 @@ def build_pool(cfg: SimulationConfig):
     render generators are streams of their own, so neither the order of
     the draws nor skipping the render changes a pose or a distractor.
     ``truth`` maps each unlabeled id to the pose its peaks come from, and
-    ``is_ood`` flags the planted out-of-distribution ids; only the
-    simulation reads them, never the selection strategies.
+    ``is_ood`` flags the planted out-of-distribution ids; only the simulation
+    reads them, never the selection strategies. ``stages`` times ``poses`` and ``peaks``.
     """
+    stages, t = stages or Stages(("poses", "peaks")), clock()
     seq = np.random.SeedSequence(cfg.seed)
     pose_rng, render_rng = (np.random.default_rng(s) for s in seq.spawn(2))
-
-    labeled = {
-        f"lab-{i:04d}": _sample_pose(pose_rng, cfg.generator, cfg)
-        for i in range(cfg.labeled_size)
-    }
-    heldout = {
-        f"held-{i:04d}": _sample_pose(pose_rng, cfg.generator, cfg)
-        for i in range(cfg.heldout_size)
-    }
+    sizes = {"lab": cfg.labeled_size, "held": cfg.heldout_size, "unl": cfg.unlabeled_size}
+    cells = np.concatenate([
+        _poses(pose_rng, cfg.generator, sum(sizes.values()) - cfg.ood_count, cfg),
+        _poses(pose_rng, cfg.ood_generator, cfg.ood_count, cfg),
+    ])
+    poses = iter(Pose.each(cells))
+    labeled, heldout, truth = (
+        {f"{kind}-{i:04d}": next(poses) for i in range(size)} for kind, size in sizes.items()
+    )
     n_id = cfg.unlabeled_size - cfg.ood_count
     is_ood = {f"unl-{i:04d}": i >= n_id for i in range(cfg.unlabeled_size)}
-    truth = {
-        sample_id: _sample_pose(pose_rng, cfg.ood_generator if ood else cfg.generator, cfg)
-        for sample_id, ood in is_ood.items()
-    }
+    t = stages.since("poses", t)
     peaks = None
     if not {"vl4pose", "entropy"}.isdisjoint(cfg.strategies):
+        centres, d = cells[-cfg.unlabeled_size :], cfg.distractor_count
+        joint, row, col = _distractors(render_rng, centres, cfg).T.tolist()
+        bumps = list(zip(joint, zip(row, col), repeat(cfg.distractor_amplitude)))
         peaks = bump_peak_sets(
-            np.stack([pose.coordinates for pose in truth.values()]),
-            [_draw_distractors(render_rng, pose, cfg) for pose in truth.values()],
+            centres, [bumps[i * d : i * d + d] for i in range(len(centres))],
             cfg.height, cfg.width, cfg.peak_sigma,
         )
-    unlabeled = {sample_id: i for i, sample_id in enumerate(truth)}
-    return SamplePool(labeled, unlabeled, peaks), heldout, truth, is_ood
+    pool = SamplePool(labeled, {sample_id: i for i, sample_id in enumerate(truth)}, peaks)
+    stages.since("peaks", t)
+    return pool, heldout, truth, is_ood
 
 
 # --- the simulation loop --------------------------------------------------------
@@ -437,19 +458,19 @@ def run_simulation(cfg: SimulationConfig) -> SimulationReport:
     reads those of the samples still unlabeled. Only ``vl4pose`` is scored
     again every round, under that round's fitted model.
 
-    ``stages`` sums the wall and CPU time of each stage over the rounds:
-    ``pool`` (generation and clones), ``fit``, ``score``, ``select`` (with
-    the recall, the AUC and the labeling) and ``heldout``.
+    ``stages`` sums the wall and CPU time of each stage over the rounds: ``poses``,
+    ``peaks`` (distractors and peaks), ``pool`` (clones, ids and ranks), ``fit``,
+    ``score``, ``select`` (with the recall, the AUC and the labeling) and ``heldout``.
     """
-    stages = Stages(("pool", "fit", "score", "select", "heldout"))
-    t = clock()
-    skeleton = chain_skeleton(cfg.joints)
+    stages = Stages(("poses", "peaks", "pool", "fit", "score", "select", "heldout"))
     try:
-        base_pool, heldout, truth, is_ood = build_pool(cfg)
+        base_pool, heldout, truth, is_ood = build_pool(cfg, stages)
     except MemoryError:
         raise ConfigInvalid(
             f"the pool of {cfg.height}x{cfg.width} grids does not fit in memory"
         ) from None
+    t = clock()
+    skeleton = chain_skeleton(cfg.joints)
     heldout_poses = [heldout[h] for h in sorted(heldout)]
     pools = {s: base_pool.clone() for s in cfg.strategies}
     # Per pool row: build_pool gives the i-th unlabeled id row i.

@@ -23,6 +23,7 @@ from poselik import (
     Heatmap,
     OffsetParams,
     PeakSet,
+    Pose,
     PoseModelParams,
     SimulationConfig,
     Skeleton,
@@ -502,6 +503,69 @@ def reference_read_heatmap_file(path) -> Heatmap:
         )
     values = np.frombuffer(payload, dtype="<f4").reshape(n, h, w)
     return Heatmap(values=values)
+
+
+# --- the pool generator that drew one value at a time ----------------------------
+# build_pool's pose and distractor samplers as they were before it drew in
+# blocks, kept as the oracle: the block draws must give the same poses and
+# distractors, leave both generators in the same state, and raise the same
+# ConfigInvalid.
+
+ORACLE_ATTEMPTS = 1000
+
+
+def reference_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` without its argument checks: numpy computes
+    ``lo + (hi - lo) * u`` from one ``rng.random()`` draw, so the bits and
+    the stream are the same."""
+    return lo + (hi - lo) * rng.random()
+
+
+def reference_sample_pose(rng: np.random.Generator, gen: GeneratorParams, cfg) -> Pose:
+    """One chain pose with integer grid coordinates, rejection-sampled in-bounds."""
+    h, w = cfg.height, cfg.width
+    for _ in range(ORACLE_ATTEMPTS):
+        # The chain walks on Python floats, which add like float64 rows.
+        row = reference_uniform(rng, 0.35 * h, 0.65 * h)
+        col = reference_uniform(rng, 0.35 * w, 0.65 * w)
+        coords = [(row, col)]
+        for i in range(cfg.joints - 1):
+            length = rng.normal(gen.link_means[i], gen.link_sds[i])
+            angle = reference_uniform(rng, *gen.angle_ranges[i])
+            row, col = row + length * math.sin(angle), col + length * math.cos(angle)
+            coords.append((row, col))
+        if not all(math.isfinite(row) and math.isfinite(col) for row, col in coords):
+            continue  # round() takes finite floats only
+        cells = [(round(row), round(col)) for row, col in coords]  # halves to even, as np.rint
+        if all(1 <= row <= h - 2 and 1 <= col <= w - 2 for row, col in cells):
+            return Pose(cells)
+    raise ConfigInvalid(
+        f"generator failed to place a pose inside the {h}x{w} grid after "
+        f"{ORACLE_ATTEMPTS} attempts; link lengths are too large for the grid"
+    )
+
+
+def reference_draw_distractors(rng: np.random.Generator, pose: Pose, cfg) -> list:
+    """One pose's configured distractor bumps, as ``bump_peak_sets`` takes them."""
+    distractors = []
+    min_sep = 3.0 * cfg.peak_sigma + 1.0
+    for _ in range(cfg.distractor_count):
+        joint = int(rng.integers(cfg.joints))
+        true_cell = pose.coordinates[joint]
+        for _ in range(ORACLE_ATTEMPTS):
+            loc = (
+                float(rng.integers(1, cfg.height - 1)),
+                float(rng.integers(1, cfg.width - 1)),
+            )
+            if max(abs(loc[0] - true_cell[0]), abs(loc[1] - true_cell[1])) >= min_sep:
+                break
+        else:
+            raise ConfigInvalid(
+                f"no cell of the {cfg.height}x{cfg.width} grid is {min_sep:g} cells from joint "
+                f"{joint} after {ORACLE_ATTEMPTS} draws; peak_sigma is too large for the grid"
+            )
+        distractors.append((joint, loc, cfg.distractor_amplitude))
+    return distractors
 
 
 # --- the simulate config parser before its keys were declared once --------------

@@ -879,7 +879,7 @@ class TestSimulateCommand:
         assert manifest["seed"] == 7
         assert manifest["samples"] == 8
         stages = manifest["stages"]
-        names = {"pool", "fit", "score", "select", "heldout"}
+        names = {"poses", "peaks", "pool", "fit", "score", "select", "heldout"}
         assert set(stages) == {"wall_ms", "cpu_ms"}
         assert set(stages["wall_ms"]) == set(stages["cpu_ms"]) == names
         assert all(t >= 0.0 for t in [*stages["wall_ms"].values(), *stages["cpu_ms"].values()])
@@ -923,6 +923,62 @@ class TestSimulateCommand:
             for path in (out, tmp_path / "report.json.selections.jsonl")
         )
         assert digests == self.PINNED[ranking]
+
+    # SHA-256 of the report and of the selections of three pool shapes, as
+    # first written by the one-draw-at-a-time generator: the bench's shape,
+    # one whose poses and distractors are often redrawn (about 100 pose
+    # attempts for 60 poses, and 1,006 integer draws where 432 would do), and
+    # one with a random warm-up ranked by expected likelihood.
+    POOL_PINNED = {
+        "bench": (
+            "5fd4cf3d2c8b1cbcce14d85281a2832846d6d377720cbf8455b76911aa9e83c0",
+            "12dd2fac3715a0fd0e9f105e8012c2e06f76d881218756b88c92dec68a4ca3cd",
+        ),
+        "redrawn": (
+            "02bcfde14d0a60cdec5ba8d3c00a47886153d04d6d9eac91faf76f605f513dae",
+            "07eb16c99767d2ce8be86046b0e7f8fd95a8fa7e5ac4372fe5e09ce4274a0c83",
+        ),
+        "warmup": (
+            "1d3b30741935eff8013a7d80ac2a52c7ef7d90cf2cb191bfbfbefaa13e970bf4",
+            "9a5ad0a2d8a1c504104ac672debd2794daa32157293d97157e18ac7166463edc",
+        ),
+    }
+
+    @staticmethod
+    def pool_doc(shape):
+        links = 3 if shape == "redrawn" else 4
+        doc = {
+            "seed": 41, "rounds": 2, "budget": 5,
+            "pool": {"labeled": 8, "unlabeled": 48, "ood": 6, "heldout": 4},
+            "skeleton": {"joints": links + 1},
+            "generator": {"link_means": [5.0] * links, "link_sds": [1.0] * links,
+                          "angle_ranges": [[-0.6, 0.6]] * links},
+            "ood_generator": {"link_means": [8.0] * links, "link_sds": [1.0] * links,
+                              "angle_ranges": [[-0.6, 0.6]] * links},
+            "heatmap": {"height": 64, "width": 64, "peak_sigma": 1.5,
+                        "distractors": 4, "distractor_amplitude": 0.5},
+            "ranking_mode": "max",
+            "strategies": ["vl4pose", "entropy", "random"],
+        }
+        if shape == "redrawn":
+            doc["generator"].update(link_means=[3.0] * links, angle_ranges=[[-3.0, 3.0]] * links)
+            doc["ood_generator"].update(link_means=[5.0] * links, link_sds=[2.0] * links,
+                                        angle_ranges=[[-3.0, 3.0]] * links)
+            doc["heatmap"].update(height=16, width=16, peak_sigma=1.8, distractors=3)
+        if shape == "warmup":
+            doc.update(ranking_mode="expected", initial_random_fraction=0.4)
+        return doc
+
+    @pytest.mark.parametrize("shape", sorted(POOL_PINNED))
+    def test_pool_shapes_keep_their_pinned_bytes(self, tmp_path, shape):
+        out = tmp_path / "report.json"
+        config = self.write_config(tmp_path, self.pool_doc(shape))
+        assert run_cli(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        digests = tuple(
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (out, tmp_path / "report.json.selections.jsonl")
+        )
+        assert digests == self.POOL_PINNED[shape]
 
     def test_runs_are_byte_identical(self, tmp_path):
         config_path = self.write_config(tmp_path)

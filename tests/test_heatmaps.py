@@ -30,7 +30,13 @@ from poselik import (
     write_heatmap_file,
 )
 
-from _helpers import oracle_entropy, peakset_of, pshm_bytes, scan_strict_maxima
+from _helpers import (
+    assert_same_peaks,
+    oracle_entropy,
+    peakset_of,
+    pshm_bytes,
+    scan_strict_maxima,
+)
 
 
 def heatmap_of(grid) -> Heatmap:
@@ -552,3 +558,30 @@ def test_input_checks_name_the_fault(case):
     with pytest.raises(Exception) as caught:
         call()
     assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+@pytest.mark.parametrize("peak_sigma", [1e4, 1e-200])
+def test_a_lone_bump_is_found_as_rendered_when_its_centre_is_not_its_peak(peak_sigma):
+    """A grid with only its centre's bump peaks at that centre, except under
+    a sigma so wide that the cells around it cast to float32 1 as well (the
+    first cell of that plateau is the maximum), or so narrow that the centre
+    is NaN (the render's error)."""
+    centres = np.array([[[3.0, 5.0]], [[6.0, 0.0]]])
+    distractors = [(), ()]
+
+    def peaks(call):
+        try:
+            return call()
+        except NonFiniteValue as exc:
+            return str(exc)
+
+    found = peaks(lambda: bump_peak_sets(centres, distractors, 8, 9, peak_sigma))
+    rendered = peaks(lambda: extract_peak_sets(np.stack([
+        render_gaussian_heatmap(Pose(c), 8, 9, peak_sigma, d).values
+        for c, d in zip(centres, distractors)
+    ])))
+    if isinstance(rendered, str):
+        assert found == rendered
+    else:
+        assert_same_peaks(found, rendered)
+        assert found.locs[0].tolist() != [3, 5]

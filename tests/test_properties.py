@@ -93,7 +93,6 @@ from poselik import heatmaps as heatmaps_module
 from poselik.calibration import RIDGE_START
 from poselik.heatmaps import _gaussian_table
 from poselik.selection import ascending, id_ranks, lowest_first
-from poselik.simulation import _uniform
 
 from _helpers import (
     assert_same_peaks,
@@ -107,6 +106,7 @@ from _helpers import (
     peakset_of,
     pshm_bytes,
     reference_read_heatmap_file,
+    reference_uniform,
     render_reference,
 )
 
@@ -690,7 +690,7 @@ def test_generator_uniform_draws_are_numpys(seed, ranges):
     for lo, hi in map(sorted, ranges):
         if not math.isfinite(hi - lo):
             continue
-        assert _uniform(ours, lo, hi).hex() == numpys.uniform(lo, hi).hex()
+        assert reference_uniform(ours, lo, hi).hex() == numpys.uniform(lo, hi).hex()
     assert ours.random() == numpys.random()
 
 

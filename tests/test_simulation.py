@@ -36,12 +36,13 @@ from poselik import (
 )
 import poselik
 from poselik import simulation
-from poselik.simulation import _draw_distractors
 
 from _helpers import (
     assert_same_peaks,
     reference_config_from_dict,
     reference_config_to_json_dict,
+    reference_draw_distractors,
+    reference_sample_pose,
 )
 
 
@@ -52,7 +53,7 @@ def replayed_peaks(cfg, truth):
     render_rng = np.random.default_rng(render_seed)
     peaks = {}
     for sample_id, pose in truth.items():
-        distractors = _draw_distractors(render_rng, pose, cfg)
+        distractors = reference_draw_distractors(render_rng, pose, cfg)
         heatmap = render_gaussian_heatmap(pose, cfg.height, cfg.width, cfg.peak_sigma, distractors)
         peaks[sample_id] = extract_peaks(heatmap)
     return peaks
@@ -331,6 +332,127 @@ class TestBuildPool:
         doc["heatmap"] = {"height": 8, "width": 8, "peak_sigma": 3.0, "distractors": 1}
         with pytest.raises(ConfigInvalid, match="8x8 grid .* 10 cells"):
             build_pool(SimulationConfig.from_dict(doc))
+
+
+# --- the block draws against the one-draw-at-a-time oracle ----------------------
+
+@st.composite
+def redrawn_pools(draw):
+    """``simulate`` configs whose poses and distractors are often redrawn:
+    8-64 cell grid sides, links up to the grid's side long, any angles, OOD
+    mixes, 0-6 distractors a sample, and a ``peak_sigma`` whose separation
+    of ``3 * peak_sigma + 1`` cells can reach past what the grid holds."""
+    height, width = draw(st.integers(8, 64)), draw(st.integers(8, 64))
+    links, side = draw(st.integers(1, 4)), min(height, width)
+
+    def generator():
+        laws = st.lists(st.floats(0.1, side), min_size=links, max_size=links)
+        angle = st.floats(-4.0, 4.0)
+        ranges = st.lists(st.tuples(angle, angle).map(sorted), min_size=links, max_size=links)
+        return {"link_means": draw(laws), "link_sds": draw(laws), "angle_ranges": draw(ranges)}
+
+    unlabeled = draw(st.integers(1, 12))
+    return {
+        "seed": draw(st.integers(0, 2**64 - 1)), "rounds": 1, "budget": 1,
+        "pool": {"labeled": draw(st.integers(2, 6)), "unlabeled": unlabeled,
+                 "ood": draw(st.integers(0, unlabeled)), "heldout": draw(st.integers(1, 4))},
+        "skeleton": {"joints": links + 1},
+        "generator": generator(), "ood_generator": generator(),
+        "heatmap": {"height": height, "width": width, "distractors": draw(st.integers(0, 6)),
+                    "peak_sigma": draw(st.sampled_from([0.3, 1.0]) | st.floats(0.3, side / 3))},
+    }
+
+
+def drawn_or_error(call):
+    """What ``call`` returns, or the message of the ``ConfigInvalid`` it raises."""
+    try:
+        return call()
+    except ConfigInvalid as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@example({**full_doc(), "seed": 3})
+@given(redrawn_pools())
+def test_block_draws_equal_the_one_at_a_time_oracle(doc):
+    """The poses (labeled, held-out, then unlabeled, OOD last) and each
+    unlabeled pose's distractors equal the oracle's, which draws one value at
+    a time, and leave both generators where the oracle leaves them; an
+    unplaceable pose or distractor raises the oracle's message."""
+    try:
+        cfg = SimulationConfig.from_dict(doc)
+    except ConfigInvalid:  # say, equal generators
+        return
+    pose_seed, render_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    ours, oracle = np.random.default_rng(pose_seed), np.random.default_rng(pose_seed)
+    n_id = cfg.labeled_size + cfg.heldout_size + cfg.unlabeled_size - cfg.ood_count
+    gens = [cfg.generator] * n_id + [cfg.ood_generator] * cfg.ood_count
+    expected = drawn_or_error(lambda: np.array([
+        reference_sample_pose(oracle, gen, cfg).coordinates for gen in gens
+    ]))
+    cells = drawn_or_error(lambda: np.concatenate([
+        simulation._poses(ours, cfg.generator, n_id, cfg),
+        simulation._poses(ours, cfg.ood_generator, cfg.ood_count, cfg),
+    ]))
+    built = drawn_or_error(lambda: build_pool(cfg))
+    if isinstance(expected, str):
+        assert cells == built == expected
+        return
+    assert cells.tobytes() == expected.tobytes()
+    assert ours.bit_generator.state == oracle.bit_generator.state
+
+    centres = cells[-cfg.unlabeled_size:]
+    ours, oracle = np.random.default_rng(render_seed), np.random.default_rng(render_seed)
+    expected = drawn_or_error(lambda: [
+        [joint, *cell]
+        for centre in centres
+        for joint, cell, _ in reference_draw_distractors(oracle, Pose(centre), cfg)
+    ])
+    drawn = drawn_or_error(lambda: simulation._distractors(ours, centres, cfg).tolist())
+    assert drawn == expected
+    if isinstance(expected, str):
+        assert built == expected
+        return
+    assert ours.bit_generator.state == oracle.bit_generator.state
+    _, heldout, truth, _ = built
+    poses = [*built[0].labeled.values(), *heldout.values(), *truth.values()]
+    assert np.array([pose.coordinates for pose in poses]).tobytes() == cells.tobytes()
+
+
+# Facts of the installed numpy that the block draws stand on: if an upgrade
+# breaks one, its test fails by name instead of every report moving.
+
+@pytest.mark.parametrize("seed", range(20))
+def test_numpy_integers_with_a_bound_per_value_make_the_scalar_calls(seed):
+    rng = np.random.default_rng(seed)
+    low = rng.integers(0, 50, 300)
+    high = low + rng.choice([1, 2, 7, 95, 2**31, 2**40], 300)
+    ours, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        drawn = ours.integers(low, high).tolist() + ours.integers(1, (9, 63)).tolist()
+        expected = [int(scalar.integers(lo, hi)) for lo, hi in zip(low, high)]
+        expected += [int(scalar.integers(1, 9)), int(scalar.integers(1, 63))]
+        assert drawn == expected
+        assert ours.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("loc, scale", [(5.0, 1.0), (8.0, 2.5), (0.1, 1e-3), (3.0, 1e300)])
+def test_numpy_normal_is_loc_plus_scale_standard_normal(loc, scale):
+    ours, numpys = np.random.default_rng(11), np.random.default_rng(11)
+    draws = [numpys.normal(loc, scale) for _ in range(20_000)]
+    with np.errstate(over="ignore"):
+        assert (loc + scale * ours.standard_normal(20_000)).tolist() == draws
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+def test_numpy_cumsum_and_rint_walk_like_python_floats():
+    rng = np.random.default_rng(5)
+    steps = rng.standard_normal((500, 9)) * 10.0 ** rng.integers(-8, 9, (500, 9))
+    walks = np.cumsum(steps, axis=1)
+    for row, walk in zip(steps.tolist(), walks.tolist()):
+        assert walk == [functools.reduce(operator.add, row[: i + 1]) for i in range(len(row))]
+    halves = np.arange(-20.5, 21.0)
+    assert np.rint(halves).tolist() == [float(round(x)) for x in halves.tolist()]
 
 
 @pytest.mark.parametrize("seed", [1001, 1002])
